@@ -91,8 +91,8 @@ class Certificate:
         self.margin = float(self.margin)
         if not math.isfinite(self.margin):
             raise ValueError("margin must be finite")
-        # TWIST_D margins count non-transversal zeros, so a clean pass sits
-        # exactly at zero; every other kind must clear its threshold.
+        # TWIST_D has no graded pass margin, so a pass sits exactly at zero;
+        # every other kind must clear its threshold.
         floor_ok = self.margin >= 0.0 if self.kind == "TWIST_D" else self.margin > 0.0
         if self.verdict == "PASS" and not floor_ok:
             raise ValueError(f"PASS {self.kind} certificate with margin {self.margin}")
@@ -581,9 +581,11 @@ def twisting_d(product, grid_n=DEFAULT_GRID_N, zero_tol=DEFAULT_ZERO_TOL):
     """Certify log-integrability of every minor of the homoclinic holonomy.
 
     PASS iff the |log |minor|| integral is finite for every row/column
-    subset pair of every cardinality.  The margin is minus the largest
-    per-minor count of non-transversal zeros, so a clean pass has margin 0
-    and any degenerate tangency drags it negative.
+    subset pair of every cardinality.  A pass has margin 0.0 even when some
+    minor touches zero tangentially, since a log-integrable tangency does
+    not break twisting.  A FAIL carries minus the largest per-minor count of
+    non-transversal zeros as its margin.  That count is reported for every
+    verdict as ``max_non_transversal`` in the diagnostics.
     """
     d = product.dim
     per_minor = []
@@ -606,8 +608,10 @@ def twisting_d(product, grid_n=DEFAULT_GRID_N, zero_tol=DEFAULT_ZERO_TOL):
         if not result.finite and infinite_witness is None:
             infinite_witness = {"rows": list(index.rows), "cols": list(index.cols),
                                 "reason": result.diagnostics.get("reason")}
-    margin = -float(worst_non_transversal) if worst_non_transversal else 0.0
     verdict = "PASS" if infinite_witness is None else "FAIL"
+    margin = 0.0
+    if verdict == "FAIL" and worst_non_transversal:
+        margin = -float(worst_non_transversal)
     return Certificate(
         kind="TWIST_D",
         verdict=verdict,
@@ -615,6 +619,7 @@ def twisting_d(product, grid_n=DEFAULT_GRID_N, zero_tol=DEFAULT_ZERO_TOL):
         diagnostics={
             "minors": per_minor,
             "witness": infinite_witness,
+            "max_non_transversal": worst_non_transversal,
             "grid_n": grid_n,
             "zero_tol": zero_tol,
         },

@@ -51,7 +51,8 @@ def build_parser():
         sub.add_argument("--out", default=None,
                          help="output CSV path (certificates go next to it)")
         sub.add_argument("--parallel", type=int, default=None,
-                         help="replicate worker count")
+                         help="accepted for compatibility; results are bit-identical "
+                              "for every value")
     return parser
 
 

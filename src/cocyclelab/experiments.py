@@ -12,7 +12,8 @@ An experiment is described by a JSON config file:
 ``out``
     Optional output CSV path (certificates go next to it as JSON).
 ``parallel``
-    Optional replicate worker count.
+    Optional positive integer, accepted for compatibility; results are
+    bit-identical for every value.
 
 Estimator knobs (all optional, with defaults): ``n_iter``, ``n_rep``,
 ``qr_period``, ``n_samples``, ``sep_tol``, ``frac_threshold``,

@@ -10,24 +10,32 @@ Two Monte Carlo estimators and one exact route:
 * :func:`diagonal_spectrum` evaluates the exponents of diagonal tuples in
   closed form as weighted circle averages of log |diagonal entries|.
 
-Within a renormalization period the step matrices are multiplied pairwise
-in stacked passes, which keeps the hot loop inside vectorized matmul calls;
+Both estimators share one kernel that advances every replicate in
+lockstep: words and start points are drawn up front, step matrices are
+evaluated and multiplied into renormalization blocks ``CHUNK_BLOCKS``
+blocks at a time, so memory does not grow with n_iter * d^2, and each
+block runs one renormalization step on the whole ``(n_rep, d, d)`` stack.
+Within a block the step matrices are multiplied pairwise in stacked passes;
 the block product agrees with sequential multiplication up to roundoff.
+Every replicate value is bitwise the same as iterating that replicate on
+its own.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._quadrature import panel_rule
-from .circle import wrap_unit
+from .circle import _wrapped_cumulative
 from .cocycle import DIAGONAL
 from .errors import GroupTagError, RenormalizationError
 
 DEFAULT_QR_PERIOD = 20
+# renormalization blocks evaluated per pass; bounds the step-matrix stack at
+# n_rep * CHUNK_BLOCKS * qr_period matrices whatever n_iter is
+CHUNK_BLOCKS = 64
 
 
 @dataclass
@@ -66,122 +74,142 @@ def _substreams(seed, n_rep):
     return [np.random.Generator(np.random.Philox(child)) for child in root.spawn(n_rep)]
 
 
-def _step_matrices(product, rng, n_iter):
-    """Sample one replicate's word and evaluate its step matrices."""
-    w = rng.choice(product.n_symbols, size=n_iter, p=product.weights)
-    t0 = rng.random()
-    steps = product.angles[w].astype(np.longdouble)
-    acc = np.cumsum(steps) + np.longdouble(t0)
-    starts = np.empty(n_iter)
-    starts[0] = t0
-    starts[1:] = wrap_unit((acc[:-1] - np.floor(acc[:-1])).astype(float))
-    mats = np.empty((n_iter, product.dim, product.dim))
+def _draw_replicates(product, seed, n_iter, n_rep, with_vector):
+    """Words, start points and (optionally) unit start vectors per replicate.
+
+    Each substream draws its word, then its start point, then its start
+    vector, so replicate r sees the same numbers whatever n_rep is.
+    """
+    words = np.empty((n_rep, n_iter), dtype=np.min_scalar_type(product.n_symbols - 1))
+    starts = np.empty((n_rep, n_iter))
+    vectors = np.empty((n_rep, product.dim)) if with_vector else None
+    for r, rng in enumerate(_substreams(seed, n_rep)):
+        words[r] = rng.choice(product.n_symbols, size=n_iter, p=product.weights)
+        starts[r, 0] = rng.random()
+        starts[r, 1:] = _wrapped_cumulative(starts[r, 0], product.angles[words[r, :-1]])
+        if with_vector:
+            vec = rng.standard_normal(product.dim)
+            vectors[r] = vec / np.linalg.norm(vec)
+    return words, starts, vectors
+
+
+def _step_matrices(product, words, starts, period):
+    """Step matrices of a chunk, padded with identities to whole blocks.
+
+    ``words`` and ``starts`` have shape (n_rep, n); the result has shape
+    (n_rep, ceil(n / period) * period, d, d).
+    """
+    n_rep, n = words.shape
+    d = product.dim
+    mats = np.empty((n_rep, -(-n // period) * period, d, d))
+    mats[:, n:] = np.eye(d)
+    body = mats[:, :n]
     for s in range(product.n_symbols):
-        mask = w == s
+        mask = words == s
         if np.any(mask):
-            mats[mask] = product.maps[s].eval_many(starts[mask])
+            body[mask] = product.maps[s].eval_many(starts[mask])
     return mats
 
 
 def _block_products(mats, period):
     """Ordered products of consecutive ``period``-size groups of matrices.
 
-    Index order is time order: the product of group g is
-    mats[g*period + period - 1] @ ... @ mats[g*period].  The tail group is
-    padded with identities.
+    ``mats`` has shape (n_rep, n_blocks * period, d, d).  Index order is
+    time order: the product of group g is mats[:, g*period + period - 1] @
+    ... @ mats[:, g*period].
     """
-    n, d, _ = mats.shape
-    n_blocks = -(-n // period)
-    if n_blocks * period != n:
-        pad = np.broadcast_to(np.eye(d), (n_blocks * period - n, d, d))
-        mats = np.concatenate([mats, pad], axis=0)
-    stack = mats.reshape(n_blocks, period, d, d)
+    n_rep, n, d, _ = mats.shape
+    stack = mats.reshape(n_rep, n // period, period, d, d)
     # Overflow inside a block shows up as non-finite entries downstream and is
     # reported as RenormalizationError there; the warning itself is noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        while stack.shape[1] > 1:
-            if stack.shape[1] % 2:
-                carry = stack[:, -1:]
-                body = stack[:, :-1]
+        while stack.shape[2] > 1:
+            if stack.shape[2] % 2:
+                carry = stack[:, :, -1:]
+                body = stack[:, :, :-1]
             else:
                 carry = None
                 body = stack
-            body = np.matmul(body[:, 1::2], body[:, 0::2])
-            stack = body if carry is None else np.concatenate([body, carry], axis=1)
-    return stack[:, 0]
+            body = np.matmul(body[:, :, 1::2], body[:, :, 0::2])
+            stack = body if carry is None else np.concatenate([body, carry], axis=2)
+    return stack[:, :, 0]
 
 
-def _block_log_dets(mats, period, n_blocks):
-    """Per-block sums of the step matrices' log |det|.
+def _block_log_dets(mats, period):
+    """Per-block sums of the step matrices' log |det|, shape (n_rep, n_blocks).
 
     Computed step by step, so the value is immune to the cancellation that
-    corrupts the determinant of an explicitly multiplied block.
+    corrupts the determinant of an explicitly multiplied block.  Identity
+    padding contributes exactly zero.
     """
     signs, logdets = np.linalg.slogdet(mats)
     if not np.all((signs != 0.0) & np.isfinite(logdets)):
         raise RenormalizationError("singular step matrix in sampled word")
-    padded = np.zeros(n_blocks * period)
-    padded[: logdets.shape[0]] = logdets
-    return padded.reshape(n_blocks, period).sum(axis=1)
+    n_rep, n = logdets.shape
+    return logdets.reshape(n_rep, n // period, period).sum(axis=-1)
 
 
-def _spectrum_one_replicate(product, rng, n_iter, qr_period):
-    mats = _step_matrices(product, rng, n_iter)
-    blocks = _block_products(mats, qr_period)
-    d = product.dim
-    # Orthogonality of the frame makes sum(log diag R) equal the block's
-    # log |det| in exact arithmetic.  The leading diagonal entries come out
-    # of the QR step stably, the last one absorbs all the rounding of the
-    # multiplied-out block, so pin it to the exact invariant instead.
-    dets = _block_log_dets(mats, qr_period, blocks.shape[0])
-    frame = np.eye(d)
-    log_sum = np.zeros(d)
-    for block, block_log_det in zip(blocks, dets):
-        image = block @ frame
-        if not np.all(np.isfinite(image)):
-            raise RenormalizationError(
-                "non-finite frame image; reduce qr_period for this tuple"
-            )
-        frame, upper = np.linalg.qr(image)
-        diag = np.abs(np.diagonal(upper))
-        if not np.all(diag > 0.0):
-            raise RenormalizationError(
-                "rank-deficient frame image; reduce qr_period for this tuple"
-            )
-        logs = np.log(diag)
-        logs[-1] = block_log_det - np.sum(logs[:-1])
-        log_sum += logs
-    return np.sort(log_sum / n_iter)[::-1]
+def _iterate_frames(product, seed, n_iter, n_rep, qr_period, full_frame):
+    """Per-replicate exponent estimates from lockstep frame iteration.
 
-
-def _top_one_replicate(product, rng, n_iter, qr_period):
-    blocks = _block_products(_step_matrices(product, rng, n_iter), qr_period)
-    vec = rng.standard_normal(product.dim)
-    vec /= np.linalg.norm(vec)
-    log_sum = 0.0
-    for block in blocks:
-        vec = block @ vec
-        norm = np.linalg.norm(vec)
-        if not (np.isfinite(norm) and norm > 0.0):
-            raise RenormalizationError(
-                "vector iterate overflowed or vanished; reduce qr_period"
-            )
-        vec /= norm
-        log_sum += np.log(norm)
-    return log_sum / n_iter
-
-
-def _run_replicates(worker, product, seed, n_iter, n_rep, qr_period, workers):
+    With ``full_frame`` an orthonormal d-frame is pushed through the blocks
+    and renormalized by QR, giving the sorted spectrum per replicate, shape
+    (n_rep, d).  Otherwise one random unit vector per replicate is pushed
+    and renormalized by its norm, giving the top exponent, shape (n_rep,).
+    """
     if n_iter < 1 or n_rep < 1 or qr_period < 1:
         raise ValueError("n_iter, n_rep and qr_period must be >= 1")
-    rngs = _substreams(seed, n_rep)
-    jobs = [(product, rng, n_iter, qr_period) for rng in rngs]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda args: worker(*args), jobs))
+    d = product.dim
+    words, starts, vectors = _draw_replicates(product, seed, n_iter, n_rep,
+                                              with_vector=not full_frame)
+    if full_frame:
+        frame = np.repeat(np.eye(d)[None], n_rep, axis=0)
+        log_sum = np.zeros((n_rep, d))
     else:
-        results = [worker(*args) for args in jobs]
-    return np.asarray(results)
+        frame = vectors[:, :, None]
+        log_sum = np.zeros(n_rep)
+    chunk = CHUNK_BLOCKS * qr_period
+    for lo in range(0, n_iter, chunk):
+        mats = _step_matrices(product, words[:, lo:lo + chunk],
+                              starts[:, lo:lo + chunk], qr_period)
+        blocks = _block_products(mats, qr_period)
+        if full_frame:
+            # Orthogonality of the frame makes sum(log diag R) equal the
+            # block's log |det| in exact arithmetic.  The leading diagonal
+            # entries come out of the QR step stably, the last one absorbs
+            # all the rounding of the multiplied-out block, so pin it to the
+            # exact invariant instead.
+            dets = _block_log_dets(mats, qr_period)
+        del mats  # free this chunk's steps before the next one is evaluated
+        for j in range(blocks.shape[1]):
+            image = np.matmul(blocks[:, j], frame)
+            if full_frame:
+                if not np.all(np.isfinite(image)):
+                    raise RenormalizationError(
+                        "non-finite frame image; reduce qr_period for this tuple"
+                    )
+                frame, upper = np.linalg.qr(image)
+                diag = np.abs(np.diagonal(upper, axis1=1, axis2=2))
+                if not np.all(diag > 0.0):
+                    raise RenormalizationError(
+                        "rank-deficient frame image; reduce qr_period for this tuple"
+                    )
+                logs = np.log(diag)
+                logs[:, -1] = dets[:, j] - np.sum(logs[:, :-1], axis=1)
+                log_sum += logs
+            else:
+                # a (1, d) @ (d, 1) product is the BLAS dot that np.linalg.norm
+                # takes on one vector, so each norm matches it bit for bit
+                norms = np.sqrt(np.matmul(image.transpose(0, 2, 1), image)[:, 0, 0])
+                if not np.all(np.isfinite(norms) & (norms > 0.0)):
+                    raise RenormalizationError(
+                        "vector iterate overflowed or vanished; reduce qr_period"
+                    )
+                frame = image / norms[:, None, None]
+                log_sum += np.log(norms)
+    if not full_frame:
+        return log_sum / n_iter
+    return np.sort(log_sum / n_iter, axis=1)[:, ::-1]
 
 
 def estimate_spectrum(product, n_iter, n_rep, seed, qr_period=DEFAULT_QR_PERIOD,
@@ -191,11 +219,11 @@ def estimate_spectrum(product, n_iter, n_rep, seed, qr_period=DEFAULT_QR_PERIOD,
     Each replicate draws an independent substream (start point and word),
     pushes an orthonormal frame through ``n_iter`` steps, re-orthonormalizes
     every ``qr_period`` steps, and averages log |R_ii|.  Replicate vectors
-    are sorted before aggregation; the merge is by replicate index, so the
-    result is bitwise independent of ``workers``.
+    are sorted before aggregation.  All replicates advance together in one
+    process; ``workers`` is accepted for compatibility and leaves the result
+    bit-identical for every value.
     """
-    reps = _run_replicates(_spectrum_one_replicate, product, seed, n_iter, n_rep,
-                           qr_period, workers)
+    reps = _iterate_frames(product, seed, n_iter, n_rep, qr_period, full_frame=True)
     values = reps.mean(axis=0)
     if n_rep > 1:
         stderr = reps.std(axis=0, ddof=1) / np.sqrt(n_rep)
@@ -211,12 +239,12 @@ def estimate_top_exponent(product, n_iter, n_rep, seed, qr_period=DEFAULT_QR_PER
 
     Each replicate starts from an independent random unit vector, which
     avoids locking onto an invariant contracting direction of structured
-    tuples.
+    tuples.  ``workers`` is accepted for compatibility and leaves the result
+    bit-identical for every value.
     """
     if product.dim != 2:
         raise ValueError("estimate_top_exponent is specialized to 2x2 tuples")
-    reps = _run_replicates(_top_one_replicate, product, seed, n_iter, n_rep,
-                           qr_period, workers)
+    reps = _iterate_frames(product, seed, n_iter, n_rep, qr_period, full_frame=False)
     value = reps.mean()
     stderr = reps.std(ddof=1) / np.sqrt(n_rep) if n_rep > 1 else 0.0
     return LyapunovEstimate(values=np.array([value]), stderr=np.array([stderr]),

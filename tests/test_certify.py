@@ -274,3 +274,21 @@ def test_twisting_d_trivial_holonomy_fails():
     assert cert.verdict == "FAIL"
     assert cert.diagnostics["witness"] is not None
     assert not cert.passed
+
+
+def test_twisting_d_log_integrable_tangency_passes():
+    # A1 = [[1 - cos 2 pi t, 1], [-1, 1]] after A0 = I: the (1, 1) entry of the
+    # holonomy has a double zero at t = 0, every minor stays log-integrable
+    a0 = cl.TrigMatrixMap.constant(np.eye(2))
+    a1 = cl.TrigMatrixMap.from_entry_rows(
+        2, [[1.0, -1.0, 0.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    product = cl.RandomProduct([cl.GOLDEN_MEAN, cl.GOLDEN_MEAN], [a0, a1])
+    cert = cl.twisting_d(product)
+    assert cert.kind == "TWIST_D" and cert.passed
+    assert cert.margin == 0.0
+    assert cert.diagnostics["max_non_transversal"] == 1
+    assert cert.diagnostics["witness"] is None
+    tangent = [m for m in cert.diagnostics["minors"] if m["n_non_transversal"]]
+    assert [(m["rows"], m["cols"]) for m in tangent] == [([1], [1])]
+    assert tangent[0]["orders"] == [2]
+    assert all(math.isfinite(m["integral"]) for m in cert.diagnostics["minors"])

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import cocyclelab as cl
+from cocyclelab import lyapunov
 from util import SILVER, random_tuple, schrodinger_pair
 
 LOG2 = math.log(2.0)
@@ -109,6 +111,12 @@ def test_overflow_raises_renormalization_error():
         cl.estimate_spectrum(rp, 600, 1, seed=0, qr_period=600)
 
 
+def test_top_exponent_overflow_raises_renormalization_error():
+    rp = constant_diag([1e12, 1.0])
+    with pytest.raises(cl.RenormalizationError, match="overflowed or vanished"):
+        cl.estimate_top_exponent(rp, 600, 2, seed=0, qr_period=600)
+
+
 def test_single_replicate_has_zero_stderr():
     est = cl.estimate_spectrum(random_tuple(2, seed=8), 500, 1, seed=1)
     assert np.all(est.stderr == 0.0)
@@ -122,3 +130,68 @@ def test_knob_validation():
         cl.estimate_spectrum(rp, 10, 0, seed=0)
     with pytest.raises(ValueError):
         cl.estimate_spectrum(rp, 10, 1, seed=0, qr_period=0)
+
+
+# Replicate values of the per-replicate estimators that the lockstep kernel
+# replaced, as float.hex literals: the kernel must reproduce them bit for bit.
+GOLDEN_REPLICATES = [
+    ("estimate_spectrum", lambda: random_tuple(3, seed=1), 1013, 3, 5, 20, [
+        ["0x1.9f3e99959b638p-1", "0x1.94842308d7a15p-1", "0x1.3d9420a45dc39p-1"],
+        ["0x1.9c0e099b7393fp-1", "0x1.96d5db3c0d106p-1", "0x1.3e78d70e19e27p-1"],
+        ["0x1.9f0d003cbfd44p-1", "0x1.95852685af90fp-1", "0x1.3e431a9b71191p-1"],
+    ]),
+    ("estimate_spectrum", lambda: random_tuple(3, seed=1), 7, 2, 6, 20, [
+        ["0x1.a466d1d8e50edp-1", "0x1.8bb34fb379409p-1", "0x1.4c30f0ff6f34bp-1"],
+        ["0x1.b8742d5641acbp-1", "0x1.8096ae5059fc7p-1", "0x1.3a98b8daf42c2p-1"],
+    ]),
+    ("estimate_spectrum", lambda: random_tuple(2, seed=3), 2000, 2, 7, 3, [
+        ["0x1.9d0418b267896p-1", "0x1.3fd1719ee0d71p-1"],
+        ["0x1.9e3363410f9e8p-1", "0x1.41f618006f6a1p-1"],
+    ]),
+    ("estimate_top_exponent", lambda: schrodinger_pair(3.0)[0], 1013, 3, 5, 20, [
+        ["0x1.c69d0bef31d11p-1"],
+        ["0x1.c76a81e52acd0p-1"],
+        ["0x1.c94b502a3a3bcp-1"],
+    ]),
+    ("estimate_top_exponent", lambda: schrodinger_pair(3.0)[0], 7, 2, 6, 20, [
+        ["0x1.df14c96bfcc95p-1"],
+        ["0x1.c0a25275da3f6p-1"],
+    ]),
+    ("estimate_top_exponent", lambda: schrodinger_pair(2.5)[0], 2000, 2, 7, 3, [
+        ["0x1.27a9d16817f1ep-1"],
+        ["0x1.242490907e942p-1"],
+    ]),
+]
+
+
+@pytest.mark.parametrize(
+    "estimator, make_product, n_iter, n_rep, seed, qr_period, golden",
+    GOLDEN_REPLICATES,
+    ids=[f"{c[0]}-{c[2]}x{c[3]}-period{c[5]}" for c in GOLDEN_REPLICATES])
+def test_replicates_match_golden_bits(estimator, make_product, n_iter, n_rep, seed,
+                                      qr_period, golden):
+    est = getattr(cl, estimator)(make_product(), n_iter, n_rep, seed, qr_period=qr_period)
+    expected = np.array([[float.fromhex(x) for x in row] for row in golden])
+    assert np.array_equal(est.replicates, expected)
+
+
+def test_golden_cases_cover_chunk_edges():
+    sizes = {(n_iter, qr_period) for _, _, n_iter, _, _, qr_period, _ in GOLDEN_REPLICATES}
+    chunk = lyapunov.CHUNK_BLOCKS
+    assert any(n_iter % p for n_iter, p in sizes)
+    assert any(n_iter < p for n_iter, p in sizes)
+    assert any(n_iter > 2 * chunk * p and n_iter % (chunk * p) for n_iter, p in sizes)
+
+
+def test_step_stack_memory_is_bounded():
+    # the full step-matrix stack of this run would take n_iter * d^2 * 8 bytes
+    rp = random_tuple(4, seed=5)
+    n_iter = 200_000
+    cl.estimate_spectrum(rp, 2_000, 1, seed=0)  # keep one-time allocations out
+    tracemalloc.start()
+    try:
+        cl.estimate_spectrum(rp, n_iter, 1, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n_iter * rp.dim ** 2 * 8
