@@ -27,7 +27,6 @@ from itertools import combinations
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import bisect, minimize_scalar
 
 from ._quadrature import graded_panel_rule, panel_rule
 from .circle import homoclinic_base_holonomy, rotate, wrap_unit
@@ -55,6 +54,12 @@ _DIFF_STEP = 3e-6
 _ROOT_MERGE_TOL = 1e-9
 _MAX_HALF_WIDTH = 1e-3
 _QUAD_NODES = 32
+_FIT_OFFSETS = np.geomspace(1e-7, 1e-4, 13)
+_EDGE_SHRINKS = 8
+# bisection stops at |step| < xtol + _BISECT_RTOL |x|, as scipy's does
+_BISECT_RTOL = 4.0 * np.finfo(float).eps
+_MAX_REFINE_ITER = 100
+_GOLDEN_CUT = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _jsonable(value):
@@ -144,6 +149,16 @@ def all_minor_indices(d):
                 yield MinorIndex(rows, cols)
 
 
+def _minors(stack, rows, cols):
+    """One minor (0-based rows and cols) of every matrix in an (n, d, d) stack."""
+    sub = stack[:, rows][:, :, cols]
+    if len(rows) == 1:
+        return sub[:, 0, 0]
+    if len(rows) == 2:
+        return sub[:, 0, 0] * sub[:, 1, 1] - sub[:, 0, 1] * sub[:, 1, 0]
+    return np.linalg.det(sub)
+
+
 def minor(matrix, index):
     """Determinant of the submatrix selected by a 1-based MinorIndex."""
     m = np.asarray(matrix, dtype=float)
@@ -154,13 +169,7 @@ def minor(matrix, index):
         raise ValueError(f"minor index exceeds dimension {d}")
     rows = [r - 1 for r in index.rows]
     cols = [c - 1 for c in index.cols]
-    sub = m[np.ix_(rows, cols)]
-    size = len(rows)
-    if size == 1:
-        return float(sub[0, 0])
-    if size == 2:
-        return float(sub[0, 0] * sub[1, 1] - sub[0, 1] * sub[1, 0])
-    return float(np.linalg.det(sub))
+    return float(_minors(m[None], rows, cols)[0])
 
 
 def weakly_pinching(product, n_iter=20000, n_rep=8, seed=0):
@@ -344,23 +353,82 @@ class LogIntegralResult:
         return math.isfinite(self.estimate)
 
 
-def _scalar_eval(g):
-    def geval(x):
-        return float(np.asarray(g(np.atleast_1d(wrap_unit(float(x)))))[0])
-    return geval
+def bisect(f, lo, hi, xtol):
+    """Roots of ``f`` in every bracket [lo[k], hi[k]], refined together.
+
+    ``f`` maps a 1d array of points to values of equal shape; f(lo[k]) and
+    f(hi[k]) must not share a strict sign.  Each bracket follows the
+    arithmetic of scipy.optimize.bisect: halve the step, move the low end to
+    the midpoint when f there has the sign f has at the original low end,
+    and stop on an exact zero or once the step is below
+    ``xtol + 4 eps |midpoint|``.  A bracket still open after 100 halvings
+    returns its low end.  The open brackets share one call of ``f`` per
+    halving.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    n = lo.size
+    ends = f(np.concatenate([lo, hi]))
+    f_lo, f_hi = ends[:n], ends[n:]
+    if np.any(f_lo * f_hi > 0.0):
+        raise ValueError("f must change sign on every bracket")
+    roots = np.where(f_lo == 0.0, lo, hi)
+    step = hi - lo
+    live = np.nonzero((f_lo != 0.0) & (f_hi != 0.0))[0]
+    for _ in range(_MAX_REFINE_ITER):
+        if not live.size:
+            break
+        step[live] *= 0.5
+        mid = lo[live] + step[live]
+        f_mid = f(mid)
+        keep = f_mid * f_lo[live] >= 0.0
+        lo[live[keep]] = mid[keep]
+        done = (f_mid == 0.0) | (np.abs(step[live]) < xtol + _BISECT_RTOL * np.abs(mid))
+        roots[live[done]] = mid[done]
+        live = live[~done]
+    roots[live] = lo[live]
+    return roots
+
+
+def minimize_scalar(f, lo, hi, xtol):
+    """Minimizers of ``f`` on every interval [lo[k], hi[k]], by golden-section search.
+
+    Each iteration evaluates both interior points of every interval still
+    wider than ``2 * xtol`` in one call of ``f`` and keeps the part around
+    the smaller value, for at most 100 iterations.  Returns the midpoints of
+    the final intervals, so a minimizer of an f that is unimodal on its
+    interval lies within ``xtol`` of the point returned.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    for _ in range(_MAX_REFINE_ITER):
+        live = np.nonzero(hi - lo > 2.0 * xtol)[0]
+        if not live.size:
+            break
+        cut = _GOLDEN_CUT * (hi[live] - lo[live])
+        left = hi[live] - cut
+        right = lo[live] + cut
+        vals = f(np.concatenate([left, right]))
+        go_left = vals[:live.size] < vals[live.size:]
+        hi[live[go_left]] = right[go_left]
+        lo[live[~go_left]] = left[~go_left]
+    return 0.5 * (lo + hi)
 
 
 def _runs_of_true(mask, min_len):
     """Does a circular boolean mask contain a run of at least min_len?"""
-    if mask.all():
-        return True
-    extended = np.concatenate([mask, mask[: min_len - 1]])
-    run = 0
-    for flag in extended:
-        run = run + 1 if flag else 0
-        if run >= min_len:
-            return True
-    return False
+    run = mask.copy()
+    for shift in range(1, min_len):
+        run &= np.roll(mask, -shift)
+    return bool(run.any())
+
+
+def _circle_gap(t, roots):
+    """Circular distance from t (scalar or array) to the nearest of roots."""
+    if not roots:
+        return np.full(np.shape(t), math.inf)
+    diff = np.abs(np.subtract.outer(t, roots))
+    return np.minimum(diff, 1.0 - diff).min(axis=-1)
 
 
 def _abs_log_power_integral(c, m, s):
@@ -377,14 +445,16 @@ def _abs_log_power_integral(c, m, s):
     return 2.0 * one_sided
 
 
-def _fit_zero_order(geval, root, sup):
-    """Estimate order m and scale c of |g| ~ c |t - root|^m by a log-log fit."""
-    offsets = np.geomspace(1e-7, 1e-4, 13)
+def _fit_zero_order(abs_vals, sup):
+    """Estimate order m and scale c of |g| ~ c |t - root|^m by a log-log fit.
+
+    ``abs_vals[i]`` holds |g| at root - u and root + u for the i-th offset u
+    of ``_FIT_OFFSETS``.
+    """
     log_u = []
     log_g = []
-    for u in offsets:
-        for side in (root - u, root + u):
-            val = abs(geval(side))
+    for u, pair in zip(_FIT_OFFSETS, abs_vals.tolist()):
+        for val in pair:
             if val > 0.0:
                 log_u.append(math.log(u))
                 log_g.append(math.log(val))
@@ -401,7 +471,7 @@ def log_integrability(g, grid_n=DEFAULT_GRID_N, zero_tol=DEFAULT_ZERO_TOL):
 
     The scan grid finds sign changes (refined by bisection to ``zero_tol``
     in t) and grid points already below ``zero_tol``; dips of |g| below
-    sqrt(zero_tol) are polished by bounded minimization to catch even-order
+    sqrt(zero_tol) are polished by golden-section search to catch even-order
     zeros.  |g| below ``zero_tol`` on three or more consecutive grid points
     means g vanishes on an interval and the integral is infinite.
 
@@ -412,7 +482,8 @@ def log_integrability(g, grid_n=DEFAULT_GRID_N, zero_tol=DEFAULT_ZERO_TOL):
     root intervals plus graded Gauss-Legendre quadrature on the rest.
 
     ``g`` must accept a 1d array of circle points and return values of the
-    same shape.
+    same shape.  After the scan, each refinement step calls ``g`` once for
+    all brackets, dips or zeros together.
     """
     ts = np.arange(grid_n) / grid_n
     vals = np.asarray(g(ts), dtype=float)
@@ -437,48 +508,38 @@ def log_integrability(g, grid_n=DEFAULT_GRID_N, zero_tol=DEFAULT_ZERO_TOL):
             diagnostics={"constant": float(vals[0]), "grid_n": grid_n},
         )
 
-    geval = _scalar_eval(g)
+    def f(x):
+        return np.asarray(g(wrap_unit(x)), dtype=float)
+
     h = 1.0 / grid_n
     roots = []
 
     # grid points already inside the zero tolerance: take the run centers
     small_idx = np.nonzero(small)[0]
     if small_idx.size:
-        run = [int(small_idx[0])]
-        groups = []
-        for idx in small_idx[1:]:
-            if idx == run[-1] + 1:
-                run.append(int(idx))
-            else:
-                groups.append(run)
-                run = [int(idx)]
-        groups.append(run)
+        groups = np.split(small_idx, np.nonzero(np.diff(small_idx) > 1)[0] + 1)
         if len(groups) > 1 and groups[0][0] == 0 and groups[-1][-1] == grid_n - 1:
             # the run straddles t = 0; unwrap its front half past 1
-            groups[0] = groups.pop() + [i + grid_n for i in groups[0]]
-        for group in groups:
-            roots.append(wrap_unit(float(np.mean([i * h for i in group]))))
+            groups[0] = np.concatenate([groups.pop(), groups[0] + grid_n])
+        roots += [wrap_unit(float(np.mean(group * h))) for group in groups]
 
     # sign changes between grid neighbors that are clear of the tolerance
-    nxt_vals = np.roll(vals, -1)
-    nxt_small = np.roll(small, -1)
-    for i in np.nonzero((~small) & (~nxt_small) & (vals * nxt_vals < 0.0))[0]:
-        a = ts[i]
-        roots.append(wrap_unit(bisect(geval, a, a + h, xtol=zero_tol)))
+    starts = ts[(~small) & (~np.roll(small, -1)) & (vals * np.roll(vals, -1) < 0.0)]
+    if starts.size:
+        roots += [wrap_unit(r) for r in bisect(f, starts, starts + h, zero_tol).tolist()]
 
     # dips of |g| that may hide even-order zeros
     dip_thr = math.sqrt(zero_tol)
-    prev_abs = np.roll(absvals, 1)
-    nxt_abs = np.roll(absvals, -1)
-    for i in np.nonzero((absvals < dip_thr) & (~small)
-                        & (absvals < prev_abs) & (absvals <= nxt_abs))[0]:
-        t_i = ts[i]
-        if roots and min(min(abs(t_i - r), 1.0 - abs(t_i - r)) for r in roots) < 2 * h:
-            continue
-        res = minimize_scalar(lambda x: abs(geval(x)), bounds=(t_i - h, t_i + h),
-                              method="bounded", options={"xatol": zero_tol * 0.1})
-        if abs(geval(res.x)) < zero_tol:
-            roots.append(wrap_unit(float(res.x)))
+    dips = ts[(absvals < dip_thr) & (~small)
+              & (absvals < np.roll(absvals, 1)) & (absvals <= np.roll(absvals, -1))]
+    dips = dips[_circle_gap(dips, roots) >= 2 * h]
+    if dips.size:
+        xs = minimize_scalar(lambda x: np.abs(f(x)), dips - h, dips + h, zero_tol * 0.1)
+        hit = np.abs(f(xs)) < zero_tol
+        for t_i, x in zip(dips[hit].tolist(), xs[hit].tolist()):
+            # a zero polished from an earlier dip may already sit next to t_i
+            if _circle_gap(t_i, roots) >= 2 * h:
+                roots.append(wrap_unit(x))
 
     roots = sorted(roots)
     merged = []
@@ -500,55 +561,59 @@ def log_integrability(g, grid_n=DEFAULT_GRID_N, zero_tol=DEFAULT_ZERO_TOL):
 
     # classify each zero and give it a Taylor-model interval
     q = len(roots)
-    orders = []
-    scales = []
-    transversal = []
-    derivs = []
+    r = np.array(roots)
+    s_max = np.full(q, _MAX_HALF_WIDTH)
+    if q > 1:
+        gap = np.minimum((np.roll(r, -1) - r) % 1.0, (r - np.roll(r, 1)) % 1.0)
+        s_max = np.minimum(s_max, gap / 4.0)
+    diffs = f(np.concatenate([r + _DIFF_STEP, r - _DIFF_STEP]))
+    derivs = (diffs[:q] - diffs[q:]) / (2.0 * _DIFF_STEP)
+    transversal = np.abs(derivs) > TRANSVERSAL_FACTOR * sup
+    orders = [1] * q
+    scales = np.abs(derivs).tolist()
+    flat = np.nonzero(~transversal)[0]
+    if flat.size:
+        sides = r[flat, None, None] + np.stack([-_FIT_OFFSETS, _FIT_OFFSETS], axis=1)
+        fit_vals = np.abs(f(sides.ravel())).reshape(sides.shape)
+        for j, abs_vals in zip(flat.tolist(), fit_vals):
+            orders[j], scales[j] = _fit_zero_order(abs_vals, sup)
+
+    # shrink each interval until the power model tracks |g| at its edge
+    widths = s_max[:, None] * 0.25 ** np.arange(_EDGE_SHRINKS)
+    edge_vals = np.abs(f(np.concatenate([(r[:, None] - widths).ravel(),
+                                         (r[:, None] + widths).ravel()])))
+    edge_vals = np.maximum(*edge_vals.reshape(2, q, _EDGE_SHRINKS))
     half_widths = []
-    for j, r in enumerate(roots):
-        gap_next = (roots[(j + 1) % q] - r) % 1.0 if q > 1 else 1.0
-        gap_prev = (r - roots[j - 1]) % 1.0 if q > 1 else 1.0
-        s_max = min(_MAX_HALF_WIDTH, gap_next / 4.0, gap_prev / 4.0)
-        deriv = (geval(r + _DIFF_STEP) - geval(r - _DIFF_STEP)) / (2.0 * _DIFF_STEP)
-        is_trans = abs(deriv) > TRANSVERSAL_FACTOR * sup
-        if is_trans:
-            m, c = 1, abs(deriv)
-        else:
-            m, c = _fit_zero_order(geval, r, sup)
-        s = s_max
-        for _ in range(8):
-            # shrink until the power model tracks |g| at the interval edge
-            edge = max(abs(geval(r - s)), abs(geval(r + s)))
-            model = c * s ** m
+    for c, m, row, edges in zip(scales, orders, widths.tolist(), edge_vals.tolist()):
+        s = row[-1] * 0.25
+        for w, edge in zip(row, edges):
+            model = c * w ** m
             if edge > 0.0 and model > 0.0 and abs(math.log(edge / model)) < 0.2:
+                s = w
                 break
-            s *= 0.25
-        orders.append(m)
-        scales.append(c)
-        transversal.append(bool(is_trans))
-        derivs.append(deriv)
         half_widths.append(s)
 
     near = sum(_abs_log_power_integral(c, m, s)
                for c, m, s in zip(scales, orders, half_widths))
 
-    far = 0.0
+    rules = []
     for j in range(q):
         a = roots[j] + half_widths[j]
         wrap = 1.0 if j == q - 1 else 0.0
         b = roots[(j + 1) % q] + wrap - half_widths[(j + 1) % q]
         edge = min(half_widths[j], half_widths[(j + 1) % q])
-        xs, ws = graded_panel_rule(a, b, edge, _QUAD_NODES)
-        if len(xs):
-            far += float(ws @ np.abs(np.log(np.abs(g(wrap_unit(xs))))))
+        rules.append(graded_panel_rule(a, b, edge, _QUAD_NODES))
+    logs = np.abs(np.log(np.abs(f(np.concatenate([xs for xs, _ in rules])))))
+    parts = np.split(logs, np.cumsum([len(xs) for xs, _ in rules])[:-1])
+    far = sum(float(ws @ part) for (_, ws), part in zip(rules, parts))
 
     return LogIntegralResult(
         estimate=near + far,
         zeros=[float(r) for r in roots],
         orders=orders,
         diagnostics={
-            "transversal": transversal,
-            "derivatives": [float(x) for x in derivs],
+            "transversal": transversal.tolist(),
+            "derivatives": derivs.tolist(),
             "model_scales": [float(x) for x in scales],
             "half_widths": [float(x) for x in half_widths],
             "near_contribution": near,
@@ -560,19 +625,19 @@ def log_integrability(g, grid_n=DEFAULT_GRID_N, zero_tol=DEFAULT_ZERO_TOL):
     )
 
 
-def _minor_function(product, index):
+def _minor_function(product, index, grid, grid_hol):
+    """The minor ``index`` of the closed-form holonomy as a function of t.
+
+    Called on exactly the points ``grid`` it reads the precomputed
+    holonomies ``grid_hol``; any other points are evaluated afresh.
+    """
     rows = [r - 1 for r in index.rows]
     cols = [c - 1 for c in index.cols]
-    size = len(rows)
 
     def g(ts):
-        hol = closed_form_holonomy_many(product, ts)
-        sub = hol[:, rows][:, :, cols]
-        if size == 1:
-            return sub[:, 0, 0]
-        if size == 2:
-            return sub[:, 0, 0] * sub[:, 1, 1] - sub[:, 0, 1] * sub[:, 1, 0]
-        return np.linalg.det(sub)
+        on_grid = np.array_equal(ts, grid)
+        hol = grid_hol if on_grid else closed_form_holonomy_many(product, ts)
+        return _minors(hol, rows, cols)
 
     return g
 
@@ -588,11 +653,15 @@ def twisting_d(product, grid_n=DEFAULT_GRID_N, zero_tol=DEFAULT_ZERO_TOL):
     verdict as ``max_non_transversal`` in the diagnostics.
     """
     d = product.dim
+    # every minor reads the holonomy on the scan grid from one evaluation
+    grid = np.arange(grid_n) / grid_n
+    grid_hol = closed_form_holonomy_many(product, grid)
     per_minor = []
     worst_non_transversal = 0
     infinite_witness = None
     for index in all_minor_indices(d):
-        result = log_integrability(_minor_function(product, index), grid_n, zero_tol)
+        g = _minor_function(product, index, grid, grid_hol)
+        result = log_integrability(g, grid_n, zero_tol)
         n_non_trans = sum(1 for flag in result.diagnostics.get("transversal", [])
                           if not flag)
         worst_non_transversal = max(worst_non_transversal, n_non_trans)

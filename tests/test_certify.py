@@ -2,13 +2,19 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cocyclelab as cl
+from cocyclelab import certify
 from cocyclelab.certify import DEFAULT_REL_GAP
 from util import axis_pair, pipeline_tuple_d3, random_tuple
 
@@ -240,6 +246,142 @@ def test_log_integral_validation():
         cl.log_integrability(lambda t: np.where(t > 0.5, np.nan, 1.0))
 
 
+def _runs_of_true_loop(mask, min_len):
+    """Reference: scan the mask extended by its first min_len - 1 flags."""
+    if mask.all():
+        return True
+    run = 0
+    for flag in np.concatenate([mask, mask[: min_len - 1]]):
+        run = run + 1 if flag else 0
+        if run >= min_len:
+            return True
+    return False
+
+
+@given(st.lists(st.booleans(), min_size=1, max_size=40), st.integers(1, 5))
+@settings(max_examples=200)
+def test_runs_of_true_matches_loop(flags, min_len):
+    mask = np.array(flags)
+    assert certify._runs_of_true(mask, min_len) == _runs_of_true_loop(mask, min_len)
+
+
+def test_log_integral_small_runs_straddling_zero():
+    # double zeros half a grid step before 1/2 and 1: two grid points each fall
+    # under zero_tol, and the run at 1 - h/2 wraps around t = 0
+    h = 1.0 / cl.certify.DEFAULT_GRID_N
+    result = cl.log_integrability(lambda t: 1e-5 * np.sin(2 * np.pi * (t + h / 2)) ** 2)
+    assert result.zeros == [0.5 - h / 2, 1.0 - h / 2]
+    assert result.orders == [2, 2]
+    assert result.finite
+
+
+def _planted(roots, orders, scale):
+    """scale * prod_k sin(pi (t - r_k))^m_k at one point, in math arithmetic."""
+    def f(t):
+        value = scale
+        for r, m in zip(roots, orders):
+            value *= math.sin(math.pi * (t - r)) ** m
+        return value
+    return f
+
+
+def _batched(f):
+    """Vectorized f built from the scalar one, so both see the same values."""
+    return lambda xs: np.array([f(x) for x in xs.tolist()])
+
+
+# planted zeros at (slot + frac) / 64 for distinct slots: at least 1/64 apart
+planted_roots = st.lists(st.integers(0, 63), min_size=2, max_size=4,
+                         unique=True).flatmap(
+    lambda slots: st.tuples(
+        st.just(sorted(slots)),
+        st.lists(st.floats(0.1, 0.9), min_size=len(slots), max_size=len(slots))))
+bracket_sides = st.floats(1e-7, 1e-3)
+
+
+@given(planted_roots, st.lists(st.sampled_from([1, 3]), min_size=4, max_size=4),
+       st.lists(st.tuples(bracket_sides, bracket_sides), min_size=4, max_size=4),
+       st.floats(0.1, 10.0), st.sampled_from([1e-6, 1e-9, 1e-12, 1e-15, 1e-300]))
+@settings(max_examples=60, deadline=None)
+def test_bisect_matches_scipy_bit_for_bit(slots_fracs, orders, sides, scale, xtol):
+    slots, fracs = slots_fracs
+    roots = [(k + u) / 64.0 for k, u in zip(slots, fracs)]
+    orders = orders[:len(roots)]
+    if sum(orders) % 2:
+        # an even total order keeps the product 1-periodic, a trig polynomial
+        orders[-1] += 2 if orders[-1] == 1 else -2
+    f = _planted(roots, orders, scale)
+    lo = [r - a for r, (a, _) in zip(roots, sides)]
+    hi = [r + b for r, (_, b) in zip(roots, sides)]
+    got = certify.bisect(_batched(f), np.array(lo), np.array(hi), xtol)
+    want = [scipy.optimize.bisect(f, a, b, xtol=xtol) for a, b in zip(lo, hi)]
+    assert got.tolist() == want
+
+
+def test_bisect_exact_zero_at_an_end_or_midpoint():
+    # dyadic roots: the first midpoint of [0, 1/2] and both ends hit zeros exactly
+    f = _planted([0.25, 0.75], [1, 1], 1.0)
+    lo = np.array([0.0, 0.5, 0.125])
+    hi = np.array([0.5, 0.875, 0.25])
+    want = [scipy.optimize.bisect(f, a, b, xtol=1e-12) for a, b in zip(lo, hi)]
+    assert certify.bisect(_batched(f), lo, hi, 1e-12).tolist() == want
+    with pytest.raises(ValueError):
+        certify.bisect(_batched(f), np.array([0.3]), np.array([0.4]), 1e-12)
+
+
+@given(planted_roots, st.lists(st.floats(1e-5, 1e-3), min_size=8, max_size=8),
+       st.floats(0.1, 10.0), st.sampled_from([1e-13, 1e-10, 1e-7]))
+@settings(max_examples=60, deadline=None)
+def test_minimize_scalar_finds_planted_double_zeros(slots_fracs, sides, scale, xtol):
+    slots, fracs = slots_fracs
+    roots = [(k + u) / 64.0 for k, u in zip(slots, fracs)]
+    f = _planted(roots, [2] * len(roots), scale)
+    lo = np.array([r - a for r, a in zip(roots, sides)])
+    hi = np.array([r + b for r, b in zip(roots, sides[len(roots):])])
+    got = certify.minimize_scalar(lambda xs: np.abs(_batched(f)(xs)), lo, hi, xtol)
+    assert np.all(np.abs(got - np.array(roots)) <= xtol)
+
+
+# float.hex of every TWIST_D zero, minor by minor, as computed by the scalar
+# scipy refinement the vectorized path replaced
+PIPELINE_D3_ZEROS = [
+    "0x1.665b55b0c0000p-6", "0x1.e7bcd46b68000p-3", "0x1.06e3ca584a000p-1",
+    "0x1.871c5ede86000p-1", "0x1.0475078fb2000p-1", "0x1.72e8cb8046000p-1",
+    "0x1.6b57911e10000p-4", "0x1.bcd9d8855a000p-1", "0x1.e21e7019b0000p-4",
+    "0x1.d7f6b58c68000p-3", "0x1.2a77f91d4a000p-1", "0x1.85855c3e8e000p-1",
+    "0x1.98186b3ef6000p-1", "0x1.d3d3ad1d92000p-1", "0x1.a2c7b0c2a4000p-2",
+    "0x1.9b1a7cd2c6000p-1", "0x1.2d8e34ad52000p-1", "0x1.6ce294693a000p-1",
+]
+PIPELINE_D3_N_ZEROS = [0, 0, 0, 0, 0, 4, 2, 2, 0, 0, 4, 2, 2, 0, 0, 2, 0, 0, 0]
+TANGENCY_ZEROS = [["0x0.0p+0"], [], [], [], []]
+
+
+def _tangency_tuple():
+    # A1 = [[1 - cos 2 pi t, 1], [-1, 1]] after A0 = I: the (1, 1) entry of the
+    # holonomy has a double zero at t = 0, every minor stays log-integrable
+    a0 = cl.TrigMatrixMap.constant(np.eye(2))
+    a1 = cl.TrigMatrixMap.from_entry_rows(
+        2, [[1.0, -1.0, 0.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    return cl.RandomProduct([cl.GOLDEN_MEAN, cl.GOLDEN_MEAN], [a0, a1])
+
+
+def test_twisting_d_zeros_golden():
+    minors = cl.twisting_d(pipeline_tuple_d3()).diagnostics["minors"]
+    assert [m["n_zeros"] for m in minors] == PIPELINE_D3_N_ZEROS
+    assert [z.hex() for m in minors for z in m["zeros"]] == PIPELINE_D3_ZEROS
+    minors = cl.twisting_d(_tangency_tuple()).diagnostics["minors"]
+    assert [[z.hex() for z in m["zeros"]] for m in minors] == TANGENCY_ZEROS
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, cocyclelab; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    package_root = str(Path(cl.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=dict(os.environ, PYTHONPATH=package_root))
+    assert done.stdout.strip() == "[]"
+
+
 def _sign_change_counts(product, grid_n=1 << 17):
     ts = np.arange(grid_n) / grid_n
     hol = cl.closed_form_holonomy_many(product, ts)
@@ -277,13 +419,7 @@ def test_twisting_d_trivial_holonomy_fails():
 
 
 def test_twisting_d_log_integrable_tangency_passes():
-    # A1 = [[1 - cos 2 pi t, 1], [-1, 1]] after A0 = I: the (1, 1) entry of the
-    # holonomy has a double zero at t = 0, every minor stays log-integrable
-    a0 = cl.TrigMatrixMap.constant(np.eye(2))
-    a1 = cl.TrigMatrixMap.from_entry_rows(
-        2, [[1.0, -1.0, 0.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    product = cl.RandomProduct([cl.GOLDEN_MEAN, cl.GOLDEN_MEAN], [a0, a1])
-    cert = cl.twisting_d(product)
+    cert = cl.twisting_d(_tangency_tuple())
     assert cert.kind == "TWIST_D" and cert.passed
     assert cert.margin == 0.0
     assert cert.diagnostics["max_non_transversal"] == 1
