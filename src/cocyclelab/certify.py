@@ -30,7 +30,8 @@ import numpy as np
 
 from ._quadrature import graded_panel_rule, panel_rule
 from .circle import homoclinic_base_holonomy, rotate, wrap_unit
-from .holonomy import (closed_form_holonomy_many, oseledets_directions,
+from .holonomy import (DEFAULT_DIRECTION_TOL, DEFAULT_PULLBACK,
+                       closed_form_holonomy_many, oseledets_directions,
                        projective_distance)
 from .lyapunov import estimate_top_exponent
 
@@ -42,6 +43,9 @@ VERDICTS = ("PASS", "FAIL", "INCONCLUSIVE")
 # estimate with zero spread across replicates.
 PINCH_NOISE_FLOOR = 1e-10
 
+DEFAULT_N_ITER = 20000
+DEFAULT_N_REP = 8
+DEFAULT_N_SAMPLES = 200
 DEFAULT_SEP_TOL = 1e-3
 DEFAULT_FRAC_THRESHOLD = 0.05
 DEFAULT_REL_GAP = 1e-6
@@ -172,7 +176,7 @@ def minor(matrix, index):
     return float(_minors(m[None], rows, cols)[0])
 
 
-def weakly_pinching(product, n_iter=20000, n_rep=8, seed=0):
+def weakly_pinching(product, n_iter=DEFAULT_N_ITER, n_rep=DEFAULT_N_REP, seed=0):
     """Certify a positive top exponent for the first map of the tuple.
 
     PASS when the Monte Carlo estimate clears three standard errors (and a
@@ -199,9 +203,9 @@ def weakly_pinching(product, n_iter=20000, n_rep=8, seed=0):
     )
 
 
-def weakly_twisting(product, n_samples=200, sep_tol=DEFAULT_SEP_TOL,
+def weakly_twisting(product, n_samples=DEFAULT_N_SAMPLES, sep_tol=DEFAULT_SEP_TOL,
                     frac_threshold=DEFAULT_FRAC_THRESHOLD, seed=0,
-                    n_pullback=200, direction_tol=1e-8):
+                    n_pullback=DEFAULT_PULLBACK, direction_tol=DEFAULT_DIRECTION_TOL):
     """Certify projective separation of holonomy images of the Oseledets pair.
 
     At sampled points t the composed holonomy must move {e+, e-} off the

@@ -3,7 +3,6 @@
 Usage::
 
     cocyclelab <subcommand> --config experiment.json [--seed N] [--out path]
-                            [--parallel N]
 
 Subcommands: ``lyapunov``, ``certify``, ``sweep-energy``, ``continuity``,
 ``perturb-search``.  The config file format is documented in
@@ -50,9 +49,6 @@ def build_parser():
                          help="override the config seed")
         sub.add_argument("--out", default=None,
                          help="output CSV path (certificates go next to it)")
-        sub.add_argument("--parallel", type=int, default=None,
-                         help="accepted for compatibility; results are bit-identical "
-                              "for every value")
     return parser
 
 
@@ -60,7 +56,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         config = load_experiment_config(args.config, args.command, seed=args.seed,
-                                        out=args.out, parallel=args.parallel)
+                                        out=args.out)
         output = COMMANDS[args.command](config)
         text = output.table.emit()
         if config.out:

@@ -11,14 +11,14 @@ An experiment is described by a JSON config file:
     fully determined by config + seed.
 ``out``
     Optional output CSV path (certificates go next to it as JSON).
-``parallel``
-    Optional positive integer, accepted for compatibility; results are
-    bit-identical for every value.
 
 Estimator knobs (all optional, with defaults): ``n_iter``, ``n_rep``,
 ``qr_period``, ``n_samples``, ``sep_tol``, ``frac_threshold``,
 ``n_pullback``, ``direction_tol``, ``rel_gap``, ``grid_n``, ``zero_tol``,
-``budget``, ``n_candidates``.
+``budget``, ``n_candidates``.  Each default is the named constant of the
+module that uses it (``certify``, ``holonomy``, ``lyapunov``).  Keys the
+loader does not read are ignored, so configs written for older versions
+keep loading.
 
 Kind-specific fields: ``energies`` (list, or {min, max, steps}) for
 sweep-energy; ``epsilons``, ``perturbation`` ({"coeffs": d*d rows}) and
@@ -35,7 +35,8 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .certify import (DEFAULT_FRAC_THRESHOLD, DEFAULT_GRID_N, DEFAULT_REL_GAP,
+from .certify import (DEFAULT_FRAC_THRESHOLD, DEFAULT_GRID_N, DEFAULT_N_ITER,
+                      DEFAULT_N_REP, DEFAULT_N_SAMPLES, DEFAULT_REL_GAP,
                       DEFAULT_SEP_TOL, DEFAULT_ZERO_TOL, pinching_d, twisting_d,
                       weakly_pinching, weakly_twisting)
 from .cocycle import (DIAGONAL, SCHRODINGER, SL2, RandomProduct, ScalarPotential,
@@ -43,25 +44,27 @@ from .cocycle import (DIAGONAL, SCHRODINGER, SL2, RandomProduct, ScalarPotential
                       rescale_diagonal, right_rotate, shift_potential)
 from .errors import ConfigError, UnsupportedPipelineError
 from .fileio import file_digest, load_cocycle
-from .lyapunov import diagonal_spectrum, estimate_spectrum, estimate_top_exponent
+from .holonomy import DEFAULT_DIRECTION_TOL, DEFAULT_PULLBACK
+from .lyapunov import (DEFAULT_QR_PERIOD, diagonal_spectrum, estimate_spectrum,
+                       estimate_top_exponent)
 from .tables import ResultTable
 
 EXPERIMENT_KINDS = ("lyapunov", "certify", "sweep-energy", "continuity",
                     "perturb-search")
 
 _INT_KNOBS = {
-    "n_iter": 20000,
-    "n_rep": 8,
-    "qr_period": 20,
-    "n_samples": 200,
-    "n_pullback": 200,
+    "n_iter": DEFAULT_N_ITER,
+    "n_rep": DEFAULT_N_REP,
+    "qr_period": DEFAULT_QR_PERIOD,
+    "n_samples": DEFAULT_N_SAMPLES,
+    "n_pullback": DEFAULT_PULLBACK,
     "grid_n": DEFAULT_GRID_N,
     "n_candidates": 8,
 }
 _FLOAT_KNOBS = {
     "sep_tol": DEFAULT_SEP_TOL,
     "frac_threshold": DEFAULT_FRAC_THRESHOLD,
-    "direction_tol": 1e-8,
+    "direction_tol": DEFAULT_DIRECTION_TOL,
     "rel_gap": DEFAULT_REL_GAP,
     "zero_tol": DEFAULT_ZERO_TOL,
     "budget": 0.1,
@@ -76,10 +79,9 @@ class ExperimentConfig:
     seed: int
     knobs: dict
     out: str = None
-    parallel: int = 1
     energies: object = None
     epsilons: tuple = None
-    perturbation: dict = None
+    perturbation: tuple = None
     perturb_index: int = None
     certify_base: bool = True
     digest: str = None
@@ -137,13 +139,27 @@ def _parse_energies(node):
 def _parse_epsilons(node):
     if node is None:
         return tuple(DEFAULT_EPSILONS)
+    if not isinstance(node, list) or any(
+            isinstance(e, bool) or not isinstance(e, (int, float)) for e in node):
+        raise ConfigError("epsilons must be a non-empty list of positive values")
     eps = tuple(float(e) for e in node)
     if not eps or any(not (np.isfinite(e) and e > 0.0) for e in eps):
         raise ConfigError("epsilons must be a non-empty list of positive values")
     return eps
 
 
-def load_experiment_config(path, kind, seed=None, out=None, parallel=None):
+def _parse_perturbation(node, d):
+    """(const, cos, sin) arrays of a continuity direction map."""
+    if not (isinstance(node, dict) and "coeffs" in node):
+        raise ConfigError("continuity needs a 'perturbation' object with "
+                          "'coeffs' rows for the direction map")
+    try:
+        return entry_rows_to_arrays(d, node["coeffs"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"perturbation coeffs: {exc}") from exc
+
+
+def load_experiment_config(path, kind, seed=None, out=None):
     """Read and validate an experiment config file for the given kind."""
     if kind not in EXPERIMENT_KINDS:
         raise ConfigError(f"unknown experiment kind {kind!r}")
@@ -166,31 +182,25 @@ def load_experiment_config(path, kind, seed=None, out=None, parallel=None):
         raise ConfigError("a nonnegative integer seed is required "
                           "(config 'seed' or --seed)")
 
-    cocycle_field = doc.get("cocycle")
-    if not isinstance(cocycle_field, str):
-        raise ConfigError("config needs a 'cocycle' path")
-    cocycle = load_cocycle(path.parent / cocycle_field)
-
     knobs = {}
     for name, default in _INT_KNOBS.items():
         knobs[name] = _require_positive_int(doc, name, default)
     for name, default in _FLOAT_KNOBS.items():
         knobs[name] = _require_positive_float(doc, name, default)
 
-    if parallel is None:
-        parallel = doc.get("parallel", 1)
-    if isinstance(parallel, bool) or not isinstance(parallel, int) or parallel < 1:
-        raise ConfigError("parallel must be a positive integer")
+    cocycle_field = doc.get("cocycle")
+    if not isinstance(cocycle_field, str):
+        raise ConfigError("config needs a 'cocycle' path")
+    cocycle = load_cocycle(path.parent / cocycle_field)
 
     energies = _parse_energies(doc.get("energies")) if kind == "sweep-energy" else None
     epsilons = _parse_epsilons(doc.get("epsilons")) if kind == "continuity" else None
 
-    perturbation = doc.get("perturbation")
+    perturbation = None
     perturb_index = doc.get("perturb_index")
     if kind == "continuity":
-        if not (isinstance(perturbation, dict) and "coeffs" in perturbation):
-            raise ConfigError("continuity needs a 'perturbation' object with "
-                              "'coeffs' rows for the direction map")
+        perturbation = _parse_perturbation(doc.get("perturbation"),
+                                           cocycle.product.dim)
         if perturb_index is None:
             perturb_index = 1 if cocycle.product.n_symbols > 1 else 0
         if (isinstance(perturb_index, bool) or not isinstance(perturb_index, int)
@@ -209,7 +219,7 @@ def load_experiment_config(path, kind, seed=None, out=None, parallel=None):
 
     return ExperimentConfig(
         kind=kind, cocycle=cocycle, seed=int(seed), knobs=knobs, out=out,
-        parallel=parallel, energies=energies, epsilons=epsilons,
+        energies=energies, epsilons=epsilons,
         perturbation=perturbation, perturb_index=perturb_index,
         certify_base=certify_base, digest=file_digest(path),
     )
@@ -259,7 +269,7 @@ def cmd_lyapunov(config):
     product = config.cocycle.product
     kn = config.knobs
     est = estimate_spectrum(product, kn["n_iter"], kn["n_rep"], config.seed,
-                            kn["qr_period"], config.parallel)
+                            kn["qr_period"])
     d = product.dim
     columns = ([f"lambda_{i}" for i in range(1, d + 1)]
                + [f"stderr_{i}" for i in range(1, d + 1)]
@@ -299,7 +309,7 @@ def cmd_sweep_energy(config):
                 for u in cocycle.potentials]
         product = RandomProduct(base.angles, maps, base.weights)
         est = estimate_top_exponent(product, kn["n_iter"], kn["n_rep"], config.seed,
-                                    kn["qr_period"], config.parallel)
+                                    kn["qr_period"])
         rows.append([float(energy), est.top, float(est.stderr[0])])
     table = ResultTable(["energy", "lambda_top", "stderr"], rows,
                         config.provenance())
@@ -317,7 +327,6 @@ def cmd_continuity_probe(config):
     d = product.dim
     kn = config.knobs
     idx = config.perturb_index
-    direction = entry_rows_to_arrays(d, config.perturbation["coeffs"])
 
     certified = 0
     if config.certify_base:
@@ -328,14 +337,13 @@ def cmd_continuity_probe(config):
             certified = 0
 
     base = estimate_spectrum(product, kn["n_iter"], kn["n_rep"], config.seed,
-                             kn["qr_period"], config.parallel)
+                             kn["qr_period"])
     rows = [[0.0] + list(base.values) + [0.0, certified]]
     for eps in config.epsilons:
-        maps = list(product.maps)
-        maps[idx] = perturbed_map(maps[idx], *direction, scale=eps)
-        perturbed = RandomProduct(product.angles, maps, product.weights)
+        perturbed = _with_map(product, idx, perturbed_map(
+            product.maps[idx], *config.perturbation, scale=eps))
         est = estimate_spectrum(perturbed, kn["n_iter"], kn["n_rep"], config.seed,
-                                kn["qr_period"], config.parallel)
+                                kn["qr_period"])
         deviation = float(np.max(np.abs(est.values - base.values)))
         rows.append([float(eps)] + list(est.values) + [deviation, certified])
     columns = (["epsilon"] + [f"lambda_{i}" for i in range(1, d + 1)]

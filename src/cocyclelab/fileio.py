@@ -21,7 +21,13 @@ Schema, all keys top level:
     energy sweeps.  When ``maps`` is omitted, map s is the Schrodinger
     transfer map of phi_s = energy - u_s.
 ``energy``
-    Optional float E, default 0.0 (only used to build maps from potentials).
+    Optional float E, default 0.0 (used to build or check maps from
+    potentials).
+
+When a file has both ``maps`` and ``potentials``, every SCHRODINGER map
+must equal the transfer map of energy - u_s to within
+``SCHRODINGER_MATCH_TOL`` per coefficient; the loader rejects the file
+otherwise.
 """
 
 from __future__ import annotations
@@ -34,8 +40,10 @@ from pathlib import Path
 import numpy as np
 
 from .cocycle import (GROUP_TAGS, SCHRODINGER, RandomProduct, ScalarPotential,
-                      TrigMatrixMap, make_schrodinger, shift_potential)
+                      TrigMatrixMap, _pad_modes, make_schrodinger, shift_potential)
 from .errors import ConfigError
+
+SCHRODINGER_MATCH_TOL = 1e-12
 
 
 @dataclass
@@ -73,6 +81,15 @@ def product_to_dict(product, potentials=None, energy=None):
     if energy is not None:
         doc["energy"] = float(energy)
     return doc
+
+
+def _max_coeff_gap(a, b):
+    """Largest coefficient difference of two maps of the same dimension."""
+    k = max(a.degree, b.degree)
+    gaps = [np.abs(a.const - b.const)]
+    for x, y in ((a.cos_coeffs, b.cos_coeffs), (a.sin_coeffs, b.sin_coeffs)):
+        gaps.append(np.abs(_pad_modes(x, k) - _pad_modes(y, k)))
+    return max(float(g.max(initial=0.0)) for g in gaps)
 
 
 def product_from_dict(doc):
@@ -130,7 +147,13 @@ def product_from_dict(doc):
                     f"map {s}: declared degree {degree} but rows encode {m.degree}"
                 )
             if tag == SCHRODINGER and potentials is not None:
-                m.potential = shift_potential(-potentials[s], energy)
+                expected = make_schrodinger(shift_potential(-potentials[s], energy))
+                if _max_coeff_gap(m, expected) > SCHRODINGER_MATCH_TOL:
+                    raise ConfigError(
+                        f"map {s}: coefficients differ from the Schrodinger map "
+                        f"of energy - potentials[{s}] at energy {energy!r}"
+                    )
+                m.potential = expected.potential
             maps.append(m)
     else:
         if potentials is None:

@@ -212,16 +212,13 @@ def _iterate_frames(product, seed, n_iter, n_rep, qr_period, full_frame):
     return np.sort(log_sum / n_iter, axis=1)[:, ::-1]
 
 
-def estimate_spectrum(product, n_iter, n_rep, seed, qr_period=DEFAULT_QR_PERIOD,
-                      workers=1):
+def estimate_spectrum(product, n_iter, n_rep, seed, qr_period=DEFAULT_QR_PERIOD):
     """Estimate the full Lyapunov spectrum by frame iteration with QR steps.
 
     Each replicate draws an independent substream (start point and word),
     pushes an orthonormal frame through ``n_iter`` steps, re-orthonormalizes
     every ``qr_period`` steps, and averages log |R_ii|.  Replicate vectors
-    are sorted before aggregation.  All replicates advance together in one
-    process; ``workers`` is accepted for compatibility and leaves the result
-    bit-identical for every value.
+    are sorted before aggregation.  All replicates advance together.
     """
     reps = _iterate_frames(product, seed, n_iter, n_rep, qr_period, full_frame=True)
     values = reps.mean(axis=0)
@@ -233,14 +230,12 @@ def estimate_spectrum(product, n_iter, n_rep, seed, qr_period=DEFAULT_QR_PERIOD,
                             n_rep=n_rep, seed=seed, replicates=reps)
 
 
-def estimate_top_exponent(product, n_iter, n_rep, seed, qr_period=DEFAULT_QR_PERIOD,
-                          workers=1):
+def estimate_top_exponent(product, n_iter, n_rep, seed, qr_period=DEFAULT_QR_PERIOD):
     """Top-exponent specialization for 2x2 tuples: norm growth of one vector.
 
     Each replicate starts from an independent random unit vector, which
     avoids locking onto an invariant contracting direction of structured
-    tuples.  ``workers`` is accepted for compatibility and leaves the result
-    bit-identical for every value.
+    tuples.
     """
     if product.dim != 2:
         raise ValueError("estimate_top_exponent is specialized to 2x2 tuples")

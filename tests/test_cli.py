@@ -1,11 +1,13 @@
 """End-to-end runs of every CLI subcommand against temporary configs."""
 
+import inspect
 import json
 
 import numpy as np
 import pytest
 
 import cocyclelab as cl
+from cocyclelab import experiments
 from cocyclelab.cli import main
 from util import axis_pair, schrodinger_pair
 
@@ -61,11 +63,6 @@ def test_reruns_are_byte_identical(schro_setup):
     assert main(["lyapunov", "--config", str(cfg), "--out", str(out_a)]) == 0
     assert main(["lyapunov", "--config", str(cfg), "--out", str(out_b)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
-
-    out_p = tmp_path / "p.csv"
-    assert main(["lyapunov", "--config", str(cfg), "--out", str(out_p),
-                 "--parallel", "2"]) == 0
-    assert out_p.read_bytes() == out_a.read_bytes()
 
     out_s = tmp_path / "s.csv"
     assert main(["lyapunov", "--config", str(cfg), "--out", str(out_s),
@@ -199,6 +196,65 @@ def test_error_exits(tmp_path, capsys):
                       "n_iter": -3})
     assert main(["lyapunov", "--config", str(cfg)]) == 1
     assert "n_iter" in capsys.readouterr().err
+
+
+def test_malformed_continuity_fields_exit_cleanly(tmp_path, capsys):
+    cl.save_cocycle(axis_pair(0.125), tmp_path / "pair.json")
+    base = {"kind": "continuity", "cocycle": "pair.json", "seed": 4,
+            "certify_base": False, **FAST}
+
+    cfg = write_json(tmp_path / "eps.json",
+                     {**base, "epsilons": 0.1,
+                      "perturbation": {"coeffs": [[0.1]] * 4}})
+    assert main(["continuity", "--config", str(cfg)]) == 1
+    assert "epsilons" in capsys.readouterr().err
+
+    cfg = write_json(tmp_path / "coeffs.json",
+                     {**base, "perturbation": {"coeffs": 5}})
+    assert main(["continuity", "--config", str(cfg)]) == 1
+    assert "perturbation" in capsys.readouterr().err
+
+
+def test_parallel_is_retired(schro_setup, capsys):
+    """--parallel is a usage error; a config still carrying the key loads."""
+    tmp_path, _ = schro_setup
+    doc = {"kind": "lyapunov", "cocycle": "schro.json", "seed": 9, **FAST}
+    cfg = write_json(tmp_path / "plain.json", doc)
+    with pytest.raises(SystemExit) as info:
+        main(["lyapunov", "--config", str(cfg), "--parallel", "2"])
+    assert info.value.code == 2
+    capsys.readouterr()
+
+    old_cfg = write_json(tmp_path / "old.json", {**doc, "parallel": 2})
+    out_plain = tmp_path / "plain.csv"
+    out_old = tmp_path / "old.csv"
+    assert main(["lyapunov", "--config", str(cfg), "--out", str(out_plain)]) == 0
+    assert main(["lyapunov", "--config", str(old_cfg), "--out", str(out_old)]) == 0
+
+    def without_digest(path):
+        return [line for line in path.read_text().splitlines()
+                if not line.startswith("# config_digest")]
+
+    assert without_digest(out_old) == without_digest(out_plain)
+    assert (cl.ResultTable.from_csv(out_old).provenance["config_digest"]
+            == cl.file_digest(old_cfg))
+
+
+def test_config_defaults_are_the_estimator_defaults():
+    knobs = dict(experiments._INT_KNOBS, **experiments._FLOAT_KNOBS)
+    fed = {
+        cl.weakly_pinching: ["n_iter", "n_rep"],
+        cl.weakly_twisting: ["n_samples", "sep_tol", "frac_threshold",
+                             "n_pullback", "direction_tol"],
+        cl.estimate_spectrum: ["qr_period"],
+        cl.estimate_top_exponent: ["qr_period"],
+        cl.pinching_d: ["rel_gap"],
+        cl.twisting_d: ["grid_n", "zero_tol"],
+    }
+    for fn, names in fed.items():
+        params = inspect.signature(fn).parameters
+        for name in names:
+            assert params[name].default == knobs[name], (fn.__name__, name)
 
 
 def test_certify_rejects_non_diagonal_higher_dim(tmp_path, capsys):

@@ -97,6 +97,32 @@ def test_maps_derived_from_potentials(tmp_path):
         assert np.max(np.abs(derived.eval_many(ts) - original.eval_many(ts))) <= 1e-15
 
 
+def test_schrodinger_maps_must_match_potentials(tmp_path):
+    product, potentials = schrodinger_pair(energy=3.0)
+    path = tmp_path / "tuple.json"
+    saved = cl.fileio.product_to_dict(product, potentials=potentials, energy=3.0)
+
+    doc = json.loads(json.dumps(saved))
+    doc["energy"] = 5.0
+    path.write_text(json.dumps(doc))
+    with pytest.raises(cl.ConfigError, match="map 0"):
+        cl.load_cocycle(path)
+
+    doc = json.loads(json.dumps(saved))
+    doc["maps"][1]["coeffs"][0][2] += 1e-9
+    path.write_text(json.dumps(doc))
+    with pytest.raises(cl.ConfigError, match="map 1"):
+        cl.load_cocycle(path)
+
+    # trailing zero modes are not a mismatch
+    doc = json.loads(json.dumps(saved))
+    doc["maps"][1]["coeffs"] = [row + [0.0, 0.0] for row in doc["maps"][1]["coeffs"]]
+    doc["maps"][1]["degree"] += 1
+    path.write_text(json.dumps(doc))
+    loaded = cl.load_cocycle(path)
+    assert loaded.product.maps[1].potential.const == 3.0 - potentials[1].const
+
+
 def test_weights_tolerance(tmp_path):
     product, potentials = schrodinger_pair()
     doc = cl.fileio.product_to_dict(product, potentials=potentials, energy=3.0)
