@@ -98,7 +98,6 @@ class ExperimentConfig:
 class ExperimentOutput:
     table: ResultTable
     certificates: list = field(default_factory=list)
-    extras: dict = field(default_factory=dict)
 
 
 def _require_positive_int(doc, name, default):
@@ -126,6 +125,9 @@ def _parse_energies(node):
             lo, hi, steps = node["min"], node["max"], node["steps"]
         except KeyError as exc:
             raise ConfigError(f"energies range needs min/max/steps, missing {exc}")
+        for name, value in (("min", lo), ("max", hi)):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"energies {name} must be a number, got {value!r}")
         if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
             raise ConfigError("energies steps must be a positive integer")
         grid = np.linspace(float(lo), float(hi), steps)
@@ -435,11 +437,8 @@ def cmd_perturb_search(config):
     base_certs = certification_pipeline(product, config.seed, kn)
     verdict, margin, failing = _pipeline_summary(base_certs)
     rows = [[0, "none", 0.0, verdict, margin, int(failing is None)]]
-    selected = None
     certs_out = base_certs
-    if failing is None:
-        selected = {"candidate": 0, "family": "none", "parameter": 0.0}
-    else:
+    if failing is not None:
         candidates = _search_candidates(product, failing, kn["budget"],
                                         kn["n_candidates"], config.seed)
         for number, (family, parameter, candidate) in enumerate(candidates, start=1):
@@ -448,8 +447,6 @@ def cmd_perturb_search(config):
             found = still_failing is None
             rows.append([number, family, parameter, verdict, margin, int(found)])
             if found:
-                selected = {"candidate": number, "family": family,
-                            "parameter": parameter}
                 certs_out = certs
                 break
 
@@ -457,8 +454,7 @@ def cmd_perturb_search(config):
         cert.input_digest = config.cocycle.digest
         cert.seed = config.seed
     table = ResultTable(columns, rows, config.provenance())
-    return ExperimentOutput(table, certificates=certs_out,
-                            extras={"selected": selected})
+    return ExperimentOutput(table, certificates=certs_out)
 
 
 COMMANDS = {

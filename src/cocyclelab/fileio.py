@@ -12,16 +12,16 @@ Schema, all keys top level:
     k+1 positive floats; the parser rejects sums off 1 by more than 1e-9
     and renormalizes the accepted ones exactly to sum 1.
 ``maps``
-    k+1 objects ``{group_tag, degree, coeffs}``; ``coeffs`` holds d*d rows
-    in row-major entry order, each row ``[c0, a1, b1, ..., aK, bK]`` listing
-    the constant and per-frequency cosine/sine coefficients.  Optional when
-    ``potentials`` is present.
+    List of k+1 objects ``{group_tag, degree, coeffs}``; ``coeffs`` holds
+    d*d rows in row-major entry order, each row ``[c0, a1, b1, ..., aK,
+    bK]`` listing the constant and per-frequency cosine/sine coefficients.
+    Optional when ``potentials`` is present.
 ``potentials``
-    Optional k+1 rows in the same layout: the scalar potentials u_s used by
-    energy sweeps.  When ``maps`` is omitted, map s is the Schrodinger
-    transfer map of phi_s = energy - u_s.
+    Optional list of k+1 rows in the same layout: the scalar potentials u_s
+    used by energy sweeps.  When ``maps`` is omitted, map s is the
+    Schrodinger transfer map of phi_s = energy - u_s.
 ``energy``
-    Optional float E, default 0.0 (used to build or check maps from
+    Optional finite number E, default 0.0 (used to build or check maps from
     potentials).
 
 When a file has both ``maps`` and ``potentials``, every SCHRODINGER map
@@ -113,12 +113,16 @@ def product_from_dict(doc):
         raise ConfigError(f"weights sum to {total!r}, off 1 by more than 1e-9")
     weights = weights / total
 
-    energy = float(doc.get("energy", 0.0))
+    energy = doc.get("energy", 0.0)
+    if (isinstance(energy, bool) or not isinstance(energy, (int, float))
+            or not np.isfinite(float(energy))):
+        raise ConfigError(f"energy must be a finite number, got {energy!r}")
+    energy = float(energy)
     potentials = None
     if "potentials" in doc:
         rows = doc["potentials"]
-        if len(rows) != n:
-            raise ConfigError(f"need exactly k+1 = {n} potentials")
+        if not isinstance(rows, list) or len(rows) != n:
+            raise ConfigError(f"potentials must be a list of k+1 = {n} rows")
         try:
             potentials = [ScalarPotential.from_row(r) for r in rows]
         except ValueError as exc:
@@ -126,8 +130,8 @@ def product_from_dict(doc):
 
     if "maps" in doc:
         specs = doc["maps"]
-        if len(specs) != n:
-            raise ConfigError(f"need exactly k+1 = {n} maps")
+        if not isinstance(specs, list) or len(specs) != n:
+            raise ConfigError(f"maps must be a list of k+1 = {n} map objects")
         maps = []
         for s, spec in enumerate(specs):
             try:

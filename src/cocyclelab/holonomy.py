@@ -6,6 +6,12 @@ the finite agreement index, so it is computed exactly as a quotient of two
 finite cocycle products.  For the canonical homoclinic pair the composition
 of the two legs collapses to a closed form evaluated from the first two
 maps of the tuple.
+
+The Oseledets directions of a single map are singular vectors of long
+products, as for covariant Lyapunov vectors (Ginelli et al. 2007): e+ at t
+is the top left singular vector of the product of the steps that end at t,
+e- the bottom right singular vector of the product of the steps that start
+at t.
 """
 
 from __future__ import annotations
@@ -116,40 +122,35 @@ class OseledetsDirections:
     converged: bool
 
 
-def _pullback_direction(mats, start):
-    """Push ``start`` through the matrix stack, renormalizing each step.
+def _unit_products(mats):
+    """Ordered products ``mats[n-1] @ ... @ mats[0]`` at unit Frobenius norm.
 
-    Returns the final unit vector, its total log growth, and the unit
-    vector obtained from the second half of the stack alone.  Both
-    snapshots end at the same base point, so their projective distance
-    measures convergence of the pullback depth.
+    ``mats`` has shape (..., n, d, d) and the result (..., d, d).  Adjacent
+    factors are multiplied in pairs, an odd last factor is carried to the
+    next pass, and every pair product is rescaled to unit norm, so no
+    product depth can overflow.
     """
-    v = np.array(start, dtype=float)
-    half = np.array(start, dtype=float)
-    growth = 0.0
-    half_start = len(mats) - len(mats) // 2
-    for j, m in enumerate(mats):
-        v = m @ v
-        norm = np.linalg.norm(v)
-        v /= norm
-        growth += np.log(norm)
-        if j >= half_start:
-            half = m @ half
-            half /= np.linalg.norm(half)
-    return v, growth, half
+    stack = np.asarray(mats, dtype=float)
+    while stack.shape[-3] > 1:
+        n = stack.shape[-3]
+        pairs = np.matmul(stack[..., 1::2, :, :], stack[..., 0:n - 1:2, :, :])
+        pairs /= np.linalg.norm(pairs, axis=(-2, -1), keepdims=True)
+        stack = np.concatenate([pairs, stack[..., n - n % 2:, :, :]], axis=-3)
+    product = stack[..., 0, :, :]
+    return product / np.linalg.norm(product, axis=(-2, -1), keepdims=True)
 
 
 def oseledets_directions(angle, mat_map, t, n_pullback=DEFAULT_PULLBACK,
                          tol=DEFAULT_DIRECTION_TOL):
     """Oseledets directions of a single 2x2 quasi-periodic map at ``t``.
 
-    e_plus is the image direction of a generic vector pulled forward from
-    n_pullback steps in the past; e_minus is the most-contracted right
-    singular direction of the forward product started at ``t``.  Both are
-    computed at depth n_pullback and 2*n_pullback; the residual is the
-    projective distance between the two depths and convergence means
-    residual <= tol.  A non-positive pullback growth triggers one restart
-    from the orthogonal start vector.
+    e_plus is the top left singular vector of the past product, the
+    2*n_pullback steps that end at ``t``; e_minus is the bottom right
+    singular vector of the future product, the 2*n_pullback steps that
+    start at ``t``.  The depth-n_pullback estimates use the last n_pullback
+    past steps and the first n_pullback future steps; the residual is the
+    larger projective distance between the two depths and convergence
+    means residual <= tol.
     """
     if mat_map.dim != 2:
         raise ValueError("oseledets_directions handles 2x2 maps")
@@ -159,33 +160,21 @@ def oseledets_directions(angle, mat_map, t, n_pullback=DEFAULT_PULLBACK,
     n2 = 2 * n_pullback
 
     past = base_orbit([angle], constant_word(n2), rotate(t, -n2 * angle))
+    future = base_orbit([angle], constant_word(n2), t)
     # pullback points drift from exact multiples of the angle only at the
     # 1e-13 level, which the direction field does not resolve
-    pull_mats = mat_map.eval_many(past[:-1])
-    vec, growth, half_vec = _pullback_direction(pull_mats, (np.sqrt(0.5), np.sqrt(0.5)))
-    if growth <= 0.0:
-        alt, alt_growth, alt_half = _pullback_direction(
-            pull_mats, (np.sqrt(0.5), -np.sqrt(0.5))
-        )
-        if alt_growth > growth:
-            vec, growth, half_vec = alt, alt_growth, alt_half
-    res_plus = projective_distance(vec, half_vec)
+    steps = np.stack([mat_map.eval_many(past[:-1]), mat_map.eval_many(future[:-1])])
+    # halves: past first n, past last n, future first n, future last n
+    halves = _unit_products(steps.reshape(4, n_pullback, 2, 2))
+    whole = np.matmul(halves[1::2], halves[0::2])
+    left, _, right = np.linalg.svd(np.stack([whole[0], halves[1], whole[1], halves[2]]))
+    e_plus, plus_half = left[0, :, 0], left[1, :, 0]
+    e_minus, minus_half = right[2, -1], right[3, -1]
 
-    future = base_orbit([angle], constant_word(n2), t)
-    fwd_mats = mat_map.eval_many(future[:-1])
-    prod = np.eye(2)
-    minus_half = None
-    for j, m in enumerate(fwd_mats):
-        prod = m @ prod
-        prod /= np.linalg.norm(prod)
-        if j + 1 == n_pullback:
-            minus_half = np.linalg.svd(prod)[2][-1]
-    minus = np.linalg.svd(prod)[2][-1]
-    res_minus = projective_distance(minus, minus_half)
-
-    residual = max(res_plus, res_minus)
+    residual = max(projective_distance(e_plus, plus_half),
+                   projective_distance(e_minus, minus_half))
     return OseledetsDirections(
-        e_plus=vec, e_minus=minus, residual=float(residual),
+        e_plus=e_plus, e_minus=e_minus, residual=float(residual),
         converged=bool(residual <= tol),
     )
 

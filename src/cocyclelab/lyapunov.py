@@ -5,8 +5,8 @@ Two Monte Carlo estimators and one exact route:
 * :func:`estimate_spectrum` iterates an orthonormal frame through the
   cocycle and reads the full spectrum off the diagonal of periodic QR
   factorizations (one replicate per independent substream).
-* :func:`estimate_top_exponent` is the single-vector specialization for
-  d = 2.
+* :func:`estimate_top_exponent` pushes a single vector, renormalized by
+  its norm, and reads the top exponent off its growth (any d).
 * :func:`diagonal_spectrum` evaluates the exponents of diagonal tuples in
   closed form as weighted circle averages of log |diagonal entries|.
 
@@ -231,14 +231,13 @@ def estimate_spectrum(product, n_iter, n_rep, seed, qr_period=DEFAULT_QR_PERIOD)
 
 
 def estimate_top_exponent(product, n_iter, n_rep, seed, qr_period=DEFAULT_QR_PERIOD):
-    """Top-exponent specialization for 2x2 tuples: norm growth of one vector.
+    """Estimate the top Lyapunov exponent from the norm growth of one vector.
 
-    Each replicate starts from an independent random unit vector, which
-    avoids locking onto an invariant contracting direction of structured
-    tuples.
+    Works for any dimension d.  Each replicate starts from an independent
+    random unit d-vector, which avoids locking onto an invariant contracting
+    direction of structured tuples, and renormalizes it by its norm every
+    ``qr_period`` steps.
     """
-    if product.dim != 2:
-        raise ValueError("estimate_top_exponent is specialized to 2x2 tuples")
     reps = _iterate_frames(product, seed, n_iter, n_rep, qr_period, full_frame=False)
     value = reps.mean()
     stderr = reps.std(ddof=1) / np.sqrt(n_rep) if n_rep > 1 else 0.0

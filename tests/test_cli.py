@@ -197,6 +197,15 @@ def test_error_exits(tmp_path, capsys):
     assert main(["lyapunov", "--config", str(cfg)]) == 1
     assert "n_iter" in capsys.readouterr().err
 
+    cl.save_cocycle(product, tmp_path / "sweep_pair.json", potentials=[u0, u1],
+                    energy=3.0)
+    cfg = write_json(tmp_path / "badenergies.json",
+                     {"kind": "sweep-energy", "cocycle": "sweep_pair.json", "seed": 1,
+                      "energies": {"min": None, "max": 1, "steps": 2}})
+    assert main(["sweep-energy", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "energies min" in err
+
 
 def test_malformed_continuity_fields_exit_cleanly(tmp_path, capsys):
     cl.save_cocycle(axis_pair(0.125), tmp_path / "pair.json")

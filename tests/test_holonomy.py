@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cocyclelab as cl
+from cocyclelab import holonomy
 from util import SILVER, axis_pair, random_tuple, schrodinger_pair
 
 
@@ -136,6 +137,41 @@ def test_oseledets_axes_for_constant_diagonal():
     assert res.residual <= 1e-12
     assert cl.projective_distance(res.e_plus, [1.0, 0.0]) <= 1e-12
     assert cl.projective_distance(res.e_minus, [0.0, 1.0]) <= 1e-12
+
+
+def test_oseledets_contracting_axis_on_the_diagonal():
+    """The contracting axis is (1, 1)/sqrt(2), a natural start vector."""
+    rot = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
+    mat_map = cl.TrigMatrixMap.constant(rot @ np.diag([0.5, 2.0]) @ rot.T,
+                                        group_tag=cl.SL2)
+    res = cl.oseledets_directions(cl.GOLDEN_MEAN, mat_map, 0.3)
+    assert res.converged
+    assert cl.projective_distance(res.e_plus, [-1.0, 1.0]) <= 1e-12
+    assert cl.projective_distance(res.e_minus, [1.0, 1.0]) <= 1e-12
+
+
+def test_oseledets_deep_pullback_does_not_overflow():
+    """The unscaled products here are about 1e6000."""
+    mat_map = cl.TrigMatrixMap.constant(np.diag([1e3, 1e-3]), group_tag=cl.DIAGONAL)
+    res = cl.oseledets_directions(cl.GOLDEN_MEAN, mat_map, 0.7, n_pullback=2000)
+    assert res.converged
+    assert cl.projective_distance(res.e_plus, [1.0, 0.0]) <= 1e-12
+    assert cl.projective_distance(res.e_minus, [0.0, 1.0]) <= 1e-12
+
+
+@given(st.integers(1, 9), st.integers(1, 3), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_unit_products_match_multi_dot(n, d, seed):
+    rng = np.random.default_rng(seed)
+    mats = 2.0 * np.eye(d) + rng.standard_normal((2, n, d, d))
+    got = holonomy._unit_products(mats)
+    assert got.shape == (2, d, d)
+    for stack, product in zip(mats, got):
+        want = stack[0] if n == 1 else np.linalg.multi_dot(list(stack[::-1]))
+        # rounding is relative to the product of the factors' norms
+        scale = np.prod(np.linalg.norm(stack, axis=(1, 2))) / np.linalg.norm(want)
+        np.testing.assert_allclose(product, want / np.linalg.norm(want),
+                                   rtol=0.0, atol=1e-12 * scale)
 
 
 def test_oseledets_directions_are_equivariant():

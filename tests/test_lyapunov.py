@@ -92,8 +92,10 @@ def test_top_exponent_matches_spectrum_head():
     full = cl.estimate_spectrum(product, 20_000, 6, seed=8)
     top = cl.estimate_top_exponent(product, 20_000, 6, seed=8)
     assert abs(top.top - full.values[0]) <= 3.0 * (top.stderr[0] + full.stderr[0]) + 1e-3
-    with pytest.raises(ValueError):
-        cl.estimate_top_exponent(constant_diag([2.0, 1.0, 0.5]), 100, 2, seed=0)
+    product = random_tuple(3, seed=1)
+    full = cl.estimate_spectrum(product, 20_000, 6, seed=8)
+    top = cl.estimate_top_exponent(product, 20_000, 6, seed=8)
+    assert abs(top.top - full.values[0]) <= 3.0 * (top.stderr[0] + full.stderr[0])
 
 
 def test_qr_period_invariance_constant_tuple():

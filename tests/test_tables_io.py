@@ -160,3 +160,11 @@ def test_load_rejects_malformed(tmp_path):
 
     with pytest.raises(cl.ConfigError):
         cl.load_cocycle(tmp_path / "missing.json")
+
+    product, (u0, u1) = schrodinger_pair()
+    for key, value in (("potentials", 5), ("maps", 5), ("energy", None)):
+        doc = cl.fileio.product_to_dict(product, potentials=[u0, u1])
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(cl.ConfigError, match=key):
+            cl.load_cocycle(path)
