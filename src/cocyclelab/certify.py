@@ -280,9 +280,10 @@ def pinching_d(exponents, rel_gap=DEFAULT_REL_GAP):
     """Certify pairwise-distinct subset sums of an exponent list.
 
     For every cardinality j in 1..d-1 all sums over j of the exponents must
-    differ; gaps are normalized by the spread max-min, and the margin is
-    the smallest normalized gap minus ``rel_gap``.  A FAIL carries the
-    colliding pair of 1-based index sets.
+    differ; gaps are normalized by the spread max-min (all-equal exponents
+    have normalized gap 0), and the margin is the smallest normalized gap
+    minus ``rel_gap``.  A FAIL carries the colliding pair of 1-based index
+    sets.
     """
     lam = np.asarray(exponents, dtype=float)
     if lam.ndim != 1 or len(lam) < 2:
@@ -291,22 +292,6 @@ def pinching_d(exponents, rel_gap=DEFAULT_REL_GAP):
         raise ValueError("exponents must be finite")
     d = len(lam)
     spread = float(lam.max() - lam.min())
-    if spread <= 0.0:
-        first = (1,)
-        second = (2,)
-        return Certificate(
-            kind="PINCH_D",
-            verdict="FAIL",
-            margin=-rel_gap,
-            diagnostics={
-                "spread": spread,
-                "witness": {"size": 1, "first": list(first), "second": list(second),
-                            "sum_first": float(lam[0]), "sum_second": float(lam[1])},
-                "rel_gap": rel_gap,
-                "reason": "all exponents equal",
-            },
-        )
-
     best_gap = math.inf
     witness = None
     for size in range(1, d):
@@ -320,7 +305,7 @@ def pinching_d(exponents, rel_gap=DEFAULT_REL_GAP):
                 best_gap = gap
                 witness = (size, set_lo, set_hi, s_lo, s_hi)
     size, set_lo, set_hi, s_lo, s_hi = witness
-    normalized = best_gap / spread
+    normalized = best_gap / spread if spread > 0.0 else 0.0
     margin = normalized - rel_gap
     verdict = "PASS" if margin > 0.0 else "FAIL"
     return Certificate(

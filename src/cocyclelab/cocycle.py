@@ -97,15 +97,13 @@ class TrigMatrixMap:
         structural invariant of the declared tag.
     """
 
-    def __init__(self, const, cos_coeffs=None, sin_coeffs=None, group_tag=GENERAL,
-                 potential=None):
+    def __init__(self, const, cos_coeffs=None, sin_coeffs=None, group_tag=GENERAL):
         self.const, self.cos_coeffs, self.sin_coeffs = _coeff_arrays(
             const, cos_coeffs, sin_coeffs
         )
         if group_tag not in GROUP_TAGS:
             raise GroupTagError(f"unknown group tag {group_tag!r}")
         self.group_tag = group_tag
-        self.potential = potential
         self._certify()
 
     @property
@@ -115,6 +113,14 @@ class TrigMatrixMap:
     @property
     def degree(self):
         return self.cos_coeffs.shape[0]
+
+    @property
+    def potential(self):
+        """The entry phi of a SCHRODINGER map [[phi, -1], [1, 0]]; None otherwise."""
+        if self.group_tag != SCHRODINGER:
+            return None
+        return ScalarPotential(self.const[0, 0], self.cos_coeffs[:, 0, 0],
+                               self.sin_coeffs[:, 0, 0])
 
     @classmethod
     def constant(cls, matrix, group_tag=GENERAL):
@@ -292,7 +298,7 @@ def make_schrodinger(potential):
     sin = np.zeros((k, 2, 2))
     cos[:, 0, 0] = potential.cos_coeffs
     sin[:, 0, 0] = potential.sin_coeffs
-    return TrigMatrixMap(const, cos, sin, group_tag=SCHRODINGER, potential=potential)
+    return TrigMatrixMap(const, cos, sin, group_tag=SCHRODINGER)
 
 
 def rescale_diagonal(mat_map, factors):

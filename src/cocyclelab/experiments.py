@@ -24,6 +24,12 @@ Kind-specific fields: ``energies`` (list, or {min, max, steps}) for
 sweep-energy; ``epsilons``, ``perturbation`` ({"coeffs": d*d rows}) and
 ``perturb_index`` for continuity; ``certify_base`` (default true) toggles
 the certification flag column of the continuity table.
+
+Numeric fields go through the readers of :mod:`cocyclelab.fileio`: integer
+fields (``seed``, the integer knobs, ``steps``, ``perturb_index``) must be
+JSON integers, and numbers must be finite JSON numbers; ``NaN``,
+``Infinity`` and numeric strings are rejected with a ConfigError that
+names the field.
 """
 
 from __future__ import annotations
@@ -43,7 +49,8 @@ from .cocycle import (DIAGONAL, SCHRODINGER, SL2, RandomProduct, ScalarPotential
                       entry_rows_to_arrays, make_schrodinger, perturbed_map,
                       rescale_diagonal, right_rotate, shift_potential)
 from .errors import ConfigError, UnsupportedPipelineError
-from .fileio import file_digest, load_cocycle
+from .fileio import (file_digest, load_cocycle, read_int, read_number,
+                     read_numbers, read_rows)
 from .holonomy import DEFAULT_DIRECTION_TOL, DEFAULT_PULLBACK
 from .lyapunov import (DEFAULT_QR_PERIOD, diagonal_spectrum, estimate_spectrum,
                        estimate_top_exponent)
@@ -100,65 +107,24 @@ class ExperimentOutput:
     certificates: list = field(default_factory=list)
 
 
-def _require_positive_int(doc, name, default):
-    value = doc.get(name, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-    return value
-
-
-def _require_positive_float(doc, name, default):
-    value = doc.get(name, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a positive number, got {value!r}")
-    value = float(value)
-    if not (np.isfinite(value) and value > 0.0):
-        raise ConfigError(f"{name} must be a positive number, got {value!r}")
-    return value
-
-
 def _parse_energies(node):
-    if node is None:
-        raise ConfigError("sweep-energy needs an 'energies' field")
     if isinstance(node, dict):
-        try:
-            lo, hi, steps = node["min"], node["max"], node["steps"]
-        except KeyError as exc:
-            raise ConfigError(f"energies range needs min/max/steps, missing {exc}")
-        for name, value in (("min", lo), ("max", hi)):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"energies {name} must be a number, got {value!r}")
-        if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
-            raise ConfigError("energies steps must be a positive integer")
-        grid = np.linspace(float(lo), float(hi), steps)
-    else:
-        grid = np.asarray(node, dtype=float)
-    if grid.ndim != 1 or len(grid) == 0 or not np.all(np.isfinite(grid)):
-        raise ConfigError("energies must be a non-empty list of finite values")
-    return grid
-
-
-def _parse_epsilons(node):
-    if node is None:
-        return tuple(DEFAULT_EPSILONS)
-    if not isinstance(node, list) or any(
-            isinstance(e, bool) or not isinstance(e, (int, float)) for e in node):
-        raise ConfigError("epsilons must be a non-empty list of positive values")
-    eps = tuple(float(e) for e in node)
-    if not eps or any(not (np.isfinite(e) and e > 0.0) for e in eps):
-        raise ConfigError("epsilons must be a non-empty list of positive values")
-    return eps
+        grid = np.linspace(read_number(node.get("min"), "energies min"),
+                           read_number(node.get("max"), "energies max"),
+                           read_int(node.get("steps"), "energies steps", 1))
+        if not np.all(np.isfinite(grid)):
+            raise ConfigError("energies range overflows the float range")
+        return grid
+    return np.array(read_numbers(node, "energies"))
 
 
 def _parse_perturbation(node, d):
     """(const, cos, sin) arrays of a continuity direction map."""
-    if not (isinstance(node, dict) and "coeffs" in node):
+    if not isinstance(node, dict):
         raise ConfigError("continuity needs a 'perturbation' object with "
                           "'coeffs' rows for the direction map")
-    try:
-        return entry_rows_to_arrays(d, node["coeffs"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"perturbation coeffs: {exc}") from exc
+    return entry_rows_to_arrays(d, read_rows(node.get("coeffs"),
+                                             "perturbation coeffs", d * d))
 
 
 def load_experiment_config(path, kind, seed=None, out=None):
@@ -180,15 +146,12 @@ def load_experiment_config(path, kind, seed=None, out=None):
 
     if seed is None:
         seed = doc.get("seed")
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError("a nonnegative integer seed is required "
-                          "(config 'seed' or --seed)")
+    seed = read_int(seed, "seed (config 'seed' or --seed)", 0)
 
-    knobs = {}
-    for name, default in _INT_KNOBS.items():
-        knobs[name] = _require_positive_int(doc, name, default)
-    for name, default in _FLOAT_KNOBS.items():
-        knobs[name] = _require_positive_float(doc, name, default)
+    knobs = {name: read_int(doc.get(name, default), name, 1)
+             for name, default in _INT_KNOBS.items()}
+    knobs.update((name, read_number(doc.get(name, default), name, positive=True))
+                 for name, default in _FLOAT_KNOBS.items())
 
     cocycle_field = doc.get("cocycle")
     if not isinstance(cocycle_field, str):
@@ -196,19 +159,20 @@ def load_experiment_config(path, kind, seed=None, out=None):
     cocycle = load_cocycle(path.parent / cocycle_field)
 
     energies = _parse_energies(doc.get("energies")) if kind == "sweep-energy" else None
-    epsilons = _parse_epsilons(doc.get("epsilons")) if kind == "continuity" else None
 
-    perturbation = None
-    perturb_index = doc.get("perturb_index")
+    epsilons = perturbation = perturb_index = None
     if kind == "continuity":
+        epsilons = doc.get("epsilons")
+        epsilons = (DEFAULT_EPSILONS if epsilons is None
+                    else tuple(read_numbers(epsilons, "epsilons", positive=True)))
         perturbation = _parse_perturbation(doc.get("perturbation"),
                                            cocycle.product.dim)
+        n_symbols = cocycle.product.n_symbols
+        perturb_index = doc.get("perturb_index")
         if perturb_index is None:
-            perturb_index = 1 if cocycle.product.n_symbols > 1 else 0
-        if (isinstance(perturb_index, bool) or not isinstance(perturb_index, int)
-                or not 0 <= perturb_index < cocycle.product.n_symbols):
-            raise ConfigError(f"perturb_index must name a symbol in "
-                              f"[0, {cocycle.product.n_symbols})")
+            perturb_index = 1 if n_symbols > 1 else 0
+        if read_int(perturb_index, "perturb_index", 0) >= n_symbols:
+            raise ConfigError(f"perturb_index must name a symbol in [0, {n_symbols})")
 
     certify_base = doc.get("certify_base", True)
     if not isinstance(certify_base, bool):
@@ -220,7 +184,7 @@ def load_experiment_config(path, kind, seed=None, out=None):
         raise ConfigError("out must be a path string")
 
     return ExperimentConfig(
-        kind=kind, cocycle=cocycle, seed=int(seed), knobs=knobs, out=out,
+        kind=kind, cocycle=cocycle, seed=seed, knobs=knobs, out=out,
         energies=energies, epsilons=epsilons,
         perturbation=perturbation, perturb_index=perturb_index,
         certify_base=certify_base, digest=file_digest(path),
@@ -382,7 +346,7 @@ def _search_candidates(product, failing, budget, n_candidates, seed):
     """Perturbation family for the failing certificate: (family, parameter, tuple)."""
     maps = product.maps
     if product.dim == 2:
-        if all(m.group_tag == SCHRODINGER and m.potential is not None for m in maps):
+        if all(m.group_tag == SCHRODINGER for m in maps):
             candidates = [
                 ("potential_shift", c,
                  _with_map(product, 1,

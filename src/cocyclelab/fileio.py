@@ -28,19 +28,26 @@ When a file has both ``maps`` and ``potentials``, every SCHRODINGER map
 must equal the transfer map of energy - u_s to within
 ``SCHRODINGER_MATCH_TOL`` per coefficient; the loader rejects the file
 otherwise.
+
+Every field is read by the shared readers below, which the experiment
+config loader uses too: integer fields (``d``, ``k``, ``degree``) must be
+JSON integers, so ``2.0`` and ``"2"`` are rejected; numbers must be finite
+JSON numbers, so ``NaN``, ``Infinity`` and numeric strings are rejected.
+A violation raises :class:`ConfigError` naming the field.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .cocycle import (GROUP_TAGS, SCHRODINGER, RandomProduct, ScalarPotential,
-                      TrigMatrixMap, _pad_modes, make_schrodinger, shift_potential)
+                      TrigMatrixMap, make_schrodinger, shift_potential)
 from .errors import ConfigError
 
 SCHRODINGER_MATCH_TOL = 1e-12
@@ -83,50 +90,60 @@ def product_to_dict(product, potentials=None, energy=None):
     return doc
 
 
-def _max_coeff_gap(a, b):
-    """Largest coefficient difference of two maps of the same dimension."""
-    k = max(a.degree, b.degree)
-    gaps = [np.abs(a.const - b.const)]
-    for x, y in ((a.cos_coeffs, b.cos_coeffs), (a.sin_coeffs, b.sin_coeffs)):
-        gaps.append(np.abs(_pad_modes(x, k) - _pad_modes(y, k)))
-    return max(float(g.max(initial=0.0)) for g in gaps)
+def read_int(value, name, minimum=0):
+    """A JSON integer >= ``minimum``; bools and floats are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def read_number(value, name, positive=False):
+    """A finite JSON number as a float, > 0 if ``positive`` (NaN fails the bound)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max or (positive and value <= 0)):
+        what = "a finite positive" if positive else "a finite"
+        raise ConfigError(f"{name} must be {what} number, got {value!r}")
+    return float(value)
+
+
+def read_numbers(value, name, length=None, positive=False):
+    """A non-empty list of numbers, exactly ``length`` of them if given, as floats."""
+    if not (isinstance(value, list) and value and length in (None, len(value))):
+        raise ConfigError(f"{name} must be a list of {length or 'one or more'} numbers")
+    return [read_number(v, f"{name}[{i}]", positive) for i, v in enumerate(value)]
+
+
+def read_rows(value, name, count, same_length=True):
+    """``count`` coefficient rows [c0, a1, b1, ..., aK, bK], each of odd length
+    1 + 2*degree; one shared length (the entries of one map) if ``same_length``."""
+    if not (isinstance(value, list) and len(value) == count):
+        raise ConfigError(f"{name} must be a list of {count} coefficient rows")
+    rows = [read_numbers(row, f"{name}[{i}]") for i, row in enumerate(value)]
+    lengths = {len(row) for row in rows}
+    if any(n % 2 == 0 for n in lengths) or (same_length and len(lengths) > 1):
+        shared = "a shared " if same_length else ""
+        raise ConfigError(f"{name} rows must have {shared}odd length 1 + 2*degree")
+    return rows
 
 
 def product_from_dict(doc):
     """Build (RandomProduct, potentials, energy) from a schema dict."""
-    try:
-        d = int(doc["d"])
-        k = int(doc["k"])
-        angles = np.asarray(doc["angles"], dtype=float)
-        weights = np.asarray(doc["weights"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed cocycle definition: {exc}") from exc
-    if d < 1 or k < 0:
-        raise ConfigError("need d >= 1 and k >= 0")
-    n = k + 1
-    if angles.shape != (n,) or weights.shape != (n,):
-        raise ConfigError(f"need exactly k+1 = {n} angles and weights")
-    if np.any(weights <= 0.0):
-        raise ConfigError("weights must be positive")
+    if not isinstance(doc, dict):
+        raise ConfigError("a cocycle definition must be a JSON object")
+    d = read_int(doc.get("d"), "d", 1)
+    n = read_int(doc.get("k"), "k", 0) + 1
+    angles = read_numbers(doc.get("angles"), "angles", n)
+    weights = np.array(read_numbers(doc.get("weights"), "weights", n, positive=True))
     total = weights.sum()
     if abs(total - 1.0) > 1e-9:
         raise ConfigError(f"weights sum to {total!r}, off 1 by more than 1e-9")
     weights = weights / total
 
-    energy = doc.get("energy", 0.0)
-    if (isinstance(energy, bool) or not isinstance(energy, (int, float))
-            or not np.isfinite(float(energy))):
-        raise ConfigError(f"energy must be a finite number, got {energy!r}")
-    energy = float(energy)
+    energy = read_number(doc.get("energy", 0.0), "energy")
     potentials = None
     if "potentials" in doc:
-        rows = doc["potentials"]
-        if not isinstance(rows, list) or len(rows) != n:
-            raise ConfigError(f"potentials must be a list of k+1 = {n} rows")
-        try:
-            potentials = [ScalarPotential.from_row(r) for r in rows]
-        except ValueError as exc:
-            raise ConfigError(f"malformed potential row: {exc}") from exc
+        rows = read_rows(doc["potentials"], "potentials", n, same_length=False)
+        potentials = [ScalarPotential.from_row(r) for r in rows]
 
     if "maps" in doc:
         specs = doc["maps"]
@@ -134,14 +151,14 @@ def product_from_dict(doc):
             raise ConfigError(f"maps must be a list of k+1 = {n} map objects")
         maps = []
         for s, spec in enumerate(specs):
-            try:
-                tag = spec["group_tag"]
-                degree = int(spec["degree"])
-                coeffs = spec["coeffs"]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"map {s}: malformed spec: {exc}") from exc
-            if tag not in GROUP_TAGS:
-                raise ConfigError(f"map {s}: unknown group tag {tag!r}")
+            if not isinstance(spec, dict):
+                raise ConfigError(f"maps[{s}] must be an object, got {spec!r}")
+            tag = spec.get("group_tag")
+            if not (isinstance(tag, str) and tag in GROUP_TAGS):
+                raise ConfigError(f"maps[{s}] group_tag must be one of "
+                                  f"{sorted(GROUP_TAGS)}, got {tag!r}")
+            degree = read_int(spec.get("degree"), f"maps[{s}] degree", 0)
+            coeffs = read_rows(spec.get("coeffs"), f"maps[{s}] coeffs", d * d)
             try:
                 m = TrigMatrixMap.from_entry_rows(d, coeffs, group_tag=tag)
             except ValueError as exc:
@@ -151,13 +168,12 @@ def product_from_dict(doc):
                     f"map {s}: declared degree {degree} but rows encode {m.degree}"
                 )
             if tag == SCHRODINGER and potentials is not None:
-                expected = make_schrodinger(shift_potential(-potentials[s], energy))
-                if _max_coeff_gap(m, expected) > SCHRODINGER_MATCH_TOL:
+                gap = m.potential + -shift_potential(-potentials[s], energy)
+                if np.abs(gap.to_row()).max() > SCHRODINGER_MATCH_TOL:
                     raise ConfigError(
                         f"map {s}: coefficients differ from the Schrodinger map "
                         f"of energy - potentials[{s}] at energy {energy!r}"
                     )
-                m.potential = expected.potential
             maps.append(m)
     else:
         if potentials is None:

@@ -124,14 +124,9 @@ def _block_products(mats, period):
     # reported as RenormalizationError there; the warning itself is noise.
     with np.errstate(over="ignore", invalid="ignore"):
         while stack.shape[2] > 1:
-            if stack.shape[2] % 2:
-                carry = stack[:, :, -1:]
-                body = stack[:, :, :-1]
-            else:
-                carry = None
-                body = stack
-            body = np.matmul(body[:, :, 1::2], body[:, :, 0::2])
-            stack = body if carry is None else np.concatenate([body, carry], axis=2)
+            n = stack.shape[2]
+            pairs = np.matmul(stack[:, :, 1::2], stack[:, :, 0:n - 1:2])
+            stack = np.concatenate([pairs, stack[:, :, n - n % 2:]], axis=2)
     return stack[:, :, 0]
 
 

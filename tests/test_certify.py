@@ -160,6 +160,9 @@ def test_pinching_d_distinct_sums_pass():
 def test_pinching_d_degenerate_and_validation():
     flat = cl.pinching_d([1.0, 1.0, 1.0])
     assert flat.verdict == "FAIL" and flat.margin == -DEFAULT_REL_GAP
+    witness = flat.diagnostics["witness"]
+    assert (witness["size"], witness["first"], witness["second"]) == (1, [1], [2])
+    assert flat.diagnostics["min_normalized_gap"] == 0.0
     with pytest.raises(ValueError):
         cl.pinching_d([1.0])
     with pytest.raises(ValueError):

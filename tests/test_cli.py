@@ -206,6 +206,15 @@ def test_error_exits(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error:" in err and "energies min" in err
 
+    doc = cl.fileio.product_to_dict(product)
+    doc["maps"][0]["group_tag"] = ["SL2"]
+    write_json(tmp_path / "listtag.json", doc)
+    cfg = write_json(tmp_path / "listtag_cfg.json",
+                     {"kind": "lyapunov", "cocycle": "listtag.json", "seed": 1})
+    assert main(["lyapunov", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "group_tag" in err
+
 
 def test_malformed_continuity_fields_exit_cleanly(tmp_path, capsys):
     cl.save_cocycle(axis_pair(0.125), tmp_path / "pair.json")
@@ -222,6 +231,22 @@ def test_malformed_continuity_fields_exit_cleanly(tmp_path, capsys):
                      {**base, "perturbation": {"coeffs": 5}})
     assert main(["continuity", "--config", str(cfg)]) == 1
     assert "perturbation" in capsys.readouterr().err
+
+
+def test_schrodinger_search_family_does_not_depend_on_the_file(tmp_path):
+    """A SCHRODINGER tuple saved with or without potentials searches potentials."""
+    product, (u0, u1) = schrodinger_pair(energy=3.0)
+    cl.save_cocycle(product, tmp_path / "with.json", potentials=[u0, u1], energy=3.0)
+    cl.save_cocycle(product, tmp_path / "maps_only.json")
+    loaded = [cl.load_cocycle(tmp_path / name).product
+              for name in ("with.json", "maps_only.json")]
+    assert loaded[0].maps[1].potential.to_row() == loaded[1].maps[1].potential.to_row()
+    failing = cl.Certificate(kind="WEAK_TWIST", verdict="FAIL", margin=-0.1)
+    families = [[family for family, _, _ in
+                 experiments._search_candidates(p, failing, 0.1, 2, seed=1)]
+                for p in loaded]
+    assert families[0] == families[1]
+    assert set(families[0]) == {"potential_shift", "potential_bump"}
 
 
 def test_parallel_is_retired(schro_setup, capsys):

@@ -168,3 +168,24 @@ def test_load_rejects_malformed(tmp_path):
         path.write_text(json.dumps(doc))
         with pytest.raises(cl.ConfigError, match=key):
             cl.load_cocycle(path)
+
+    # strings are not coerced, floats are not cut to integers, NaN is rejected
+    for where, value, field_name in [
+        (["d"], 2.7, "^d must"),
+        (["k"], 1.5, "^k must"),
+        (["d"], "2", "^d must"),
+        (["angles"], ["0.6", "0.4"], "angles"),
+        (["angles"], [float("nan"), 0.4], "angles"),
+        (["maps", 0, "degree"], 2.5, "degree"),
+        (["maps", 0, "group_tag"], ["SL2"], "group_tag"),
+        (["maps", 0, "coeffs"], 5, "coeffs"),
+        (["maps", 0, "coeffs", 0], None, "coeffs"),
+    ]:
+        doc = cl.fileio.product_to_dict(product)
+        node = doc
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(cl.ConfigError, match=field_name):
+            cl.load_cocycle(path)
