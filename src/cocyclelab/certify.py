@@ -155,9 +155,10 @@ def all_minor_indices(d):
 
 def _minors(stack, rows, cols):
     """One minor (0-based rows and cols) of every matrix in an (n, d, d) stack."""
-    sub = stack[:, rows][:, :, cols]
+    rows = np.asarray(rows)
     if len(rows) == 1:
-        return sub[:, 0, 0]
+        return stack[:, rows[0], cols[0]]
+    sub = stack[:, rows[:, None], cols]
     if len(rows) == 2:
         return sub[:, 0, 0] * sub[:, 1, 1] - sub[:, 0, 1] * sub[:, 1, 0]
     return np.linalg.det(sub)
@@ -404,14 +405,6 @@ def minimize_scalar(f, lo, hi, xtol):
     return 0.5 * (lo + hi)
 
 
-def _runs_of_true(mask, min_len):
-    """Does a circular boolean mask contain a run of at least min_len?"""
-    run = mask.copy()
-    for shift in range(1, min_len):
-        run &= np.roll(mask, -shift)
-    return bool(run.any())
-
-
 def _circle_gap(t, roots):
     """Circular distance from t (scalar or array) to the nearest of roots."""
     if not roots:
@@ -434,6 +427,27 @@ def _abs_log_power_integral(c, m, s):
     return 2.0 * one_sided
 
 
+def _zero_free_rule():
+    """Quadrature nodes and weights on the whole circle for a g with no zeros."""
+    return panel_rule(0.0, 1.0, 64, 64)
+
+
+def _vanishes_on_run(run_vals):
+    """Does |g| on a run of sub-tolerance grid points mark an interval zero?
+
+    A run of one or two points is an isolated zero.  A longer run is one
+    only when |g| falls strictly to a single interior minimum and then
+    rises strictly, as near a zero of high order; a flat or wavering run
+    means g vanishes on an interval.
+    """
+    if len(run_vals) < 3:
+        return False
+    k = int(np.argmin(run_vals))
+    steps = np.diff(run_vals)
+    return not (0 < k < len(run_vals) - 1
+                and np.all(steps[:k] < 0.0) and np.all(steps[k:] > 0.0))
+
+
 def _fit_zero_order(abs_vals, sup):
     """Estimate order m and scale c of |g| ~ c |t - root|^m by a log-log fit.
 
@@ -450,7 +464,7 @@ def _fit_zero_order(abs_vals, sup):
     if len(log_u) < 4:
         return 1, max(sup, 1.0)
     slope, _ = np.polyfit(log_u, log_g, 1)
-    m = int(np.clip(round(slope), 1, 8))
+    m = max(int(round(slope)), 1)
     log_c = float(np.mean(np.asarray(log_g) - m * np.asarray(log_u)))
     return m, math.exp(log_c)
 
@@ -459,16 +473,19 @@ def log_integrability(g, grid_n=DEFAULT_GRID_N, zero_tol=DEFAULT_ZERO_TOL):
     """Estimate the circle integral of |log |g||, locating the zeros of g.
 
     The scan grid finds sign changes (refined by bisection to ``zero_tol``
-    in t) and grid points already below ``zero_tol``; dips of |g| below
-    sqrt(zero_tol) are polished by golden-section search to catch even-order
-    zeros.  |g| below ``zero_tol`` on three or more consecutive grid points
-    means g vanishes on an interval and the integral is infinite.
+    in t) and runs of grid points already below ``zero_tol`` (each run's
+    center is a zero); dips of |g| below sqrt(zero_tol) are polished by
+    golden-section search to catch even-order zeros.  A run of three or
+    more points means g vanishes on an interval, and the integral is
+    infinite, unless |g| along it falls strictly to a single minimum and
+    then rises strictly, as it does around a zero of high order.
 
     Each zero gets a transversality check of the central-difference
     derivative against ``TRANSVERSAL_FACTOR * sup |g|``; non-transversal
-    zeros fall back to a log-log fit of the local order m.  The integral
-    splits into exact contributions of the model c |t - root|^m on small
-    root intervals plus graded Gauss-Legendre quadrature on the rest.
+    zeros fall back to a log-log fit of the local order m, which has no
+    upper cap.  The integral splits into exact contributions of the model
+    c |t - root|^m on small root intervals plus graded Gauss-Legendre
+    quadrature on the rest.
 
     ``g`` must accept a 1d array of circle points and return values of the
     same shape.  After the scan, each refinement step calls ``g`` once for
@@ -484,7 +501,17 @@ def log_integrability(g, grid_n=DEFAULT_GRID_N, zero_tol=DEFAULT_ZERO_TOL):
     sup = float(absvals.max())
     small = absvals < zero_tol
 
-    if sup < zero_tol or _runs_of_true(small, 3):
+    # runs of grid points already inside the zero tolerance
+    small_idx = np.nonzero(small)[0]
+    groups = []
+    if small_idx.size:
+        groups = np.split(small_idx, np.nonzero(np.diff(small_idx) > 1)[0] + 1)
+        if len(groups) > 1 and groups[0][0] == 0 and groups[-1][-1] == grid_n - 1:
+            # the run straddles t = 0; unwrap its front half past 1
+            groups[0] = np.concatenate([groups.pop(), groups[0] + grid_n])
+
+    if sup < zero_tol or any(_vanishes_on_run(absvals[group % grid_n])
+                             for group in groups):
         return LogIntegralResult(
             estimate=math.inf, zeros=[], orders=[],
             diagnostics={"reason": "g vanishes on an interval", "sup": sup,
@@ -501,16 +528,8 @@ def log_integrability(g, grid_n=DEFAULT_GRID_N, zero_tol=DEFAULT_ZERO_TOL):
         return np.asarray(g(wrap_unit(x)), dtype=float)
 
     h = 1.0 / grid_n
-    roots = []
-
-    # grid points already inside the zero tolerance: take the run centers
-    small_idx = np.nonzero(small)[0]
-    if small_idx.size:
-        groups = np.split(small_idx, np.nonzero(np.diff(small_idx) > 1)[0] + 1)
-        if len(groups) > 1 and groups[0][0] == 0 and groups[-1][-1] == grid_n - 1:
-            # the run straddles t = 0; unwrap its front half past 1
-            groups[0] = np.concatenate([groups.pop(), groups[0] + grid_n])
-        roots += [wrap_unit(float(np.mean(group * h))) for group in groups]
+    # each run of grid points inside the zero tolerance gives its center
+    roots = [wrap_unit(float(np.mean(group * h))) for group in groups]
 
     # sign changes between grid neighbors that are clear of the tolerance
     starts = ts[(~small) & (~np.roll(small, -1)) & (vals * np.roll(vals, -1) < 0.0)]
@@ -541,7 +560,7 @@ def log_integrability(g, grid_n=DEFAULT_GRID_N, zero_tol=DEFAULT_ZERO_TOL):
     roots = merged
 
     if not roots:
-        xs, ws = panel_rule(0.0, 1.0, 64, 64)
+        xs, ws = _zero_free_rule()
         estimate = float(ws @ np.abs(np.log(np.abs(g(xs)))))
         return LogIntegralResult(
             estimate=estimate, zeros=[], orders=[],
@@ -614,18 +633,22 @@ def log_integrability(g, grid_n=DEFAULT_GRID_N, zero_tol=DEFAULT_ZERO_TOL):
     )
 
 
-def _minor_function(product, index, grid, grid_hol):
+def _minor_function(product, index, precomputed):
     """The minor ``index`` of the closed-form holonomy as a function of t.
 
-    Called on exactly the points ``grid`` it reads the precomputed
-    holonomies ``grid_hol``; any other points are evaluated afresh.
+    ``precomputed`` is a sequence of ``(points, holonomies)`` pairs.  Called
+    on exactly one of those point sets, the function reads the stored
+    holonomies; any other points are evaluated afresh.
     """
     rows = [r - 1 for r in index.rows]
     cols = [c - 1 for c in index.cols]
 
     def g(ts):
-        on_grid = np.array_equal(ts, grid)
-        hol = grid_hol if on_grid else closed_form_holonomy_many(product, ts)
+        for points, hol in precomputed:
+            if np.array_equal(ts, points):
+                break
+        else:
+            hol = closed_form_holonomy_many(product, ts)
         return _minors(hol, rows, cols)
 
     return g
@@ -642,14 +665,15 @@ def twisting_d(product, grid_n=DEFAULT_GRID_N, zero_tol=DEFAULT_ZERO_TOL):
     verdict as ``max_non_transversal`` in the diagnostics.
     """
     d = product.dim
-    # every minor reads the holonomy on the scan grid from one evaluation
-    grid = np.arange(grid_n) / grid_n
-    grid_hol = closed_form_holonomy_many(product, grid)
+    # every minor scans the same grid, and every zero-free minor integrates
+    # on the same nodes: the holonomy is evaluated once on each point set
+    precomputed = [(points, closed_form_holonomy_many(product, points))
+                   for points in (np.arange(grid_n) / grid_n, _zero_free_rule()[0])]
     per_minor = []
     worst_non_transversal = 0
     infinite_witness = None
     for index in all_minor_indices(d):
-        g = _minor_function(product, index, grid, grid_hol)
+        g = _minor_function(product, index, precomputed)
         result = log_integrability(g, grid_n, zero_tol)
         n_non_trans = sum(1 for flag in result.diagnostics.get("transversal", [])
                           if not flag)

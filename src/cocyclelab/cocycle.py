@@ -146,7 +146,8 @@ class TrigMatrixMap:
     def eval_many(self, ts):
         """Evaluate at an array of circle points; returns shape (n, d, d)."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        out = np.tile(self.const, (len(ts), 1, 1))
+        out = np.empty((len(ts),) + self.const.shape)
+        out[:] = self.const
         k = self.degree
         if k:
             phases = 2.0 * np.pi * np.outer(ts, np.arange(1, k + 1))

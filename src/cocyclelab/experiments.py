@@ -35,6 +35,7 @@ names the field.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -109,12 +110,12 @@ class ExperimentOutput:
 
 def _parse_energies(node):
     if isinstance(node, dict):
-        grid = np.linspace(read_number(node.get("min"), "energies min"),
-                           read_number(node.get("max"), "energies max"),
-                           read_int(node.get("steps"), "energies steps", 1))
-        if not np.all(np.isfinite(grid)):
+        lo = read_number(node.get("min"), "energies min")
+        hi = read_number(node.get("max"), "energies max")
+        steps = read_int(node.get("steps"), "energies steps", 1)
+        if not math.isfinite(hi - lo):
             raise ConfigError("energies range overflows the float range")
-        return grid
+        return np.linspace(lo, hi, steps)
     return np.array(read_numbers(node, "energies"))
 
 
@@ -263,16 +264,15 @@ def cmd_certify(config):
 def cmd_sweep_energy(config):
     """Top exponent of the Schrodinger tuple across an energy grid."""
     cocycle = config.cocycle
-    if cocycle.potentials is None:
-        raise ConfigError("sweep-energy needs a cocycle file with potentials")
     base = cocycle.product
     if not all(m.group_tag == SCHRODINGER for m in base.maps):
         raise ConfigError("sweep-energy expects every map tagged SCHRODINGER")
+    # each map's entry is energy - u_s, whether or not the file lists u_s
+    potentials = [shift_potential(-m.potential, cocycle.energy) for m in base.maps]
     kn = config.knobs
     rows = []
     for energy in config.energies:
-        maps = [make_schrodinger(shift_potential(-u, float(energy)))
-                for u in cocycle.potentials]
+        maps = [make_schrodinger(shift_potential(-u, float(energy))) for u in potentials]
         product = RandomProduct(base.angles, maps, base.weights)
         est = estimate_top_exponent(product, kn["n_iter"], kn["n_rep"], config.seed,
                                     kn["qr_period"])

@@ -17,12 +17,12 @@ Schema, all keys top level:
     bK]`` listing the constant and per-frequency cosine/sine coefficients.
     Optional when ``potentials`` is present.
 ``potentials``
-    Optional list of k+1 rows in the same layout: the scalar potentials u_s
-    used by energy sweeps.  When ``maps`` is omitted, map s is the
-    Schrodinger transfer map of phi_s = energy - u_s.
+    Optional list of k+1 rows in the same layout: the scalar potentials
+    u_s.  When ``maps`` is omitted, map s is the Schrodinger transfer map
+    of phi_s = energy - u_s.
 ``energy``
     Optional finite number E, default 0.0 (used to build or check maps from
-    potentials).
+    potentials; energy sweeps read u_s = E - phi_s off the maps).
 
 When a file has both ``maps`` and ``potentials``, every SCHRODINGER map
 must equal the transfer map of energy - u_s to within

@@ -249,23 +249,22 @@ def test_log_integral_validation():
         cl.log_integrability(lambda t: np.where(t > 0.5, np.nan, 1.0))
 
 
-def _runs_of_true_loop(mask, min_len):
-    """Reference: scan the mask extended by its first min_len - 1 flags."""
-    if mask.all():
-        return True
-    run = 0
-    for flag in np.concatenate([mask, mask[: min_len - 1]]):
-        run = run + 1 if flag else 0
-        if run >= min_len:
-            return True
-    return False
+@pytest.mark.parametrize("m", [4, 5, 6])
+def test_log_integral_high_order_zeros(m):
+    # an order-m zero puts a run of grid points under zero_tol; |g| falls
+    # strictly to the run's minimum and rises again, so it is no interval zero
+    result = cl.log_integrability(lambda t: np.sin(2 * np.pi * t) ** m)
+    assert result.finite
+    assert result.orders == [m, m]
+    assert sorted(result.zeros) == pytest.approx([0.0, 0.5], abs=1e-6)
+    assert result.estimate == pytest.approx(m * LOG2, rel=1e-6)
 
 
-@given(st.lists(st.booleans(), min_size=1, max_size=40), st.integers(1, 5))
-@settings(max_examples=200)
-def test_runs_of_true_matches_loop(flags, min_len):
-    mask = np.array(flags)
-    assert certify._runs_of_true(mask, min_len) == _runs_of_true_loop(mask, min_len)
+def test_log_integral_exact_zero_on_an_interval_is_infinite():
+    result = cl.log_integrability(
+        lambda t: np.where((t >= 0.3) & (t <= 0.4), 0.0, np.sin(np.pi * (t - 0.3)) ** 2))
+    assert result.estimate == math.inf
+    assert result.diagnostics["reason"] == "g vanishes on an interval"
 
 
 def test_log_integral_small_runs_straddling_zero():
@@ -357,6 +356,19 @@ PIPELINE_D3_ZEROS = [
 ]
 PIPELINE_D3_N_ZEROS = [0, 0, 0, 0, 0, 4, 2, 2, 0, 0, 4, 2, 2, 0, 0, 2, 0, 0, 0]
 TANGENCY_ZEROS = [["0x0.0p+0"], [], [], [], []]
+# float.hex of every per-minor TWIST_D integral, taken before the minors
+# shared the holonomy on the zero-free quadrature nodes
+PIPELINE_D3_INTEGRALS = [
+    "0x1.29da50c6c565ep+0", "0x1.297bce02c29f4p+1", "0x1.69e7964085ad0p+1",
+    "0x1.32c82e6f19831p+1", "0x1.2622759a1cf6ep+0", "0x1.95ecf589eeeaep+1",
+    "0x1.7ad336cc8671dp+0", "0x1.2a4041eaefddfp+1", "0x1.79268eee90e74p-2",
+    "0x1.1a24d35bc02e7p+1", "0x1.15430768186dbp+2", "0x1.09f4601710b6cp+2",
+    "0x1.b657fb114fec7p+1", "0x1.9fcdf3a62045bp-1", "0x1.0fb2a103738b6p+1",
+    "0x1.5fbc5d4d7e2f1p+1", "0x1.e08cdeb51e032p+0", "0x1.89d4a461792b0p-1",
+    "0x1.d866df2c823cap+0",
+]
+TANGENCY_INTEGRALS = ["0x1.2a8ef73c85763p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+                      "0x1.3f641e435ce7ap-1"]
 
 
 def _tangency_tuple():
@@ -372,8 +384,24 @@ def test_twisting_d_zeros_golden():
     minors = cl.twisting_d(pipeline_tuple_d3()).diagnostics["minors"]
     assert [m["n_zeros"] for m in minors] == PIPELINE_D3_N_ZEROS
     assert [z.hex() for m in minors for z in m["zeros"]] == PIPELINE_D3_ZEROS
+    assert [m["integral"].hex() for m in minors] == PIPELINE_D3_INTEGRALS
     minors = cl.twisting_d(_tangency_tuple()).diagnostics["minors"]
     assert [[z.hex() for z in m["zeros"]] for m in minors] == TANGENCY_ZEROS
+    assert [m["integral"].hex() for m in minors] == TANGENCY_INTEGRALS
+
+
+def test_twisting_d_evaluates_the_zero_free_nodes_once(monkeypatch):
+    sizes = []
+
+    def counted(product, ts):
+        sizes.append(len(ts))
+        return cl.closed_form_holonomy_many(product, ts)
+
+    monkeypatch.setattr(certify, "closed_form_holonomy_many", counted)
+    minors = cl.twisting_d(pipeline_tuple_d3()).diagnostics["minors"]
+    assert sum(m["n_zeros"] == 0 for m in minors) > 1
+    assert sizes.count(4096) == 1
+    assert sizes.count(certify.DEFAULT_GRID_N) == 1
 
 
 def test_import_loads_no_scipy():

@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +115,34 @@ def test_sweep_energy_rows(schro_setup):
     tops = [row[1] for row in table.rows]
     assert all(top > 0.3 for top in tops)
     assert tops == sorted(tops)
+
+
+def test_sweep_energy_does_not_need_potentials(tmp_path):
+    """The same tuple sweeps to the same rows with or without potentials."""
+    product, (u0, u1) = schrodinger_pair(energy=3.0)
+    cl.save_cocycle(product, tmp_path / "with.json", potentials=[u0, u1], energy=3.0)
+    cl.save_cocycle(product, tmp_path / "maps_only.json", energy=3.0)
+    rows = []
+    for name in ("with", "maps_only"):
+        out = tmp_path / f"{name}.csv"
+        cfg = write_json(tmp_path / f"{name}_sweep.json",
+                         {"kind": "sweep-energy", "cocycle": f"{name}.json", "seed": 9,
+                          "energies": {"min": 2.5, "max": 5.0, "steps": 3},
+                          "out": str(out), **FAST})
+        assert main(["sweep-energy", "--config", str(cfg)]) == 0
+        rows.append(cl.ResultTable.from_csv(out).rows)
+    assert rows[0] == rows[1]
+
+
+def test_overflowing_energies_range_raises_without_warnings(schro_setup):
+    tmp_path, _ = schro_setup
+    cfg = write_json(tmp_path / "huge.json",
+                     {"kind": "sweep-energy", "cocycle": "schro.json", "seed": 1,
+                      "energies": {"min": -1e308, "max": 1e308, "steps": 3}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(cl.ConfigError, match="energies range overflows"):
+            experiments.load_experiment_config(cfg, "sweep-energy")
 
 
 def test_continuity_epsilon_ladder(tmp_path):
