@@ -13,8 +13,8 @@ import numpy as np
 import cocyclelab as cl
 
 # two low-degree potentials, one per symbol of the random product
-u0 = cl.ScalarPotential(0.0, [0.8], [0.0])
-u1 = cl.ScalarPotential(0.2, [0.0], [0.5])
+u0 = cl.TrigPolynomial(0.0, [0.8], [0.0])
+u1 = cl.TrigPolynomial(0.2, [0.0], [0.5])
 angles = [cl.GOLDEN_MEAN, 0.41421356237309515]
 
 print("energy   lambda_top   stderr")
@@ -27,7 +27,7 @@ for energy in np.linspace(2.5, 5.0, 6):
 # Sanity anchor: with a flat potential the transfer matrix is constant and
 # the exponent is log of its spectral radius.
 energy = 3.0
-flat = cl.make_schrodinger(cl.ScalarPotential(energy, [0.0], [0.0]))
+flat = cl.make_schrodinger(cl.TrigPolynomial(energy, [0.0], [0.0]))
 product = cl.RandomProduct([cl.GOLDEN_MEAN], [flat])
 est = cl.estimate_top_exponent(product, n_iter=20000, n_rep=6, seed=11)
 exact = np.log((energy + np.sqrt(energy**2 - 4.0)) / 2.0)

@@ -29,8 +29,8 @@ for t in (0.0, 0.25, 0.8):
 
 # For Schrodinger maps the holonomy is unipotent: ones on the diagonal, a
 # zero upper corner, and the potential difference in the lower corner.
-u0 = cl.ScalarPotential(0.0, [0.8], [0.0])
-u1 = cl.ScalarPotential(0.2, [0.0], [0.5])
+u0 = cl.TrigPolynomial(0.0, [0.8], [0.0])
+u1 = cl.TrigPolynomial(0.2, [0.0], [0.5])
 schro = cl.RandomProduct(
     product.angles,
     [cl.make_schrodinger(cl.shift_potential(-u, 3.0)) for u in (u0, u1)],

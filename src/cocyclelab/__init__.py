@@ -15,10 +15,10 @@ from .circle import (GOLDEN_MEAN, as_word, backward_agreement_depth,
                      stable_holonomy_offset, unstable_holonomy_offset,
                      wrap_unit)
 from .cocycle import (DIAGONAL, GENERAL, GROUP_TAGS, SCHRODINGER, SL2,
-                      RandomProduct, ScalarPotential, TrigMatrixMap,
-                      entry_rows_to_arrays, inverse_word_product,
-                      make_schrodinger, perturbed_map, rescale_diagonal,
-                      right_rotate, shift_potential, word_product)
+                      RandomProduct, TrigMatrixMap, TrigPolynomial,
+                      inverse_word_product, make_schrodinger,
+                      rescale_diagonal, right_rotate, shift_potential,
+                      word_product)
 from .errors import (CocycleLabError, ConfigError, GroupTagError,
                      InvalidWordError, NonInvertibleMapError,
                      NotHomoclinicError, RenormalizationError,
@@ -50,10 +50,9 @@ __all__ = [
     "single_flip_word", "stable_holonomy_offset", "unstable_holonomy_offset",
     "wrap_unit",
     "DIAGONAL", "GENERAL", "GROUP_TAGS", "SCHRODINGER", "SL2",
-    "RandomProduct", "ScalarPotential", "TrigMatrixMap",
-    "entry_rows_to_arrays", "inverse_word_product", "make_schrodinger",
-    "perturbed_map", "rescale_diagonal", "right_rotate", "shift_potential",
-    "word_product",
+    "RandomProduct", "TrigMatrixMap", "TrigPolynomial",
+    "inverse_word_product", "make_schrodinger", "rescale_diagonal",
+    "right_rotate", "shift_potential", "word_product",
     "CocycleLabError", "ConfigError", "GroupTagError", "InvalidWordError",
     "NonInvertibleMapError", "NotHomoclinicError", "RenormalizationError",
     "UnsupportedPipelineError",

@@ -1,10 +1,15 @@
 """Quasi-periodic matrix maps and random products of them.
 
-A :class:`TrigMatrixMap` is a matrix whose entries are real trigonometric
-polynomials on the circle; a :class:`RandomProduct` bundles k+1 such maps
-with their rotation angles and sampling weights.  Products along words are
-evaluated by :func:`word_product` (forward branch) and
-:func:`inverse_word_product` (backward branch).
+A :class:`TrigPolynomial` is a real trigonometric polynomial on the circle
+with values of any shape: a scalar Schrodinger potential, or a (d, d)
+perturbation direction that may be singular.  Polynomials of one shape add
+and scale coefficient-wise and read and write one coefficient row per
+entry.  A :class:`TrigMatrixMap` is a (d, d) polynomial certified
+invertible and tagged with its group; a sum or multiple involving a map is
+certified again.  A :class:`RandomProduct` bundles k+1 such maps with their
+rotation angles and sampling weights.  Products along words are evaluated
+by :func:`word_product` (forward branch) and :func:`inverse_word_product`
+(backward branch).
 """
 
 from __future__ import annotations
@@ -28,32 +33,6 @@ DET_FLOOR = 1e-10
 SL2_DET_TOL = 1e-9
 
 
-def _coeff_arrays(const, cos_coeffs, sin_coeffs, d=None):
-    const = np.array(const, dtype=float)
-    if const.ndim != 2 or const.shape[0] != const.shape[1]:
-        raise ValueError("constant term must be a square matrix")
-    n = const.shape[0]
-    if d is not None and n != d:
-        raise ValueError(f"expected dimension {d}, got {n}")
-    if cos_coeffs is None and sin_coeffs is None:
-        cos = np.zeros((0, n, n))
-        sin = np.zeros((0, n, n))
-    else:
-        cos = np.zeros((0, n, n)) if cos_coeffs is None else np.array(cos_coeffs, float)
-        sin = np.zeros((0, n, n)) if sin_coeffs is None else np.array(sin_coeffs, float)
-        k = max(cos.shape[0] if cos.ndim == 3 else -1, sin.shape[0] if sin.ndim == 3 else -1)
-        if cos.ndim != 3 or sin.ndim != 3:
-            raise ValueError("frequency coefficients must have shape (degree, d, d)")
-        cos = _pad_modes(cos, k)
-        sin = _pad_modes(sin, k)
-        if cos.shape[1:] != (n, n) or sin.shape[1:] != (n, n):
-            raise ValueError("frequency coefficients must have shape (degree, d, d)")
-    for arr in (const, cos, sin):
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("coefficients must be finite")
-    return const, cos, sin
-
-
 def _pad_modes(arr, k):
     if arr.shape[0] == k:
         return arr
@@ -62,89 +41,57 @@ def _pad_modes(arr, k):
     return out
 
 
-def entry_rows_to_arrays(d, rows):
-    """Parse d*d rows [c0, a1, b1, ..., aK, bK] into (const, cos, sin) arrays."""
-    rows = [np.asarray(r, dtype=float) for r in rows]
-    if len(rows) != d * d:
-        raise ValueError(f"expected {d * d} coefficient rows, got {len(rows)}")
-    lengths = {len(r) for r in rows}
-    if len(lengths) != 1 or (next(iter(lengths)) % 2) != 1:
-        raise ValueError("coefficient rows must share an odd length 1 + 2*degree")
-    k = (next(iter(lengths)) - 1) // 2
-    const = np.empty((d, d))
-    cos = np.zeros((k, d, d))
-    sin = np.zeros((k, d, d))
-    for idx, row in enumerate(rows):
-        i, j = divmod(idx, d)
-        const[i, j] = row[0]
-        cos[:, i, j] = row[1::2]
-        sin[:, i, j] = row[2::2]
-    return const, cos, sin
+class TrigPolynomial:
+    """Trigonometric polynomial t -> c0 + sum_m a_m cos(2 pi m t) + b_m sin(2 pi m t).
 
-
-class TrigMatrixMap:
-    """Matrix of trigonometric polynomials t -> c0 + sum_m a_m cos(2 pi m t) + b_m sin(2 pi m t).
-
-    Parameters
-    ----------
-    const : (d, d) array
-        Constant (frequency-zero) coefficients.
-    cos_coeffs, sin_coeffs : (degree, d, d) arrays, optional
-        Cosine and sine coefficients per frequency m = 1..degree.
-    group_tag : str
-        One of GENERAL, SL2, DIAGONAL, SCHRODINGER.  Construction certifies
-        invertibility (|det| > 1e-10) on a 1024-point grid, and the extra
-        structural invariant of the declared tag.
+    ``const`` sets the value shape: ``()`` for a scalar potential, ``(d, d)``
+    for a matrix map or a perturbation direction.  ``cos_coeffs`` and
+    ``sin_coeffs`` have shape (degree,) + that shape, one slice per frequency
+    m = 1..degree; the shorter one is padded with zero modes.
     """
 
-    def __init__(self, const, cos_coeffs=None, sin_coeffs=None, group_tag=GENERAL):
-        self.const, self.cos_coeffs, self.sin_coeffs = _coeff_arrays(
-            const, cos_coeffs, sin_coeffs
-        )
-        if group_tag not in GROUP_TAGS:
-            raise GroupTagError(f"unknown group tag {group_tag!r}")
-        self.group_tag = group_tag
-        self._certify()
-
-    @property
-    def dim(self):
-        return self.const.shape[0]
+    def __init__(self, const, cos_coeffs=None, sin_coeffs=None):
+        const = np.array(const, dtype=float)
+        shape = const.shape
+        modes = [np.zeros((0,) + shape) if c is None else np.array(c, dtype=float)
+                 for c in (cos_coeffs, sin_coeffs)]
+        if any(c.ndim != const.ndim + 1 or c.shape[1:] != shape for c in modes):
+            raise ValueError(f"frequency coefficients must have shape (degree,) + {shape}")
+        k = max(c.shape[0] for c in modes)
+        cos, sin = (_pad_modes(c, k) for c in modes)
+        for arr in (const, cos, sin):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError("coefficients must be finite")
+        self.const, self.cos_coeffs, self.sin_coeffs = const, cos, sin
 
     @property
     def degree(self):
         return self.cos_coeffs.shape[0]
 
-    @property
-    def potential(self):
-        """The entry phi of a SCHRODINGER map [[phi, -1], [1, 0]]; None otherwise."""
-        if self.group_tag != SCHRODINGER:
-            return None
-        return ScalarPotential(self.const[0, 0], self.cos_coeffs[:, 0, 0],
-                               self.sin_coeffs[:, 0, 0])
-
     @classmethod
-    def constant(cls, matrix, group_tag=GENERAL):
-        return cls(np.asarray(matrix, dtype=float), group_tag=group_tag)
+    def from_rows(cls, shape, rows, **kw):
+        """Build from one row [c0, a1, b1, ..., aK, bK] per entry, in row-major order."""
+        shape = tuple(shape)
+        ragged = len({np.shape(r) for r in rows}) != 1
+        table = np.empty(0) if ragged else np.array(rows, dtype=float)
+        n = math.prod(shape)
+        if table.ndim != 2 or len(table) != n or table.shape[1] % 2 != 1:
+            raise ValueError(f"need {n} coefficient rows of one odd length 1 + 2*degree")
+        return cls(table[:, 0].reshape(shape),
+                   table[:, 1::2].T.reshape((-1,) + shape),
+                   table[:, 2::2].T.reshape((-1,) + shape), **kw)
 
-    @classmethod
-    def from_entry_rows(cls, d, rows, group_tag=GENERAL):
-        """Build from d*d rows [c0, a1, b1, ..., aK, bK] in row-major entry order."""
-        return cls(*entry_rows_to_arrays(d, rows), group_tag=group_tag)
-
-    def to_entry_rows(self):
-        d, k = self.dim, self.degree
-        rows = []
-        for i in range(d):
-            for j in range(d):
-                row = np.empty(1 + 2 * k)
-                row[0] = self.const[i, j]
-                row[1::2] = self.cos_coeffs[:, i, j]
-                row[2::2] = self.sin_coeffs[:, i, j]
-                rows.append(row.tolist())
-        return rows
+    def to_rows(self):
+        """One row [c0, a1, b1, ..., aK, bK] per entry, in row-major order."""
+        n, k = self.const.size, self.degree
+        table = np.empty((n, 1 + 2 * k))
+        table[:, 0] = self.const.ravel()
+        table[:, 1::2] = self.cos_coeffs.reshape(k, n).T
+        table[:, 2::2] = self.sin_coeffs.reshape(k, n).T
+        return table.tolist()
 
     def eval_many(self, ts):
-        """Evaluate at an array of circle points; returns shape (n, d, d)."""
+        """Evaluate at an array of circle points; returns shape (n,) + value shape."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         out = np.empty((len(ts),) + self.const.shape)
         out[:] = self.const
@@ -156,31 +103,74 @@ class TrigMatrixMap:
         return out
 
     def eval(self, t):
-        """Evaluate at a single circle point; returns shape (d, d)."""
+        """Evaluate at a single circle point; returns the value shape."""
         return self.eval_many(np.array([t]))[0]
 
     def __add__(self, other):
-        if not isinstance(other, TrigMatrixMap):
+        if not isinstance(other, TrigPolynomial):
             return NotImplemented
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch")
+        if other.const.shape != self.const.shape:
+            raise ValueError("shape mismatch")
         k = max(self.degree, other.degree)
-        tag = DIAGONAL if self.group_tag == other.group_tag == DIAGONAL else GENERAL
-        return TrigMatrixMap(
+        return _combine(
+            (self, other),
             self.const + other.const,
             _pad_modes(self.cos_coeffs, k) + _pad_modes(other.cos_coeffs, k),
             _pad_modes(self.sin_coeffs, k) + _pad_modes(other.sin_coeffs, k),
-            group_tag=tag,
         )
 
     def __mul__(self, scalar):
         c = float(scalar)
-        tag = DIAGONAL if self.group_tag == DIAGONAL else GENERAL
-        return TrigMatrixMap(
-            c * self.const, c * self.cos_coeffs, c * self.sin_coeffs, group_tag=tag
-        )
+        return _combine((self,), c * self.const, c * self.cos_coeffs, c * self.sin_coeffs)
 
     __rmul__ = __mul__
+
+    def __neg__(self):
+        return _combine((self,), -self.const, -self.cos_coeffs, -self.sin_coeffs)
+
+
+def _combine(terms, const, cos, sin):
+    """A sum or multiple of ``terms``: a plain polynomial unless a map is among
+    them, then a certified map, DIAGONAL only if every term is a DIAGONAL map."""
+    tags = [getattr(term, "group_tag", None) for term in terms]
+    if not any(tags):
+        return TrigPolynomial(const, cos, sin)
+    tag = DIAGONAL if all(t == DIAGONAL for t in tags) else GENERAL
+    return TrigMatrixMap(const, cos, sin, group_tag=tag)
+
+
+class TrigMatrixMap(TrigPolynomial):
+    """A (d, d) :class:`TrigPolynomial` certified as one map of a cocycle.
+
+    ``group_tag`` is one of GENERAL, SL2, DIAGONAL, SCHRODINGER.
+    Construction certifies invertibility (|det| > 1e-10) on a 1024-point
+    grid, and the extra structural invariant of the declared tag.
+    """
+
+    def __init__(self, const, cos_coeffs=None, sin_coeffs=None, group_tag=GENERAL):
+        super().__init__(const, cos_coeffs, sin_coeffs)
+        if self.const.ndim != 2 or self.const.shape[0] != self.const.shape[1]:
+            raise ValueError("constant term must be a square matrix")
+        if group_tag not in GROUP_TAGS:
+            raise GroupTagError(f"unknown group tag {group_tag!r}")
+        self.group_tag = group_tag
+        self._certify()
+
+    @property
+    def dim(self):
+        return self.const.shape[0]
+
+    @property
+    def potential(self):
+        """The entry phi of a SCHRODINGER map [[phi, -1], [1, 0]]; None otherwise."""
+        if self.group_tag != SCHRODINGER:
+            return None
+        return TrigPolynomial(self.const[0, 0], self.cos_coeffs[:, 0, 0],
+                              self.sin_coeffs[:, 0, 0])
+
+    @classmethod
+    def constant(cls, matrix, group_tag=GENERAL):
+        return cls(np.asarray(matrix, dtype=float), group_tag=group_tag)
 
     def _certify(self):
         d = self.dim
@@ -218,75 +208,9 @@ class TrigMatrixMap:
                 )
 
 
-class ScalarPotential:
-    """Scalar trigonometric polynomial on the circle (same layout as one map entry)."""
-
-    def __init__(self, const=0.0, cos_coeffs=None, sin_coeffs=None):
-        self.const = float(const)
-        self.cos_coeffs = np.zeros(0) if cos_coeffs is None else np.asarray(cos_coeffs, float).copy()
-        self.sin_coeffs = np.zeros(0) if sin_coeffs is None else np.asarray(sin_coeffs, float).copy()
-        k = max(len(self.cos_coeffs), len(self.sin_coeffs))
-        self.cos_coeffs = np.pad(self.cos_coeffs, (0, k - len(self.cos_coeffs)))
-        self.sin_coeffs = np.pad(self.sin_coeffs, (0, k - len(self.sin_coeffs)))
-        if not (math.isfinite(self.const) and np.all(np.isfinite(self.cos_coeffs))
-                and np.all(np.isfinite(self.sin_coeffs))):
-            raise ValueError("potential coefficients must be finite")
-
-    @property
-    def degree(self):
-        return len(self.cos_coeffs)
-
-    @classmethod
-    def from_row(cls, row):
-        row = np.asarray(row, dtype=float)
-        if row.ndim != 1 or len(row) % 2 != 1:
-            raise ValueError("potential row must be [c0, a1, b1, ..., aK, bK]")
-        return cls(row[0], row[1::2], row[2::2])
-
-    def to_row(self):
-        row = np.empty(1 + 2 * self.degree)
-        row[0] = self.const
-        row[1::2] = self.cos_coeffs
-        row[2::2] = self.sin_coeffs
-        return row.tolist()
-
-    def eval_many(self, ts):
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        out = np.full(len(ts), self.const)
-        k = self.degree
-        if k:
-            phases = 2.0 * np.pi * np.outer(ts, np.arange(1, k + 1))
-            out += np.cos(phases) @ self.cos_coeffs
-            out += np.sin(phases) @ self.sin_coeffs
-        return out
-
-    def eval(self, t):
-        return float(self.eval_many(np.array([t]))[0])
-
-    def __neg__(self):
-        return ScalarPotential(-self.const, -self.cos_coeffs, -self.sin_coeffs)
-
-    def __add__(self, other):
-        if not isinstance(other, ScalarPotential):
-            return NotImplemented
-        k = max(self.degree, other.degree)
-        pad = lambda a: np.pad(a, (0, k - len(a)))
-        return ScalarPotential(
-            self.const + other.const,
-            pad(self.cos_coeffs) + pad(other.cos_coeffs),
-            pad(self.sin_coeffs) + pad(other.sin_coeffs),
-        )
-
-    def __mul__(self, scalar):
-        s = float(scalar)
-        return ScalarPotential(s * self.const, s * self.cos_coeffs, s * self.sin_coeffs)
-
-    __rmul__ = __mul__
-
-
 def shift_potential(potential, offset):
     """Add a constant to a scalar potential."""
-    return ScalarPotential(
+    return TrigPolynomial(
         potential.const + float(offset), potential.cos_coeffs, potential.sin_coeffs
     )
 
@@ -317,24 +241,6 @@ def rescale_diagonal(mat_map, factors):
         mat_map.cos_coeffs * scale,
         mat_map.sin_coeffs * scale,
         group_tag=DIAGONAL,
-    )
-
-
-def perturbed_map(mat_map, const, cos_coeffs=None, sin_coeffs=None, scale=1.0):
-    """The map t -> A(t) + scale * B(t) for a raw coefficient direction B.
-
-    The direction enters as plain coefficient arrays rather than a map of
-    its own: a direction may be singular everywhere, only the sum has to
-    pass the invertibility certificate.
-    """
-    dc, dcos, dsin = _coeff_arrays(const, cos_coeffs, sin_coeffs, d=mat_map.dim)
-    k = max(mat_map.degree, dcos.shape[0])
-    s = float(scale)
-    return TrigMatrixMap(
-        mat_map.const + s * dc,
-        _pad_modes(mat_map.cos_coeffs, k) + s * _pad_modes(dcos, k),
-        _pad_modes(mat_map.sin_coeffs, k) + s * _pad_modes(dsin, k),
-        group_tag=GENERAL,
     )
 
 

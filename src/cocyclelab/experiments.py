@@ -22,8 +22,9 @@ keep loading.
 
 Kind-specific fields: ``energies`` (list, or {min, max, steps}) for
 sweep-energy; ``epsilons``, ``perturbation`` ({"coeffs": d*d rows}) and
-``perturb_index`` for continuity; ``certify_base`` (default true) toggles
-the certification flag column of the continuity table.
+``perturb_index`` for continuity.  The direction map B of
+``perturbation`` may be singular: only each perturbed map A + eps B has to
+pass the invertibility certificate.
 
 Numeric fields go through the readers of :mod:`cocyclelab.fileio`: integer
 fields (``seed``, the integer knobs, ``steps``, ``perturb_index``) must be
@@ -46,9 +47,9 @@ from .certify import (DEFAULT_FRAC_THRESHOLD, DEFAULT_GRID_N, DEFAULT_N_ITER,
                       DEFAULT_N_REP, DEFAULT_N_SAMPLES, DEFAULT_REL_GAP,
                       DEFAULT_SEP_TOL, DEFAULT_ZERO_TOL, pinching_d, twisting_d,
                       weakly_pinching, weakly_twisting)
-from .cocycle import (DIAGONAL, SCHRODINGER, SL2, RandomProduct, ScalarPotential,
-                      entry_rows_to_arrays, make_schrodinger, perturbed_map,
-                      rescale_diagonal, right_rotate, shift_potential)
+from .cocycle import (DIAGONAL, SCHRODINGER, SL2, RandomProduct, TrigPolynomial,
+                      make_schrodinger, rescale_diagonal, right_rotate,
+                      shift_potential)
 from .errors import ConfigError, UnsupportedPipelineError
 from .fileio import (file_digest, load_cocycle, read_int, read_number,
                      read_numbers, read_rows)
@@ -89,9 +90,8 @@ class ExperimentConfig:
     out: str = None
     energies: object = None
     epsilons: tuple = None
-    perturbation: tuple = None
+    perturbation: TrigPolynomial = None
     perturb_index: int = None
-    certify_base: bool = True
     digest: str = None
 
     def provenance(self):
@@ -120,12 +120,12 @@ def _parse_energies(node):
 
 
 def _parse_perturbation(node, d):
-    """(const, cos, sin) arrays of a continuity direction map."""
+    """The (d, d) direction polynomial of a continuity probe."""
     if not isinstance(node, dict):
         raise ConfigError("continuity needs a 'perturbation' object with "
                           "'coeffs' rows for the direction map")
-    return entry_rows_to_arrays(d, read_rows(node.get("coeffs"),
-                                             "perturbation coeffs", d * d))
+    rows = read_rows(node.get("coeffs"), "perturbation coeffs", d * d)
+    return TrigPolynomial.from_rows((d, d), rows)
 
 
 def load_experiment_config(path, kind, seed=None, out=None):
@@ -175,10 +175,6 @@ def load_experiment_config(path, kind, seed=None, out=None):
         if read_int(perturb_index, "perturb_index", 0) >= n_symbols:
             raise ConfigError(f"perturb_index must name a symbol in [0, {n_symbols})")
 
-    certify_base = doc.get("certify_base", True)
-    if not isinstance(certify_base, bool):
-        raise ConfigError("certify_base must be a boolean")
-
     if out is None:
         out = doc.get("out")
     if out is not None and not isinstance(out, str):
@@ -188,7 +184,7 @@ def load_experiment_config(path, kind, seed=None, out=None):
         kind=kind, cocycle=cocycle, seed=seed, knobs=knobs, out=out,
         energies=energies, epsilons=epsilons,
         perturbation=perturbation, perturb_index=perturb_index,
-        certify_base=certify_base, digest=file_digest(path),
+        digest=file_digest(path),
     )
 
 
@@ -294,20 +290,18 @@ def cmd_continuity_probe(config):
     kn = config.knobs
     idx = config.perturb_index
 
-    certified = 0
-    if config.certify_base:
-        try:
-            certs = certification_pipeline(product, config.seed, kn)
-            certified = int(all(c.passed for c in certs))
-        except UnsupportedPipelineError:
-            certified = 0
+    try:
+        certs = certification_pipeline(product, config.seed, kn)
+        certified = int(all(c.passed for c in certs))
+    except UnsupportedPipelineError:
+        certified = 0
 
     base = estimate_spectrum(product, kn["n_iter"], kn["n_rep"], config.seed,
                              kn["qr_period"])
     rows = [[0.0] + list(base.values) + [0.0, certified]]
     for eps in config.epsilons:
-        perturbed = _with_map(product, idx, perturbed_map(
-            product.maps[idx], *config.perturbation, scale=eps))
+        perturbed = _with_map(product, idx,
+                              product.maps[idx] + eps * config.perturbation)
         est = estimate_spectrum(perturbed, kn["n_iter"], kn["n_rep"], config.seed,
                                 kn["qr_period"])
         deviation = float(np.max(np.abs(est.values - base.values)))
@@ -333,7 +327,7 @@ def fejer_bump(center, degree):
         raise ValueError("bump degree must be >= 1")
     amp = 2.0 * (1.0 - np.arange(1, k + 1) / (k + 1)) / (k + 1)
     phase = 2.0 * np.pi * np.arange(1, k + 1) * float(center)
-    return ScalarPotential(1.0 / (k + 1), amp * np.cos(phase), amp * np.sin(phase))
+    return TrigPolynomial(1.0 / (k + 1), amp * np.cos(phase), amp * np.sin(phase))
 
 
 def _with_map(product, idx, new_map):

@@ -19,15 +19,17 @@ Schema, all keys top level:
 ``potentials``
     Optional list of k+1 rows in the same layout: the scalar potentials
     u_s.  When ``maps`` is omitted, map s is the Schrodinger transfer map
-    of phi_s = energy - u_s.
+    of phi_s = energy - u_s.  The rows only build or check the maps; the
+    loaded record does not keep them.
 ``energy``
     Optional finite number E, default 0.0 (used to build or check maps from
     potentials; energy sweeps read u_s = E - phi_s off the maps).
 
-When a file has both ``maps`` and ``potentials``, every SCHRODINGER map
-must equal the transfer map of energy - u_s to within
-``SCHRODINGER_MATCH_TOL`` per coefficient; the loader rejects the file
-otherwise.
+When a document has both ``maps`` and ``potentials``, every SCHRODINGER
+map must equal the transfer map of energy - u_s to within
+``SCHRODINGER_MATCH_TOL`` per coefficient.  One check enforces this on
+both sides: the loader rejects such a file, and the writer raises before
+it writes one.
 
 Every field is read by the shared readers below, which the experiment
 config loader uses too: integer fields (``d``, ``k``, ``degree``) must be
@@ -46,8 +48,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .cocycle import (GROUP_TAGS, SCHRODINGER, RandomProduct, ScalarPotential,
-                      TrigMatrixMap, make_schrodinger, shift_potential)
+from .cocycle import (GROUP_TAGS, SCHRODINGER, RandomProduct, TrigMatrixMap,
+                      TrigPolynomial, make_schrodinger, shift_potential)
 from .errors import ConfigError
 
 SCHRODINGER_MATCH_TOL = 1e-12
@@ -58,7 +60,6 @@ class CocycleFile:
     """A parsed cocycle definition plus its provenance digest."""
 
     product: RandomProduct
-    potentials: list
     energy: float
     digest: str
     path: str
@@ -68,7 +69,25 @@ def file_digest(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _check_schrodinger_match(s, mat_map, potential, energy):
+    """Reject a SCHRODINGER map s that is not the transfer map of energy - u_s."""
+    if mat_map.group_tag != SCHRODINGER:
+        return
+    gap = mat_map.potential + -shift_potential(-potential, energy)
+    if np.abs(gap.to_rows()).max() > SCHRODINGER_MATCH_TOL:
+        raise ConfigError(
+            f"map {s}: coefficients differ from the Schrodinger map "
+            f"of energy - potentials[{s}] at energy {energy!r}"
+        )
+
+
 def product_to_dict(product, potentials=None, energy=None):
+    """The schema dict of a tuple; raises ConfigError where the loader would."""
+    if potentials is not None:
+        if len(potentials) != product.n_symbols:
+            raise ConfigError(f"need one potential per map, got {len(potentials)}")
+        for s, (m, u) in enumerate(zip(product.maps, potentials)):
+            _check_schrodinger_match(s, m, u, 0.0 if energy is None else float(energy))
     doc = {
         "d": product.dim,
         "k": product.n_symbols - 1,
@@ -78,13 +97,13 @@ def product_to_dict(product, potentials=None, energy=None):
             {
                 "group_tag": m.group_tag,
                 "degree": m.degree,
-                "coeffs": m.to_entry_rows(),
+                "coeffs": m.to_rows(),
             }
             for m in product.maps
         ],
     }
     if potentials is not None:
-        doc["potentials"] = [p.to_row() for p in potentials]
+        doc["potentials"] = [row for p in potentials for row in p.to_rows()]
     if energy is not None:
         doc["energy"] = float(energy)
     return doc
@@ -127,7 +146,7 @@ def read_rows(value, name, count, same_length=True):
 
 
 def product_from_dict(doc):
-    """Build (RandomProduct, potentials, energy) from a schema dict."""
+    """Build (RandomProduct, energy) from a schema dict."""
     if not isinstance(doc, dict):
         raise ConfigError("a cocycle definition must be a JSON object")
     d = read_int(doc.get("d"), "d", 1)
@@ -143,7 +162,7 @@ def product_from_dict(doc):
     potentials = None
     if "potentials" in doc:
         rows = read_rows(doc["potentials"], "potentials", n, same_length=False)
-        potentials = [ScalarPotential.from_row(r) for r in rows]
+        potentials = [TrigPolynomial.from_rows((), [r]) for r in rows]
 
     if "maps" in doc:
         specs = doc["maps"]
@@ -160,20 +179,15 @@ def product_from_dict(doc):
             degree = read_int(spec.get("degree"), f"maps[{s}] degree", 0)
             coeffs = read_rows(spec.get("coeffs"), f"maps[{s}] coeffs", d * d)
             try:
-                m = TrigMatrixMap.from_entry_rows(d, coeffs, group_tag=tag)
+                m = TrigMatrixMap.from_rows((d, d), coeffs, group_tag=tag)
             except ValueError as exc:
                 raise ConfigError(f"map {s}: {exc}") from exc
             if m.degree != degree:
                 raise ConfigError(
                     f"map {s}: declared degree {degree} but rows encode {m.degree}"
                 )
-            if tag == SCHRODINGER and potentials is not None:
-                gap = m.potential + -shift_potential(-potentials[s], energy)
-                if np.abs(gap.to_row()).max() > SCHRODINGER_MATCH_TOL:
-                    raise ConfigError(
-                        f"map {s}: coefficients differ from the Schrodinger map "
-                        f"of energy - potentials[{s}] at energy {energy!r}"
-                    )
+            if potentials is not None:
+                _check_schrodinger_match(s, m, potentials[s], energy)
             maps.append(m)
     else:
         if potentials is None:
@@ -186,7 +200,7 @@ def product_from_dict(doc):
         product = RandomProduct(angles, maps, weights)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return product, potentials, energy
+    return product, energy
 
 
 def load_cocycle(path):
@@ -195,10 +209,9 @@ def load_cocycle(path):
         doc = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read cocycle definition {path}: {exc}") from exc
-    product, potentials, energy = product_from_dict(doc)
+    product, energy = product_from_dict(doc)
     return CocycleFile(
         product=product,
-        potentials=potentials,
         energy=energy,
         digest=file_digest(path),
         path=str(path),

@@ -56,12 +56,12 @@ def test_criterion_02_birkhoff_integral_oracle():
 def test_criterion_03_constant_potential_exponent():
     worst = 0.0
     for energy in (2.5, 3.0, 5.0):
-        mat = cl.make_schrodinger(cl.ScalarPotential(energy, [0.0], [0.0]))
+        mat = cl.make_schrodinger(cl.TrigPolynomial(energy, [0.0], [0.0]))
         product = cl.RandomProduct([cl.GOLDEN_MEAN], [mat])
         est = cl.estimate_top_exponent(product, 20_000, 8, seed=5)
         want = math.log((abs(energy) + math.sqrt(energy * energy - 4.0)) / 2.0)
         worst = max(worst, abs(est.top - want))
-    mat = cl.make_schrodinger(cl.ScalarPotential(0.0, [0.0], [0.0]))
+    mat = cl.make_schrodinger(cl.TrigPolynomial(0.0, [0.0], [0.0]))
     product = cl.RandomProduct([cl.GOLDEN_MEAN], [mat])
     est = cl.estimate_top_exponent(product, 20_000, 8, seed=5)
     zero_ok = abs(est.top) <= 3.0 * float(est.stderr[0])

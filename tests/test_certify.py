@@ -375,8 +375,8 @@ def _tangency_tuple():
     # A1 = [[1 - cos 2 pi t, 1], [-1, 1]] after A0 = I: the (1, 1) entry of the
     # holonomy has a double zero at t = 0, every minor stays log-integrable
     a0 = cl.TrigMatrixMap.constant(np.eye(2))
-    a1 = cl.TrigMatrixMap.from_entry_rows(
-        2, [[1.0, -1.0, 0.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    a1 = cl.TrigMatrixMap.from_rows(
+        (2, 2), [[1.0, -1.0, 0.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     return cl.RandomProduct([cl.GOLDEN_MEAN, cl.GOLDEN_MEAN], [a0, a1])
 
 

@@ -151,7 +151,7 @@ def test_continuity_epsilon_ladder(tmp_path):
     out = tmp_path / "cont.csv"
     cfg = write_json(tmp_path / "cont.json",
                      {"kind": "continuity", "cocycle": "pair.json", "seed": 4,
-                      "epsilons": [0.1, 0.01], "certify_base": False,
+                      "epsilons": [0.1, 0.01],
                       "perturbation": {"coeffs": [[0.0, 0.3, 0.0],
                                                   [0.1, 0.0, 0.2],
                                                   [0.2, 0.1, 0.0],
@@ -166,7 +166,8 @@ def test_continuity_epsilon_ladder(tmp_path):
     assert table.rows[0][3] == 0.0
     deviations = {row[0]: row[3] for row in table.rows}
     assert 0.0 < deviations[0.01] < deviations[0.1]
-    assert all(row[4] == 0 for row in table.rows)
+    # the axis pair passes WEAK_PINCH and WEAK_TWIST
+    assert all(row[4] == 1 for row in table.rows)
 
 
 def test_perturb_search_recovers_twisting(tmp_path):
@@ -208,8 +209,14 @@ def test_error_exits(tmp_path, capsys):
     assert main(["lyapunov", "--config", str(tmp_path / "nope.json")]) == 1
     assert "error:" in capsys.readouterr().err
 
+    # an invalid tuple file: its maps are built at energy 3, but it names no
+    # energy, so its potentials read as energy 0; the errors below come first
     product, (u0, u1) = schrodinger_pair()
-    cl.save_cocycle(product, tmp_path / "schro.json", potentials=[u0, u1])
+    doc = cl.fileio.product_to_dict(product)
+    doc["potentials"] = [u.to_rows()[0] for u in (u0, u1)]
+    write_json(tmp_path / "schro.json", doc)
+    with pytest.raises(cl.ConfigError, match="map 0"):
+        cl.load_cocycle(tmp_path / "schro.json")
     cfg = write_json(tmp_path / "kind.json",
                      {"kind": "lyapunov", "cocycle": "schro.json", "seed": 1})
     assert main(["certify", "--config", str(cfg)]) == 1
@@ -247,8 +254,7 @@ def test_error_exits(tmp_path, capsys):
 
 def test_malformed_continuity_fields_exit_cleanly(tmp_path, capsys):
     cl.save_cocycle(axis_pair(0.125), tmp_path / "pair.json")
-    base = {"kind": "continuity", "cocycle": "pair.json", "seed": 4,
-            "certify_base": False, **FAST}
+    base = {"kind": "continuity", "cocycle": "pair.json", "seed": 4, **FAST}
 
     cfg = write_json(tmp_path / "eps.json",
                      {**base, "epsilons": 0.1,
@@ -269,7 +275,7 @@ def test_schrodinger_search_family_does_not_depend_on_the_file(tmp_path):
     cl.save_cocycle(product, tmp_path / "maps_only.json")
     loaded = [cl.load_cocycle(tmp_path / name).product
               for name in ("with.json", "maps_only.json")]
-    assert loaded[0].maps[1].potential.to_row() == loaded[1].maps[1].potential.to_row()
+    assert loaded[0].maps[1].potential.to_rows() == loaded[1].maps[1].potential.to_rows()
     failing = cl.Certificate(kind="WEAK_TWIST", verdict="FAIL", margin=-0.1)
     families = [[family for family, _, _ in
                  experiments._search_candidates(p, failing, 0.1, 2, seed=1)]
@@ -301,6 +307,30 @@ def test_parallel_is_retired(schro_setup, capsys):
     assert without_digest(out_old) == without_digest(out_plain)
     assert (cl.ResultTable.from_csv(out_old).provenance["config_digest"]
             == cl.file_digest(old_cfg))
+
+
+def test_certify_base_is_retired(tmp_path):
+    """continuity always certifies the base tuple; a config still carrying
+    certify_base loads and writes the same table."""
+    cl.save_cocycle(axis_pair(0.125), tmp_path / "pair.json")
+    doc = {"kind": "continuity", "cocycle": "pair.json", "seed": 4,
+           "epsilons": [0.1], "perturbation": {"coeffs": [[0.0, 0.3, 0.0]] * 4},
+           **FAST}
+    cfg = write_json(tmp_path / "plain.json", doc)
+    old_cfg = write_json(tmp_path / "old.json", {**doc, "certify_base": False})
+    assert not hasattr(experiments.load_experiment_config(old_cfg, "continuity"),
+                       "certify_base")
+    out_plain = tmp_path / "plain.csv"
+    out_old = tmp_path / "old.csv"
+    assert main(["continuity", "--config", str(cfg), "--out", str(out_plain)]) == 0
+    assert main(["continuity", "--config", str(old_cfg), "--out", str(out_old)]) == 0
+
+    def without_digest(path):
+        return [line for line in path.read_text().splitlines()
+                if not line.startswith("# config_digest")]
+
+    assert without_digest(out_old) == without_digest(out_plain)
+    assert [row[-1] for row in cl.ResultTable.from_csv(out_old).rows] == [1, 1]
 
 
 def test_config_defaults_are_the_estimator_defaults():

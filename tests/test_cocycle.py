@@ -9,6 +9,7 @@ import cocyclelab as cl
 from util import SILVER, random_tuple
 
 word_strategy = st.lists(st.integers(min_value=0, max_value=1), min_size=0, max_size=40)
+coeff = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
 
 def test_eval_matches_direct_series():
@@ -16,13 +17,23 @@ def test_eval_matches_direct_series():
     const = rng.standard_normal((2, 2)) + 3.0 * np.eye(2)
     cos = 0.2 * rng.standard_normal((3, 2, 2))
     sin = 0.2 * rng.standard_normal((3, 2, 2))
-    m = cl.TrigMatrixMap(const, cos, sin)
-    for t in (0.0, 0.3, 0.77):
-        direct = const.copy()
-        for k in range(3):
-            direct += cos[k] * math.cos(2 * math.pi * (k + 1) * t)
-            direct += sin[k] * math.sin(2 * math.pi * (k + 1) * t)
-        assert np.max(np.abs(m.eval(t) - direct)) <= 1e-14
+    # the scalar case has one sine mode fewer, so it is padded with a zero mode
+    cases = [(cl.TrigMatrixMap(const, cos, sin), const, cos, sin),
+             (cl.TrigPolynomial(const[0, 0], cos[:, 0, 0], sin[:2, 0, 0]),
+              const[0, 0], cos[:, 0, 0], sin[:2, 0, 0])]
+    ts = np.array([0.0, 0.3, 0.77])
+    for p, c0, a, b in cases:
+        assert p.degree == 3
+        vals = p.eval_many(ts)
+        assert vals.shape == (3,) + np.shape(c0)
+        for t, val in zip(ts, vals):
+            direct = np.copy(c0)
+            for k in range(len(a)):
+                direct += a[k] * math.cos(2 * math.pi * (k + 1) * t)
+            for k in range(len(b)):
+                direct += b[k] * math.sin(2 * math.pi * (k + 1) * t)
+            assert np.max(np.abs(p.eval(t) - direct)) <= 1e-14
+            assert np.max(np.abs(val - direct)) <= 1e-14
 
 
 def test_entry_rows_round_trip():
@@ -30,10 +41,29 @@ def test_entry_rows_round_trip():
     rows = [list(2.0 * np.eye(3).ravel()[i : i + 1]) + list(0.1 * rng.standard_normal(4))
             for i in range(9)]
     rows = [[r[0] + (2.0 if i % 4 == 0 else 0.0)] + r[1:] for i, r in enumerate(rows)]
-    m = cl.TrigMatrixMap.from_entry_rows(3, rows)
-    assert np.allclose(m.to_entry_rows(), rows, atol=0)
+    m = cl.TrigMatrixMap.from_rows((3, 3), rows)
+    assert np.allclose(m.to_rows(), rows, atol=0)
     with pytest.raises(ValueError):
-        cl.TrigMatrixMap.from_entry_rows(2, rows)
+        cl.TrigMatrixMap.from_rows((2, 2), rows)
+    for bad in ([row[:-1] for row in rows], rows[:8] + [rows[8][:3]], []):
+        with pytest.raises(ValueError, match="odd length"):
+            cl.TrigMatrixMap.from_rows((3, 3), bad)
+
+
+@given(shape=st.sampled_from([(), (1, 1), (3, 3)]), degree=st.integers(0, 3),
+       data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_rows_round_trip(shape, degree, data):
+    n = math.prod(shape)
+    rows = [data.draw(st.lists(coeff, min_size=1 + 2 * degree, max_size=1 + 2 * degree))
+            for _ in range(n)]
+    p = cl.TrigPolynomial.from_rows(shape, rows)
+    assert p.const.shape == shape and p.degree == degree
+    assert p.to_rows() == rows
+    again = cl.TrigPolynomial.from_rows(shape, p.to_rows())
+    for a, b in ((again.const, p.const), (again.cos_coeffs, p.cos_coeffs),
+                 (again.sin_coeffs, p.sin_coeffs)):
+        assert np.array_equal(a, b)
 
 
 def test_group_tag_certification():
@@ -53,7 +83,7 @@ def test_group_tag_certification():
 
 
 def test_schrodinger_det_is_one_exactly():
-    phi = cl.ScalarPotential(3.0, [0.9, 0.0], [0.0, 0.4])
+    phi = cl.TrigPolynomial(3.0, [0.9, 0.0], [0.0, 0.4])
     m = cl.make_schrodinger(phi)
     assert m.group_tag == cl.SCHRODINGER
     vals = m.eval_many(np.linspace(0.0, 1.0, 97, endpoint=False))
@@ -63,16 +93,19 @@ def test_schrodinger_det_is_one_exactly():
 
 
 def test_scalar_potential_arithmetic():
-    u = cl.ScalarPotential(0.5, [1.0], [0.2])
-    v = cl.ScalarPotential(-0.1, [0.0, 0.3], [0.0, 0.0])
+    u = cl.TrigPolynomial(0.5, [1.0], [0.2])
+    v = cl.TrigPolynomial(-0.1, [0.0, 0.3], [0.0, 0.0])
     ts = np.linspace(0, 1, 11, endpoint=False)
     assert np.allclose((u + v).eval_many(ts), u.eval_many(ts) + v.eval_many(ts), atol=1e-15)
     assert np.allclose((2.5 * u).eval_many(ts), 2.5 * u.eval_many(ts), atol=1e-15)
     assert np.allclose((-u).eval_many(ts), -u.eval_many(ts), atol=0)
     shifted = cl.shift_potential(u, 3.0)
     assert np.allclose(shifted.eval_many(ts), u.eval_many(ts) + 3.0, atol=1e-15)
-    row = u.to_row()
-    assert cl.ScalarPotential.from_row(row).to_row() == row
+    rows = u.to_rows()
+    assert rows == [[0.5, 1.0, 0.2]]
+    assert cl.TrigPolynomial.from_rows((), rows).to_rows() == rows
+    with pytest.raises(ValueError):
+        u + cl.TrigPolynomial(np.eye(2))
 
 
 def test_map_arithmetic_and_tags():
@@ -83,8 +116,20 @@ def test_map_arithmetic_and_tags():
     assert np.allclose(both.eval(0.2), np.diag([3.0, 3.5]), atol=0)
     doubled = 2.0 * a
     assert np.allclose(doubled.eval(0.9), np.diag([4.0, 1.0]), atol=0)
+    assert doubled.group_tag == cl.DIAGONAL
+    assert (-a).group_tag == cl.DIAGONAL
     general = a + cl.TrigMatrixMap.constant([[0.0, 1.0], [-1.0, 0.0]])
     assert general.group_tag == cl.GENERAL
+    # a plain polynomial term is never certified and makes the sum GENERAL
+    plain = cl.TrigPolynomial(np.diag([1.0, 1.0]))
+    for mixed in (a + plain, plain + a):
+        assert isinstance(mixed, cl.TrigMatrixMap)
+        assert mixed.group_tag == cl.GENERAL
+        assert np.array_equal(mixed.eval(0.2), np.diag([3.0, 1.5]))
+    assert type(2.0 * plain) is cl.TrigPolynomial
+    assert type(plain + plain) is cl.TrigPolynomial
+    with pytest.raises(cl.NonInvertibleMapError):
+        a + (-a)
 
 
 def test_right_rotate_matches_matrix_product():
@@ -102,8 +147,8 @@ def test_right_rotate_matches_matrix_product():
 
 
 def test_rescale_diagonal():
-    m = cl.TrigMatrixMap.from_entry_rows(
-        2, [[2.0, 0.5, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.2]],
+    m = cl.TrigMatrixMap.from_rows(
+        (2, 2), [[2.0, 0.5, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.2]],
         group_tag=cl.DIAGONAL,
     )
     scaled = cl.rescale_diagonal(m, [3.0, 0.5])
@@ -115,10 +160,11 @@ def test_rescale_diagonal():
         cl.rescale_diagonal(m, [1.0, -1.0])
 
 
-def test_perturbed_map_accepts_singular_direction():
+def test_perturbation_accepts_singular_direction():
     base = cl.TrigMatrixMap.constant(np.diag([2.0, 0.5]))
-    direction = (np.array([[0.0, 1.0], [0.0, 0.0]]), None, None)
-    out = cl.perturbed_map(base, *direction, scale=0.25)
+    direction = cl.TrigPolynomial([[0.0, 1.0], [0.0, 0.0]])
+    out = base + 0.25 * direction
+    assert out.group_tag == cl.GENERAL
     assert np.allclose(out.eval(0.3), [[2.0, 0.25], [0.0, 0.5]], atol=0)
     # the direction alone is singular; only the sum must be invertible
     with pytest.raises(cl.NonInvertibleMapError):

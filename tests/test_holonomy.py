@@ -110,12 +110,11 @@ def test_holonomy_is_lipschitz_in_the_flipped_map():
     """The closed form is linear in the second map, with an explicit bound."""
     product = random_tuple(2, seed=21)
     rng = np.random.default_rng(0)
-    bump = cl.TrigMatrixMap(0.5 * rng.standard_normal((2, 2)),
-                            0.3 * rng.standard_normal((1, 2, 2)),
-                            0.3 * rng.standard_normal((1, 2, 2)))
+    bump = cl.TrigPolynomial(0.5 * rng.standard_normal((2, 2)),
+                             0.3 * rng.standard_normal((1, 2, 2)),
+                             0.3 * rng.standard_normal((1, 2, 2)))
     eps = 1e-4
-    moved = cl.perturbed_map(product.maps[1], eps * bump.const,
-                             eps * bump.cos_coeffs, eps * bump.sin_coeffs)
+    moved = product.maps[1] + eps * bump
     shifted = cl.RandomProduct(product.angles, [product.maps[0], moved])
 
     ts = np.linspace(0.0, 1.0, 101, endpoint=False)

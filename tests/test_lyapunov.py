@@ -56,7 +56,7 @@ def test_scale_equivariance():
 
 def test_diagonal_spectrum_birkhoff_oracle():
     # one-dimensional a(t) = 2 + cos(2 pi t): mean of log a is log((2+sqrt 3)/2)
-    m = cl.TrigMatrixMap.from_entry_rows(1, [[2.0, 1.0, 0.0]], group_tag=cl.DIAGONAL)
+    m = cl.TrigMatrixMap.from_rows((1, 1), [[2.0, 1.0, 0.0]], group_tag=cl.DIAGONAL)
     rp = cl.RandomProduct([cl.GOLDEN_MEAN], [m])
     spec = cl.diagonal_spectrum(rp)
     assert abs(spec[0] - 0.6238107163648714) <= 1e-12
@@ -66,7 +66,7 @@ def test_diagonal_spectrum_birkhoff_oracle():
 
 def test_monte_carlo_agrees_with_diagonal_route():
     rng_rows = [[2.4, 0.7, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.9, 0.0, 0.25]]
-    m0 = cl.TrigMatrixMap.from_entry_rows(2, rng_rows, group_tag=cl.DIAGONAL)
+    m0 = cl.TrigMatrixMap.from_rows((2, 2), rng_rows, group_tag=cl.DIAGONAL)
     m1 = cl.rescale_diagonal(m0, [1.5, 0.5])
     rp = cl.RandomProduct([cl.GOLDEN_MEAN, SILVER], [m0, m1])
     exact = cl.diagonal_spectrum(rp)

@@ -123,6 +123,23 @@ def test_schrodinger_maps_must_match_potentials(tmp_path):
     assert loaded.product.maps[1].potential.const == 3.0 - potentials[1].const
 
 
+def test_save_rejects_potentials_the_loader_would_reject(tmp_path):
+    # the maps are built at energy 3; without an energy the file reads as energy 0
+    product, (u0, u1) = schrodinger_pair(energy=3.0)
+    path = tmp_path / "tuple.json"
+    with pytest.raises(cl.ConfigError, match="map 0"):
+        cl.save_cocycle(product, path, potentials=[u0, u1])
+    with pytest.raises(cl.ConfigError, match="potential"):
+        cl.save_cocycle(product, path, potentials=[u0], energy=3.0)
+    assert not path.exists()
+
+    cl.save_cocycle(product, path, potentials=[u0, u1], energy=3.0)
+    loaded = cl.load_cocycle(path)
+    assert loaded.energy == 3.0 and not hasattr(loaded, "potentials")
+    again, energy = cl.fileio.product_from_dict(json.loads(path.read_text()))
+    assert energy == 3.0 and again.n_symbols == 2
+
+
 def test_weights_tolerance(tmp_path):
     product, potentials = schrodinger_pair()
     doc = cl.fileio.product_to_dict(product, potentials=potentials, energy=3.0)
@@ -161,9 +178,9 @@ def test_load_rejects_malformed(tmp_path):
     with pytest.raises(cl.ConfigError):
         cl.load_cocycle(tmp_path / "missing.json")
 
-    product, (u0, u1) = schrodinger_pair()
+    product, (u0, u1) = schrodinger_pair(energy=3.0)
     for key, value in (("potentials", 5), ("maps", 5), ("energy", None)):
-        doc = cl.fileio.product_to_dict(product, potentials=[u0, u1])
+        doc = cl.fileio.product_to_dict(product, potentials=[u0, u1], energy=3.0)
         doc[key] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(cl.ConfigError, match=key):

@@ -29,8 +29,8 @@ def axis_pair(rotation_turns=0.125):
 
 def schrodinger_pair(energy=3.0, seed=None):
     """Two-symbol Schrodinger tuple with fixed low-degree potentials."""
-    u0 = cl.ScalarPotential(0.0, [0.8], [0.0])
-    u1 = cl.ScalarPotential(0.2, [0.0], [0.5])
+    u0 = cl.TrigPolynomial(0.0, [0.8], [0.0])
+    u1 = cl.TrigPolynomial(0.2, [0.0], [0.5])
     maps = [cl.make_schrodinger(cl.shift_potential(-u, energy)) for u in (u0, u1)]
     product = cl.RandomProduct([cl.GOLDEN_MEAN, SILVER], maps)
     return product, (u0, u1)
