@@ -219,6 +219,8 @@ def weakly_twisting(product, n_samples=DEFAULT_N_SAMPLES, sep_tol=DEFAULT_SEP_TO
         raise ValueError("weakly_twisting handles 2x2 tuples")
     if product.n_symbols < 2:
         raise ValueError("weakly_twisting needs symbols 0 and 1")
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
     ts = rng.random(n_samples)
     offset = homoclinic_base_holonomy(product.angles[0], product.angles[1])

@@ -64,9 +64,17 @@ def as_word(word, n_symbols):
 
 def _wrapped_cumulative(t0, steps):
     # extended precision keeps the endpoint of long orbits within ~1e-15
-    # of the exact rational orbit even for words of length 1e4
-    acc = np.cumsum(steps.astype(np.longdouble)) + np.longdouble(t0)
-    acc -= np.floor(acc)
+    # of the exact rational orbit even for words of length 1e4.  The wrap
+    # takes modf, several times cheaper than a longdouble floor.  For
+    # |acc| < 2**63 the fractional part, and frac + 1 of a negative one, are
+    # exactly representable, so this is acc - floor(acc) bit for bit; the
+    # -0.0 that modf gives for a negative or signed-zero integer acc becomes
+    # +0.0 in the addition, as acc - floor(acc) gives there.  Working in
+    # place holds two longdouble arrays at a time, as the floor did.
+    acc = np.cumsum(steps, dtype=np.longdouble)
+    acc += np.longdouble(t0)
+    np.modf(acc, out=(acc, np.empty_like(acc)))
+    acc += acc < 0.0
     out = acc.astype(float)
     out[out >= 1.0] = 0.0
     return out

@@ -91,15 +91,22 @@ class TrigPolynomial:
         return table.tolist()
 
     def eval_many(self, ts):
-        """Evaluate at an array of circle points; returns shape (n,) + value shape."""
+        """Evaluate at an array of circle points; returns shape (n,) + value shape.
+
+        The (n, degree) cosine and sine phases multiply (degree, value size)
+        views of the coefficients and accumulate into a flat (n, value size)
+        view of the result, so an empty ``ts`` gives shape (0,) + value shape.
+        """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         out = np.empty((len(ts),) + self.const.shape)
         out[:] = self.const
         k = self.degree
         if k:
+            size = self.const.size
+            flat = out.reshape(len(ts), size)
             phases = 2.0 * np.pi * np.outer(ts, np.arange(1, k + 1))
-            out += np.tensordot(np.cos(phases), self.cos_coeffs, axes=(1, 0))
-            out += np.tensordot(np.sin(phases), self.sin_coeffs, axes=(1, 0))
+            flat += np.cos(phases) @ self.cos_coeffs.reshape(k, size)
+            flat += np.sin(phases) @ self.sin_coeffs.reshape(k, size)
         return out
 
     def eval(self, t):

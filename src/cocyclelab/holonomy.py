@@ -127,17 +127,27 @@ def _unit_products(mats):
 
     ``mats`` has shape (..., n, d, d) and the result (..., d, d).  Adjacent
     factors are multiplied in pairs, an odd last factor is carried to the
-    next pass, and every pair product is rescaled to unit norm, so no
-    product depth can overflow.
+    next pass (an even count needs no copy), and every pair product is
+    rescaled to unit norm, so no product depth can overflow.
     """
     stack = np.asarray(mats, dtype=float)
     while stack.shape[-3] > 1:
         n = stack.shape[-3]
         pairs = np.matmul(stack[..., 1::2, :, :], stack[..., 0:n - 1:2, :, :])
-        pairs /= np.linalg.norm(pairs, axis=(-2, -1), keepdims=True)
-        stack = np.concatenate([pairs, stack[..., n - n % 2:, :, :]], axis=-3)
+        pairs /= _frobenius(pairs)
+        stack = pairs if n % 2 == 0 else np.concatenate(
+            [pairs, stack[..., n - 1:, :, :]], axis=-3)
     product = stack[..., 0, :, :]
-    return product / np.linalg.norm(product, axis=(-2, -1), keepdims=True)
+    return product / _frobenius(product)
+
+
+def _frobenius(mats):
+    """Frobenius norms of a (..., d, d) stack, shape (..., 1, 1).
+
+    This is the reduction ``np.linalg.norm(mats, axis=(-2, -1))`` makes, so
+    the values are the same bit for bit, without its per-call dispatch.
+    """
+    return np.sqrt(np.add.reduce(mats * mats, axis=(-2, -1), keepdims=True))
 
 
 def oseledets_directions(angle, mat_map, t, n_pullback=DEFAULT_PULLBACK,
@@ -159,15 +169,19 @@ def oseledets_directions(angle, mat_map, t, n_pullback=DEFAULT_PULLBACK,
     t = wrap_unit(t)
     n2 = 2 * n_pullback
 
-    past = base_orbit([angle], constant_word(n2), rotate(t, -n2 * angle))
-    future = base_orbit([angle], constant_word(n2), t)
+    word = constant_word(n2)
+    past = base_orbit([angle], word, rotate(t, -n2 * angle))
+    future = base_orbit([angle], word, t)
     # pullback points drift from exact multiples of the angle only at the
     # 1e-13 level, which the direction field does not resolve
-    steps = np.stack([mat_map.eval_many(past[:-1]), mat_map.eval_many(future[:-1])])
+    steps = mat_map.eval_many(np.concatenate([past[:-1], future[:-1]]))
     # halves: past first n, past last n, future first n, future last n
     halves = _unit_products(steps.reshape(4, n_pullback, 2, 2))
-    whole = np.matmul(halves[1::2], halves[0::2])
-    left, _, right = np.linalg.svd(np.stack([whole[0], halves[1], whole[1], halves[2]]))
+    # SVD inputs: past whole, past last n, future whole, future first n;
+    # the wholes are multiplied straight into their slots
+    mats = halves[[1, 1, 3, 2]]
+    np.matmul(halves[1::2], halves[0::2], out=mats[::2])
+    left, _, right = np.linalg.svd(mats)
     e_plus, plus_half = left[0, :, 0], left[1, :, 0]
     e_minus, minus_half = right[2, -1], right[3, -1]
 
@@ -220,8 +234,8 @@ def oseledets_field(angle, mat_map, ts, n_pullback=DEFAULT_PULLBACK,
     results = [oseledets_directions(angle, mat_map, t, n_pullback, tol) for t in ts]
     return OseledetsField(
         ts=ts,
-        e_plus=np.array([r.e_plus for r in results]),
-        e_minus=np.array([r.e_minus for r in results]),
-        residual=np.array([r.residual for r in results]),
-        converged=np.array([r.converged for r in results]),
+        e_plus=np.array([r.e_plus for r in results]).reshape(-1, 2),
+        e_minus=np.array([r.e_minus for r in results]).reshape(-1, 2),
+        residual=np.array([r.residual for r in results], dtype=float),
+        converged=np.array([r.converged for r in results], dtype=bool),
     )

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import cocyclelab as cl
 from cocyclelab import certify
 from cocyclelab.certify import DEFAULT_REL_GAP
-from util import axis_pair, pipeline_tuple_d3, random_tuple
+from util import axis_pair, pipeline_tuple_d3, random_tuple, schrodinger_pair
 
 LOG2 = math.log(2.0)
 
@@ -140,6 +140,42 @@ def test_weakly_twisting_trivial_holonomy_fails():
     assert cert.diagnostics["min_separation"] <= 1e-9
     with pytest.raises(ValueError):
         cl.weakly_twisting(random_tuple(3, seed=0))
+
+
+# float.hex of the WEAK_TWIST diagnostics on the Schrodinger pair, taken
+# before the Oseledets pullback was tuned: the pullback must stay bit for bit
+SCHRODINGER_TWIST_MIN_SEPARATION = "0x1.abf4a86810b68p-9"
+SCHRODINGER_TWIST_WITNESSES = [
+    ("0x1.730a97f508540p-5", "0x1.68e625a023d7ap-4"),
+    ("0x1.050928da2950cp-3", "0x1.ce412cbc2be9dp-7"),
+    ("0x1.add2ee249a428p-3", "0x1.1ea838a7daff0p-4"),
+    ("0x1.ec6399bee402cp-1", "0x1.3af1ea68c7ff2p-4"),
+    ("0x1.eba0dc1dcdbdcp-1", "0x1.324c6eb2e2863p-4"),
+    ("0x1.7364cda2a6e9cp-1", "0x1.abf4a86810b68p-9"),
+    ("0x1.c080655723ec0p-1", "0x1.f0a7f9c1cbc2bp-5"),
+    ("0x1.ec1746e8bc5bap-2", "0x1.889f708f388d7p-4"),
+]
+
+
+def test_weakly_twisting_schrodinger_golden():
+    product = schrodinger_pair()[0]
+    diag = cl.weakly_twisting(product, n_samples=24, seed=3).diagnostics
+    assert diag["min_separation"].hex() == SCHRODINGER_TWIST_MIN_SEPARATION
+    assert diag["converged_fraction"] == 1.0 and diag["separated_fraction"] == 1.0
+    assert diag["witnesses"] == []
+    # a tolerance above most separations turns the samples into witnesses
+    cert = cl.weakly_twisting(product, n_samples=24, seed=3, sep_tol=0.2)
+    diag = cert.diagnostics
+    assert cert.verdict == "FAIL" and cert.margin.hex() == "-0x1.999999999999ap-5"
+    assert diag["min_separation"].hex() == SCHRODINGER_TWIST_MIN_SEPARATION
+    assert diag["converged_fraction"] == 1.0 and diag["separated_fraction"] == 0.0
+    assert [(w["t"].hex(), w["separation"].hex())
+            for w in diag["witnesses"]] == SCHRODINGER_TWIST_WITNESSES
+
+
+def test_weakly_twisting_needs_a_sample():
+    with pytest.raises(ValueError, match="n_samples must be >= 1"):
+        cl.weakly_twisting(schrodinger_pair()[0], n_samples=0)
 
 
 def test_pinching_d_collision_witness():

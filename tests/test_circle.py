@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
 import cocyclelab as cl
+from cocyclelab import circle
 from util import SILVER
 
 finite_reals = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -62,6 +63,39 @@ def test_as_word_validates():
         cl.as_word([-1], 2)
     with pytest.raises(cl.InvalidWordError):
         cl.as_word([0.5], 2)
+
+
+def _floor_wrapped_cumulative(t0, steps):
+    # the longdouble floor formula the modf wrap replaced
+    acc = np.cumsum(steps.astype(np.longdouble)) + np.longdouble(t0)
+    acc -= np.floor(acc)
+    out = acc.astype(float)
+    out[out >= 1.0] = 0.0
+    return out
+
+
+# dyadic steps make partial sums land exactly on integers, both signs
+orbit_steps = st.lists(
+    st.one_of(st.sampled_from([0.25, 0.5, 0.75, 1.0, 2.0]),
+              st.sampled_from([cl.GOLDEN_MEAN, SILVER]),
+              st.floats(min_value=0.0, max_value=3.0, allow_nan=False)),
+    min_size=1, max_size=60)
+
+
+@given(t0=st.one_of(st.just(0.0), circle_points), steps=orbit_steps,
+       sign=st.sampled_from([1.0, -1.0]))
+@example(t0=0.0, steps=[0.5, 0.5, 1.0, 0.25, 0.75], sign=-1.0)
+@example(t0=0.0, steps=[0.5, 0.5, 1.0, 0.25, 0.75], sign=1.0)
+@example(t0=0.25, steps=[0.75, 0.25], sign=-1.0)
+@settings(max_examples=300)
+def test_wrapped_cumulative_matches_floor_bit_for_bit(t0, steps, sign):
+    # backward_orbit passes negated angles, base_orbit positive ones
+    steps = sign * np.array(steps)
+    got = circle._wrapped_cumulative(t0, steps)
+    want = _floor_wrapped_cumulative(t0, steps)
+    assert got.tobytes() == want.tobytes()
+    assert not np.any(np.signbit(got))
+    assert np.all((got >= 0.0) & (got < 1.0))
 
 
 def test_orbit_endpoint_accuracy_long_word():

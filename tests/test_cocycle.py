@@ -36,6 +36,36 @@ def test_eval_matches_direct_series():
             assert np.max(np.abs(val - direct)) <= 1e-14
 
 
+def _tensordot_eval_many(p, ts):
+    # the tensordot evaluator the flat matrix products replaced
+    out = np.empty((len(ts),) + p.const.shape)
+    out[:] = p.const
+    phases = 2.0 * np.pi * np.outer(ts, np.arange(1, p.degree + 1))
+    out += np.tensordot(np.cos(phases), p.cos_coeffs, axes=(1, 0))
+    out += np.tensordot(np.sin(phases), p.sin_coeffs, axes=(1, 0))
+    return out
+
+
+@pytest.mark.parametrize("shape", [(), (2, 2), (3, 3)])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_eval_many_matches_tensordot_bit_for_bit(shape, degree):
+    rng = np.random.default_rng(degree)
+    p = cl.TrigPolynomial(rng.standard_normal(shape),
+                          rng.standard_normal((degree,) + shape),
+                          rng.standard_normal((degree,) + shape))
+    ts = rng.random(401)
+    assert p.eval_many(ts).tobytes() == _tensordot_eval_many(p, ts).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(), (2, 2)])
+@pytest.mark.parametrize("degree", [0, 2])
+def test_eval_many_empty(shape, degree):
+    p = cl.TrigPolynomial(np.ones(shape), np.ones((degree,) + shape),
+                          np.ones((degree,) + shape))
+    assert p.eval_many(np.array([])).shape == (0,) + shape
+    assert p.eval_many([]).shape == (0,) + shape
+
+
 def test_entry_rows_round_trip():
     rng = np.random.default_rng(0)
     rows = [list(2.0 * np.eye(3).ravel()[i : i + 1]) + list(0.1 * rng.standard_normal(4))

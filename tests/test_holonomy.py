@@ -173,6 +173,27 @@ def test_unit_products_match_multi_dot(n, d, seed):
                                    rtol=0.0, atol=1e-12 * scale)
 
 
+def _linalg_norm_unit_products(mats):
+    # the np.linalg.norm / always-concatenate reduction _unit_products replaced
+    stack = np.asarray(mats, dtype=float)
+    while stack.shape[-3] > 1:
+        n = stack.shape[-3]
+        pairs = np.matmul(stack[..., 1::2, :, :], stack[..., 0:n - 1:2, :, :])
+        pairs /= np.linalg.norm(pairs, axis=(-2, -1), keepdims=True)
+        stack = np.concatenate([pairs, stack[..., n - n % 2:, :, :]], axis=-3)
+    product = stack[..., 0, :, :]
+    return product / np.linalg.norm(product, axis=(-2, -1), keepdims=True)
+
+
+@given(st.integers(1, 40), st.integers(1, 3), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_unit_products_match_linalg_norm_bit_for_bit(n, d, seed):
+    rng = np.random.default_rng(seed)
+    mats = rng.standard_normal((4, n, d, d)) * np.exp(rng.uniform(-20, 20, (4, n, 1, 1)))
+    got = holonomy._unit_products(mats)
+    assert got.tobytes() == _linalg_norm_unit_products(mats).tobytes()
+
+
 def test_oseledets_directions_are_equivariant():
     product, _ = schrodinger_pair(energy=3.0)
     angle, mat_map = product.angles[0], product.maps[0]
@@ -209,3 +230,38 @@ def test_oseledets_field_csv_round_trip(tmp_path):
     got = np.array([row[1] for row in table.rows])
     np.testing.assert_array_equal(got, angles)
     assert [row[4] for row in table.rows] == [int(c) for c in field.converged]
+
+
+# float.hex of (e_plus, e_minus, residual) on the Schrodinger pair's first
+# map, taken before the pullback was tuned: it must stay bit for bit
+OSELEDETS_GOLDEN = {
+    0.0: (["-0x1.e881666fdec58p-1", "-0x1.32a2cfc0c01a4p-2"],
+          ["0x1.dfa910a7132d9p-2", "0x1.c45b002fce33ep-1"], "0x0.0p+0"),
+    0.3: (["-0x1.e2972fc60fc50p-1", "-0x1.560dfaf267e5cp-2"],
+          ["-0x1.5e325eb788f9ap-2", "-0x1.e120e036ab039p-1"], "0x1.4000000000001p-52"),
+    0.7734: (["-0x1.d3b99f48fb4cap-1", "-0x1.a08b490281727p-2"],
+             ["-0x1.74ae4de1063e9p-2", "-0x1.dce31485cfe58p-1"], "0x1.8000000000001p-53"),
+}
+
+
+@pytest.mark.parametrize("t", sorted(OSELEDETS_GOLDEN))
+def test_oseledets_directions_golden(t):
+    product, _ = schrodinger_pair()
+    got = cl.oseledets_directions(product.angles[0], product.maps[0], t)
+    e_plus, e_minus, residual = OSELEDETS_GOLDEN[t]
+    assert [x.hex() for x in got.e_plus] == e_plus
+    assert [x.hex() for x in got.e_minus] == e_minus
+    assert got.residual.hex() == residual and got.converged
+
+
+def test_oseledets_field_empty_writes_header_only(tmp_path):
+    product, _ = schrodinger_pair()
+    field = cl.oseledets_field(product.angles[0], product.maps[0], [])
+    assert field.e_plus.shape == field.e_minus.shape == (0, 2)
+    assert field.residual.shape == field.converged.shape == (0,)
+    path = tmp_path / "field.csv"
+    field.to_csv(path)
+    table = cl.ResultTable.from_csv(path)
+    assert table.columns == ["t", "e_plus_angle", "e_minus_angle", "residual",
+                             "converged"]
+    assert table.rows == []
