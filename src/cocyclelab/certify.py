@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._quadrature import graded_panel_rule, panel_rule
+from ._quadrature import circle_rule, graded_panel_rule
 from .circle import homoclinic_base_holonomy, rotate, wrap_unit
 from .holonomy import (DEFAULT_DIRECTION_TOL, DEFAULT_PULLBACK,
                        closed_form_holonomy_many, oseledets_directions,
@@ -57,7 +57,6 @@ TRANSVERSAL_FACTOR = 1e-8
 _DIFF_STEP = 3e-6
 _ROOT_MERGE_TOL = 1e-9
 _MAX_HALF_WIDTH = 1e-3
-_QUAD_NODES = 32
 _FIT_OFFSETS = np.geomspace(1e-7, 1e-4, 13)
 _EDGE_SHRINKS = 8
 # bisection stops at |step| < xtol + _BISECT_RTOL |x|, as scipy's does
@@ -429,11 +428,6 @@ def _abs_log_power_integral(c, m, s):
     return 2.0 * one_sided
 
 
-def _zero_free_rule():
-    """Quadrature nodes and weights on the whole circle for a g with no zeros."""
-    return panel_rule(0.0, 1.0, 64, 64)
-
-
 def _vanishes_on_run(run_vals):
     """Does |g| on a run of sub-tolerance grid points mark an interval zero?
 
@@ -562,7 +556,7 @@ def log_integrability(g, grid_n=DEFAULT_GRID_N, zero_tol=DEFAULT_ZERO_TOL):
     roots = merged
 
     if not roots:
-        xs, ws = _zero_free_rule()
+        xs, ws = circle_rule()
         estimate = float(ws @ np.abs(np.log(np.abs(g(xs)))))
         return LogIntegralResult(
             estimate=estimate, zeros=[], orders=[],
@@ -612,7 +606,7 @@ def log_integrability(g, grid_n=DEFAULT_GRID_N, zero_tol=DEFAULT_ZERO_TOL):
         wrap = 1.0 if j == q - 1 else 0.0
         b = roots[(j + 1) % q] + wrap - half_widths[(j + 1) % q]
         edge = min(half_widths[j], half_widths[(j + 1) % q])
-        rules.append(graded_panel_rule(a, b, edge, _QUAD_NODES))
+        rules.append(graded_panel_rule(a, b, edge))
     logs = np.abs(np.log(np.abs(f(np.concatenate([xs for xs, _ in rules])))))
     parts = np.split(logs, np.cumsum([len(xs) for xs, _ in rules])[:-1])
     far = sum(float(ws @ part) for (_, ws), part in zip(rules, parts))
@@ -670,7 +664,7 @@ def twisting_d(product, grid_n=DEFAULT_GRID_N, zero_tol=DEFAULT_ZERO_TOL):
     # every minor scans the same grid, and every zero-free minor integrates
     # on the same nodes: the holonomy is evaluated once on each point set
     precomputed = [(points, closed_form_holonomy_many(product, points))
-                   for points in (np.arange(grid_n) / grid_n, _zero_free_rule()[0])]
+                   for points in (np.arange(grid_n) / grid_n, circle_rule()[0])]
     per_minor = []
     worst_non_transversal = 0
     infinite_witness = None

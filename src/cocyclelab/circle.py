@@ -99,15 +99,10 @@ def backward_orbit(angles, word, t):
     """Backward base orbit: u_0 = t, u_{j+1} = u_j - angles[word_j] mod 1.
 
     ``word`` lists backward symbols most recent first (times -1, -2, ...),
-    so u_j is the circle point j steps into the past.
+    so u_j is the circle point j steps into the past.  This is the forward
+    orbit under the negated angles.
     """
-    angles = np.asarray(angles, dtype=float)
-    w = as_word(word, len(angles))
-    out = np.empty(len(w) + 1)
-    out[0] = wrap_unit(t)
-    if len(w):
-        out[1:] = _wrapped_cumulative(out[0], -angles[w])
-    return out
+    return base_orbit(-np.asarray(angles, dtype=float), word, t)
 
 
 def homoclinic_base_holonomy(theta0, theta1):
@@ -119,13 +114,13 @@ def homoclinic_base_holonomy(theta0, theta1):
     return wrap_unit(theta1 - theta0)
 
 
-def constant_word(length, symbol=0):
-    """The all-``symbol`` word; its all-zero version is the fixed point tail."""
-    return np.full(length, symbol, dtype=np.int64)
+def constant_word(length):
+    """The all-zero word, the symbol tail of the fixed point."""
+    return np.zeros(length, dtype=np.int64)
 
 
-def single_flip_word(length, flip_symbol=1, base_symbol=0):
-    """Word equal to ``base_symbol`` everywhere except position 0.
+def single_flip_word(length):
+    """Word of symbol 0 everywhere except symbol 1 at position 0.
 
     Together with ``constant_word`` this realizes the canonical homoclinic
     pair: their forward tails agree from index 1 on, and their backward
@@ -133,8 +128,8 @@ def single_flip_word(length, flip_symbol=1, base_symbol=0):
     """
     if length < 1:
         raise ValueError("need length >= 1 to place the flipped symbol")
-    w = np.full(length, base_symbol, dtype=np.int64)
-    w[0] = flip_symbol
+    w = constant_word(length)
+    w[0] = 1
     return w
 
 

@@ -273,8 +273,8 @@ def right_rotate(mat_map, turns):
 class RandomProduct:
     """A finite family of quasi-periodic matrix maps sampled i.i.d. by weight.
 
-    Symbol s pairs the map ``maps[s]`` with the rotation angle ``angles[s]``;
-    weights are positive and sum to 1 (tolerance 1e-12).
+    Symbol s pairs the map ``maps[s]`` with the finite rotation angle
+    ``angles[s]``; weights are positive and sum to 1 (tolerance 1e-12).
     """
 
     def __init__(self, angles, maps, weights=None):
@@ -284,9 +284,10 @@ class RandomProduct:
         dims = {m.dim for m in self.maps}
         if len(dims) != 1:
             raise ValueError("all maps must share one dimension")
-        self.angles = wrap_unit(np.atleast_1d(np.asarray(angles, dtype=float)))
-        if len(self.angles) != len(self.maps):
-            raise ValueError("need one rotation angle per map")
+        angles = np.atleast_1d(np.asarray(angles, dtype=float))
+        if len(angles) != len(self.maps) or not np.all(np.isfinite(angles)):
+            raise ValueError("need one finite rotation angle per map")
+        self.angles = wrap_unit(angles)
         if weights is None:
             weights = np.full(len(self.maps), 1.0 / len(self.maps))
         self.weights = np.atleast_1d(np.asarray(weights, dtype=float))

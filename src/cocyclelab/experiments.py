@@ -193,7 +193,7 @@ def certification_pipeline(product, seed=0, knobs=None):
 
     d = 2 runs WEAK_PINCH then WEAK_TWIST; d > 2 requires a diagonal first
     map and runs PINCH_D on its exact exponents, then TWIST_D on the
-    holonomy minors.
+    holonomy minors.  Fewer than two symbols, or d < 2, is unsupported.
     """
     kn = dict(_INT_KNOBS, **_FLOAT_KNOBS)
     kn.update(knobs or {})
@@ -202,6 +202,9 @@ def certification_pipeline(product, seed=0, knobs=None):
             "certification needs at least two symbols (a fixed-point map and a "
             "homoclinic partner); add a second map to the tuple"
         )
+    if product.dim < 2:
+        raise UnsupportedPipelineError(
+            f"certification needs d >= 2, got d = {product.dim}")
     if product.dim == 2:
         return [
             weakly_pinching(product, kn["n_iter"], kn["n_rep"], seed),

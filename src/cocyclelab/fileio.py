@@ -83,11 +83,13 @@ def _check_schrodinger_match(s, mat_map, potential, energy):
 
 def product_to_dict(product, potentials=None, energy=None):
     """The schema dict of a tuple; raises ConfigError where the loader would."""
+    if energy is not None:
+        energy = read_number(energy, "energy")
     if potentials is not None:
         if len(potentials) != product.n_symbols:
             raise ConfigError(f"need one potential per map, got {len(potentials)}")
         for s, (m, u) in enumerate(zip(product.maps, potentials)):
-            _check_schrodinger_match(s, m, u, 0.0 if energy is None else float(energy))
+            _check_schrodinger_match(s, m, u, 0.0 if energy is None else energy)
     doc = {
         "d": product.dim,
         "k": product.n_symbols - 1,
@@ -105,7 +107,7 @@ def product_to_dict(product, potentials=None, energy=None):
     if potentials is not None:
         doc["potentials"] = [row for p in potentials for row in p.to_rows()]
     if energy is not None:
-        doc["energy"] = float(energy)
+        doc["energy"] = energy
     return doc
 
 

@@ -30,7 +30,6 @@ from .cocycle import inverse_word_product, word_product
 # Paired fibers must match the base holonomy image to this tolerance.
 BASE_POINT_TOL = 1e-9
 
-DEFAULT_TAIL = 8
 DEFAULT_PULLBACK = 200
 DEFAULT_DIRECTION_TOL = 1e-8
 
@@ -53,46 +52,38 @@ def linear_holonomy(product, x_tail, y_tail, t_x, t_y, side="stable"):
     must be the image of ``t_x`` under the corresponding base holonomy.
     """
     if side == "stable":
-        n0 = forward_agreement_index(x_tail, y_tail)
-        offset = stable_holonomy_offset(product.angles, x_tail, y_tail)
-        if circle_distance(rotate(t_x, offset), t_y) > BASE_POINT_TOL:
-            raise ValueError(
-                "t_y is not the stable base-holonomy image of t_x for these tails"
-            )
-        px = word_product(product, np.asarray(x_tail)[:n0], t_x)
-        py = word_product(product, np.asarray(y_tail)[:n0], t_y)
+        n = forward_agreement_index(x_tail, y_tail)
+        offset, along = stable_holonomy_offset, word_product
     elif side == "unstable":
-        m = backward_agreement_depth(x_tail, y_tail)
-        offset = unstable_holonomy_offset(product.angles, x_tail, y_tail)
-        if circle_distance(rotate(t_x, offset), t_y) > BASE_POINT_TOL:
-            raise ValueError(
-                "t_y is not the unstable base-holonomy image of t_x for these tails"
-            )
-        px = inverse_word_product(product, np.asarray(x_tail)[:m], t_x)
-        py = inverse_word_product(product, np.asarray(y_tail)[:m], t_y)
+        n = backward_agreement_depth(x_tail, y_tail)
+        offset, along = unstable_holonomy_offset, inverse_word_product
     else:
         raise ValueError("side must be 'stable' or 'unstable'")
+    image = rotate(t_x, offset(product.angles, x_tail, y_tail))
+    if circle_distance(image, t_y) > BASE_POINT_TOL:
+        raise ValueError(f"t_y is not the {side} base-holonomy image of t_x")
+    px = along(product, np.asarray(x_tail)[:n], t_x)
+    py = along(product, np.asarray(y_tail)[:n], t_y)
     return np.linalg.solve(py, px)
 
 
-def composed_holonomy(product, t, tail_length=DEFAULT_TAIL):
+def composed_holonomy(product, t):
     """Stable-after-unstable holonomy around the canonical homoclinic loop.
 
     The unstable leg runs from the fixed-point fiber at ``t`` to the
     homoclinic fiber, the stable leg continues to the fixed-point fiber at
-    the composed base-holonomy image of ``t``.
+    the composed base-holonomy image of ``t``.  The flip and anchor words
+    agree from index 1 on, so words of length 2 hold the whole loop.
     """
     if product.n_symbols < 2:
         raise ValueError("the homoclinic loop needs symbols 0 and 1")
-    anchor_fwd = constant_word(tail_length)
-    flip_fwd = single_flip_word(tail_length)
-    anchor_bwd = constant_word(tail_length)
+    anchor = constant_word(2)
+    flip = single_flip_word(2)
     t = wrap_unit(t)
-    mid = rotate(t, unstable_holonomy_offset(product.angles, anchor_bwd, anchor_bwd))
-    unstable = linear_holonomy(product, anchor_bwd, anchor_bwd, t, mid,
-                               side="unstable")
-    end = rotate(mid, stable_holonomy_offset(product.angles, flip_fwd, anchor_fwd))
-    stable = linear_holonomy(product, flip_fwd, anchor_fwd, mid, end, side="stable")
+    mid = rotate(t, unstable_holonomy_offset(product.angles, anchor, anchor))
+    unstable = linear_holonomy(product, anchor, anchor, t, mid, side="unstable")
+    end = rotate(mid, stable_holonomy_offset(product.angles, flip, anchor))
+    stable = linear_holonomy(product, flip, anchor, mid, end, side="stable")
     return stable @ unstable
 
 

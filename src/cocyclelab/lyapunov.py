@@ -8,7 +8,8 @@ Two Monte Carlo estimators and one exact route:
 * :func:`estimate_top_exponent` pushes a single vector, renormalized by
   its norm, and reads the top exponent off its growth (any d).
 * :func:`diagonal_spectrum` evaluates the exponents of diagonal tuples in
-  closed form as weighted circle averages of log |diagonal entries|.
+  closed form as weighted circle averages of log |diagonal entries|, on
+  the circle rule that the sum-rule oracle :func:`mean_log_abs_det` uses.
 
 Both estimators share one kernel that advances every replicate in
 lockstep: words and start points are drawn up front, step matrices are
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._quadrature import panel_rule
+from ._quadrature import circle_rule
 from .circle import _wrapped_cumulative
 from .cocycle import DIAGONAL
 from .errors import GroupTagError, RenormalizationError
@@ -207,6 +208,17 @@ def _iterate_frames(product, seed, n_iter, n_rep, qr_period, full_frame):
     return np.sort(log_sum / n_iter, axis=1)[:, ::-1]
 
 
+def _aggregate(reps, n_iter, seed):
+    """Mean and ddof=1 standard error (zero for one replicate) of (n_rep, k) values."""
+    n_rep = reps.shape[0]
+    if n_rep > 1:
+        stderr = reps.std(axis=0, ddof=1) / np.sqrt(n_rep)
+    else:
+        stderr = np.zeros(reps.shape[1])
+    return LyapunovEstimate(values=reps.mean(axis=0), stderr=stderr, n_iter=n_iter,
+                            n_rep=n_rep, seed=seed, replicates=reps)
+
+
 def estimate_spectrum(product, n_iter, n_rep, seed, qr_period=DEFAULT_QR_PERIOD):
     """Estimate the full Lyapunov spectrum by frame iteration with QR steps.
 
@@ -216,13 +228,7 @@ def estimate_spectrum(product, n_iter, n_rep, seed, qr_period=DEFAULT_QR_PERIOD)
     are sorted before aggregation.  All replicates advance together.
     """
     reps = _iterate_frames(product, seed, n_iter, n_rep, qr_period, full_frame=True)
-    values = reps.mean(axis=0)
-    if n_rep > 1:
-        stderr = reps.std(axis=0, ddof=1) / np.sqrt(n_rep)
-    else:
-        stderr = np.zeros(product.dim)
-    return LyapunovEstimate(values=values, stderr=stderr, n_iter=n_iter,
-                            n_rep=n_rep, seed=seed, replicates=reps)
+    return _aggregate(reps, n_iter, seed)
 
 
 def estimate_top_exponent(product, n_iter, n_rep, seed, qr_period=DEFAULT_QR_PERIOD):
@@ -234,24 +240,19 @@ def estimate_top_exponent(product, n_iter, n_rep, seed, qr_period=DEFAULT_QR_PER
     ``qr_period`` steps.
     """
     reps = _iterate_frames(product, seed, n_iter, n_rep, qr_period, full_frame=False)
-    value = reps.mean()
-    stderr = reps.std(ddof=1) / np.sqrt(n_rep) if n_rep > 1 else 0.0
-    return LyapunovEstimate(values=np.array([value]), stderr=np.array([stderr]),
-                            n_iter=n_iter, n_rep=n_rep, seed=seed,
-                            replicates=reps.reshape(n_rep, 1))
+    return _aggregate(reps.reshape(n_rep, 1), n_iter, seed)
 
 
-def diagonal_spectrum(product, panels=64, nodes=64):
+def diagonal_spectrum(product):
     """Exact spectrum of a diagonal tuple, sorted non-increasing.
 
     The exponents of a diagonal tuple are the weighted circle averages
     sum_s weight_s * integral of log |a_i^(s)|; the integral is evaluated
-    with a composite Gauss-Legendre rule (``panels`` panels of ``nodes``
-    nodes).
+    with the Gauss-Legendre circle rule (64 panels of 64 nodes).
     """
     if any(m.group_tag != DIAGONAL for m in product.maps):
         raise GroupTagError("diagonal_spectrum requires all maps tagged DIAGONAL")
-    xs, ws = panel_rule(0.0, 1.0, panels, nodes)
+    xs, ws = circle_rule()
     exponents = np.zeros(product.dim)
     for weight, mat_map in zip(product.weights, product.maps):
         diag = np.diagonal(mat_map.eval_many(xs), axis1=1, axis2=2)
@@ -262,9 +263,9 @@ def diagonal_spectrum(product, panels=64, nodes=64):
     return np.sort(exponents)[::-1]
 
 
-def mean_log_abs_det(product, panels=64, nodes=64):
+def mean_log_abs_det(product):
     """Weighted circle average of log |det| across the tuple (sum-rule oracle)."""
-    xs, ws = panel_rule(0.0, 1.0, panels, nodes)
+    xs, ws = circle_rule()
     total = 0.0
     for weight, mat_map in zip(product.weights, product.maps):
         dets = np.linalg.det(mat_map.eval_many(xs))

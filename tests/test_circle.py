@@ -124,6 +124,33 @@ def test_backward_orbit_inverts_forward():
         assert cl.circle_distance(p, q) <= 1e-12
 
 
+def _backward_orbit_reference(angles, word, t):
+    # the body backward_orbit had before it became base_orbit on negated angles
+    angles = np.asarray(angles, dtype=float)
+    w = cl.as_word(word, len(angles))
+    out = np.empty(len(w) + 1)
+    out[0] = cl.wrap_unit(t)
+    if len(w):
+        out[1:] = circle._wrapped_cumulative(out[0], -angles[w])
+    return out
+
+
+orbit_angles = st.lists(
+    st.one_of(st.sampled_from([0.0, 0.25, 0.5, cl.GOLDEN_MEAN, SILVER]),
+              st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)),
+    min_size=1, max_size=3)
+
+
+@given(angles=orbit_angles, data=st.data(),
+       t=st.one_of(circle_points, st.floats(min_value=-5.0, max_value=5.0)))
+@settings(max_examples=300)
+def test_backward_orbit_is_base_orbit_on_negated_angles(angles, data, t):
+    word = data.draw(st.lists(st.integers(0, len(angles) - 1), max_size=80))
+    got = cl.backward_orbit(angles, word, t)
+    want = _backward_orbit_reference(angles, word, t)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_homoclinic_words():
     const = cl.constant_word(6)
     flip = cl.single_flip_word(6)
@@ -133,7 +160,7 @@ def test_homoclinic_words():
     assert cl.forward_agreement_index(const, const) == 0
     assert cl.backward_agreement_depth(const, const) == 0
     with pytest.raises(cl.NotHomoclinicError):
-        cl.forward_agreement_index(cl.constant_word(4), cl.single_flip_word(4, 1)[::-1])
+        cl.forward_agreement_index(cl.constant_word(4), cl.single_flip_word(4)[::-1])
 
 
 def test_holonomy_offsets_match_base_holonomy():

@@ -363,3 +363,33 @@ def test_certify_rejects_non_diagonal_higher_dim(tmp_path, capsys):
                       **FAST})
     assert main(["certify", "--config", str(cfg)]) == 1
     assert "diagonal" in capsys.readouterr().err
+
+
+
+@pytest.fixture
+def line_pair(tmp_path):
+    """A two-symbol d = 1 diagonal tuple, which no certifier supports."""
+    maps = [cl.TrigMatrixMap.from_rows((1, 1), [row], group_tag=cl.DIAGONAL)
+            for row in ([2.0, 1.0, 0.0], [0.5, 0.0, 0.25])]
+    cl.save_cocycle(cl.RandomProduct([cl.GOLDEN_MEAN, 0.41421356237309515], maps),
+                    tmp_path / "line.json")
+    return tmp_path
+
+
+def test_certify_one_dimensional_tuple_names_d(line_pair, capsys):
+    cfg = write_json(line_pair / "cert1.json",
+                     {"kind": "certify", "cocycle": "line.json", "seed": 1, **FAST})
+    assert main(["certify", "--config", str(cfg)]) == 1
+    assert "certification needs d >= 2, got d = 1" in capsys.readouterr().err
+
+
+def test_continuity_one_dimensional_tuple_is_uncertified(line_pair):
+    out = line_pair / "cont.csv"
+    cfg = write_json(line_pair / "cont1.json",
+                     {"kind": "continuity", "cocycle": "line.json", "seed": 1,
+                      "epsilons": [0.1], "perturbation": {"coeffs": [[0.0, 0.2, 0.0]]},
+                      "out": str(out), **FAST})
+    assert main(["continuity", "--config", str(cfg)]) == 0
+    table = cl.ResultTable.from_csv(out)
+    assert table.columns == ["epsilon", "lambda_1", "deviation", "certified"]
+    assert [row[-1] for row in table.rows] == [0, 0]

@@ -209,6 +209,9 @@ def test_random_product_validation():
         cl.RandomProduct([0.1, 0.2], [m])
     with pytest.raises(ValueError):
         cl.RandomProduct([0.1, 0.2], [m, cl.TrigMatrixMap.constant(np.eye(3))])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite rotation angle"):
+            cl.RandomProduct([bad, 0.4], [m, m])
     rp = cl.RandomProduct([0.1, 0.2], [m, m], [0.25, 0.75])
     assert rp.n_symbols == 2 and rp.dim == 2
     solo = rp.solo(1)

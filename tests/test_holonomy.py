@@ -63,6 +63,16 @@ def test_base_point_mismatch_rejected():
         cl.linear_holonomy(product, x_tail, y_tail, 0.2, cl.rotate(0.2, offset + 0.01))
     with pytest.raises(ValueError):
         cl.linear_holonomy(product, x_tail, y_tail, 0.2, 0.2, side="sideways")
+    # the unstable side: A_0(u_y) A_1(u_x)^-1 one step back, or a mismatch error
+    offset = cl.unstable_holonomy_offset(product.angles, x_tail, y_tail)
+    t_y = cl.rotate(0.2, offset)
+    got = cl.linear_holonomy(product, x_tail, y_tail, 0.2, t_y, side="unstable")
+    u_x, u_y = cl.rotate(0.2, -product.angles[1]), cl.rotate(t_y, -product.angles[0])
+    want = product.maps[0].eval(u_y) @ np.linalg.inv(product.maps[1].eval(u_x))
+    np.testing.assert_allclose(got, want, atol=1e-12)
+    with pytest.raises(ValueError, match="unstable"):
+        cl.linear_holonomy(product, x_tail, y_tail, 0.2, cl.rotate(t_y, 0.01),
+                           side="unstable")
 
 
 def test_composed_equals_closed_form_random_tuples():

@@ -175,6 +175,48 @@ def test_replicates_match_golden_bits(estimator, make_product, n_iter, n_rep, se
     assert np.array_equal(est.replicates, expected)
 
 
+# values and stderr of the golden cases, as float.hex, pinned before both
+# estimators shared one replicate aggregation
+GOLDEN_AGGREGATES = {
+    "estimate_spectrum-1013x3-period20": (
+        ["0x1.9e1de1249a43fp-1", "0x1.959fb6ee316b9p-1", "0x1.3e1ab0c4a2ea5p-1"],
+        ["0x1.084f1efbfb610p-9", "0x1.57cfd7a5f668cp-10", "0x1.142fb38323e38p-11"],
+    ),
+    "estimate_spectrum-7x2-period20": (
+        ["0x1.ae6d7f97935dcp-1", "0x1.8624ff01e99e8p-1", "0x1.4364d4ed31b06p-1"],
+        ["0x1.40d5b7d5c9ddfp-6", "0x1.63942c63e883fp-7", "0x1.19838247b0890p-6"],
+    ),
+    "estimate_spectrum-2000x2-period3": (
+        ["0x1.9d9bbdf9bb93fp-1", "0x1.40e3c4cfa8209p-1"],
+        ["0x1.2f4a8ea8151ffp-10", "0x1.125330c7497ffp-9"],
+    ),
+    "estimate_top_exponent-1013x3-period20": (
+        ["0x1.c7c649ff879dfp-1"],
+        ["0x1.96b5292285ee0p-10"],
+    ),
+    "estimate_top_exponent-7x2-period20": (
+        ["0x1.cfdb8df0eb846p-1"],
+        ["0x1.e7276f62289efp-6"],
+    ),
+    "estimate_top_exponent-2000x2-period3": (
+        ["0x1.25e730fc4b430p-1"],
+        ["0x1.c2a06bccaedffp-9"],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "estimator, make_product, n_iter, n_rep, seed, qr_period, golden",
+    GOLDEN_REPLICATES,
+    ids=[f"{c[0]}-{c[2]}x{c[3]}-period{c[5]}" for c in GOLDEN_REPLICATES])
+def test_aggregates_match_golden_bits(estimator, make_product, n_iter, n_rep, seed,
+                                      qr_period, golden):
+    est = getattr(cl, estimator)(make_product(), n_iter, n_rep, seed, qr_period=qr_period)
+    values, stderr = GOLDEN_AGGREGATES[f"{estimator}-{n_iter}x{n_rep}-period{qr_period}"]
+    assert [float(v).hex() for v in est.values] == values
+    assert [float(v).hex() for v in est.stderr] == stderr
+
+
 def test_golden_cases_cover_chunk_edges():
     sizes = {(n_iter, qr_period) for _, _, n_iter, _, _, qr_period, _ in GOLDEN_REPLICATES}
     chunk = lyapunov.CHUNK_BLOCKS

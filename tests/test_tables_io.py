@@ -131,6 +131,9 @@ def test_save_rejects_potentials_the_loader_would_reject(tmp_path):
         cl.save_cocycle(product, path, potentials=[u0, u1])
     with pytest.raises(cl.ConfigError, match="potential"):
         cl.save_cocycle(product, path, potentials=[u0], energy=3.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(cl.ConfigError, match="energy"):
+            cl.save_cocycle(product, path, energy=bad)
     assert not path.exists()
 
     cl.save_cocycle(product, path, potentials=[u0, u1], energy=3.0)
