@@ -8,17 +8,14 @@ imply simple spectrum and continuity of the exponents.
 """
 
 from ._version import __version__
-from .circle import (GOLDEN_MEAN, as_word, backward_agreement_depth,
-                     backward_orbit, base_orbit, circle_distance,
+from .circle import (GOLDEN_MEAN, as_word, base_orbit, circle_distance,
                      constant_word, forward_agreement_index,
                      homoclinic_base_holonomy, rotate, single_flip_word,
-                     stable_holonomy_offset, unstable_holonomy_offset,
-                     wrap_unit)
+                     stable_holonomy_offset, wrap_unit)
 from .cocycle import (DIAGONAL, GENERAL, GROUP_TAGS, SCHRODINGER, SL2,
                       RandomProduct, TrigMatrixMap, TrigPolynomial,
-                      inverse_word_product, make_schrodinger,
-                      rescale_diagonal, right_rotate, shift_potential,
-                      word_product)
+                      make_schrodinger, rescale_diagonal, right_rotate,
+                      shift_potential, word_product)
 from .errors import (CocycleLabError, ConfigError, GroupTagError,
                      InvalidWordError, NonInvertibleMapError,
                      NotHomoclinicError, RenormalizationError,
@@ -44,15 +41,13 @@ from .experiments import (ExperimentConfig, ExperimentOutput,
 
 __all__ = [
     "__version__",
-    "GOLDEN_MEAN", "as_word", "backward_agreement_depth", "backward_orbit",
-    "base_orbit", "circle_distance", "constant_word",
-    "forward_agreement_index", "homoclinic_base_holonomy", "rotate",
-    "single_flip_word", "stable_holonomy_offset", "unstable_holonomy_offset",
-    "wrap_unit",
+    "GOLDEN_MEAN", "as_word", "base_orbit", "circle_distance",
+    "constant_word", "forward_agreement_index", "homoclinic_base_holonomy",
+    "rotate", "single_flip_word", "stable_holonomy_offset", "wrap_unit",
     "DIAGONAL", "GENERAL", "GROUP_TAGS", "SCHRODINGER", "SL2",
     "RandomProduct", "TrigMatrixMap", "TrigPolynomial",
-    "inverse_word_product", "make_schrodinger", "rescale_diagonal",
-    "right_rotate", "shift_potential", "word_product",
+    "make_schrodinger", "rescale_diagonal", "right_rotate",
+    "shift_potential", "word_product",
     "CocycleLabError", "ConfigError", "GroupTagError", "InvalidWordError",
     "NonInvertibleMapError", "NotHomoclinicError", "RenormalizationError",
     "UnsupportedPipelineError",

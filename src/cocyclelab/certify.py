@@ -181,26 +181,21 @@ def weakly_pinching(product, n_iter=DEFAULT_N_ITER, n_rep=DEFAULT_N_REP, seed=0)
 
     PASS when the Monte Carlo estimate clears three standard errors (and a
     small absolute noise floor); otherwise INCONCLUSIVE, since sampling can
-    never witness an exactly-zero exponent.
+    never witness an exactly-zero exponent.  Fewer than two replicates give
+    no standard error, so they are INCONCLUSIVE with a margin of at most 0.
     """
     est = estimate_top_exponent(product.solo(0), n_iter, n_rep, seed)
     lam = est.top
     threshold = max(3.0 * float(est.stderr[0]), PINCH_NOISE_FLOOR)
     margin = lam - threshold
+    diagnostics = {"lambda_top": lam, "stderr": float(est.stderr[0]),
+                   "threshold": threshold, "n_iter": n_iter, "n_rep": n_rep}
+    if n_rep < 2:
+        margin = min(margin, 0.0)
+        diagnostics["reason"] = "n_rep < 2 gives no standard error"
     verdict = "PASS" if margin > 0.0 else "INCONCLUSIVE"
-    return Certificate(
-        kind="WEAK_PINCH",
-        verdict=verdict,
-        margin=margin,
-        diagnostics={
-            "lambda_top": lam,
-            "stderr": float(est.stderr[0]),
-            "threshold": threshold,
-            "n_iter": n_iter,
-            "n_rep": n_rep,
-        },
-        seed=seed,
-    )
+    return Certificate(kind="WEAK_PINCH", verdict=verdict, margin=margin,
+                       diagnostics=diagnostics, seed=seed)
 
 
 def weakly_twisting(product, n_samples=DEFAULT_N_SAMPLES, sep_tol=DEFAULT_SEP_TOL,
@@ -656,9 +651,10 @@ def twisting_d(product, grid_n=DEFAULT_GRID_N, zero_tol=DEFAULT_ZERO_TOL):
     PASS iff the |log |minor|| integral is finite for every row/column
     subset pair of every cardinality.  A pass has margin 0.0 even when some
     minor touches zero tangentially, since a log-integrable tangency does
-    not break twisting.  A FAIL carries minus the largest per-minor count of
-    non-transversal zeros as its margin.  That count is reported for every
-    verdict as ``max_non_transversal`` in the diagnostics.
+    not break twisting.  A FAIL carries minus the number of minors with an
+    infinite integral as its margin, so every FAIL is below 0.  The largest
+    per-minor count of non-transversal zeros is reported for every verdict
+    as ``max_non_transversal`` in the diagnostics.
     """
     d = product.dim
     # every minor scans the same grid, and every zero-free minor integrates
@@ -667,6 +663,7 @@ def twisting_d(product, grid_n=DEFAULT_GRID_N, zero_tol=DEFAULT_ZERO_TOL):
                    for points in (np.arange(grid_n) / grid_n, circle_rule()[0])]
     per_minor = []
     worst_non_transversal = 0
+    n_infinite = 0
     infinite_witness = None
     for index in all_minor_indices(d):
         g = _minor_function(product, index, precomputed)
@@ -683,17 +680,15 @@ def twisting_d(product, grid_n=DEFAULT_GRID_N, zero_tol=DEFAULT_ZERO_TOL):
             "orders": result.orders,
             "n_non_transversal": n_non_trans,
         })
-        if not result.finite and infinite_witness is None:
-            infinite_witness = {"rows": list(index.rows), "cols": list(index.cols),
-                                "reason": result.diagnostics.get("reason")}
-    verdict = "PASS" if infinite_witness is None else "FAIL"
-    margin = 0.0
-    if verdict == "FAIL" and worst_non_transversal:
-        margin = -float(worst_non_transversal)
+        if not result.finite:
+            n_infinite += 1
+            infinite_witness = infinite_witness or {
+                "rows": list(index.rows), "cols": list(index.cols),
+                "reason": result.diagnostics.get("reason")}
     return Certificate(
         kind="TWIST_D",
-        verdict=verdict,
-        margin=margin,
+        verdict="FAIL" if n_infinite else "PASS",
+        margin=float(-n_infinite),
         diagnostics={
             "minors": per_minor,
             "witness": infinite_witness,

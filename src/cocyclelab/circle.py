@@ -3,7 +3,9 @@
 The base space is the circle R/Z, represented by floats in [0, 1).
 A word is a finite sequence of integer symbols; symbol ``s`` drives the
 rotation by ``angles[s]``.  Forward tails list symbols at times
-0, 1, 2, ...; backward tails list symbols at times -1, -2, -3, ...
+0, 1, 2, ...; backward tails list symbols at times -1, -2, -3, ...  A
+backward tail is a forward tail of the reversed base, the rotations by the
+negated angles, so the forward functions here serve both sides.
 """
 
 from __future__ import annotations
@@ -95,16 +97,6 @@ def base_orbit(angles, word, t):
     return out
 
 
-def backward_orbit(angles, word, t):
-    """Backward base orbit: u_0 = t, u_{j+1} = u_j - angles[word_j] mod 1.
-
-    ``word`` lists backward symbols most recent first (times -1, -2, ...),
-    so u_j is the circle point j steps into the past.  This is the forward
-    orbit under the negated angles.
-    """
-    return base_orbit(-np.asarray(angles, dtype=float), word, t)
-
-
 def homoclinic_base_holonomy(theta0, theta1):
     """Offset of the composed base holonomy for the canonical homoclinic pair.
 
@@ -149,19 +141,9 @@ def forward_agreement_index(x_tail, y_tail):
     n0 = int(disagree[-1]) + 1
     if n0 >= len(x):
         raise NotHomoclinicError(
-            "forward tails never agree inside the provided window"
+            "word tails never agree inside the provided window"
         )
     return n0
-
-
-def backward_agreement_depth(x_back, y_back):
-    """Smallest m >= 0 with agreement at every provided backward depth >= m."""
-    try:
-        return forward_agreement_index(x_back, y_back)
-    except NotHomoclinicError:
-        raise NotHomoclinicError(
-            "backward tails never agree inside the provided window"
-        ) from None
 
 
 def stable_holonomy_offset(angles, x_tail, y_tail):
@@ -177,11 +159,3 @@ def stable_holonomy_offset(angles, x_tail, y_tail):
     y = as_word(np.asarray(y_tail)[:n0], len(angles))
     return wrap_unit(math.fsum(angles[x]) - math.fsum(angles[y]))
 
-
-def unstable_holonomy_offset(angles, x_back, y_back):
-    """Circle offset of the unstable base holonomy (backward tails)."""
-    angles = np.asarray(angles, dtype=float)
-    m = backward_agreement_depth(x_back, y_back)
-    x = as_word(np.asarray(x_back)[:m], len(angles))
-    y = as_word(np.asarray(y_back)[:m], len(angles))
-    return wrap_unit(math.fsum(angles[y]) - math.fsum(angles[x]))

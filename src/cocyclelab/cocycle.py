@@ -8,8 +8,9 @@ entry.  A :class:`TrigMatrixMap` is a (d, d) polynomial certified
 invertible and tagged with its group; a sum or multiple involving a map is
 certified again.  A :class:`RandomProduct` bundles k+1 such maps with their
 rotation angles and sampling weights.  Products along words are evaluated
-by :func:`word_product` (forward branch) and :func:`inverse_word_product`
-(backward branch).
+by :func:`word_product`; a product along a backward tail is the forward
+product along the reversed word, started where the tail ends (see
+:func:`cocyclelab.holonomy.linear_holonomy`).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 
 import numpy as np
 
-from .circle import as_word, base_orbit, backward_orbit, wrap_unit
+from .circle import as_word, base_orbit, wrap_unit
 from .errors import GroupTagError, InvalidWordError, NonInvertibleMapError
 
 GENERAL = "GENERAL"
@@ -324,18 +325,3 @@ def word_product(product, word, t):
         out = product.maps[s].eval(u) @ out
     return out
 
-
-def inverse_word_product(product, word, t):
-    """Backward cocycle product along the backward orbit of ``t``.
-
-    ``word`` lists backward symbols most recent first: word[j] acted on the
-    circle point u_{j+1} = t - angles[word[0]] - ... - angles[word[j]], and
-    the returned matrix is A(u_m)^-1 ... A(u_1)^-1.  Feeding the reversed
-    forward word and the forward orbit endpoint inverts `word_product`.
-    """
-    w = as_word(word, product.n_symbols)
-    orbit = backward_orbit(product.angles, w, t)
-    out = np.eye(product.dim)
-    for s, u in zip(w, orbit[1:]):
-        out = np.linalg.inv(product.maps[s].eval(u)) @ out
-    return out

@@ -339,16 +339,22 @@ def _with_map(product, idx, new_map):
     return RandomProduct(product.angles, maps, product.weights)
 
 
-def _search_candidates(product, failing, budget, n_candidates, seed):
-    """Perturbation family for the failing certificate: (family, parameter, tuple)."""
+def _search_candidates(product, failing, budget, n_candidates):
+    """Perturbation family for the failing certificate: (family, parameter, tuple).
+
+    At d > 2 only a PINCH_D failure has one: map 0 rescaled by exp(c v), with
+    v_i = 2^-i, whose equal-size subset sums all differ.  Rescaling map 0
+    multiplies every holonomy minor by a constant, so it cannot repair TWIST_D.
+    """
     maps = product.maps
+    ladder = _ascending_ladder(budget, n_candidates)
     if product.dim == 2:
         if all(m.group_tag == SCHRODINGER for m in maps):
             candidates = [
                 ("potential_shift", c,
                  _with_map(product, 1,
                            make_schrodinger(shift_potential(maps[1].potential, c))))
-                for c in _ascending_ladder(budget, n_candidates)
+                for c in ladder
             ]
             witnesses = failing.diagnostics.get("witnesses") or []
             center = witnesses[0]["t"] if witnesses else 0.25
@@ -357,22 +363,21 @@ def _search_candidates(product, failing, budget, n_candidates, seed):
                 ("potential_bump", c,
                  _with_map(product, 1,
                            make_schrodinger(maps[1].potential + c * bump)))
-                for c in _ascending_ladder(budget, n_candidates)
+                for c in ladder
             ]
             return candidates
         return [
             ("rotation", turns, _with_map(product, 1, right_rotate(maps[1], turns)))
-            for turns in _ascending_ladder(budget, n_candidates)
+            for turns in ladder
         ]
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 104729])))
-    candidates = []
-    for _ in range(n_candidates):
-        log_b = rng.uniform(-budget, budget, product.dim)
-        candidates.append((
-            "diagonal_rescale", float(np.max(np.abs(log_b))),
-            _with_map(product, 0, rescale_diagonal(maps[0], np.exp(log_b))),
-        ))
-    return candidates
+    if failing.kind != "PINCH_D":
+        return []
+    direction = 0.5 ** np.arange(product.dim)
+    return [
+        ("diagonal_rescale", c,
+         _with_map(product, 0, rescale_diagonal(maps[0], np.exp(c * direction))))
+        for c in ladder
+    ]
 
 
 def _pipeline_summary(certs):
@@ -388,8 +393,8 @@ def cmd_perturb_search(config):
 
     Candidate parameters grow from budget/2^(n-1) up to the budget (the
     smallest working perturbation wins); an already-passing tuple returns
-    the zero perturbation.  Exhausting the ladder is reported in the table,
-    not raised.
+    the zero perturbation.  Exhausting the ladder, or a failure with no
+    family, is reported in the table, not raised.
     """
     product = config.cocycle.product
     kn = config.knobs
@@ -401,7 +406,7 @@ def cmd_perturb_search(config):
     certs_out = base_certs
     if failing is not None:
         candidates = _search_candidates(product, failing, kn["budget"],
-                                        kn["n_candidates"], config.seed)
+                                        kn["n_candidates"])
         for number, (family, parameter, candidate) in enumerate(candidates, start=1):
             certs = certification_pipeline(candidate, config.seed, kn)
             verdict, margin, still_failing = _pipeline_summary(certs)

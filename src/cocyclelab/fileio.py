@@ -66,6 +66,7 @@ class CocycleFile:
 
 
 def file_digest(path):
+    """SHA-256 hex digest of a file's bytes, the provenance id of an input."""
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
@@ -206,6 +207,7 @@ def product_from_dict(doc):
 
 
 def load_cocycle(path):
+    """Read and validate a tuple definition file into a :class:`CocycleFile`."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
@@ -221,6 +223,7 @@ def load_cocycle(path):
 
 
 def save_cocycle(product, path, potentials=None, energy=None):
+    """Write a tuple definition file; returns the digest of what was written."""
     doc = product_to_dict(product, potentials=potentials, energy=energy)
     Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return file_digest(path)

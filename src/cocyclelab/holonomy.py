@@ -20,12 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import (backward_agreement_depth, base_orbit, circle_distance,
-                     constant_word, forward_agreement_index,
-                     homoclinic_base_holonomy, rotate, single_flip_word,
-                     stable_holonomy_offset, unstable_holonomy_offset,
-                     wrap_unit)
-from .cocycle import inverse_word_product, word_product
+from .circle import (base_orbit, circle_distance, constant_word,
+                     forward_agreement_index, homoclinic_base_holonomy, rotate,
+                     single_flip_word, stable_holonomy_offset, wrap_unit)
+from .cocycle import word_product
 
 # Paired fibers must match the base holonomy image to this tolerance.
 BASE_POINT_TOL = 1e-9
@@ -47,24 +45,28 @@ def linear_holonomy(product, x_tail, y_tail, t_x, t_y, side="stable"):
 
     ``x_tail``/``y_tail`` are forward symbol tails for the stable side and
     backward tails (most recent first) for the unstable side.  The limit
-    defining the holonomy is attained at the agreement index n0, so the
-    result is inv(product along y[:n0]) @ (product along x[:n0]).  ``t_y``
-    must be the image of ``t_x`` under the corresponding base holonomy.
+    defining the holonomy is attained at the agreement index n.  The stable
+    holonomy is inv(P_y) @ P_x, with P_x the product along x[:n] from t_x.
+    The unstable one is the stable holonomy of the inverse cocycle over the
+    reversed base, which rotates by the negated angles: P_y @ inv(P_x), with
+    P_x the product along x[:n][::-1] from the end of the reversed-base
+    orbit of t_x under x[:n].  ``t_y`` must be the image of ``t_x`` under
+    that side's base holonomy.
     """
-    if side == "stable":
-        n = forward_agreement_index(x_tail, y_tail)
-        offset, along = stable_holonomy_offset, word_product
-    elif side == "unstable":
-        n = backward_agreement_depth(x_tail, y_tail)
-        offset, along = unstable_holonomy_offset, inverse_word_product
-    else:
+    if side not in ("stable", "unstable"):
         raise ValueError("side must be 'stable' or 'unstable'")
-    image = rotate(t_x, offset(product.angles, x_tail, y_tail))
+    n = forward_agreement_index(x_tail, y_tail)
+    angles = product.angles if side == "stable" else -product.angles
+    image = rotate(t_x, stable_holonomy_offset(angles, x_tail, y_tail))
     if circle_distance(image, t_y) > BASE_POINT_TOL:
         raise ValueError(f"t_y is not the {side} base-holonomy image of t_x")
-    px = along(product, np.asarray(x_tail)[:n], t_x)
-    py = along(product, np.asarray(y_tail)[:n], t_y)
-    return np.linalg.solve(py, px)
+    x, y = np.asarray(x_tail)[:n], np.asarray(y_tail)[:n]
+    if side == "stable":
+        return np.linalg.solve(word_product(product, y, t_y),
+                               word_product(product, x, t_x))
+    px = word_product(product, x[::-1], base_orbit(angles, x, t_x)[-1])
+    py = word_product(product, y[::-1], base_orbit(angles, y, t_y)[-1])
+    return np.linalg.solve(px.T, py.T).T
 
 
 def composed_holonomy(product, t):
@@ -73,17 +75,17 @@ def composed_holonomy(product, t):
     The unstable leg runs from the fixed-point fiber at ``t`` to the
     homoclinic fiber, the stable leg continues to the fixed-point fiber at
     the composed base-holonomy image of ``t``.  The flip and anchor words
-    agree from index 1 on, so words of length 2 hold the whole loop.
+    agree from index 1 on, so words of length 2 hold the whole loop; their
+    backward tails are equal, so the unstable leg ends over ``t`` itself.
     """
     if product.n_symbols < 2:
         raise ValueError("the homoclinic loop needs symbols 0 and 1")
     anchor = constant_word(2)
     flip = single_flip_word(2)
     t = wrap_unit(t)
-    mid = rotate(t, unstable_holonomy_offset(product.angles, anchor, anchor))
-    unstable = linear_holonomy(product, anchor, anchor, t, mid, side="unstable")
-    end = rotate(mid, stable_holonomy_offset(product.angles, flip, anchor))
-    stable = linear_holonomy(product, flip, anchor, mid, end, side="stable")
+    unstable = linear_holonomy(product, anchor, anchor, t, t, side="unstable")
+    end = rotate(t, stable_holonomy_offset(product.angles, flip, anchor))
+    stable = linear_holonomy(product, flip, anchor, t, end, side="stable")
     return stable @ unstable
 
 
@@ -221,6 +223,7 @@ class OseledetsField:
 
 def oseledets_field(angle, mat_map, ts, n_pullback=DEFAULT_PULLBACK,
                     tol=DEFAULT_DIRECTION_TOL):
+    """:func:`oseledets_directions` at every point of ``ts``, as one field."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     results = [oseledets_directions(angle, mat_map, t, n_pullback, tol) for t in ts]
     return OseledetsField(

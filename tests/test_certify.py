@@ -121,6 +121,17 @@ def test_weakly_pinching_isometry_is_inconclusive():
     assert abs(cert.diagnostics["lambda_top"]) < 1e-10
 
 
+def test_weakly_pinching_single_replicate_is_inconclusive():
+    # one replicate has no spread, so a positive estimate proves nothing
+    cert = cl.weakly_pinching(schrodinger_pair()[0], n_iter=1, n_rep=1)
+    assert cert.verdict == "INCONCLUSIVE" and cert.margin <= 0.0
+    assert cert.diagnostics["lambda_top"] > 0.0
+    assert cert.diagnostics["stderr"] == 0.0
+    assert "n_rep" in cert.diagnostics["reason"]
+    cert = cl.weakly_pinching(axis_pair(), n_iter=2000, n_rep=2, seed=1)
+    assert cert.passed and "reason" not in cert.diagnostics
+
+
 def test_weakly_twisting_rotated_axes_pass():
     cert = cl.weakly_twisting(axis_pair(0.125), n_samples=40, seed=3,
                               n_pullback=120)
@@ -483,6 +494,12 @@ def test_twisting_d_trivial_holonomy_fails():
     assert cert.verdict == "FAIL"
     assert cert.diagnostics["witness"] is not None
     assert not cert.passed
+    # the two off-diagonal entries vanish identically, and nothing else does
+    assert cert.margin == -2.0
+    infinite = [(m["rows"], m["cols"]) for m in cert.diagnostics["minors"]
+                if not math.isfinite(m["integral"])]
+    assert infinite == [([1], [2]), ([2], [1])]
+    assert cert.diagnostics["max_non_transversal"] == 0
 
 
 def test_twisting_d_log_integrable_tangency_passes():

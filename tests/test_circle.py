@@ -8,7 +8,7 @@ from scipy import stats
 
 import cocyclelab as cl
 from cocyclelab import circle
-from util import SILVER
+from util import SILVER, unstable_holonomy_offset_reference
 
 finite_reals = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 circle_points = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
@@ -89,7 +89,7 @@ orbit_steps = st.lists(
 @example(t0=0.25, steps=[0.75, 0.25], sign=-1.0)
 @settings(max_examples=300)
 def test_wrapped_cumulative_matches_floor_bit_for_bit(t0, steps, sign):
-    # backward_orbit passes negated angles, base_orbit positive ones
+    # the reversed base passes negated angles, the forward base positive ones
     steps = sign * np.array(steps)
     got = circle._wrapped_cumulative(t0, steps)
     want = _floor_wrapped_cumulative(t0, steps)
@@ -119,13 +119,14 @@ def test_backward_orbit_inverts_forward():
     word = rng.integers(0, 2, size=200)
     angles = [cl.GOLDEN_MEAN, SILVER]
     fwd = cl.base_orbit(angles, word, 0.4)
-    back = cl.backward_orbit(angles, word[::-1], fwd[-1])
+    back = cl.base_orbit(-np.asarray(angles), word[::-1], fwd[-1])
     for p, q in zip(back, fwd[::-1]):
         assert cl.circle_distance(p, q) <= 1e-12
 
 
 def _backward_orbit_reference(angles, word, t):
-    # the body backward_orbit had before it became base_orbit on negated angles
+    # the body of the former backward_orbit, before it became base_orbit on
+    # negated angles
     angles = np.asarray(angles, dtype=float)
     w = cl.as_word(word, len(angles))
     out = np.empty(len(w) + 1)
@@ -146,7 +147,7 @@ orbit_angles = st.lists(
 @settings(max_examples=300)
 def test_backward_orbit_is_base_orbit_on_negated_angles(angles, data, t):
     word = data.draw(st.lists(st.integers(0, len(angles) - 1), max_size=80))
-    got = cl.backward_orbit(angles, word, t)
+    got = cl.base_orbit(-np.asarray(angles, dtype=float), word, t)
     want = _backward_orbit_reference(angles, word, t)
     assert got.tobytes() == want.tobytes()
 
@@ -158,8 +159,8 @@ def test_homoclinic_words():
     assert list(flip) == [1, 0, 0, 0, 0, 0]
     assert cl.forward_agreement_index(flip, const) == 1
     assert cl.forward_agreement_index(const, const) == 0
-    assert cl.backward_agreement_depth(const, const) == 0
-    with pytest.raises(cl.NotHomoclinicError):
+    # one agreement index serves forward tails and backward depths alike
+    with pytest.raises(cl.NotHomoclinicError, match="word tails never agree"):
         cl.forward_agreement_index(cl.constant_word(4), cl.single_flip_word(4)[::-1])
 
 
@@ -171,7 +172,11 @@ def test_holonomy_offsets_match_base_holonomy():
     assert offset == pytest.approx(
         cl.homoclinic_base_holonomy(angles[0], angles[1]), abs=1e-15
     )
-    assert cl.unstable_holonomy_offset(angles, const, const) == 0.0
+    # the unstable offset is the stable one on the reversed base
+    assert cl.stable_holonomy_offset(-np.asarray(angles), const, const) == 0.0
+    back_offset = cl.stable_holonomy_offset(-np.asarray(angles), flip, const)
+    assert back_offset == unstable_holonomy_offset_reference(angles, flip, const)
+    assert cl.circle_distance(back_offset, -offset) <= 1e-15
 
 
 @given(theta0=circle_points, theta1=circle_points)

@@ -205,6 +205,43 @@ def test_perturb_search_keeps_passing_tuple(tmp_path):
     assert chosen[0][0] == 0 and chosen[0][2] == 0.0 and chosen[0][3] == "PASS"
 
 
+def _perturb_search_rows(tmp_path, product, **knobs):
+    cl.save_cocycle(product, tmp_path / "tuple.json")
+    out = tmp_path / "search.csv"
+    cfg = write_json(tmp_path / "search.json",
+                     {"kind": "perturb-search", "cocycle": "tuple.json", "seed": 4,
+                      "out": str(out), **knobs})
+    assert main(["perturb-search", "--config", str(cfg)]) == 0
+    return cl.ResultTable.from_csv(out).rows
+
+
+def test_perturb_search_rescale_ladder_repairs_pinching(tmp_path):
+    # exponents 3, 2, 1, 0 collide as 3 + 0 = 2 + 1; the first rung of the
+    # rescale direction 2^-i already separates every equal-size subset sum
+    rng = np.random.default_rng(17)
+    a0 = cl.TrigMatrixMap.constant(np.diag(np.exp([3.0, 2.0, 1.0, 0.0])),
+                                   group_tag=cl.DIAGONAL)
+    a1 = cl.TrigMatrixMap(np.eye(4) + 0.25 * rng.standard_normal((4, 4)),
+                          0.12 * rng.standard_normal((1, 4, 4)),
+                          0.12 * rng.standard_normal((1, 4, 4)))
+    product = cl.RandomProduct([cl.GOLDEN_MEAN, 0.41421356237309515], [a0, a1])
+    rows = _perturb_search_rows(tmp_path, product, budget=0.1, n_candidates=4)
+    assert rows[0][3] == "FAIL" and rows[0][5] == 0
+    assert rows[1:] == [[1, "diagonal_rescale", 0.1 / 2 ** 3, "PASS", rows[1][4], 1]]
+
+
+def test_perturb_search_offers_no_rescale_for_twisting_d3(tmp_path):
+    # a diagonal holonomy has vanishing off-diagonal minors, and rescaling
+    # map 0 multiplies every minor by a constant, so nothing is searched
+    a0 = cl.TrigMatrixMap.constant(np.diag([4.0, 2.0, 1.0]), group_tag=cl.DIAGONAL)
+    a1 = cl.TrigMatrixMap(np.diag([1.5, 1.0, 0.8]), np.diag([0.3, 0.0, 0.1])[None],
+                          np.diag([0.0, 0.2, 0.0])[None], group_tag=cl.DIAGONAL)
+    product = cl.RandomProduct([cl.GOLDEN_MEAN, 0.41421356237309515], [a0, a1])
+    rows = _perturb_search_rows(tmp_path, product)
+    assert rows == [[0, "none", 0.0, "FAIL", rows[0][4], 0]]
+    assert rows[0][4] == -12.0
+
+
 def test_error_exits(tmp_path, capsys):
     assert main(["lyapunov", "--config", str(tmp_path / "nope.json")]) == 1
     assert "error:" in capsys.readouterr().err
@@ -278,7 +315,7 @@ def test_schrodinger_search_family_does_not_depend_on_the_file(tmp_path):
     assert loaded[0].maps[1].potential.to_rows() == loaded[1].maps[1].potential.to_rows()
     failing = cl.Certificate(kind="WEAK_TWIST", verdict="FAIL", margin=-0.1)
     families = [[family for family, _, _ in
-                 experiments._search_candidates(p, failing, 0.1, 2, seed=1)]
+                 experiments._search_candidates(p, failing, 0.1, 2)]
                 for p in loaded]
     assert families[0] == families[1]
     assert set(families[0]) == {"potential_shift", "potential_bump"}

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cocyclelab as cl
-from util import SILVER, random_tuple
+from util import SILVER, inverse_word_product_reference, random_tuple
 
 word_strategy = st.lists(st.integers(min_value=0, max_value=1), min_size=0, max_size=40)
 coeff = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -224,8 +224,16 @@ def test_word_product_constant_map_is_power():
     rp = cl.RandomProduct([cl.GOLDEN_MEAN], [cl.TrigMatrixMap.constant(mat)])
     assert np.allclose(cl.word_product(rp, [0, 0], 0.3), mat @ mat, atol=1e-13)
     assert np.array_equal(cl.word_product(rp, [], 0.3), np.eye(2))
-    inv2 = cl.inverse_word_product(rp, [0, 0], 0.3)
-    assert np.allclose(inv2, np.linalg.inv(mat @ mat), atol=1e-13)
+    # the unstable holonomy from back tail [1, 1, 0] to [0, 0, 0] is
+    # A0^2 inv(A1^2): forward products along the reversed words
+    other = np.array([[1.0, 0.0], [0.5, 3.0]])
+    rp = cl.RandomProduct([cl.GOLDEN_MEAN, SILVER], [cl.TrigMatrixMap.constant(mat),
+                                                     cl.TrigMatrixMap.constant(other)])
+    x_back, y_back = [1, 1, 0], [0, 0, 0]
+    t_y = cl.rotate(0.3, cl.stable_holonomy_offset(-rp.angles, x_back, y_back))
+    got = cl.linear_holonomy(rp, x_back, y_back, 0.3, t_y, side="unstable")
+    want = mat @ mat @ np.linalg.inv(other @ other)
+    assert np.allclose(got, want, atol=1e-13)
 
 
 @given(word=word_strategy, t=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
@@ -244,9 +252,17 @@ def test_word_product_cocycle_law(word, t):
 @given(word=word_strategy, t=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
 @settings(max_examples=60, deadline=None)
 def test_inverse_word_product_inverts(word, t):
+    # the product along a backward tail is the forward product along the
+    # reversed word from the far end of the reversed-base orbit; its
+    # inverse is the product of inverses the library once computed
     rp = random_tuple(2, seed=9)
     word = np.asarray(word, dtype=int)
     forward = cl.word_product(rp, word, t)
     end = cl.base_orbit(rp.angles, word, t)[-1]
-    backward = cl.inverse_word_product(rp, word[::-1], end)
+    start = cl.base_orbit(-rp.angles, word[::-1], end)[-1]
+    assert cl.circle_distance(start, t) <= 1e-12
+    again = cl.word_product(rp, word, start)
+    assert np.max(np.abs(again - forward)) <= 1e-10 * max(1.0, np.max(np.abs(forward)))
+    backward = inverse_word_product_reference(rp, word[::-1], end)
     assert np.max(np.abs(backward @ forward - np.eye(2))) <= 1e-9
+    assert np.max(np.abs(backward @ again - np.eye(2))) <= 1e-9

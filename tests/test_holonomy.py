@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import cocyclelab as cl
 from cocyclelab import holonomy
-from util import SILVER, axis_pair, random_tuple, schrodinger_pair
+from util import (SILVER, axis_pair, inverse_word_product_reference,
+                  random_tuple, schrodinger_pair, unstable_holonomy_offset_reference)
 
 
 def test_projective_distance_basic():
@@ -64,7 +65,7 @@ def test_base_point_mismatch_rejected():
     with pytest.raises(ValueError):
         cl.linear_holonomy(product, x_tail, y_tail, 0.2, 0.2, side="sideways")
     # the unstable side: A_0(u_y) A_1(u_x)^-1 one step back, or a mismatch error
-    offset = cl.unstable_holonomy_offset(product.angles, x_tail, y_tail)
+    offset = cl.stable_holonomy_offset(-product.angles, x_tail, y_tail)
     t_y = cl.rotate(0.2, offset)
     got = cl.linear_holonomy(product, x_tail, y_tail, 0.2, t_y, side="unstable")
     u_x, u_y = cl.rotate(0.2, -product.angles[1]), cl.rotate(t_y, -product.angles[0])
@@ -73,6 +74,37 @@ def test_base_point_mismatch_rejected():
     with pytest.raises(ValueError, match="unstable"):
         cl.linear_holonomy(product, x_tail, y_tail, 0.2, cl.rotate(t_y, 0.01),
                            side="unstable")
+
+
+tail_symbols = st.lists(st.integers(0, 2), max_size=6)
+
+
+@given(x_head=tail_symbols, y_head=tail_symbols,
+       common=st.lists(st.integers(0, 2), min_size=1, max_size=3),
+       angles=st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=3,
+                       max_size=3),
+       t_x=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+       d=st.sampled_from([2, 3]), seed=st.integers(0, 20))
+@settings(max_examples=150, deadline=None)
+def test_unstable_holonomy_is_stable_on_reversed_base(x_head, y_head, common,
+                                                      angles, t_x, d, seed):
+    """The reversed-base route against the product of inverses it replaced."""
+    size = max(len(x_head), len(y_head))
+    x_back = x_head + [2] * (size - len(x_head)) + common
+    y_back = y_head + [2] * (size - len(y_head)) + common
+    offset = cl.stable_holonomy_offset(-np.asarray(angles), x_back, y_back)
+    assert offset.hex() == unstable_holonomy_offset_reference(
+        angles, x_back, y_back).hex()
+
+    product = cl.RandomProduct(angles, random_tuple(d, seed, n_maps=3).maps)
+    t_y = cl.rotate(t_x, unstable_holonomy_offset_reference(
+        product.angles, x_back, y_back))
+    got = cl.linear_holonomy(product, x_back, y_back, t_x, t_y, side="unstable")
+    n = cl.forward_agreement_index(x_back, y_back)
+    px = inverse_word_product_reference(product, x_back[:n], t_x)
+    py = inverse_word_product_reference(product, y_back[:n], t_y)
+    want = np.linalg.solve(py, px)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_composed_equals_closed_form_random_tuples():

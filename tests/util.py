@@ -1,5 +1,7 @@
 """Shared builders for the test suite."""
 
+import math
+
 import numpy as np
 
 import cocyclelab as cl
@@ -45,3 +47,28 @@ def pipeline_tuple_d3(seed=2024):
     sin = 0.12 * rng.standard_normal((2, 3, 3))
     a1 = cl.TrigMatrixMap(const, cos, sin)
     return cl.RandomProduct([cl.GOLDEN_MEAN, SILVER], [a0, a1])
+
+
+def inverse_word_product_reference(product, word, t):
+    """The product of inverses along a backward tail, as the library once had it.
+
+    ``word`` lists backward symbols most recent first: word[j] acted on the
+    circle point u_{j+1} = t - angles[word[0]] - ... - angles[word[j]], and
+    the result is A(u_m)^-1 ... A(u_1)^-1.  The backward orbit is the base
+    orbit under the negated angles.
+    """
+    w = cl.as_word(word, product.n_symbols)
+    orbit = cl.base_orbit(-product.angles, w, t)
+    out = np.eye(product.dim)
+    for s, u in zip(w, orbit[1:]):
+        out = np.linalg.inv(product.maps[s].eval(u)) @ out
+    return out
+
+
+def unstable_holonomy_offset_reference(angles, x_back, y_back):
+    """Circle offset of the unstable base holonomy, as the library once had it."""
+    angles = np.asarray(angles, dtype=float)
+    m = cl.forward_agreement_index(x_back, y_back)
+    x = cl.as_word(np.asarray(x_back)[:m], len(angles))
+    y = cl.as_word(np.asarray(y_back)[:m], len(angles))
+    return cl.wrap_unit(math.fsum(angles[y]) - math.fsum(angles[x]))
