@@ -152,19 +152,47 @@ def all_minor_indices(d):
                 yield MinorIndex(rows, cols)
 
 
-def _minors(stack, rows, cols):
-    """One minor (0-based rows and cols) of every matrix in an (n, d, d) stack."""
-    rows = np.asarray(rows)
+def _entries(stack):
+    """The (d, d, n) contiguous entry layout of an (n, d, d) stack of matrices."""
+    return np.ascontiguousarray(stack.transpose(1, 2, 0))
+
+
+def _minors(entries, rows, cols):
+    """One minor (0-based rows and cols) at every point of a (d, d, n) entry layout.
+
+    A 1x1 minor is the entry and a 2x2 minor a00 a11 - a01 a10.  A larger
+    one is the cofactor expansion along its first row, alternating signs,
+    summed left to right.  The minors of the trailing rows on every column
+    subset are computed once, from the last two rows up, so a k x k minor
+    costs about k 2^k array operations, not k!, and has the bits of the
+    plain recursive expansion.
+    """
     if len(rows) == 1:
-        return stack[:, rows[0], cols[0]]
-    sub = stack[:, rows[:, None], cols]
-    if len(rows) == 2:
-        return sub[:, 0, 0] * sub[:, 1, 1] - sub[:, 0, 1] * sub[:, 1, 0]
-    return np.linalg.det(sub)
+        return entries[rows[0], cols[0]]
+    top, bottom = entries[rows[-2]], entries[rows[-1]]
+    below = {(a, b): top[a] * bottom[b] - top[b] * bottom[a]
+             for a, b in combinations(cols, 2)}
+    for i in range(len(rows) - 3, -1, -1):
+        row = entries[rows[i]]
+        level = {}
+        for subset in combinations(cols, len(rows) - i):
+            total = row[subset[0]] * below[subset[1:]]
+            for j in range(1, len(subset)):
+                term = row[subset[j]] * below[subset[:j] + subset[j + 1:]]
+                if j % 2:
+                    total -= term
+                else:
+                    total += term
+            level[subset] = total
+        below = level
+    return below[tuple(cols)]
 
 
 def minor(matrix, index):
-    """Determinant of the submatrix selected by a 1-based MinorIndex."""
+    """Determinant of the submatrix selected by a 1-based MinorIndex.
+
+    Evaluated by the same cofactor rule as every TWIST_D minor (``_minors``).
+    """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("minor expects a square matrix")
@@ -173,7 +201,7 @@ def minor(matrix, index):
         raise ValueError(f"minor index exceeds dimension {d}")
     rows = [r - 1 for r in index.rows]
     cols = [c - 1 for c in index.cols]
-    return float(_minors(m[None], rows, cols)[0])
+    return float(_minors(m[:, :, None], rows, cols)[0])
 
 
 def weakly_pinching(product, n_iter=DEFAULT_N_ITER, n_rep=DEFAULT_N_REP, seed=0):
@@ -627,20 +655,21 @@ def log_integrability(g, grid_n=DEFAULT_GRID_N, zero_tol=DEFAULT_ZERO_TOL):
 def _minor_function(product, index, precomputed):
     """The minor ``index`` of the closed-form holonomy as a function of t.
 
-    ``precomputed`` is a sequence of ``(points, holonomies)`` pairs.  Called
-    on exactly one of those point sets, the function reads the stored
-    holonomies; any other points are evaluated afresh.
+    ``precomputed`` is a sequence of ``(points, entries)`` pairs, the
+    holonomies in the ``_entries`` layout.  Called on exactly one of those
+    point sets, the function reads the stored entries; any other points are
+    evaluated afresh.
     """
     rows = [r - 1 for r in index.rows]
     cols = [c - 1 for c in index.cols]
 
     def g(ts):
-        for points, hol in precomputed:
+        for points, entries in precomputed:
             if np.array_equal(ts, points):
                 break
         else:
-            hol = closed_form_holonomy_many(product, ts)
-        return _minors(hol, rows, cols)
+            entries = _entries(closed_form_holonomy_many(product, ts))
+        return _minors(entries, rows, cols)
 
     return g
 
@@ -659,7 +688,7 @@ def twisting_d(product, grid_n=DEFAULT_GRID_N, zero_tol=DEFAULT_ZERO_TOL):
     d = product.dim
     # every minor scans the same grid, and every zero-free minor integrates
     # on the same nodes: the holonomy is evaluated once on each point set
-    precomputed = [(points, closed_form_holonomy_many(product, points))
+    precomputed = [(points, _entries(closed_form_holonomy_many(product, points)))
                    for points in (np.arange(grid_n) / grid_n, circle_rule()[0])]
     per_minor = []
     worst_non_transversal = 0

@@ -340,11 +340,13 @@ def _with_map(product, idx, new_map):
 
 
 def _search_candidates(product, failing, budget, n_candidates):
-    """Perturbation family for the failing certificate: (family, parameter, tuple).
+    """Perturbation family for the failing certificates: (family, parameter, tuple).
 
-    At d > 2 only a PINCH_D failure has one: map 0 rescaled by exp(c v), with
-    v_i = 2^-i, whose equal-size subset sums all differ.  Rescaling map 0
-    multiplies every holonomy minor by a constant, so it cannot repair TWIST_D.
+    ``failing`` lists the certificates of ``product`` that did not pass, in
+    pipeline order.  At d > 2 only a failure of PINCH_D alone has a family:
+    map 0 rescaled by exp(c v), with v_i = 2^-i, whose equal-size subset sums
+    all differ.  Rescaling map 0 multiplies every holonomy minor by a
+    constant, so it cannot repair TWIST_D, and a TWIST_D failure has none.
     """
     maps = product.maps
     ladder = _ascending_ladder(budget, n_candidates)
@@ -356,7 +358,7 @@ def _search_candidates(product, failing, budget, n_candidates):
                            make_schrodinger(shift_potential(maps[1].potential, c))))
                 for c in ladder
             ]
-            witnesses = failing.diagnostics.get("witnesses") or []
+            witnesses = failing[0].diagnostics.get("witnesses") or []
             center = witnesses[0]["t"] if witnesses else 0.25
             bump = fejer_bump(center, maps[1].degree + 8)
             candidates += [
@@ -370,7 +372,7 @@ def _search_candidates(product, failing, budget, n_candidates):
             ("rotation", turns, _with_map(product, 1, right_rotate(maps[1], turns)))
             for turns in ladder
         ]
-    if failing.kind != "PINCH_D":
+    if [cert.kind for cert in failing] != ["PINCH_D"]:
         return []
     direction = 0.5 ** np.arange(product.dim)
     return [
@@ -405,8 +407,9 @@ def cmd_perturb_search(config):
     rows = [[0, "none", 0.0, verdict, margin, int(failing is None)]]
     certs_out = base_certs
     if failing is not None:
-        candidates = _search_candidates(product, failing, kn["budget"],
-                                        kn["n_candidates"])
+        candidates = _search_candidates(
+            product, [cert for cert in base_certs if not cert.passed], kn["budget"],
+            kn["n_candidates"])
         for number, (family, parameter, candidate) in enumerate(candidates, start=1):
             certs = certification_pipeline(candidate, config.seed, kn)
             verdict, margin, still_failing = _pipeline_summary(certs)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +102,56 @@ def test_minor_matches_cofactor_expansion():
         cl.minor(np.eye(2), cl.MinorIndex((1, 3), (1, 2)))
     with pytest.raises(ValueError):
         cl.minor(np.ones((2, 3)), cl.MinorIndex((1,), (1,)))
+
+
+def _random_entries(seed, d, n):
+    """A (d, d, n) entry layout whose rows differ in scale by up to 1e6."""
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((n, d, d)) * 10.0 ** rng.uniform(-3, 3, (1, d, 1))
+    return stack, certify._entries(stack)
+
+
+@given(st.integers(1, 6).flatmap(lambda d: st.tuples(
+           st.just(d), st.integers(1, d), st.integers(0, 2**32 - 1))))
+@settings(max_examples=80, deadline=None)
+def test_minors_match_lu_determinant(case):
+    d, k, seed = case
+    stack, entries = _random_entries(seed, d, 5)
+    rng = np.random.default_rng(seed + 1)
+    rows = sorted(rng.choice(d, k, replace=False).tolist())
+    cols = sorted(rng.choice(d, k, replace=False).tolist())
+    sub = stack[:, rows][:, :, cols]
+    scale = np.prod(np.linalg.norm(sub, axis=2), axis=1)
+    got = certify._minors(entries, rows, cols)
+    assert np.all(np.abs(got - np.linalg.det(sub)) <= 1e-12 * scale)
+
+
+def test_minors_keep_the_one_and_two_row_formulas_bit_for_bit():
+    stack, entries = _random_entries(3, 4, 64)
+    for index in cl.all_minor_indices(4):
+        if len(index.rows) > 2:
+            continue
+        rows = np.array(index.rows) - 1
+        cols = np.array(index.cols) - 1
+        if len(rows) == 1:
+            want = stack[:, rows[0], cols[0]]
+        else:
+            sub = stack[:, rows[:, None], cols]
+            want = sub[:, 0, 0] * sub[:, 1, 1] - sub[:, 0, 1] * sub[:, 1, 0]
+        got = certify._minors(entries, rows.tolist(), cols.tolist())
+        assert got.tobytes() == want.tobytes()
+
+
+def test_minors_share_sub_minors_with_the_bits_of_plain_recursion():
+    # _cofactor_det on entry arrays expands every sub-minor afresh, in the
+    # same order and with the same signs as the shared table
+    for d in (3, 4, 5, 6):
+        _, entries = _random_entries(d, d, 64)
+        for index in cl.all_minor_indices(d):
+            rows = [r - 1 for r in index.rows]
+            cols = [c - 1 for c in index.cols]
+            want = _cofactor_det([[entries[r, c] for c in cols] for r in rows])
+            assert certify._minors(entries, rows, cols).tobytes() == want.tobytes()
 
 
 def test_weakly_pinching_hyperbolic_passes():
@@ -435,6 +486,46 @@ def test_twisting_d_zeros_golden():
     minors = cl.twisting_d(_tangency_tuple()).diagnostics["minors"]
     assert [[z.hex() for z in m["zeros"]] for m in minors] == TANGENCY_ZEROS
     assert [m["integral"].hex() for m in minors] == TANGENCY_INTEGRALS
+
+
+def test_twisting_d_d4_golden():
+    # n_zeros, orders and float.hex of every zero, and the integrals, of
+    # random_tuple(4, seed=1) as TWIST_D gave them while minors of three and
+    # four rows were LU determinants: the located zeros are unchanged, the
+    # integrals agree to rounding
+    golden = json.loads(
+        (Path(__file__).parent / "twist_d4_seed1_golden.json").read_text())
+    minors = cl.twisting_d(random_tuple(4, seed=1)).diagnostics["minors"]
+    assert [(m["rows"], m["cols"]) for m in minors] == [
+        (g["rows"], g["cols"]) for g in golden]
+    assert [m["n_zeros"] for m in minors] == [g["n_zeros"] for g in golden]
+    assert [m["orders"] for m in minors] == [g["orders"] for g in golden]
+    assert [[z.hex() for z in m["zeros"]] for m in minors] == [
+        g["zeros"] for g in golden]
+    for m, g in zip(minors, golden):
+        assert m["integral"] == pytest.approx(float.fromhex(g["integral"]), rel=1e-13)
+
+
+def test_twisting_d_makes_no_lu_determinant_call(monkeypatch):
+    product = random_tuple(4, seed=1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.det called")
+
+    monkeypatch.setattr(np.linalg, "det", refuse)
+    assert cl.twisting_d(product).passed
+
+
+def test_twisting_d_memory_stays_within_four_grid_stacks():
+    product = random_tuple(4, seed=1)
+    stack_bytes = certify.DEFAULT_GRID_N * 4 * 4 * 8
+    tracemalloc.start()
+    try:
+        cl.twisting_d(product)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * stack_bytes
 
 
 def test_twisting_d_evaluates_the_zero_free_nodes_once(monkeypatch):

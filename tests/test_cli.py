@@ -242,6 +242,23 @@ def test_perturb_search_offers_no_rescale_for_twisting_d3(tmp_path):
     assert rows[0][4] == -12.0
 
 
+def test_perturb_search_offers_no_rescale_when_pinching_and_twisting_fail(tmp_path):
+    # exponents 3, 2, 1, 0 collide as 3 + 0 = 2 + 1, and the diagonal
+    # holonomy has vanishing off-diagonal minors; a rescale of map 0 could
+    # repair PINCH_D but never TWIST_D, so nothing is searched
+    a0 = cl.TrigMatrixMap.constant(np.diag(np.exp([3.0, 2.0, 1.0, 0.0])),
+                                   group_tag=cl.DIAGONAL)
+    a1 = cl.TrigMatrixMap(np.diag([1.5, 1.0, 0.8, 1.2]),
+                          np.diag([0.3, 0.0, 0.1, 0.2])[None],
+                          np.diag([0.0, 0.2, 0.0, 0.1])[None], group_tag=cl.DIAGONAL)
+    product = cl.RandomProduct([cl.GOLDEN_MEAN, 0.41421356237309515], [a0, a1])
+    certs = cl.certification_pipeline(product)
+    assert [cert.verdict for cert in certs] == ["FAIL", "FAIL"]
+    rows = _perturb_search_rows(tmp_path, product)
+    # the margin column is TWIST_D's: 54 of the 69 minors vanish identically
+    assert rows == [[0, "none", 0.0, "FAIL", -54.0, 0]]
+
+
 def test_error_exits(tmp_path, capsys):
     assert main(["lyapunov", "--config", str(tmp_path / "nope.json")]) == 1
     assert "error:" in capsys.readouterr().err
@@ -315,7 +332,7 @@ def test_schrodinger_search_family_does_not_depend_on_the_file(tmp_path):
     assert loaded[0].maps[1].potential.to_rows() == loaded[1].maps[1].potential.to_rows()
     failing = cl.Certificate(kind="WEAK_TWIST", verdict="FAIL", margin=-0.1)
     families = [[family for family, _, _ in
-                 experiments._search_candidates(p, failing, 0.1, 2)]
+                 experiments._search_candidates(p, [failing], 0.1, 2)]
                 for p in loaded]
     assert families[0] == families[1]
     assert set(families[0]) == {"potential_shift", "potential_bump"}
