@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._cofactor import _entries, _minors
 from ._quadrature import circle_rule, graded_panel_rule
 from .circle import homoclinic_base_holonomy, rotate, wrap_unit
 from .holonomy import (DEFAULT_DIRECTION_TOL, DEFAULT_PULLBACK,
@@ -150,42 +151,6 @@ def all_minor_indices(d):
         for rows in combinations(range(1, d + 1), size):
             for cols in combinations(range(1, d + 1), size):
                 yield MinorIndex(rows, cols)
-
-
-def _entries(stack):
-    """The (d, d, n) contiguous entry layout of an (n, d, d) stack of matrices."""
-    return np.ascontiguousarray(stack.transpose(1, 2, 0))
-
-
-def _minors(entries, rows, cols):
-    """One minor (0-based rows and cols) at every point of a (d, d, n) entry layout.
-
-    A 1x1 minor is the entry and a 2x2 minor a00 a11 - a01 a10.  A larger
-    one is the cofactor expansion along its first row, alternating signs,
-    summed left to right.  The minors of the trailing rows on every column
-    subset are computed once, from the last two rows up, so a k x k minor
-    costs about k 2^k array operations, not k!, and has the bits of the
-    plain recursive expansion.
-    """
-    if len(rows) == 1:
-        return entries[rows[0], cols[0]]
-    top, bottom = entries[rows[-2]], entries[rows[-1]]
-    below = {(a, b): top[a] * bottom[b] - top[b] * bottom[a]
-             for a, b in combinations(cols, 2)}
-    for i in range(len(rows) - 3, -1, -1):
-        row = entries[rows[i]]
-        level = {}
-        for subset in combinations(cols, len(rows) - i):
-            total = row[subset[0]] * below[subset[1:]]
-            for j in range(1, len(subset)):
-                term = row[subset[j]] * below[subset[:j] + subset[j + 1:]]
-                if j % 2:
-                    total -= term
-                else:
-                    total += term
-            level[subset] = total
-        below = level
-    return below[tuple(cols)]
 
 
 def minor(matrix, index):

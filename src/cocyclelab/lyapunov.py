@@ -18,8 +18,12 @@ blocks at a time, so memory does not grow with n_iter * d^2, and each
 block runs one renormalization step on the whole ``(n_rep, d, d)`` stack.
 Within a block the step matrices are multiplied pairwise in stacked passes;
 the block product agrees with sequential multiplication up to roundoff.
-Every replicate value is bitwise the same as iterating that replicate on
-its own.
+The block loop holds only the sequential step (matmul, then QR or norm and
+divide); the overflow and rank checks, the logs and the running sum are
+taken once per chunk, with the bits of adding one block at a time.  The
+last QR exponent is pinned to the step determinants, evaluated by the
+cofactor kernel that TWIST_D shares (``_cofactor``).  Every replicate
+value is bitwise the same as iterating that replicate on its own.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._cofactor import _entries, _minors
 from ._quadrature import circle_rule
 from .circle import _wrapped_cumulative
 from .cocycle import DIAGONAL
@@ -135,13 +140,18 @@ def _block_log_dets(mats, period):
     """Per-block sums of the step matrices' log |det|, shape (n_rep, n_blocks).
 
     Computed step by step, so the value is immune to the cancellation that
-    corrupts the determinant of an explicitly multiplied block.  Identity
-    padding contributes exactly zero.
+    corrupts the determinant of an explicitly multiplied block.  Each det is
+    the full d x d minor of the shared cofactor kernel (``_cofactor``), about
+    d 2^d array operations over the whole stack; a det that is zero or not
+    finite (including one that overflows) is reported before any log is
+    taken.  Identity padding has det exactly 1 and contributes exactly zero.
     """
-    signs, logdets = np.linalg.slogdet(mats)
-    if not np.all((signs != 0.0) & np.isfinite(logdets)):
+    n_rep, n, d, _ = mats.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        dets = _minors(_entries(mats.reshape(-1, d, d)), range(d), range(d))
+    if not np.all(np.isfinite(dets) & (dets != 0.0)):
         raise RenormalizationError("singular step matrix in sampled word")
-    n_rep, n = logdets.shape
+    logdets = np.log(np.abs(dets))
     return logdets.reshape(n_rep, n // period, period).sum(axis=-1)
 
 
@@ -177,32 +187,51 @@ def _iterate_frames(product, seed, n_iter, n_rep, qr_period, full_frame):
             # exact invariant instead.
             dets = _block_log_dets(mats, qr_period)
         del mats  # free this chunk's steps before the next one is evaluated
-        for j in range(blocks.shape[1]):
-            image = np.matmul(blocks[:, j], frame)
-            if full_frame:
-                if not np.all(np.isfinite(image)):
+        n_blocks = blocks.shape[1]
+        # The loop holds only the sequential step.  Overflow and vanishing
+        # show up as non-finite or zero entries that the checks after it
+        # report, so their warnings are noise.
+        if full_frame:
+            images = np.empty_like(blocks)
+            diags = np.empty((n_rep, n_blocks, d))
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                for j in range(n_blocks):
+                    np.matmul(blocks[:, j], frame, out=images[:, j])
+                    frame, upper = np.linalg.qr(images[:, j])
+                    diags[:, j] = np.diagonal(upper, axis1=1, axis2=2)
+            diags = np.abs(diags)
+            bad_image = ~np.all(np.isfinite(images), axis=(0, 2, 3))
+            bad = bad_image | ~np.all(diags > 0.0, axis=(0, 2))
+            if np.any(bad):
+                if bad_image[np.argmax(bad)]:
                     raise RenormalizationError(
                         "non-finite frame image; reduce qr_period for this tuple"
                     )
-                frame, upper = np.linalg.qr(image)
-                diag = np.abs(np.diagonal(upper, axis1=1, axis2=2))
-                if not np.all(diag > 0.0):
-                    raise RenormalizationError(
-                        "rank-deficient frame image; reduce qr_period for this tuple"
-                    )
-                logs = np.log(diag)
-                logs[:, -1] = dets[:, j] - np.sum(logs[:, :-1], axis=1)
-                log_sum += logs
-            else:
-                # a (1, d) @ (d, 1) product is the BLAS dot that np.linalg.norm
-                # takes on one vector, so each norm matches it bit for bit
-                norms = np.sqrt(np.matmul(image.transpose(0, 2, 1), image)[:, 0, 0])
-                if not np.all(np.isfinite(norms) & (norms > 0.0)):
-                    raise RenormalizationError(
-                        "vector iterate overflowed or vanished; reduce qr_period"
-                    )
-                frame = image / norms[:, None, None]
-                log_sum += np.log(norms)
+                raise RenormalizationError(
+                    "rank-deficient frame image; reduce qr_period for this tuple"
+                )
+            logs = np.log(diags)
+            logs[:, :, -1] = dets - np.sum(logs[:, :, :-1], axis=2)
+        else:
+            norms = np.empty((n_rep, n_blocks))
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                for j in range(n_blocks):
+                    image = np.matmul(blocks[:, j], frame)
+                    # a (1, d) @ (d, 1) product is the BLAS dot that
+                    # np.linalg.norm takes on one vector, so each norm
+                    # matches it bit for bit
+                    np.sqrt(np.matmul(image.transpose(0, 2, 1), image)[:, 0, 0],
+                            out=norms[:, j])
+                    frame = image / norms[:, j, None, None]
+            if not np.all(np.isfinite(norms) & (norms > 0.0)):
+                raise RenormalizationError(
+                    "vector iterate overflowed or vanished; reduce qr_period"
+                )
+            logs = np.log(norms)
+        # accumulate is sequential along the block axis: the bits of adding
+        # one block at a time
+        logs[:, 0] += log_sum
+        log_sum = np.add.accumulate(logs, axis=1)[:, -1]
     if not full_frame:
         return log_sum / n_iter
     return np.sort(log_sum / n_iter, axis=1)[:, ::-1]

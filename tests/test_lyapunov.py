@@ -3,9 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cocyclelab as cl
-from cocyclelab import lyapunov
+from cocyclelab import certify, lyapunov
 from util import SILVER, random_tuple, schrodinger_pair
 
 LOG2 = math.log(2.0)
@@ -107,8 +109,22 @@ def test_qr_period_invariance_constant_tuple():
 
 def test_overflow_raises_renormalization_error():
     rp = constant_diag([1e12, 1.0])
-    with pytest.raises(cl.RenormalizationError):
+    with pytest.raises(cl.RenormalizationError, match="non-finite frame image"):
         cl.estimate_spectrum(rp, 600, 1, seed=0, qr_period=600)
+
+
+def test_overflow_inside_the_block_loop_raises_without_a_warning():
+    # NaN entries of the multiplied-out blocks reach the frame-image matmul;
+    # its warning must not pre-empt the error (RuntimeWarnings are errors here)
+    rp = constant_diag([1e12, 1.0])
+    with pytest.raises(cl.RenormalizationError, match="non-finite frame image"):
+        cl.estimate_spectrum(rp, 3000, 2, seed=0, qr_period=30)
+
+
+def test_underflow_raises_rank_deficient_frame_image():
+    rp = constant_diag([1e-6, 1.0])
+    with pytest.raises(cl.RenormalizationError, match="rank-deficient frame image"):
+        cl.estimate_spectrum(rp, 600, 2, seed=0, qr_period=60)
 
 
 def test_top_exponent_overflow_raises_renormalization_error():
@@ -134,15 +150,18 @@ def test_knob_validation():
 
 # Replicate values of the per-replicate estimators that the lockstep kernel
 # replaced, as float.hex literals: the kernel must reproduce them bit for bit.
+# The last column of the d = 3 spectrum cases is the exponent pinned by the
+# step determinants; it was re-pinned when those moved from LU to the
+# cofactor kernel (see LU_PIN_LAST_COLUMN).
 GOLDEN_REPLICATES = [
     ("estimate_spectrum", lambda: random_tuple(3, seed=1), 1013, 3, 5, 20, [
         ["0x1.9f3e99959b638p-1", "0x1.94842308d7a15p-1", "0x1.3d9420a45dc39p-1"],
-        ["0x1.9c0e099b7393fp-1", "0x1.96d5db3c0d106p-1", "0x1.3e78d70e19e27p-1"],
+        ["0x1.9c0e099b7393fp-1", "0x1.96d5db3c0d106p-1", "0x1.3e78d70e19e29p-1"],
         ["0x1.9f0d003cbfd44p-1", "0x1.95852685af90fp-1", "0x1.3e431a9b71191p-1"],
     ]),
     ("estimate_spectrum", lambda: random_tuple(3, seed=1), 7, 2, 6, 20, [
         ["0x1.a466d1d8e50edp-1", "0x1.8bb34fb379409p-1", "0x1.4c30f0ff6f34bp-1"],
-        ["0x1.b8742d5641acbp-1", "0x1.8096ae5059fc7p-1", "0x1.3a98b8daf42c2p-1"],
+        ["0x1.b8742d5641acbp-1", "0x1.8096ae5059fc7p-1", "0x1.3a98b8daf42c0p-1"],
     ]),
     ("estimate_spectrum", lambda: random_tuple(2, seed=3), 2000, 2, 7, 3, [
         ["0x1.9d0418b267896p-1", "0x1.3fd1719ee0d71p-1"],
@@ -179,12 +198,12 @@ def test_replicates_match_golden_bits(estimator, make_product, n_iter, n_rep, se
 # estimators shared one replicate aggregation
 GOLDEN_AGGREGATES = {
     "estimate_spectrum-1013x3-period20": (
-        ["0x1.9e1de1249a43fp-1", "0x1.959fb6ee316b9p-1", "0x1.3e1ab0c4a2ea5p-1"],
-        ["0x1.084f1efbfb610p-9", "0x1.57cfd7a5f668cp-10", "0x1.142fb38323e38p-11"],
+        ["0x1.9e1de1249a43fp-1", "0x1.959fb6ee316b9p-1", "0x1.3e1ab0c4a2ea7p-1"],
+        ["0x1.084f1efbfb610p-9", "0x1.57cfd7a5f668cp-10", "0x1.142fb3832400ap-11"],
     ),
     "estimate_spectrum-7x2-period20": (
         ["0x1.ae6d7f97935dcp-1", "0x1.8624ff01e99e8p-1", "0x1.4364d4ed31b06p-1"],
-        ["0x1.40d5b7d5c9ddfp-6", "0x1.63942c63e883fp-7", "0x1.19838247b0890p-6"],
+        ["0x1.40d5b7d5c9ddfp-6", "0x1.63942c63e883fp-7", "0x1.19838247b08b0p-6"],
     ),
     "estimate_spectrum-2000x2-period3": (
         ["0x1.9d9bbdf9bb93fp-1", "0x1.40e3c4cfa8209p-1"],
@@ -217,6 +236,35 @@ def test_aggregates_match_golden_bits(estimator, make_product, n_iter, n_rep, se
     assert [float(v).hex() for v in est.stderr] == stderr
 
 
+# The pinned last column of the d = 3 spectrum goldens under the LU
+# (np.linalg.slogdet) step determinants: replicates, value, stderr.
+LU_PIN_LAST_COLUMN = {
+    "estimate_spectrum-1013x3-period20": (
+        ["0x1.3d9420a45dc39p-1", "0x1.3e78d70e19e27p-1", "0x1.3e431a9b71191p-1"],
+        "0x1.3e1ab0c4a2ea5p-1", "0x1.142fb38323e38p-11",
+    ),
+    "estimate_spectrum-7x2-period20": (
+        ["0x1.4c30f0ff6f34bp-1", "0x1.3a98b8daf42c2p-1"],
+        "0x1.4364d4ed31b06p-1", "0x1.19838247b0890p-6",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(LU_PIN_LAST_COLUMN))
+def test_cofactor_pin_moves_the_lu_goldens_by_at_most_4_ulp(key):
+    _, make_product, n_iter, n_rep, seed, qr_period, golden = next(
+        c for c in GOLDEN_REPLICATES if f"{c[0]}-{c[2]}x{c[3]}-period{c[5]}" == key)
+    est = cl.estimate_spectrum(make_product(), n_iter, n_rep, seed, qr_period=qr_period)
+    reps, value, stderr = LU_PIN_LAST_COLUMN[key]
+    lu_reps = np.array([float.fromhex(x) for x in reps])
+    lu_value, lu_stderr = float.fromhex(value), float.fromhex(stderr)
+    assert np.all(np.abs(est.replicates[:, -1] - lu_reps) <= 4 * np.spacing(lu_reps))
+    assert abs(est.values[-1] - lu_value) <= 4 * np.spacing(lu_value)
+    # a few ulp of the replicates are hundreds of ulp of their spread, so the
+    # stderr is held to the scale of the exponent it belongs to
+    assert abs(est.stderr[-1] - lu_stderr) <= 4 * np.spacing(lu_value)
+
+
 def test_golden_cases_cover_chunk_edges():
     sizes = {(n_iter, qr_period) for _, _, n_iter, _, _, qr_period, _ in GOLDEN_REPLICATES}
     chunk = lyapunov.CHUNK_BLOCKS
@@ -237,3 +285,54 @@ def test_step_stack_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < n_iter * rp.dim ** 2 * 8
+
+
+def _dominant_steps(seed, d, n):
+    """n diagonally dominant (hence invertible) d x d steps, rows permuted, scaled.
+
+    Off-diagonal rows sum to at most (d - 1) / 2 against a diagonal of d, so
+    |det| stays within a modest factor of the product of the row norms.
+    """
+    rng = np.random.default_rng(seed)
+    mats = d * np.eye(d) + rng.uniform(-0.5, 0.5, (n, d, d)) * (1.0 - np.eye(d))
+    return mats[:, rng.permutation(d)] * 10.0 ** rng.uniform(-3, 3, (n, 1, 1))
+
+
+@given(st.integers(1, 6), st.integers(1, 25), st.integers(1, 4),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_block_log_dets_match_lu_per_step(d, period, n_blocks, seed):
+    mats = _dominant_steps(seed, d, 2 * n_blocks * period).reshape(
+        2, n_blocks * period, d, d)
+    got = lyapunov._block_log_dets(mats, period)
+    want = np.linalg.slogdet(mats)[1].reshape(2, n_blocks, period).sum(axis=-1)
+    assert got.shape == (2, n_blocks)
+    assert np.all(np.abs(got - want) <= 1e-13 * period)
+
+
+def test_block_log_dets_identity_padding_is_exactly_zero():
+    for d in range(1, 7):
+        mats = np.broadcast_to(np.eye(d), (3, 8, d, d))
+        assert np.all(lyapunov._block_log_dets(mats, 4) == 0.0)
+
+
+@pytest.mark.parametrize("bad", [
+    np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]]),  # rank 2
+    np.array([[1.0, 0.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0, 1.0]]),
+], ids=["singular", "inf-entry"])
+def test_block_log_dets_reject_singular_and_non_finite_steps(bad):
+    mats = np.tile(np.eye(3), (2, 6, 1, 1))
+    mats[1, 4] = bad
+    with pytest.raises(cl.RenormalizationError, match="singular step matrix"):
+        lyapunov._block_log_dets(mats, 3)
+
+
+def test_estimate_spectrum_makes_no_slogdet_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.slogdet called")
+
+    monkeypatch.setattr(np.linalg, "slogdet", refuse)
+    est = cl.estimate_spectrum(random_tuple(3, seed=1), 2000, 2, seed=0)
+    assert np.all(np.isfinite(est.values))
+    # the pin shares the TWIST_D cofactor kernel, not a copy of it
+    assert lyapunov._minors is certify._minors
