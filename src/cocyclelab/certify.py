@@ -31,9 +31,8 @@ import numpy as np
 from ._cofactor import _entries, _minors
 from ._quadrature import circle_rule, graded_panel_rule
 from .circle import homoclinic_base_holonomy, rotate, wrap_unit
-from .holonomy import (DEFAULT_DIRECTION_TOL, DEFAULT_PULLBACK,
-                       closed_form_holonomy_many, oseledets_directions,
-                       projective_distance)
+from .holonomy import (DEFAULT_PULLBACK, closed_form_holonomy_many,
+                       oseledets_directions, projective_distance)
 from .lyapunov import estimate_top_exponent
 
 CERTIFICATE_KINDS = ("WEAK_PINCH", "WEAK_TWIST", "PINCH_D", "TWIST_D")
@@ -47,11 +46,15 @@ PINCH_NOISE_FLOOR = 1e-10
 DEFAULT_N_ITER = 20000
 DEFAULT_N_REP = 8
 DEFAULT_N_SAMPLES = 200
-DEFAULT_SEP_TOL = 1e-3
-DEFAULT_FRAC_THRESHOLD = 0.05
-DEFAULT_REL_GAP = 1e-6
 DEFAULT_GRID_N = 1 << 14
 DEFAULT_ZERO_TOL = 1e-12
+
+# Certifier thresholds on dimensionless quantities (WEAK_TWIST's sine
+# distance and separated fraction, PINCH_D's gap over the spread), so no
+# rescaling of a tuple calls for other values; zero_tol is not one of them.
+SEP_TOL = 1e-3
+FRAC_THRESHOLD = 0.05
+REL_GAP = 1e-6
 
 # |g'(root)| must exceed this times sup |g| to count as transversal.
 TRANSVERSAL_FACTOR = 1e-8
@@ -191,16 +194,16 @@ def weakly_pinching(product, n_iter=DEFAULT_N_ITER, n_rep=DEFAULT_N_REP, seed=0)
                        diagnostics=diagnostics, seed=seed)
 
 
-def weakly_twisting(product, n_samples=DEFAULT_N_SAMPLES, sep_tol=DEFAULT_SEP_TOL,
-                    frac_threshold=DEFAULT_FRAC_THRESHOLD, seed=0,
-                    n_pullback=DEFAULT_PULLBACK, direction_tol=DEFAULT_DIRECTION_TOL):
+def weakly_twisting(product, n_samples=DEFAULT_N_SAMPLES, seed=0,
+                    n_pullback=DEFAULT_PULLBACK):
     """Certify projective separation of holonomy images of the Oseledets pair.
 
     At sampled points t the composed holonomy must move {e+, e-} off the
     pair at the holonomy-shifted point: a sample is separated when all four
-    pairwise sine distances reach ``sep_tol``.  PASS when the separated
-    fraction of converged samples exceeds ``frac_threshold``; fewer than
-    half the samples converging is INCONCLUSIVE.
+    pairwise sine distances reach ``SEP_TOL``.  PASS when the separated
+    fraction of converged samples exceeds ``FRAC_THRESHOLD``; fewer than
+    half the samples converging is INCONCLUSIVE.  A sample is converged
+    when both of its direction pairs meet ``holonomy.DIRECTION_TOL``.
     """
     if product.dim != 2:
         raise ValueError("weakly_twisting handles 2x2 tuples")
@@ -220,9 +223,8 @@ def weakly_twisting(product, n_samples=DEFAULT_N_SAMPLES, sep_tol=DEFAULT_SEP_TO
     angle0 = product.angles[0]
     map0 = product.maps[0]
     for i, t in enumerate(ts):
-        here = oseledets_directions(angle0, map0, t, n_pullback, direction_tol)
-        there = oseledets_directions(angle0, map0, rotate(t, offset), n_pullback,
-                                     direction_tol)
+        here = oseledets_directions(angle0, map0, t, n_pullback)
+        there = oseledets_directions(angle0, map0, rotate(t, offset), n_pullback)
         if not (here.converged and there.converged):
             continue
         n_converged += 1
@@ -234,14 +236,14 @@ def weakly_twisting(product, n_samples=DEFAULT_N_SAMPLES, sep_tol=DEFAULT_SEP_TO
         )
         if min_separation is None or separation < min_separation:
             min_separation = separation
-        if separation >= sep_tol:
+        if separation >= SEP_TOL:
             n_separated += 1
         elif len(witnesses) < 8:
             witnesses.append({"t": float(t), "separation": float(separation)})
 
     converged_fraction = n_converged / n_samples
     separated_fraction = n_separated / n_converged if n_converged else 0.0
-    margin = separated_fraction - frac_threshold
+    margin = separated_fraction - FRAC_THRESHOLD
     if converged_fraction < 0.5:
         verdict = "INCONCLUSIVE"
     elif margin > 0.0:
@@ -257,8 +259,8 @@ def weakly_twisting(product, n_samples=DEFAULT_N_SAMPLES, sep_tol=DEFAULT_SEP_TO
             "converged_fraction": converged_fraction,
             "separated_fraction": separated_fraction,
             "min_separation": min_separation,
-            "sep_tol": sep_tol,
-            "frac_threshold": frac_threshold,
+            "sep_tol": SEP_TOL,
+            "frac_threshold": FRAC_THRESHOLD,
             "n_pullback": n_pullback,
             "witnesses": witnesses,
         },
@@ -266,13 +268,13 @@ def weakly_twisting(product, n_samples=DEFAULT_N_SAMPLES, sep_tol=DEFAULT_SEP_TO
     )
 
 
-def pinching_d(exponents, rel_gap=DEFAULT_REL_GAP):
+def pinching_d(exponents):
     """Certify pairwise-distinct subset sums of an exponent list.
 
     For every cardinality j in 1..d-1 all sums over j of the exponents must
     differ; gaps are normalized by the spread max-min (all-equal exponents
     have normalized gap 0), and the margin is the smallest normalized gap
-    minus ``rel_gap``.  A FAIL carries the colliding pair of 1-based index
+    minus ``REL_GAP``.  A FAIL carries the colliding pair of 1-based index
     sets.
     """
     lam = np.asarray(exponents, dtype=float)
@@ -296,7 +298,7 @@ def pinching_d(exponents, rel_gap=DEFAULT_REL_GAP):
                 witness = (size, set_lo, set_hi, s_lo, s_hi)
     size, set_lo, set_hi, s_lo, s_hi = witness
     normalized = best_gap / spread if spread > 0.0 else 0.0
-    margin = normalized - rel_gap
+    margin = normalized - REL_GAP
     verdict = "PASS" if margin > 0.0 else "FAIL"
     return Certificate(
         kind="PINCH_D",
@@ -306,7 +308,7 @@ def pinching_d(exponents, rel_gap=DEFAULT_REL_GAP):
             "spread": spread,
             "min_gap": best_gap,
             "min_normalized_gap": normalized,
-            "rel_gap": rel_gap,
+            "rel_gap": REL_GAP,
             "witness": {
                 "size": size,
                 "first": [i + 1 for i in set_lo],

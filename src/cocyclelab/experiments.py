@@ -13,12 +13,12 @@ An experiment is described by a JSON config file:
     Optional output CSV path (certificates go next to it as JSON).
 
 Estimator knobs (all optional, with defaults): ``n_iter``, ``n_rep``,
-``qr_period``, ``n_samples``, ``sep_tol``, ``frac_threshold``,
-``n_pullback``, ``direction_tol``, ``rel_gap``, ``grid_n``, ``zero_tol``,
+``qr_period``, ``n_samples``, ``n_pullback``, ``grid_n``, ``zero_tol``,
 ``budget``, ``n_candidates``.  Each default is the named constant of the
-module that uses it (``certify``, ``holonomy``, ``lyapunov``).  Keys the
+module that uses it (``certify``, ``holonomy``, ``lyapunov``).  The
+dimensionless certifier thresholds are constants, not knobs.  Keys the
 loader does not read are ignored, so configs written for older versions
-keep loading.
+(say, with ``sep_tol`` or ``rel_gap``) keep loading.
 
 Kind-specific fields: ``energies`` (list, or {min, max, steps}) for
 sweep-energy; ``epsilons``, ``perturbation`` ({"coeffs": d*d rows}) and
@@ -43,9 +43,8 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .certify import (DEFAULT_FRAC_THRESHOLD, DEFAULT_GRID_N, DEFAULT_N_ITER,
-                      DEFAULT_N_REP, DEFAULT_N_SAMPLES, DEFAULT_REL_GAP,
-                      DEFAULT_SEP_TOL, DEFAULT_ZERO_TOL, pinching_d, twisting_d,
+from .certify import (DEFAULT_GRID_N, DEFAULT_N_ITER, DEFAULT_N_REP,
+                      DEFAULT_N_SAMPLES, DEFAULT_ZERO_TOL, pinching_d, twisting_d,
                       weakly_pinching, weakly_twisting)
 from .cocycle import (DIAGONAL, SCHRODINGER, SL2, RandomProduct, TrigPolynomial,
                       make_schrodinger, rescale_diagonal, right_rotate,
@@ -53,7 +52,7 @@ from .cocycle import (DIAGONAL, SCHRODINGER, SL2, RandomProduct, TrigPolynomial,
 from .errors import ConfigError, UnsupportedPipelineError
 from .fileio import (file_digest, load_cocycle, read_int, read_number,
                      read_numbers, read_rows)
-from .holonomy import DEFAULT_DIRECTION_TOL, DEFAULT_PULLBACK
+from .holonomy import DEFAULT_PULLBACK
 from .lyapunov import (DEFAULT_QR_PERIOD, diagonal_spectrum, estimate_spectrum,
                        estimate_top_exponent)
 from .tables import ResultTable
@@ -71,10 +70,6 @@ _INT_KNOBS = {
     "n_candidates": 8,
 }
 _FLOAT_KNOBS = {
-    "sep_tol": DEFAULT_SEP_TOL,
-    "frac_threshold": DEFAULT_FRAC_THRESHOLD,
-    "direction_tol": DEFAULT_DIRECTION_TOL,
-    "rel_gap": DEFAULT_REL_GAP,
     "zero_tol": DEFAULT_ZERO_TOL,
     "budget": 0.1,
 }
@@ -208,9 +203,7 @@ def certification_pipeline(product, seed=0, knobs=None):
     if product.dim == 2:
         return [
             weakly_pinching(product, kn["n_iter"], kn["n_rep"], seed),
-            weakly_twisting(product, kn["n_samples"], kn["sep_tol"],
-                            kn["frac_threshold"], seed, kn["n_pullback"],
-                            kn["direction_tol"]),
+            weakly_twisting(product, kn["n_samples"], seed, kn["n_pullback"]),
         ]
     if product.maps[0].group_tag != DIAGONAL:
         raise UnsupportedPipelineError(
@@ -219,7 +212,7 @@ def certification_pipeline(product, seed=0, knobs=None):
         )
     exponents = diagonal_spectrum(product.solo(0))
     return [
-        pinching_d(exponents, kn["rel_gap"]),
+        pinching_d(exponents),
         twisting_d(product, kn["grid_n"], kn["zero_tol"]),
     ]
 

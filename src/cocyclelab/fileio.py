@@ -62,7 +62,6 @@ class CocycleFile:
     product: RandomProduct
     energy: float
     digest: str
-    path: str
 
 
 def file_digest(path):
@@ -214,12 +213,7 @@ def load_cocycle(path):
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read cocycle definition {path}: {exc}") from exc
     product, energy = product_from_dict(doc)
-    return CocycleFile(
-        product=product,
-        energy=energy,
-        digest=file_digest(path),
-        path=str(path),
-    )
+    return CocycleFile(product=product, energy=energy, digest=file_digest(path))
 
 
 def save_cocycle(product, path, potentials=None, energy=None):

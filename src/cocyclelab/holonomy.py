@@ -29,7 +29,9 @@ from .cocycle import word_product
 BASE_POINT_TOL = 1e-9
 
 DEFAULT_PULLBACK = 200
-DEFAULT_DIRECTION_TOL = 1e-8
+# Convergence bound on the projective residual between two pullback depths;
+# it is dimensionless, so no rescaling of a map calls for another value.
+DIRECTION_TOL = 1e-8
 
 
 def projective_distance(u, v):
@@ -143,8 +145,7 @@ def _frobenius(mats):
     return np.sqrt(np.add.reduce(mats * mats, axis=(-2, -1), keepdims=True))
 
 
-def oseledets_directions(angle, mat_map, t, n_pullback=DEFAULT_PULLBACK,
-                         tol=DEFAULT_DIRECTION_TOL):
+def oseledets_directions(angle, mat_map, t, n_pullback=DEFAULT_PULLBACK):
     """Oseledets directions of a single 2x2 quasi-periodic map at ``t``.
 
     e_plus is the top left singular vector of the past product, the
@@ -153,7 +154,7 @@ def oseledets_directions(angle, mat_map, t, n_pullback=DEFAULT_PULLBACK,
     start at ``t``.  The depth-n_pullback estimates use the last n_pullback
     past steps and the first n_pullback future steps; the residual is the
     larger projective distance between the two depths and convergence
-    means residual <= tol.
+    means residual <= ``DIRECTION_TOL``.
     """
     if mat_map.dim != 2:
         raise ValueError("oseledets_directions handles 2x2 maps")
@@ -182,7 +183,7 @@ def oseledets_directions(angle, mat_map, t, n_pullback=DEFAULT_PULLBACK,
                    projective_distance(e_minus, minus_half))
     return OseledetsDirections(
         e_plus=e_plus, e_minus=e_minus, residual=float(residual),
-        converged=bool(residual <= tol),
+        converged=bool(residual <= DIRECTION_TOL),
     )
 
 
@@ -221,11 +222,10 @@ class OseledetsField:
         table.to_csv(path)
 
 
-def oseledets_field(angle, mat_map, ts, n_pullback=DEFAULT_PULLBACK,
-                    tol=DEFAULT_DIRECTION_TOL):
+def oseledets_field(angle, mat_map, ts, n_pullback=DEFAULT_PULLBACK):
     """:func:`oseledets_directions` at every point of ``ts``, as one field."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    results = [oseledets_directions(angle, mat_map, t, n_pullback, tol) for t in ts]
+    results = [oseledets_directions(angle, mat_map, t, n_pullback) for t in ts]
     return OseledetsField(
         ts=ts,
         e_plus=np.array([r.e_plus for r in results]).reshape(-1, 2),

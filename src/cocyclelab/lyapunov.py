@@ -55,9 +55,6 @@ class LyapunovEstimate:
 
     values: np.ndarray
     stderr: np.ndarray
-    n_iter: int
-    n_rep: int
-    seed: int
     replicates: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
@@ -237,15 +234,14 @@ def _iterate_frames(product, seed, n_iter, n_rep, qr_period, full_frame):
     return np.sort(log_sum / n_iter, axis=1)[:, ::-1]
 
 
-def _aggregate(reps, n_iter, seed):
+def _aggregate(reps):
     """Mean and ddof=1 standard error (zero for one replicate) of (n_rep, k) values."""
     n_rep = reps.shape[0]
     if n_rep > 1:
         stderr = reps.std(axis=0, ddof=1) / np.sqrt(n_rep)
     else:
         stderr = np.zeros(reps.shape[1])
-    return LyapunovEstimate(values=reps.mean(axis=0), stderr=stderr, n_iter=n_iter,
-                            n_rep=n_rep, seed=seed, replicates=reps)
+    return LyapunovEstimate(values=reps.mean(axis=0), stderr=stderr, replicates=reps)
 
 
 def estimate_spectrum(product, n_iter, n_rep, seed, qr_period=DEFAULT_QR_PERIOD):
@@ -257,7 +253,7 @@ def estimate_spectrum(product, n_iter, n_rep, seed, qr_period=DEFAULT_QR_PERIOD)
     are sorted before aggregation.  All replicates advance together.
     """
     reps = _iterate_frames(product, seed, n_iter, n_rep, qr_period, full_frame=True)
-    return _aggregate(reps, n_iter, seed)
+    return _aggregate(reps)
 
 
 def estimate_top_exponent(product, n_iter, n_rep, seed, qr_period=DEFAULT_QR_PERIOD):
@@ -269,7 +265,7 @@ def estimate_top_exponent(product, n_iter, n_rep, seed, qr_period=DEFAULT_QR_PER
     ``qr_period`` steps.
     """
     reps = _iterate_frames(product, seed, n_iter, n_rep, qr_period, full_frame=False)
-    return _aggregate(reps.reshape(n_rep, 1), n_iter, seed)
+    return _aggregate(reps.reshape(n_rep, 1))
 
 
 def diagonal_spectrum(product):

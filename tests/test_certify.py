@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import cocyclelab as cl
 from cocyclelab import certify
-from cocyclelab.certify import DEFAULT_REL_GAP
+from cocyclelab.certify import REL_GAP
 from util import axis_pair, pipeline_tuple_d3, random_tuple, schrodinger_pair
 
 LOG2 = math.log(2.0)
@@ -219,14 +219,15 @@ SCHRODINGER_TWIST_WITNESSES = [
 ]
 
 
-def test_weakly_twisting_schrodinger_golden():
+def test_weakly_twisting_schrodinger_golden(monkeypatch):
     product = schrodinger_pair()[0]
     diag = cl.weakly_twisting(product, n_samples=24, seed=3).diagnostics
     assert diag["min_separation"].hex() == SCHRODINGER_TWIST_MIN_SEPARATION
     assert diag["converged_fraction"] == 1.0 and diag["separated_fraction"] == 1.0
     assert diag["witnesses"] == []
     # a tolerance above most separations turns the samples into witnesses
-    cert = cl.weakly_twisting(product, n_samples=24, seed=3, sep_tol=0.2)
+    monkeypatch.setattr(certify, "SEP_TOL", 0.2)
+    cert = cl.weakly_twisting(product, n_samples=24, seed=3)
     diag = cert.diagnostics
     assert cert.verdict == "FAIL" and cert.margin.hex() == "-0x1.999999999999ap-5"
     assert diag["min_separation"].hex() == SCHRODINGER_TWIST_MIN_SEPARATION
@@ -257,7 +258,7 @@ def test_pinching_d_distinct_sums_pass():
 
 def test_pinching_d_degenerate_and_validation():
     flat = cl.pinching_d([1.0, 1.0, 1.0])
-    assert flat.verdict == "FAIL" and flat.margin == -DEFAULT_REL_GAP
+    assert flat.verdict == "FAIL" and flat.margin == -REL_GAP
     witness = flat.diagnostics["witness"]
     assert (witness["size"], witness["first"], witness["second"]) == (1, [1], [2])
     assert flat.diagnostics["min_normalized_gap"] == 0.0
@@ -576,6 +577,26 @@ def test_twisting_d_pipeline_tuple_passes():
     scan = _sign_change_counts(product)
     for entry in minors:
         assert entry["n_zeros"] == scan[(tuple(entry["rows"]), tuple(entry["cols"]))]
+
+
+def test_twisting_d_scaled_first_map_needs_a_scaled_zero_tol():
+    # Scaling A_0 by c scales every k x k holonomy minor by c^-k, which
+    # cannot change twisting; only the absolute zero_tol notices the scale.
+    product = pipeline_tuple_d3()
+    want = [m["n_zeros"] for m in cl.twisting_d(product).diagnostics["minors"]]
+    maps = list(product.maps)
+    maps[0] = 1e4 * maps[0]
+    scaled = cl.RandomProduct(product.angles, maps)
+    assert maps[0].group_tag == cl.DIAGONAL
+    assert cl.pinching_d(cl.diagonal_spectrum(scaled.solo(0))).passed
+    # the default tolerance reads the small 3 x 3 minor as vanishing
+    default = cl.twisting_d(scaled)
+    assert default.verdict == "FAIL"
+    assert default.diagnostics["witness"] == {
+        "rows": [1, 2, 3], "cols": [1, 2, 3], "reason": "g vanishes on an interval"}
+    cert = cl.twisting_d(scaled, zero_tol=1e-16)
+    assert cert.passed
+    assert [m["n_zeros"] for m in cert.diagnostics["minors"]] == want
 
 
 def test_twisting_d_trivial_holonomy_fails():

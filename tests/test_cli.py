@@ -10,7 +10,7 @@ import pytest
 import cocyclelab as cl
 from cocyclelab import experiments
 from cocyclelab.cli import main
-from util import axis_pair, schrodinger_pair
+from util import axis_pair, pipeline_tuple_d3, schrodinger_pair
 
 FAST = {"n_iter": 2000, "n_rep": 2, "n_samples": 30, "n_pullback": 150}
 
@@ -18,6 +18,12 @@ FAST = {"n_iter": 2000, "n_rep": 2, "n_samples": 30, "n_pullback": 150}
 def write_json(path, doc):
     path.write_text(json.dumps(doc))
     return path
+
+
+def _without_digest(path):
+    """Lines of a CSV table apart from its config digest header."""
+    return [line for line in path.read_text().splitlines()
+            if not line.startswith("# config_digest")]
 
 
 @pytest.fixture
@@ -354,11 +360,7 @@ def test_parallel_is_retired(schro_setup, capsys):
     assert main(["lyapunov", "--config", str(cfg), "--out", str(out_plain)]) == 0
     assert main(["lyapunov", "--config", str(old_cfg), "--out", str(out_old)]) == 0
 
-    def without_digest(path):
-        return [line for line in path.read_text().splitlines()
-                if not line.startswith("# config_digest")]
-
-    assert without_digest(out_old) == without_digest(out_plain)
+    assert _without_digest(out_old) == _without_digest(out_plain)
     assert (cl.ResultTable.from_csv(out_old).provenance["config_digest"]
             == cl.file_digest(old_cfg))
 
@@ -379,11 +381,7 @@ def test_certify_base_is_retired(tmp_path):
     assert main(["continuity", "--config", str(cfg), "--out", str(out_plain)]) == 0
     assert main(["continuity", "--config", str(old_cfg), "--out", str(out_old)]) == 0
 
-    def without_digest(path):
-        return [line for line in path.read_text().splitlines()
-                if not line.startswith("# config_digest")]
-
-    assert without_digest(out_old) == without_digest(out_plain)
+    assert _without_digest(out_old) == _without_digest(out_plain)
     assert [row[-1] for row in cl.ResultTable.from_csv(out_old).rows] == [1, 1]
 
 
@@ -391,17 +389,38 @@ def test_config_defaults_are_the_estimator_defaults():
     knobs = dict(experiments._INT_KNOBS, **experiments._FLOAT_KNOBS)
     fed = {
         cl.weakly_pinching: ["n_iter", "n_rep"],
-        cl.weakly_twisting: ["n_samples", "sep_tol", "frac_threshold",
-                             "n_pullback", "direction_tol"],
+        cl.weakly_twisting: ["n_samples", "n_pullback"],
         cl.estimate_spectrum: ["qr_period"],
         cl.estimate_top_exponent: ["qr_period"],
-        cl.pinching_d: ["rel_gap"],
         cl.twisting_d: ["grid_n", "zero_tol"],
     }
     for fn, names in fed.items():
         params = inspect.signature(fn).parameters
         for name in names:
             assert params[name].default == knobs[name], (fn.__name__, name)
+    assert list(inspect.signature(cl.pinching_d).parameters) == ["exponents"]
+
+
+@pytest.mark.parametrize("make_product", [lambda: schrodinger_pair()[0],
+                                          pipeline_tuple_d3], ids=["d2", "d3"])
+def test_retired_threshold_keys_change_nothing(tmp_path, make_product):
+    """sep_tol, frac_threshold, direction_tol and rel_gap are constants now."""
+    cl.save_cocycle(make_product(), tmp_path / "tuple.json")
+    doc = {"kind": "certify", "cocycle": "tuple.json", "seed": 9, "grid_n": 4096,
+           **FAST}
+    retired = {"sep_tol": 0.2, "frac_threshold": 0.5, "direction_tol": 1e-30,
+               "rel_gap": 0.5}
+    outs = []
+    for name, cfg_doc in [("plain", doc), ("old", {**doc, **retired})]:
+        cfg = write_json(tmp_path / f"{name}.json", cfg_doc)
+        outs.append(tmp_path / f"{name}.csv")
+        assert main(["certify", "--config", str(cfg), "--out", str(outs[-1])]) == 0
+
+    assert _without_digest(outs[1]) == _without_digest(outs[0])
+    kinds = [row[0].lower() for row in cl.ResultTable.from_csv(outs[0]).rows]
+    for kind in kinds:
+        assert (outs[1].with_suffix(f".{kind}.json").read_bytes()
+                == outs[0].with_suffix(f".{kind}.json").read_bytes())
 
 
 def test_certify_rejects_non_diagonal_higher_dim(tmp_path, capsys):

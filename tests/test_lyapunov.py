@@ -30,11 +30,9 @@ def test_estimate_is_sorted_and_validated():
     assert np.all(np.diff(est.values) <= 1e-12)
     with pytest.raises(ValueError):
         cl.LyapunovEstimate(values=np.array([0.0, 1.0]), stderr=np.zeros(2),
-                            n_iter=10, n_rep=1, seed=0,
                             replicates=np.zeros((1, 2)))
     with pytest.raises(ValueError):
         cl.LyapunovEstimate(values=np.array([1.0, 0.0]), stderr=np.array([-1.0, 0.0]),
-                            n_iter=10, n_rep=1, seed=0,
                             replicates=np.zeros((1, 2)))
 
 
