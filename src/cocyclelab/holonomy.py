@@ -23,7 +23,7 @@ import numpy as np
 from .circle import (base_orbit, circle_distance, constant_word,
                      forward_agreement_index, homoclinic_base_holonomy, rotate,
                      single_flip_word, stable_holonomy_offset, wrap_unit)
-from .cocycle import word_product
+from .cocycle import DIAGONAL, word_product
 
 # Paired fibers must match the base holonomy image to this tolerance.
 BASE_POINT_TOL = 1e-9
@@ -92,14 +92,27 @@ def composed_holonomy(product, t):
 
 
 def closed_form_holonomy_many(product, ts):
-    """Vectorized closed form inv(A_0(t + offset)) @ A_1(t); shape (n, d, d)."""
+    """Vectorized closed form inv(A_0(t + offset)) @ A_1(t); shape (n, d, d).
+
+    A DIAGONAL first map, which every d > 2 pipeline run has, is inverted
+    by scaling row i of A_1(t) by 1 / a0_ii(t + offset), with no LU solve.
+    The reciprocal-multiply form, not a true division, rounds as
+    OpenBLAS's LU solve does on a diagonal matrix.  Any other first map
+    goes through ``np.linalg.solve``.
+    Both routes raise ``LinAlgError`` where A_0 is exactly singular.
+    """
     if product.n_symbols < 2:
         raise ValueError("the closed form needs symbols 0 and 1")
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     offset = homoclinic_base_holonomy(product.angles[0], product.angles[1])
     a0 = product.maps[0].eval_many(rotate(ts, offset))
     a1 = product.maps[1].eval_many(ts)
-    return np.linalg.solve(a0, a1)
+    if product.maps[0].group_tag != DIAGONAL:
+        return np.linalg.solve(a0, a1)
+    diag = np.diagonal(a0, axis1=1, axis2=2)
+    if not diag.all():
+        raise np.linalg.LinAlgError("Singular matrix")
+    return a1 * (1.0 / diag)[:, :, None]
 
 
 def closed_form_holonomy(product, t):

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 import cocyclelab as cl
 from cocyclelab import certify
 from cocyclelab.certify import REL_GAP
-from util import axis_pair, pipeline_tuple_d3, random_tuple, schrodinger_pair
+from util import (axis_pair, diagonal_first_tuple_d4, pipeline_tuple_d3, random_tuple,
+                  schrodinger_pair)
 
 LOG2 = math.log(2.0)
 
@@ -505,6 +506,26 @@ def test_twisting_d_d4_golden():
         g["zeros"] for g in golden]
     for m, g in zip(minors, golden):
         assert m["integral"] == pytest.approx(float.fromhex(g["integral"]), rel=1e-13)
+
+
+def test_twisting_d_d4_diagonal_first_golden():
+    # every field but n_non_transversal of TWIST_D on
+    # diagonal_first_tuple_d4(seed=1) as it was while the closed form solved
+    # the diagonal first map by LU; the row scaling rounds the same way
+    golden = json.loads(
+        (Path(__file__).parent / "twist_d4_diagonal_seed1_golden.json").read_text())
+    minors = cl.twisting_d(diagonal_first_tuple_d4(seed=1)).diagnostics["minors"]
+    assert [{"rows": m["rows"], "cols": m["cols"], "n_zeros": m["n_zeros"],
+             "zeros": [z.hex() for z in m["zeros"]], "orders": m["orders"],
+             "integral": m["integral"].hex()} for m in minors] == golden
+
+
+def test_twisting_d_diagonal_first_makes_no_lu_solve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    assert cl.twisting_d(pipeline_tuple_d3()).passed
 
 
 def test_twisting_d_makes_no_lu_determinant_call(monkeypatch):

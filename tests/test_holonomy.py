@@ -1,5 +1,7 @@
 """Holonomy quotients, the closed form, and Oseledets direction fields."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,9 @@ from hypothesis import strategies as st
 
 import cocyclelab as cl
 from cocyclelab import holonomy
-from util import (SILVER, axis_pair, inverse_word_product_reference,
-                  random_tuple, schrodinger_pair, unstable_holonomy_offset_reference)
+from util import (SILVER, axis_pair, diagonal_first_tuple_d4,
+                  inverse_word_product_reference, pipeline_tuple_d3, random_tuple,
+                  schrodinger_pair, unstable_holonomy_offset_reference)
 
 
 def test_projective_distance_basic():
@@ -169,6 +172,83 @@ def test_holonomy_is_lipschitz_in_the_flipped_map():
     bound = max(inv_norms) * eps * max(bump_norms)
     worst = max(np.linalg.norm(n - b, 2) for n, b in zip(new, base))
     assert worst <= bound * (1.0 + 1e-9)
+
+
+DIAGONAL_FIRST = {"d3": pipeline_tuple_d3,
+                  "d4": lambda: diagonal_first_tuple_d4(seed=1)}
+SOLVED_FIRST = {"general-d3": lambda: random_tuple(3, seed=1),
+                "schrodinger": lambda: schrodinger_pair()[0]}
+
+
+@pytest.mark.parametrize("build", DIAGONAL_FIRST.values(), ids=DIAGONAL_FIRST)
+def test_diagonal_first_closed_form_equals_composed(build):
+    product = build()
+    assert product.maps[0].group_tag == cl.DIAGONAL
+    ts = np.linspace(0.0, 1.0, 64, endpoint=False)
+    closed = cl.closed_form_holonomy_many(product, ts)
+    for t, want in zip(ts, closed):
+        np.testing.assert_allclose(cl.composed_holonomy(product, t), want,
+                                   rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("build", DIAGONAL_FIRST.values(), ids=DIAGONAL_FIRST)
+def test_diagonal_first_row_scaling_matches_lu_solve(build):
+    product = build()
+    ts = np.linspace(0.0, 1.0, 1024, endpoint=False)
+    delta = cl.homoclinic_base_holonomy(product.angles[0], product.angles[1])
+    want = np.linalg.solve(product.maps[0].eval_many(cl.rotate(ts, delta)),
+                           product.maps[1].eval_many(ts))
+    got = cl.closed_form_holonomy_many(product, ts)
+    assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * np.abs(want))
+
+
+@pytest.mark.parametrize("build", SOLVED_FIRST.values(), ids=SOLVED_FIRST)
+def test_other_first_maps_keep_the_lu_solve(build, monkeypatch):
+    product = build()
+    shapes = []
+    solve = np.linalg.solve
+
+    def counted(a, b):
+        shapes.append(a.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    cl.closed_form_holonomy_many(product, np.linspace(0.0, 1.0, 5, endpoint=False))
+    assert shapes == [(5, product.dim, product.dim)]
+
+
+@pytest.mark.parametrize("build", [*DIAGONAL_FIRST.values(), *SOLVED_FIRST.values()],
+                         ids=[*DIAGONAL_FIRST, *SOLVED_FIRST])
+def test_closed_form_of_no_points_is_empty(build):
+    product = build()
+    hs = cl.closed_form_holonomy_many(product, np.array([]))
+    assert hs.shape == (0, product.dim, product.dim)
+
+
+def _singular_first_map_pair(group_tag):
+    """diag(sin(2 pi (t - 1/2048)), 1), then a constant map.
+
+    The first map is exactly singular at t = 1/2048, between two points of
+    the 1024-point certification grid, so certification accepts it.
+    """
+    phase = 2.0 * np.pi / 2048
+    a0 = cl.TrigMatrixMap(np.diag([0.0, 1.0]), [np.diag([-np.sin(phase), 0.0])],
+                          [np.diag([np.cos(phase), 0.0])], group_tag=group_tag)
+    a1 = cl.TrigMatrixMap.constant([[2.0, 1.0], [1.0, 1.0]])
+    return cl.RandomProduct([cl.GOLDEN_MEAN, SILVER], [a0, a1])
+
+
+@pytest.mark.parametrize("group_tag", [cl.DIAGONAL, cl.GENERAL])
+def test_exactly_singular_first_map_raises_on_both_routes(group_tag):
+    product = _singular_first_map_pair(group_tag)
+    delta = cl.homoclinic_base_holonomy(product.angles[0], product.angles[1])
+    t = cl.rotate(1.0 / 2048, -delta)
+    assert cl.rotate(np.array([t]), delta)[0] == 1.0 / 2048
+    assert product.maps[0].eval(1.0 / 2048)[0, 0] == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            cl.closed_form_holonomy_many(product, [0.1, t, 0.2])
 
 
 def test_oseledets_axes_for_constant_diagonal():

@@ -72,3 +72,19 @@ def unstable_holonomy_offset_reference(angles, x_back, y_back):
     x = cl.as_word(np.asarray(x_back)[:m], len(angles))
     y = cl.as_word(np.asarray(y_back)[:m], len(angles))
     return cl.wrap_unit(math.fsum(angles[y]) - math.fsum(angles[x]))
+
+
+def diagonal_first_tuple_d4(seed):
+    """diag(exp(U(-1.5, 1.5))) then a seeded degree-2 trig map near I.
+
+    Drawn like the d = 4 certify inputs of ``perfbench/gen.py``: the first
+    map is a constant DIAGONAL one, as the d > 2 pipeline requires.
+    """
+    rng = np.random.default_rng(seed)
+    a0 = cl.TrigMatrixMap.constant(np.diag(np.exp(rng.uniform(-1.5, 1.5, 4))),
+                                   group_tag=cl.DIAGONAL)
+    const = np.eye(4) + 0.25 * rng.standard_normal((4, 4))
+    cos = 0.12 * rng.standard_normal((2, 4, 4))
+    sin = 0.12 * rng.standard_normal((2, 4, 4))
+    a1 = cl.TrigMatrixMap(const, cos, sin)
+    return cl.RandomProduct([cl.GOLDEN_MEAN, SILVER], [a0, a1])
