@@ -18,6 +18,15 @@ def _entries(stack):
     return np.ascontiguousarray(stack.transpose(1, 2, 0))
 
 
+def _max_row_norms(entries):
+    """Largest Euclidean norm of each row over all points of a (d, d, n) entry layout.
+
+    Their product over rows I bounds every minor on rows I (Hadamard's
+    inequality): the scale a minor or determinant is judged zero against.
+    """
+    return np.sqrt((entries * entries).sum(axis=1)).max(axis=1)
+
+
 def _minors(entries, rows, cols):
     """One minor (0-based rows and cols) at every point of a (d, d, n) entry layout.
 

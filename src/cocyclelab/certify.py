@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._cofactor import _entries, _minors
+from ._cofactor import _entries, _max_row_norms, _minors
 from ._quadrature import circle_rule, graded_panel_rule
 from .circle import homoclinic_base_holonomy, rotate, wrap_unit
 from .holonomy import (DEFAULT_PULLBACK, closed_form_holonomy_many,
@@ -47,14 +47,18 @@ DEFAULT_N_ITER = 20000
 DEFAULT_N_REP = 8
 DEFAULT_N_SAMPLES = 200
 DEFAULT_GRID_N = 1 << 14
-DEFAULT_ZERO_TOL = 1e-12
 
 # Certifier thresholds on dimensionless quantities (WEAK_TWIST's sine
-# distance and separated fraction, PINCH_D's gap over the spread), so no
-# rescaling of a tuple calls for other values; zero_tol is not one of them.
+# distance and separated fraction, PINCH_D's gap over the spread, and
+# |g| over its scale for a zero of log_integrability), so no rescaling of a
+# tuple calls for other values.
 SEP_TOL = 1e-3
 FRAC_THRESHOLD = 0.05
 REL_GAP = 1e-6
+ZERO_REL_TOL = 1e-12
+
+# Roots and dip minimizers are refined to this width in t.
+ROOT_XTOL = 1e-12
 
 # |g'(root)| must exceed this times sup |g| to count as transversal.
 TRANSVERSAL_FACTOR = 1e-8
@@ -455,16 +459,17 @@ def _fit_zero_order(abs_vals, sup):
     return m, math.exp(log_c)
 
 
-def log_integrability(g, grid_n=DEFAULT_GRID_N, zero_tol=DEFAULT_ZERO_TOL):
+def log_integrability(g, grid_n=DEFAULT_GRID_N, scale=1.0):
     """Estimate the circle integral of |log |g||, locating the zeros of g.
 
-    The scan grid finds sign changes (refined by bisection to ``zero_tol``
-    in t) and runs of grid points already below ``zero_tol`` (each run's
-    center is a zero); dips of |g| below sqrt(zero_tol) are polished by
-    golden-section search to catch even-order zeros.  A run of three or
-    more points means g vanishes on an interval, and the integral is
-    infinite, unless |g| along it falls strictly to a single minimum and
-    then rises strictly, as it does around a zero of high order.
+    The scan grid finds sign changes (refined by bisection to ``ROOT_XTOL``
+    in t) and runs of grid points with |g| below ``ZERO_REL_TOL * scale``
+    (each run's center is a zero); dips of |g| below
+    ``sqrt(ZERO_REL_TOL) * scale`` are polished by golden-section search
+    to catch even-order zeros.  A run of three or more points means g
+    vanishes on an interval, and the integral is infinite, unless |g|
+    along it falls strictly to a single minimum and then rises strictly,
+    as it does around a zero of high order.
 
     Each zero gets a transversality check of the central-difference
     derivative against ``TRANSVERSAL_FACTOR * sup |g|``; non-transversal
@@ -475,8 +480,13 @@ def log_integrability(g, grid_n=DEFAULT_GRID_N, zero_tol=DEFAULT_ZERO_TOL):
 
     ``g`` must accept a 1d array of circle points and return values of the
     same shape.  After the scan, each refinement step calls ``g`` once for
-    all brackets, dips or zeros together.
+    all brackets, dips or zeros together.  ``scale``, finite and positive,
+    is the size of the terms that make up g (a minor's Hadamard bound), so
+    g and ``scale`` rescaled together give the same zeros.
     """
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise ValueError(f"scale must be finite and positive, got {scale!r}")
+    zero_thr = ZERO_REL_TOL * scale
     ts = np.arange(grid_n) / grid_n
     vals = np.asarray(g(ts), dtype=float)
     if vals.shape != ts.shape:
@@ -485,7 +495,7 @@ def log_integrability(g, grid_n=DEFAULT_GRID_N, zero_tol=DEFAULT_ZERO_TOL):
         raise ValueError("g must be finite on the scan grid")
     absvals = np.abs(vals)
     sup = float(absvals.max())
-    small = absvals < zero_tol
+    small = absvals < zero_thr
 
     # runs of grid points already inside the zero tolerance
     small_idx = np.nonzero(small)[0]
@@ -496,12 +506,12 @@ def log_integrability(g, grid_n=DEFAULT_GRID_N, zero_tol=DEFAULT_ZERO_TOL):
             # the run straddles t = 0; unwrap its front half past 1
             groups[0] = np.concatenate([groups.pop(), groups[0] + grid_n])
 
-    if sup < zero_tol or any(_vanishes_on_run(absvals[group % grid_n])
+    if sup < zero_thr or any(_vanishes_on_run(absvals[group % grid_n])
                              for group in groups):
         return LogIntegralResult(
             estimate=math.inf, zeros=[], orders=[],
             diagnostics={"reason": "g vanishes on an interval", "sup": sup,
-                         "grid_n": grid_n, "zero_tol": zero_tol},
+                         "grid_n": grid_n, "scale": scale},
         )
     if np.all(vals == vals[0]):
         # flat integrand: the integral is |log| of the constant, exactly
@@ -520,16 +530,16 @@ def log_integrability(g, grid_n=DEFAULT_GRID_N, zero_tol=DEFAULT_ZERO_TOL):
     # sign changes between grid neighbors that are clear of the tolerance
     starts = ts[(~small) & (~np.roll(small, -1)) & (vals * np.roll(vals, -1) < 0.0)]
     if starts.size:
-        roots += [wrap_unit(r) for r in bisect(f, starts, starts + h, zero_tol).tolist()]
+        roots += [wrap_unit(r) for r in bisect(f, starts, starts + h, ROOT_XTOL).tolist()]
 
     # dips of |g| that may hide even-order zeros
-    dip_thr = math.sqrt(zero_tol)
+    dip_thr = math.sqrt(ZERO_REL_TOL) * scale
     dips = ts[(absvals < dip_thr) & (~small)
               & (absvals < np.roll(absvals, 1)) & (absvals <= np.roll(absvals, -1))]
     dips = dips[_circle_gap(dips, roots) >= 2 * h]
     if dips.size:
-        xs = minimize_scalar(lambda x: np.abs(f(x)), dips - h, dips + h, zero_tol * 0.1)
-        hit = np.abs(f(xs)) < zero_tol
+        xs = minimize_scalar(lambda x: np.abs(f(x)), dips - h, dips + h, ROOT_XTOL * 0.1)
+        hit = np.abs(f(xs)) < zero_thr
         for t_i, x in zip(dips[hit].tolist(), xs[hit].tolist()):
             # a zero polished from an earlier dip may already sit next to t_i
             if _circle_gap(t_i, roots) >= 2 * h:
@@ -550,7 +560,7 @@ def log_integrability(g, grid_n=DEFAULT_GRID_N, zero_tol=DEFAULT_ZERO_TOL):
         estimate = float(ws @ np.abs(np.log(np.abs(g(xs)))))
         return LogIntegralResult(
             estimate=estimate, zeros=[], orders=[],
-            diagnostics={"sup": sup, "grid_n": grid_n, "zero_tol": zero_tol},
+            diagnostics={"sup": sup, "grid_n": grid_n, "scale": scale},
         )
 
     # classify each zero and give it a Taylor-model interval
@@ -614,7 +624,7 @@ def log_integrability(g, grid_n=DEFAULT_GRID_N, zero_tol=DEFAULT_ZERO_TOL):
             "far_contribution": far,
             "sup": sup,
             "grid_n": grid_n,
-            "zero_tol": zero_tol,
+            "scale": scale,
         },
     )
 
@@ -641,7 +651,7 @@ def _minor_function(product, index, precomputed):
     return g
 
 
-def twisting_d(product, grid_n=DEFAULT_GRID_N, zero_tol=DEFAULT_ZERO_TOL):
+def twisting_d(product, grid_n=DEFAULT_GRID_N):
     """Certify log-integrability of every minor of the homoclinic holonomy.
 
     PASS iff the |log |minor|| integral is finite for every row/column
@@ -651,19 +661,25 @@ def twisting_d(product, grid_n=DEFAULT_GRID_N, zero_tol=DEFAULT_ZERO_TOL):
     infinite integral as its margin, so every FAIL is below 0.  The largest
     per-minor count of non-transversal zeros is reported for every verdict
     as ``max_non_transversal`` in the diagnostics.
+
+    Each minor on rows I gets the ``scale`` prod_{i in I} max_t |row_i H(t)|
+    over the scan grid, its Hadamard bound, which a rescaled map changes by
+    the same factor as the minor, so neither zeros nor verdict depend on it.
     """
     d = product.dim
     # every minor scans the same grid, and every zero-free minor integrates
     # on the same nodes: the holonomy is evaluated once on each point set
     precomputed = [(points, _entries(closed_form_holonomy_many(product, points)))
                    for points in (np.arange(grid_n) / grid_n, circle_rule()[0])]
+    row_max = _max_row_norms(precomputed[0][1]).tolist()
     per_minor = []
     worst_non_transversal = 0
     n_infinite = 0
     infinite_witness = None
     for index in all_minor_indices(d):
         g = _minor_function(product, index, precomputed)
-        result = log_integrability(g, grid_n, zero_tol)
+        scale = math.prod(row_max[r - 1] for r in index.rows)
+        result = log_integrability(g, grid_n, scale)
         n_non_trans = sum(1 for flag in result.diagnostics.get("transversal", [])
                           if not flag)
         worst_non_transversal = max(worst_non_transversal, n_non_trans)
@@ -675,6 +691,7 @@ def twisting_d(product, grid_n=DEFAULT_GRID_N, zero_tol=DEFAULT_ZERO_TOL):
             "zeros": result.zeros,
             "orders": result.orders,
             "n_non_transversal": n_non_trans,
+            "scale": scale,
         })
         if not result.finite:
             n_infinite += 1
@@ -690,6 +707,6 @@ def twisting_d(product, grid_n=DEFAULT_GRID_N, zero_tol=DEFAULT_ZERO_TOL):
             "witness": infinite_witness,
             "max_non_transversal": worst_non_transversal,
             "grid_n": grid_n,
-            "zero_tol": zero_tol,
+            "zero_rel_tol": ZERO_REL_TOL,
         },
     )

@@ -19,6 +19,7 @@ import math
 
 import numpy as np
 
+from ._cofactor import _max_row_norms
 from .circle import as_word, base_orbit, wrap_unit
 from .errors import GroupTagError, InvalidWordError, NonInvertibleMapError
 
@@ -151,8 +152,10 @@ class TrigMatrixMap(TrigPolynomial):
     """A (d, d) :class:`TrigPolynomial` certified as one map of a cocycle.
 
     ``group_tag`` is one of GENERAL, SL2, DIAGONAL, SCHRODINGER.
-    Construction certifies invertibility (|det| > 1e-10) on a 1024-point
-    grid, and the extra structural invariant of the declared tag.
+    Construction certifies invertibility on a 1024-point grid (min |det|
+    above ``DET_FLOOR`` times the Hadamard bound prod_i max_t |row_i|, so
+    rescaling rows cannot change it), and the extra structural invariant
+    of the declared tag.
     """
 
     def __init__(self, const, cos_coeffs=None, sin_coeffs=None, group_tag=GENERAL):
@@ -201,10 +204,11 @@ class TrigMatrixMap(TrigPolynomial):
         vals = self.eval_many(grid)
         dets = np.linalg.det(vals)
         worst = np.min(np.abs(dets))
-        if not worst > DET_FLOOR:
+        bound = math.prod(_max_row_norms(vals.transpose(1, 2, 0)))
+        if not worst > DET_FLOOR * bound:
             raise NonInvertibleMapError(
                 f"matrix map is numerically singular on the certification grid "
-                f"(min |det| = {worst:.3e} <= {DET_FLOOR})"
+                f"(min |det| = {worst:.3e} <= {DET_FLOOR} x Hadamard bound {bound:.3e})"
             )
         if self.group_tag == SL2:
             if d != 2:

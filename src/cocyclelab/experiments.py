@@ -13,12 +13,13 @@ An experiment is described by a JSON config file:
     Optional output CSV path (certificates go next to it as JSON).
 
 Estimator knobs (all optional, with defaults): ``n_iter``, ``n_rep``,
-``qr_period``, ``n_samples``, ``n_pullback``, ``grid_n``, ``zero_tol``,
-``budget``, ``n_candidates``.  Each default is the named constant of the
-module that uses it (``certify``, ``holonomy``, ``lyapunov``).  The
-dimensionless certifier thresholds are constants, not knobs.  Keys the
-loader does not read are ignored, so configs written for older versions
-(say, with ``sep_tol`` or ``rel_gap``) keep loading.
+``qr_period``, ``n_samples``, ``n_pullback``, ``grid_n``, ``budget``,
+``n_candidates``.  Each default is the named constant of the module that
+uses it (``certify``, ``holonomy``, ``lyapunov``).  The dimensionless
+certifier thresholds are constants, not knobs, and TWIST_D's zero test is
+relative to each minor's scale.  Keys the loader does not read are
+ignored, so configs written for older versions (say, with ``sep_tol``,
+``rel_gap`` or an absolute zero tolerance) keep loading.
 
 Kind-specific fields: ``energies`` (list, or {min, max, steps}) for
 sweep-energy; ``epsilons``, ``perturbation`` ({"coeffs": d*d rows}) and
@@ -44,8 +45,8 @@ import numpy as np
 
 from ._version import __version__
 from .certify import (DEFAULT_GRID_N, DEFAULT_N_ITER, DEFAULT_N_REP,
-                      DEFAULT_N_SAMPLES, DEFAULT_ZERO_TOL, pinching_d, twisting_d,
-                      weakly_pinching, weakly_twisting)
+                      DEFAULT_N_SAMPLES, pinching_d, twisting_d, weakly_pinching,
+                      weakly_twisting)
 from .cocycle import (DIAGONAL, SCHRODINGER, SL2, RandomProduct, TrigPolynomial,
                       make_schrodinger, rescale_diagonal, right_rotate,
                       shift_potential)
@@ -70,7 +71,6 @@ _INT_KNOBS = {
     "n_candidates": 8,
 }
 _FLOAT_KNOBS = {
-    "zero_tol": DEFAULT_ZERO_TOL,
     "budget": 0.1,
 }
 DEFAULT_EPSILONS = (1e-1, 1e-2, 1e-3, 1e-4)
@@ -213,7 +213,7 @@ def certification_pipeline(product, seed=0, knobs=None):
     exponents = diagonal_spectrum(product.solo(0))
     return [
         pinching_d(exponents),
-        twisting_d(product, kn["grid_n"], kn["zero_tol"]),
+        twisting_d(product, kn["grid_n"]),
     ]
 
 

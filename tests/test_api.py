@@ -31,3 +31,21 @@ def test_readme_quick_start_runs(capsys):
     exec(compile(block.group(1), str(README), "exec"), {})
     out = capsys.readouterr().out
     assert "WEAK_PINCH" in out and "WEAK_TWIST" in out
+
+
+def test_readme_documents_the_config_keys():
+    # every knob the loader reads is named outside the retired-fields
+    # paragraph, and every retired key only inside it
+    from cocyclelab import experiments
+
+    paragraphs = README.read_text().split("\n\n")
+    retired = [p for p in paragraphs if "Fields the loader does not read" in p]
+    assert len(retired) == 1
+    live = "\n\n".join(p for p in paragraphs if p is not retired[0])
+    for name in dict(experiments._INT_KNOBS, **experiments._FLOAT_KNOBS):
+        assert f"`{name}`" in live, name
+        assert f"`{name}`" not in retired[0], name
+    for name in ("parallel", "sep_tol", "frac_threshold", "direction_tol", "rel_gap",
+                 "zero_tol"):
+        assert f"`{name}`" in retired[0], name
+        assert f"`{name}`" not in live, name

@@ -349,10 +349,32 @@ def test_log_integral_validation():
         cl.log_integrability(lambda t: np.where(t > 0.5, np.nan, 1.0))
 
 
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("g", [np.zeros_like, lambda t: np.sin(2 * np.pi * t) ** 2],
+                         ids=["zero", "sin2"])
+def test_log_integral_rejects_a_bad_scale(scale, g):
+    with pytest.raises(ValueError, match="scale must be finite and positive"):
+        cl.log_integrability(g, 1024, scale)
+
+
+def test_log_integral_zeros_move_with_the_scale():
+    # g and its scale shrunk together find the same zeros; the unit scale
+    # reads the shrunk g as vanishing everywhere
+    def g(t):
+        return 1e-20 * np.sin(2 * np.pi * t) ** 2
+
+    plain = cl.log_integrability(lambda t: np.sin(2 * np.pi * t) ** 2)
+    shrunk = cl.log_integrability(g, scale=1e-20)
+    assert shrunk.orders == plain.orders == [2, 2]
+    assert shrunk.zeros == pytest.approx(plain.zeros, abs=1e-9)
+    assert cl.log_integrability(g).diagnostics["reason"] == "g vanishes on an interval"
+
+
 @pytest.mark.parametrize("m", [4, 5, 6])
 def test_log_integral_high_order_zeros(m):
-    # an order-m zero puts a run of grid points under zero_tol; |g| falls
-    # strictly to the run's minimum and rises again, so it is no interval zero
+    # an order-m zero puts a run of grid points under the zero threshold; |g|
+    # falls strictly to the run's minimum and rises again, so it is no
+    # interval zero
     result = cl.log_integrability(lambda t: np.sin(2 * np.pi * t) ** m)
     assert result.finite
     assert result.orders == [m, m]
@@ -369,7 +391,7 @@ def test_log_integral_exact_zero_on_an_interval_is_infinite():
 
 def test_log_integral_small_runs_straddling_zero():
     # double zeros half a grid step before 1/2 and 1: two grid points each fall
-    # under zero_tol, and the run at 1 - h/2 wraps around t = 0
+    # under the zero threshold, and the run at 1 - h/2 wraps around t = 0
     h = 1.0 / cl.certify.DEFAULT_GRID_N
     result = cl.log_integrability(lambda t: 1e-5 * np.sin(2 * np.pi * (t + h / 2)) ** 2)
     assert result.zeros == [0.5 - h / 2, 1.0 - h / 2]
@@ -600,24 +622,22 @@ def test_twisting_d_pipeline_tuple_passes():
         assert entry["n_zeros"] == scan[(tuple(entry["rows"]), tuple(entry["cols"]))]
 
 
-def test_twisting_d_scaled_first_map_needs_a_scaled_zero_tol():
-    # Scaling A_0 by c scales every k x k holonomy minor by c^-k, which
-    # cannot change twisting; only the absolute zero_tol notices the scale.
+@pytest.mark.parametrize("factors", [1e-8, 1e-3, 1e4, 1e5, 1e8, (1e6, 1.0, 1e-6)],
+                         ids=str)
+def test_twisting_d_is_invariant_under_rescaling_the_first_map(factors):
+    # Rescaling the rows of A_0 multiplies every k x k holonomy minor by a
+    # constant, which cannot change twisting; the zero threshold of each
+    # minor moves with the Hadamard bound of its rows.
     product = pipeline_tuple_d3()
-    want = [m["n_zeros"] for m in cl.twisting_d(product).diagnostics["minors"]]
+    plain = cl.twisting_d(product).diagnostics["minors"]
     maps = list(product.maps)
-    maps[0] = 1e4 * maps[0]
+    maps[0] = cl.rescale_diagonal(maps[0], np.broadcast_to(factors, 3))
     scaled = cl.RandomProduct(product.angles, maps)
-    assert maps[0].group_tag == cl.DIAGONAL
-    assert cl.pinching_d(cl.diagonal_spectrum(scaled.solo(0))).passed
-    # the default tolerance reads the small 3 x 3 minor as vanishing
-    default = cl.twisting_d(scaled)
-    assert default.verdict == "FAIL"
-    assert default.diagnostics["witness"] == {
-        "rows": [1, 2, 3], "cols": [1, 2, 3], "reason": "g vanishes on an interval"}
-    cert = cl.twisting_d(scaled, zero_tol=1e-16)
+    cert = cl.twisting_d(scaled)
     assert cert.passed
-    assert [m["n_zeros"] for m in cert.diagnostics["minors"]] == want
+    minors = cert.diagnostics["minors"]
+    assert [m["n_zeros"] for m in minors] == [m["n_zeros"] for m in plain]
+    assert [m["orders"] for m in minors] == [m["orders"] for m in plain]
 
 
 def test_twisting_d_trivial_holonomy_fails():

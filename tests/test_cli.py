@@ -392,7 +392,7 @@ def test_config_defaults_are_the_estimator_defaults():
         cl.weakly_twisting: ["n_samples", "n_pullback"],
         cl.estimate_spectrum: ["qr_period"],
         cl.estimate_top_exponent: ["qr_period"],
-        cl.twisting_d: ["grid_n", "zero_tol"],
+        cl.twisting_d: ["grid_n"],
     }
     for fn, names in fed.items():
         params = inspect.signature(fn).parameters
@@ -404,12 +404,13 @@ def test_config_defaults_are_the_estimator_defaults():
 @pytest.mark.parametrize("make_product", [lambda: schrodinger_pair()[0],
                                           pipeline_tuple_d3], ids=["d2", "d3"])
 def test_retired_threshold_keys_change_nothing(tmp_path, make_product):
-    """sep_tol, frac_threshold, direction_tol and rel_gap are constants now."""
+    """sep_tol, frac_threshold, direction_tol and rel_gap are constants now,
+    and zero_tol gave way to a zero threshold relative to each minor's scale."""
     cl.save_cocycle(make_product(), tmp_path / "tuple.json")
     doc = {"kind": "certify", "cocycle": "tuple.json", "seed": 9, "grid_n": 4096,
            **FAST}
     retired = {"sep_tol": 0.2, "frac_threshold": 0.5, "direction_tol": 1e-30,
-               "rel_gap": 0.5}
+               "rel_gap": 0.5, "zero_tol": 1e-30}
     outs = []
     for name, cfg_doc in [("plain", doc), ("old", {**doc, **retired})]:
         cfg = write_json(tmp_path / f"{name}.json", cfg_doc)

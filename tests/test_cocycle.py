@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cocyclelab as cl
-from util import SILVER, inverse_word_product_reference, random_tuple
+from util import (SILVER, inverse_word_product_reference, pipeline_tuple_d3,
+                  random_tuple)
 
 word_strategy = st.lists(st.integers(min_value=0, max_value=1), min_size=0, max_size=40)
 coeff = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -110,6 +111,16 @@ def test_group_tag_certification():
     # sin(2 pi t) on the diagonal vanishes at t = 0: singular somewhere
     with pytest.raises(cl.NonInvertibleMapError):
         cl.TrigMatrixMap(np.zeros((1, 1)), None, np.ones((1, 1, 1)))
+
+
+def test_invertibility_is_judged_against_the_hadamard_bound():
+    # diag(4e-4, 2e-4, 1e-4) has condition number 4 although its det is 8e-12
+    small = cl.rescale_diagonal(pipeline_tuple_d3().maps[0], [1e-4] * 3)
+    assert small.group_tag == cl.DIAGONAL
+    assert np.array_equal(small.eval(0.3), np.diag([4e-4, 2e-4, 1e-4]))
+    # det ~ 10 but condition number ~ 4e11: |det| is 5e-12 of the Hadamard bound
+    with pytest.raises(cl.NonInvertibleMapError, match="Hadamard bound"):
+        cl.TrigMatrixMap.constant([[1e6, 1e6], [1e6, 1e6 + 1e-5]])
 
 
 def test_schrodinger_det_is_one_exactly():
