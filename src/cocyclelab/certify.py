@@ -70,6 +70,8 @@ _EDGE_SHRINKS = 8
 # bisection stops at |step| < xtol + _BISECT_RTOL |x|, as scipy's does
 _BISECT_RTOL = 4.0 * np.finfo(float).eps
 _MAX_REFINE_ITER = 100
+# bisect serves this many halvings of every open bracket per call of f
+_LOOKAHEAD = 4
 _GOLDEN_CUT = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -343,35 +345,76 @@ def bisect(f, lo, hi, xtol):
 
     ``f`` maps a 1d array of points to values of equal shape; f(lo[k]) and
     f(hi[k]) must not share a strict sign.  Each bracket follows the
-    arithmetic of scipy.optimize.bisect: halve the step, move the low end to
-    the midpoint when f there has the sign f has at the original low end,
-    and stop on an exact zero or once the step is below
+    arithmetic of scipy.optimize.bisect, except where scipy's product of
+    two values under/overflows: halve the step, move the low end to the
+    midpoint when f there has the sign f has at the original low end, and
+    stop on an exact zero or once the step is below
     ``xtol + 4 eps |midpoint|``.  A bracket still open after 100 halvings
-    returns its low end.  The open brackets share one call of ``f`` per
-    halving.
+    returns its low end.
+
+    The first call of ``f`` takes both ends of every bracket.  Each later
+    call serves the next four halvings of every open bracket: it takes the
+    15 midpoints those halvings can reach (fewer once the bracket's step is
+    below ``xtol``), each built by the same addition low end + halved step
+    that one halving at a time makes, and every bracket then walks down its
+    own tree with the sign and stop tests in order.  So the roots are the
+    bits of one halving per call, in about a quarter of the calls.
     """
     lo = np.array(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     n = lo.size
     ends = f(np.concatenate([lo, hi]))
     f_lo, f_hi = ends[:n], ends[n:]
-    if np.any(f_lo * f_hi > 0.0):
+    if np.any(np.sign(f_lo) * np.sign(f_hi) > 0.0):
         raise ValueError("f must change sign on every bracket")
     roots = np.where(f_lo == 0.0, lo, hi)
-    step = hi - lo
-    live = np.nonzero((f_lo != 0.0) & (f_hi != 0.0))[0]
-    for _ in range(_MAX_REFINE_ITER):
-        if not live.size:
-            break
-        step[live] *= 0.5
-        mid = lo[live] + step[live]
-        f_mid = f(mid)
-        keep = f_mid * f_lo[live] >= 0.0
-        lo[live[keep]] = mid[keep]
-        done = (f_mid == 0.0) | (np.abs(step[live]) < xtol + _BISECT_RTOL * np.abs(mid))
-        roots[live[done]] = mid[done]
-        live = live[~done]
-    roots[live] = lo[live]
+    live = np.nonzero((f_lo != 0.0) & (f_hi != 0.0))[0].tolist()
+    lows, steps = lo.tolist(), (hi - lo).tolist()
+    # f times the sign of f at the low end is >= 0 exactly when scipy's
+    # f_mid * f_lo is, but it cannot under/overflow
+    signs = np.sign(f_lo).tolist()
+    rtol = float(_BISECT_RTOL)
+    halvings = 0
+    while live and halvings < _MAX_REFINE_ITER:
+        depth = min(_LOOKAHEAD, _MAX_REFINE_ITER - halvings)
+        # level k of a bracket's tree holds the 2^k midpoints that its
+        # (k + 1)-th halving from here can make; node j's children are 2j
+        # (the low end stayed) and 2j + 1 (the low end moved to node j)
+        points, trees = [], []
+        for i in live:
+            starts, h, path = [lows[i]], steps[i], []
+            for _ in range(depth):
+                h *= 0.5
+                mids = [x + h for x in starts]
+                points += mids
+                path.append(h)
+                if abs(h) < xtol:
+                    break  # the bracket stops by this level
+                starts = [x for pair in zip(starts, mids) for x in pair]
+            trees.append(path)
+        vals = f(np.array(points)).tolist()
+        still_open = []
+        base = 0
+        for i, path in zip(live, trees):
+            node = 0
+            for k, h in enumerate(path):
+                at = base + (1 << k) - 1 + node
+                mid, f_mid = points[at], vals[at]
+                node *= 2
+                if f_mid * signs[i] >= 0.0:
+                    lows[i] = mid
+                    node += 1
+                if f_mid == 0.0 or abs(h) < xtol + rtol * abs(mid):
+                    roots[i] = mid
+                    break
+            else:
+                steps[i] = h
+                still_open.append(i)
+            base += (1 << len(path)) - 1
+        halvings += depth
+        live = still_open
+    for i in live:
+        roots[i] = lows[i]
     return roots
 
 
@@ -479,8 +522,15 @@ def log_integrability(g, grid_n=DEFAULT_GRID_N, scale=1.0):
     quadrature on the rest.
 
     ``g`` must accept a 1d array of circle points and return values of the
-    same shape.  After the scan, each refinement step calls ``g`` once for
-    all brackets, dips or zeros together.  ``scale``, finite and positive,
+    same shape.  After the scan, every call of ``g`` serves all brackets,
+    dips or zeros together: ``bisect`` calls it once for the bracket ends
+    and then once per four halvings; golden-section search once per
+    iteration, and once more to test the polished dips; one call takes the
+    central-difference probes and the edge-shrink points, which depend only
+    on the zeros; one the order-fit offsets of the non-transversal zeros;
+    and one the quadrature nodes.  Neighbouring grid values and bracket
+    ends are compared by sign, never by their product, which would
+    under/overflow for a g far from 1.  ``scale``, finite and positive,
     is the size of the terms that make up g (a minor's Hadamard bound), so
     g and ``scale`` rescaled together give the same zeros.
     """
@@ -528,7 +578,8 @@ def log_integrability(g, grid_n=DEFAULT_GRID_N, scale=1.0):
     roots = [wrap_unit(float(np.mean(group * h))) for group in groups]
 
     # sign changes between grid neighbors that are clear of the tolerance
-    starts = ts[(~small) & (~np.roll(small, -1)) & (vals * np.roll(vals, -1) < 0.0)]
+    starts = ts[(~small) & (~np.roll(small, -1))
+                & (np.sign(vals) * np.sign(np.roll(vals, -1)) < 0.0)]
     if starts.size:
         roots += [wrap_unit(r) for r in bisect(f, starts, starts + h, ROOT_XTOL).tolist()]
 
@@ -570,8 +621,13 @@ def log_integrability(g, grid_n=DEFAULT_GRID_N, scale=1.0):
     if q > 1:
         gap = np.minimum((np.roll(r, -1) - r) % 1.0, (r - np.roll(r, 1)) % 1.0)
         s_max = np.minimum(s_max, gap / 4.0)
-    diffs = f(np.concatenate([r + _DIFF_STEP, r - _DIFF_STEP]))
-    derivs = (diffs[:q] - diffs[q:]) / (2.0 * _DIFF_STEP)
+    # the central-difference probes and the edge-shrink points depend only
+    # on the roots, so one call of f serves both
+    widths = s_max[:, None] * 0.25 ** np.arange(_EDGE_SHRINKS)
+    probes = f(np.concatenate([r + _DIFF_STEP, r - _DIFF_STEP,
+                               (r[:, None] - widths).ravel(), (r[:, None] + widths).ravel()]))
+    derivs = (probes[:q] - probes[q:2 * q]) / (2.0 * _DIFF_STEP)
+    edge_vals = np.maximum(*np.abs(probes[2 * q:]).reshape(2, q, _EDGE_SHRINKS))
     transversal = np.abs(derivs) > TRANSVERSAL_FACTOR * sup
     orders = [1] * q
     scales = np.abs(derivs).tolist()
@@ -583,10 +639,6 @@ def log_integrability(g, grid_n=DEFAULT_GRID_N, scale=1.0):
             orders[j], scales[j] = _fit_zero_order(abs_vals, sup)
 
     # shrink each interval until the power model tracks |g| at its edge
-    widths = s_max[:, None] * 0.25 ** np.arange(_EDGE_SHRINKS)
-    edge_vals = np.abs(f(np.concatenate([(r[:, None] - widths).ravel(),
-                                         (r[:, None] + widths).ravel()])))
-    edge_vals = np.maximum(*edge_vals.reshape(2, q, _EDGE_SHRINKS))
     half_widths = []
     for c, m, row, edges in zip(scales, orders, widths.tolist(), edge_vals.tolist()):
         s = row[-1] * 0.25

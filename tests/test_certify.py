@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 import cocyclelab as cl
 from cocyclelab import certify
 from cocyclelab.certify import REL_GAP
-from util import (axis_pair, diagonal_first_tuple_d4, pipeline_tuple_d3, random_tuple,
-                  schrodinger_pair)
+from util import (axis_pair, bisect_reference, diagonal_first_tuple_d4, pipeline_tuple_d3,
+                  random_tuple, schrodinger_pair)
 
 LOG2 = math.log(2.0)
 
@@ -443,14 +443,75 @@ def test_bisect_matches_scipy_bit_for_bit(slots_fracs, orders, sides, scale, xto
 
 
 def test_bisect_exact_zero_at_an_end_or_midpoint():
-    # dyadic roots: the first midpoint of [0, 1/2] and both ends hit zeros exactly
+    # dyadic roots: the first midpoint of [0, 1/2] and both ends hit zeros
+    # exactly, and so does the sixth midpoint of the last bracket, past the
+    # first call's four halvings
     f = _planted([0.25, 0.75], [1, 1], 1.0)
-    lo = np.array([0.0, 0.5, 0.125])
-    hi = np.array([0.5, 0.875, 0.25])
+    lo = np.array([0.0, 0.5, 0.125, 0.25 - 2.0 ** -7])
+    hi = np.array([0.5, 0.875, 0.25, 0.75 - 2.0 ** -7])
     want = [scipy.optimize.bisect(f, a, b, xtol=1e-12) for a, b in zip(lo, hi)]
     assert certify.bisect(_batched(f), lo, hi, 1e-12).tolist() == want
     with pytest.raises(ValueError):
         certify.bisect(_batched(f), np.array([0.3]), np.array([0.4]), 1e-12)
+
+
+# up to eight planted zeros and a bracket around each, from 1e-9 to 1e-3 a side
+many_brackets = st.lists(st.integers(0, 63), min_size=1, max_size=8,
+                         unique=True).flatmap(
+    lambda slots: st.tuples(
+        st.just(sorted(slots)),
+        st.lists(st.tuples(st.floats(0.1, 0.9), st.sampled_from([1, 3]),
+                           st.floats(-9.0, -3.0), st.floats(-9.0, -3.0)),
+                 min_size=len(slots), max_size=len(slots))))
+
+
+@given(many_brackets, st.floats(0.1, 10.0), st.sampled_from([1e-6, 1e-12, 1e-15, 1e-300]))
+@settings(max_examples=80, deadline=None)
+def test_bisect_lookahead_matches_one_halving_per_call(slots_params, scale, xtol):
+    # brackets of widths 2e-9 ... 2e-3 close after different numbers of
+    # halvings, so the trees of one call mix brackets at every stage
+    slots, params = slots_params
+    roots = [(k + u) / 64.0 for k, (u, _, _, _) in zip(slots, params)]
+    f = _planted(roots, [m for _, m, _, _ in params], scale)
+    lo = np.array([(k + u) / 64.0 - 10.0 ** a for k, (u, _, a, _) in zip(slots, params)])
+    hi = np.array([(k + u) / 64.0 + 10.0 ** b for k, (u, _, _, b) in zip(slots, params)])
+    got = certify.bisect(_batched(f), lo, hi, xtol)
+    assert got.tolist() == bisect_reference(_batched(f), lo, hi, xtol).tolist()
+
+
+def test_bisect_stops_after_exactly_100_halvings():
+    # |step| never falls below 1e-300 + 4 eps |x| while x closes in on 0,
+    # so the bracket is still open after 100 halvings and returns its low end
+    lo, hi = np.array([-1.0]), np.array([0.7])
+    got = certify.bisect(lambda xs: xs, lo, hi, 1e-300)
+    assert got.tolist() == bisect_reference(lambda xs: xs, lo, hi, 1e-300).tolist()
+    assert got[0] < 0.0
+
+
+def test_bisect_calls_f_once_per_four_halvings():
+    # a grid cell of the default scan needs 26 halvings to reach 1e-12,
+    # which take 27 calls at one halving per call
+    calls = []
+
+    def f(xs):
+        calls.append(xs.size)
+        return np.sin(2 * np.pi * (xs - 0.3 - 0.37 * 2.0 ** -14))
+
+    lo = np.array([0.3])
+    hi = lo + 2.0 ** -14
+    got = certify.bisect(f, lo, hi, 1e-12)
+    assert len(calls) <= 8
+    assert got.tolist() == bisect_reference(f, lo, hi, 1e-12).tolist()
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_bisect_tests_signs_at_any_scale(scale):
+    # the product of two values of size 1e-200 underflows to 0, and one of
+    # size 1e200 overflows; comparing signs keeps every bracket as at scale 1
+    lo, hi = np.array([0.3, 0.8]), np.array([0.7, 1.1])
+    plain = lambda xs: np.sin(2 * np.pi * xs)  # noqa: E731
+    want = certify.bisect(plain, lo, hi, 1e-12)
+    assert certify.bisect(lambda xs: scale * plain(xs), lo, hi, 1e-12).tolist() == want.tolist()
 
 
 @given(planted_roots, st.lists(st.floats(1e-5, 1e-3), min_size=8, max_size=8),
@@ -622,7 +683,8 @@ def test_twisting_d_pipeline_tuple_passes():
         assert entry["n_zeros"] == scan[(tuple(entry["rows"]), tuple(entry["cols"]))]
 
 
-@pytest.mark.parametrize("factors", [1e-8, 1e-3, 1e4, 1e5, 1e8, (1e6, 1.0, 1e-6)],
+@pytest.mark.parametrize("factors", [1e-60, 1e-8, 1e-3, 1e4, 1e5, 1e8, 1e100,
+                                     (1e6, 1.0, 1e-6)],
                          ids=str)
 def test_twisting_d_is_invariant_under_rescaling_the_first_map(factors):
     # Rescaling the rows of A_0 multiplies every k x k holonomy minor by a

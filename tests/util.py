@@ -74,6 +74,38 @@ def unstable_holonomy_offset_reference(angles, x_back, y_back):
     return cl.wrap_unit(math.fsum(angles[y]) - math.fsum(angles[x]))
 
 
+def bisect_reference(f, lo, hi, xtol):
+    """Lockstep bisection, one halving per call of f, as the library once had it.
+
+    scipy.optimize.bisect's arithmetic for every bracket, including its sign
+    tests by product, which under/overflow for values far from 1.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    n = lo.size
+    ends = f(np.concatenate([lo, hi]))
+    f_lo, f_hi = ends[:n], ends[n:]
+    if np.any(f_lo * f_hi > 0.0):
+        raise ValueError("f must change sign on every bracket")
+    roots = np.where(f_lo == 0.0, lo, hi)
+    step = hi - lo
+    live = np.nonzero((f_lo != 0.0) & (f_hi != 0.0))[0]
+    for _ in range(cl.certify._MAX_REFINE_ITER):
+        if not live.size:
+            break
+        step[live] *= 0.5
+        mid = lo[live] + step[live]
+        f_mid = f(mid)
+        keep = f_mid * f_lo[live] >= 0.0
+        lo[live[keep]] = mid[keep]
+        done = (f_mid == 0.0) | (np.abs(step[live])
+                                 < xtol + cl.certify._BISECT_RTOL * np.abs(mid))
+        roots[live[done]] = mid[done]
+        live = live[~done]
+    roots[live] = lo[live]
+    return roots
+
+
 def diagonal_first_tuple_d4(seed):
     """diag(exp(U(-1.5, 1.5))) then a seeded degree-2 trig map near I.
 
