@@ -18,12 +18,14 @@ blocks at a time, so memory does not grow with n_iter * d^2, and each
 block runs one renormalization step on the whole ``(n_rep, d, d)`` stack.
 Within a block the step matrices are multiplied pairwise in stacked passes;
 the block product agrees with sequential multiplication up to roundoff.
-The block loop holds only the sequential step (matmul, then QR or norm and
-divide); the overflow and rank checks, the logs and the running sum are
-taken once per chunk, with the bits of adding one block at a time.  The
-last QR exponent is pinned to the step determinants, evaluated by the
-cofactor kernel that TWIST_D shares (``_cofactor``).  Every replicate
-value is bitwise the same as iterating that replicate on its own.
+The block loop holds only the sequential step: the matmul, then the raw
+Householder QR and the Q formed from it (or the norm and divide).  |diag R|
+is read once per chunk off the stacked raw factors, and the overflow and
+rank checks, the logs and the running sum are taken once per chunk too,
+with the bits of adding one block at a time.  The last QR exponent is
+pinned to the step determinants, evaluated by the cofactor kernel that
+TWIST_D shares (``_cofactor``).  Every replicate value is bitwise the same
+as iterating that replicate on its own.
 """
 
 from __future__ import annotations
@@ -37,6 +39,13 @@ from ._quadrature import circle_rule
 from .circle import _wrapped_cumulative
 from .cocycle import DIAGONAL
 from .errors import GroupTagError, RenormalizationError
+
+try:
+    # The LAPACK gufunc (dorgqr) that np.linalg.qr's reduced mode runs to
+    # form Q from the raw Householder factor; private numpy API, since 1.22.
+    from numpy.linalg._umath_linalg import qr_reduced as _qr_reduced
+except ImportError:
+    _qr_reduced = None
 
 DEFAULT_QR_PERIOD = 20
 # renormalization blocks evaluated per pass; bounds the step-matrix stack at
@@ -100,17 +109,24 @@ def _step_matrices(product, words, starts, period):
     """Step matrices of a chunk, padded with identities to whole blocks.
 
     ``words`` and ``starts`` have shape (n_rep, n); the result has shape
-    (n_rep, ceil(n / period) * period, d, d).
+    (n_rep, ceil(n / period) * period, d, d).  Each symbol's points are
+    gathered in row-major order, evaluated in one batch and placed by flat
+    integer index.
     """
     n_rep, n = words.shape
     d = product.dim
-    mats = np.empty((n_rep, -(-n // period) * period, d, d))
+    n_pad = -(-n // period) * period
+    mats = np.empty((n_rep, n_pad, d, d))
     mats[:, n:] = np.eye(d)
-    body = mats[:, :n]
+    flat = mats.reshape(n_rep * n_pad, d, d)
     for s in range(product.n_symbols):
-        mask = words == s
-        if np.any(mask):
-            body[mask] = product.maps[s].eval_many(starts[mask])
+        idx = np.flatnonzero(words == s)
+        if idx.size:
+            points = starts.take(idx)
+            if n_pad != n:
+                # row r of the (n_rep, n) chunk starts at r * n_pad in ``flat``
+                idx += idx // n * (n_pad - n)
+            flat[idx] = product.maps[s].eval_many(points)
     return mats
 
 
@@ -129,7 +145,9 @@ def _block_products(mats, period):
         while stack.shape[2] > 1:
             n = stack.shape[2]
             pairs = np.matmul(stack[:, :, 1::2], stack[:, :, 0:n - 1:2])
-            stack = np.concatenate([pairs, stack[:, :, n - n % 2:]], axis=2)
+            if n % 2:  # an odd level carries its last matrix up unmultiplied
+                pairs = np.concatenate([pairs, stack[:, :, n - 1:]], axis=2)
+            stack = pairs
     return stack[:, :, 0]
 
 
@@ -150,6 +168,25 @@ def _block_log_dets(mats, period):
         raise RenormalizationError("singular step matrix in sampled word")
     logdets = np.log(np.abs(dets))
     return logdets.reshape(n_rep, n // period, period).sum(axis=-1)
+
+
+def _qr_step(image):
+    """Q of an (n_rep, d, d) stack, and a factor whose diagonal is R's.
+
+    ``np.linalg.qr(image, mode="raw")`` stays the one public QR call per
+    block.  Q comes from ``_qr_reduced`` on that raw factor: the gufunc and
+    inputs of the reduced mode, so the same bits, without building R by
+    ``triu``.  Without the gufunc this is the reduced mode itself.
+
+    The gufunc runs under the caller's errstate, not the wrapper's
+    ``invalid="call"`` hook that turns its flag into ``LinAlgError``: it
+    raises that flag only when LAPACK rejects an argument, and the square
+    core shape fixes every argument, so no value of ``image`` can raise it.
+    """
+    if _qr_reduced is None:
+        return np.linalg.qr(image)
+    raw, tau = np.linalg.qr(image, mode="raw")
+    return _qr_reduced(raw.swapaxes(-1, -2), tau), raw
 
 
 def _iterate_frames(product, seed, n_iter, n_rep, qr_period, full_frame):
@@ -190,13 +227,13 @@ def _iterate_frames(product, seed, n_iter, n_rep, qr_period, full_frame):
         # report, so their warnings are noise.
         if full_frame:
             images = np.empty_like(blocks)
-            diags = np.empty((n_rep, n_blocks, d))
+            factors = []
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 for j in range(n_blocks):
                     np.matmul(blocks[:, j], frame, out=images[:, j])
-                    frame, upper = np.linalg.qr(images[:, j])
-                    diags[:, j] = np.diagonal(upper, axis1=1, axis2=2)
-            diags = np.abs(diags)
+                    frame, factor = _qr_step(images[:, j])
+                    factors.append(factor)
+            diags = np.abs(np.diagonal(np.stack(factors, axis=1), axis1=2, axis2=3))
             bad_image = ~np.all(np.isfinite(images), axis=(0, 2, 3))
             bad = bad_image | ~np.all(diags > 0.0, axis=(0, 2))
             if np.any(bad):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import cocyclelab as cl
 from cocyclelab import certify, lyapunov
-from util import SILVER, random_tuple, schrodinger_pair
+from util import (SILVER, block_products_reference, qr_step_reference, random_tuple,
+                  schrodinger_pair, step_matrices_reference)
 
 LOG2 = math.log(2.0)
 
@@ -334,3 +335,116 @@ def test_estimate_spectrum_makes_no_slogdet_call(monkeypatch):
     assert np.all(np.isfinite(est.values))
     # the pin shares the TWIST_D cofactor kernel, not a copy of it
     assert lyapunov._minors is certify._minors
+
+
+@given(st.integers(1, 5), st.integers(1, 8), st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_qr_step_matches_the_reduced_qr_bits(d, n_rep, seed):
+    rng = np.random.default_rng(seed)
+    image = rng.standard_normal((n_rep, d, d)) * np.exp(rng.uniform(-20, 20, (n_rep, 1, d)))
+    kept = image.copy()
+    frame, factor = lyapunov._qr_step(image)
+    want_frame, want_diag = qr_step_reference(image)
+    assert np.array_equal(image, kept)
+    assert np.array_equal(frame, want_frame)
+    assert np.array_equal(np.abs(np.diagonal(factor, axis1=1, axis2=2)), want_diag)
+
+
+def test_qr_step_binds_the_gufunc():
+    # numpy >= 1.24 is declared and has it, so the fast route is the one tested
+    assert lyapunov._qr_reduced is np.linalg._umath_linalg.qr_reduced
+
+
+@pytest.mark.parametrize("n_iter, n_rep, qr_period", [(1013, 3, 20), (2000, 2, 3)])
+def test_qr_fallback_gives_identical_replicates(monkeypatch, n_iter, n_rep, qr_period):
+    rp = random_tuple(3, seed=1)
+    fast = cl.estimate_spectrum(rp, n_iter, n_rep, seed=5, qr_period=qr_period)
+    monkeypatch.setattr(lyapunov, "_qr_reduced", None)
+    slow = cl.estimate_spectrum(rp, n_iter, n_rep, seed=5, qr_period=qr_period)
+    assert np.array_equal(fast.replicates, slow.replicates)
+
+
+# the overflow and underflow tests above, on the route without the gufunc
+@pytest.mark.parametrize("values, n_iter, n_rep, qr_period, message", [
+    ([1e12, 1.0], 600, 1, 600, "non-finite frame image"),
+    ([1e12, 1.0], 3000, 2, 30, "non-finite frame image"),
+    ([1e-6, 1.0], 600, 2, 60, "rank-deficient frame image"),
+], ids=["non-finite", "overflow-in-loop", "rank-deficient"])
+def test_qr_fallback_raises_the_same_renormalization_errors(
+        monkeypatch, values, n_iter, n_rep, qr_period, message):
+    monkeypatch.setattr(lyapunov, "_qr_reduced", None)
+    with pytest.raises(cl.RenormalizationError, match=message):
+        cl.estimate_spectrum(constant_diag(values), n_iter, n_rep, seed=0,
+                             qr_period=qr_period)
+
+
+@given(st.integers(1, 5), st.integers(1, 25), st.integers(1, 4),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_block_products_match_the_concatenating_reference_bits(d, period, n_blocks, seed):
+    mats = _dominant_steps(seed, d, 2 * n_blocks * period).reshape(
+        2, n_blocks * period, d, d)
+    got = lyapunov._block_products(mats, period)
+    assert np.array_equal(got, block_products_reference(mats, period))
+
+
+def _count_qr_calls(monkeypatch):
+    calls = []
+    qr = np.linalg.qr
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("mode", "reduced"))
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    return calls
+
+
+@pytest.mark.parametrize("route", ["gufunc", "fallback"])
+@pytest.mark.parametrize("n_iter, qr_period", [(1013, 20), (7, 20), (2000, 3), (2560, 20)])
+def test_one_public_qr_call_per_renormalization_block(monkeypatch, route, n_iter,
+                                                      qr_period):
+    # the benchmark counts these calls as lyapunov.qr.calls
+    if route == "fallback":
+        monkeypatch.setattr(lyapunov, "_qr_reduced", None)
+    calls = _count_qr_calls(monkeypatch)
+    rp = random_tuple(3, seed=1)
+    cl.estimate_spectrum(rp, n_iter, 2, seed=0, qr_period=qr_period)
+    assert len(calls) == math.ceil(n_iter / qr_period)
+    assert set(calls) == {"raw" if route == "gufunc" else "reduced"}
+    calls.clear()
+    cl.estimate_top_exponent(rp, n_iter, 2, seed=0, qr_period=qr_period)
+    assert calls == []
+
+
+@pytest.mark.parametrize("n_symbols", [1, 2, 3])
+def test_step_matrices_match_per_point_evaluation_bits(monkeypatch, n_symbols):
+    # one trig mode per entry: a point's matrix has the same bits whether its
+    # map evaluates it alone or in a batch
+    rp = random_tuple(3, seed=4, degree=1, n_maps=n_symbols)
+    rng = np.random.default_rng(n_symbols)
+    n_rep, n, period = 3, 13, 5
+    words = rng.integers(0, n_symbols, (n_rep, n)).astype(np.uint8)
+    if n_symbols == 3:
+        words[words == 1] = 2
+    starts = rng.random((n_rep, n))
+    want = np.array([[rp.maps[w].eval(t) for w, t in zip(wr, tr)]
+                     for wr, tr in zip(words, starts)])
+    if n_symbols == 3:
+        monkeypatch.setattr(rp.maps[1], "eval_many", None)  # absent: never evaluated
+    mats = lyapunov._step_matrices(rp, words, starts, period)
+    assert mats.shape == (n_rep, 15, 3, 3)
+    assert np.array_equal(mats[:, :n], want)
+    assert np.array_equal(mats[:, n:], np.broadcast_to(np.eye(3), (n_rep, 2, 3, 3)))
+
+
+@pytest.mark.parametrize("n, period", [(1280, 20), (1013, 20), (7, 20), (12, 1)])
+def test_step_matrices_match_the_boolean_mask_bits(n, period):
+    # degree-2 maps: batch and single-point evaluation may differ in the last
+    # bit, so the reference evaluates each symbol's points in one batch too
+    rp = random_tuple(3, seed=1, n_maps=3)
+    words, starts, _ = lyapunov._draw_replicates(rp, 9, n + 10, 8, with_vector=False)
+    # a strided slice of the drawn arrays, as the chunk loop passes them
+    words, starts = words[:, 10:], starts[:, 10:]
+    got = lyapunov._step_matrices(rp, words, starts, period)
+    assert np.array_equal(got, step_matrices_reference(rp, words, starts, period))

@@ -65,6 +65,40 @@ def inverse_word_product_reference(product, word, t):
     return out
 
 
+def step_matrices_reference(product, words, starts, period):
+    """A chunk's padded step matrices by boolean gather and scatter, as the
+    library once had it."""
+    n_rep, n = words.shape
+    d = product.dim
+    mats = np.empty((n_rep, -(-n // period) * period, d, d))
+    mats[:, n:] = np.eye(d)
+    body = mats[:, :n]
+    for s in range(product.n_symbols):
+        mask = words == s
+        if np.any(mask):
+            body[mask] = product.maps[s].eval_many(starts[mask])
+    return mats
+
+
+def block_products_reference(mats, period):
+    """Pairwise block products that concatenate at every level, as the
+    library once had them."""
+    n_rep, n, d, _ = mats.shape
+    stack = mats.reshape(n_rep, n // period, period, d, d)
+    while stack.shape[2] > 1:
+        n = stack.shape[2]
+        pairs = np.matmul(stack[:, :, 1::2], stack[:, :, 0:n - 1:2])
+        stack = np.concatenate([pairs, stack[:, :, n - n % 2:]], axis=2)
+    return stack[:, :, 0]
+
+
+def qr_step_reference(image):
+    """Q and |diag R| of an (n_rep, d, d) stack, as the frame loop once had
+    them: the reduced ``np.linalg.qr`` and R's diagonal, block by block."""
+    frame, upper = np.linalg.qr(image)
+    return frame, np.abs(np.diagonal(upper, axis1=1, axis2=2))
+
+
 def unstable_holonomy_offset_reference(angles, x_back, y_back):
     """Circle offset of the unstable base holonomy, as the library once had it."""
     angles = np.asarray(angles, dtype=float)
