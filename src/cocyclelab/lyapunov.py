@@ -33,19 +33,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+# The LAPACK gufunc (dorgqr) that np.linalg.qr's reduced mode runs to form Q
+# from the raw Householder factor; private numpy API, present since 1.22.
+from numpy.linalg._umath_linalg import qr_reduced as _qr_reduced
 
 from ._cofactor import _entries, _minors
 from ._quadrature import circle_rule
 from .circle import _wrapped_cumulative
 from .cocycle import DIAGONAL
 from .errors import GroupTagError, RenormalizationError
-
-try:
-    # The LAPACK gufunc (dorgqr) that np.linalg.qr's reduced mode runs to
-    # form Q from the raw Householder factor; private numpy API, since 1.22.
-    from numpy.linalg._umath_linalg import qr_reduced as _qr_reduced
-except ImportError:
-    _qr_reduced = None
 
 DEFAULT_QR_PERIOD = 20
 # renormalization blocks evaluated per pass; bounds the step-matrix stack at
@@ -145,9 +141,7 @@ def _block_products(mats, period):
         while stack.shape[2] > 1:
             n = stack.shape[2]
             pairs = np.matmul(stack[:, :, 1::2], stack[:, :, 0:n - 1:2])
-            if n % 2:  # an odd level carries its last matrix up unmultiplied
-                pairs = np.concatenate([pairs, stack[:, :, n - 1:]], axis=2)
-            stack = pairs
+            stack = np.concatenate([pairs, stack[:, :, n - n % 2:]], axis=2)
     return stack[:, :, 0]
 
 
@@ -176,15 +170,13 @@ def _qr_step(image):
     ``np.linalg.qr(image, mode="raw")`` stays the one public QR call per
     block.  Q comes from ``_qr_reduced`` on that raw factor: the gufunc and
     inputs of the reduced mode, so the same bits, without building R by
-    ``triu``.  Without the gufunc this is the reduced mode itself.
+    ``triu``.
 
     The gufunc runs under the caller's errstate, not the wrapper's
     ``invalid="call"`` hook that turns its flag into ``LinAlgError``: it
     raises that flag only when LAPACK rejects an argument, and the square
     core shape fixes every argument, so no value of ``image`` can raise it.
     """
-    if _qr_reduced is None:
-        return np.linalg.qr(image)
     raw, tau = np.linalg.qr(image, mode="raw")
     return _qr_reduced(raw.swapaxes(-1, -2), tau), raw
 

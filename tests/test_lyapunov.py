@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 import cocyclelab as cl
 from cocyclelab import certify, lyapunov
-from util import (SILVER, block_products_reference, qr_step_reference, random_tuple,
-                  schrodinger_pair, step_matrices_reference)
+from util import (SILVER, qr_step_reference, random_tuple, schrodinger_pair,
+                  step_matrices_reference)
 
 LOG2 = math.log(2.0)
 
@@ -350,44 +350,6 @@ def test_qr_step_matches_the_reduced_qr_bits(d, n_rep, seed):
     assert np.array_equal(np.abs(np.diagonal(factor, axis1=1, axis2=2)), want_diag)
 
 
-def test_qr_step_binds_the_gufunc():
-    # numpy >= 1.24 is declared and has it, so the fast route is the one tested
-    assert lyapunov._qr_reduced is np.linalg._umath_linalg.qr_reduced
-
-
-@pytest.mark.parametrize("n_iter, n_rep, qr_period", [(1013, 3, 20), (2000, 2, 3)])
-def test_qr_fallback_gives_identical_replicates(monkeypatch, n_iter, n_rep, qr_period):
-    rp = random_tuple(3, seed=1)
-    fast = cl.estimate_spectrum(rp, n_iter, n_rep, seed=5, qr_period=qr_period)
-    monkeypatch.setattr(lyapunov, "_qr_reduced", None)
-    slow = cl.estimate_spectrum(rp, n_iter, n_rep, seed=5, qr_period=qr_period)
-    assert np.array_equal(fast.replicates, slow.replicates)
-
-
-# the overflow and underflow tests above, on the route without the gufunc
-@pytest.mark.parametrize("values, n_iter, n_rep, qr_period, message", [
-    ([1e12, 1.0], 600, 1, 600, "non-finite frame image"),
-    ([1e12, 1.0], 3000, 2, 30, "non-finite frame image"),
-    ([1e-6, 1.0], 600, 2, 60, "rank-deficient frame image"),
-], ids=["non-finite", "overflow-in-loop", "rank-deficient"])
-def test_qr_fallback_raises_the_same_renormalization_errors(
-        monkeypatch, values, n_iter, n_rep, qr_period, message):
-    monkeypatch.setattr(lyapunov, "_qr_reduced", None)
-    with pytest.raises(cl.RenormalizationError, match=message):
-        cl.estimate_spectrum(constant_diag(values), n_iter, n_rep, seed=0,
-                             qr_period=qr_period)
-
-
-@given(st.integers(1, 5), st.integers(1, 25), st.integers(1, 4),
-       st.integers(0, 2**32 - 1))
-@settings(max_examples=60, deadline=None)
-def test_block_products_match_the_concatenating_reference_bits(d, period, n_blocks, seed):
-    mats = _dominant_steps(seed, d, 2 * n_blocks * period).reshape(
-        2, n_blocks * period, d, d)
-    got = lyapunov._block_products(mats, period)
-    assert np.array_equal(got, block_products_reference(mats, period))
-
-
 def _count_qr_calls(monkeypatch):
     calls = []
     qr = np.linalg.qr
@@ -400,18 +362,14 @@ def _count_qr_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("route", ["gufunc", "fallback"])
 @pytest.mark.parametrize("n_iter, qr_period", [(1013, 20), (7, 20), (2000, 3), (2560, 20)])
-def test_one_public_qr_call_per_renormalization_block(monkeypatch, route, n_iter,
-                                                      qr_period):
+def test_one_public_qr_call_per_renormalization_block(monkeypatch, n_iter, qr_period):
     # the benchmark counts these calls as lyapunov.qr.calls
-    if route == "fallback":
-        monkeypatch.setattr(lyapunov, "_qr_reduced", None)
     calls = _count_qr_calls(monkeypatch)
     rp = random_tuple(3, seed=1)
     cl.estimate_spectrum(rp, n_iter, 2, seed=0, qr_period=qr_period)
     assert len(calls) == math.ceil(n_iter / qr_period)
-    assert set(calls) == {"raw" if route == "gufunc" else "reduced"}
+    assert set(calls) == {"raw"}
     calls.clear()
     cl.estimate_top_exponent(rp, n_iter, 2, seed=0, qr_period=qr_period)
     assert calls == []

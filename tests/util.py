@@ -80,18 +80,6 @@ def step_matrices_reference(product, words, starts, period):
     return mats
 
 
-def block_products_reference(mats, period):
-    """Pairwise block products that concatenate at every level, as the
-    library once had them."""
-    n_rep, n, d, _ = mats.shape
-    stack = mats.reshape(n_rep, n // period, period, d, d)
-    while stack.shape[2] > 1:
-        n = stack.shape[2]
-        pairs = np.matmul(stack[:, :, 1::2], stack[:, :, 0:n - 1:2])
-        stack = np.concatenate([pairs, stack[:, :, n - n % 2:]], axis=2)
-    return stack[:, :, 0]
-
-
 def qr_step_reference(image):
     """Q and |diag R| of an (n_rep, d, d) stack, as the frame loop once had
     them: the reduced ``np.linalg.qr`` and R's diagonal, block by block."""
