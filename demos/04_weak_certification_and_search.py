@@ -37,23 +37,24 @@ cert = cl.weakly_twisting(twin, n_samples=60, seed=0)
 print(f"\ntwin tuple: {cert.kind} {cert.verdict}, margin {cert.margin:+.4f}")
 
 # Hand the failing tuple to the search driver through the CLI.
-workdir = Path(tempfile.mkdtemp())
-cl.save_cocycle(twin, workdir / "twin.json")
-config = workdir / "search.json"
-config.write_text(json.dumps({
-    "kind": "perturb-search",
-    "cocycle": "twin.json",
-    "seed": 0,
-    "n_iter": 4000,
-    "n_rep": 4,
-    "n_samples": 60,
-    "budget": 0.05,
-    "n_candidates": 6,
-    "out": str(workdir / "search.csv"),
-}))
-main(["perturb-search", "--config", str(config)])
+with tempfile.TemporaryDirectory() as tmp:
+    workdir = Path(tmp)
+    cl.save_cocycle(twin, workdir / "twin.json")
+    config = workdir / "search.json"
+    config.write_text(json.dumps({
+        "kind": "perturb-search",
+        "cocycle": "twin.json",
+        "seed": 0,
+        "n_iter": 4000,
+        "n_rep": 4,
+        "n_samples": 60,
+        "budget": 0.05,
+        "n_candidates": 6,
+        "out": str(workdir / "search.csv"),
+    }))
+    main(["perturb-search", "--config", str(config)])
 
-table = cl.ResultTable.from_csv(workdir / "search.csv")
+    table = cl.ResultTable.from_csv(workdir / "search.csv")
 print("\ncandidate ladder:")
 print("  ", "  ".join(table.columns))
 for row in table.rows:

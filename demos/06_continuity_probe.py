@@ -22,28 +22,29 @@ a0 = cl.TrigMatrixMap.constant(np.diag([2.0, 0.5]), group_tag=cl.SL2)
 product = cl.RandomProduct([cl.GOLDEN_MEAN, 0.41421356237309515],
                            [a0, cl.right_rotate(a0, 0.125)])
 
-workdir = Path(tempfile.mkdtemp())
-cl.save_cocycle(product, workdir / "pair.json")
+with tempfile.TemporaryDirectory() as tmp:
+    workdir = Path(tmp)
+    cl.save_cocycle(product, workdir / "pair.json")
 
-# the direction B is given by raw coefficient rows, one row per matrix
-# entry: constant term, then cos and sin coefficients per mode
-config = workdir / "continuity.json"
-config.write_text(json.dumps({
-    "kind": "continuity",
-    "cocycle": "pair.json",
-    "seed": 4,
-    "n_iter": 20000,
-    "n_rep": 6,
-    "epsilons": [1e-1, 1e-2, 1e-3, 1e-4],
-    "perturbation": {"coeffs": [[0.0, 0.3, 0.0],
-                                [0.1, 0.0, 0.2],
-                                [0.2, 0.1, 0.0],
-                                [0.0, 0.0, 0.3]]},
-    "out": str(workdir / "continuity.csv"),
-}))
-main(["continuity", "--config", str(config)])
+    # the direction B is given by raw coefficient rows, one row per matrix
+    # entry: constant term, then cos and sin coefficients per mode
+    config = workdir / "continuity.json"
+    config.write_text(json.dumps({
+        "kind": "continuity",
+        "cocycle": "pair.json",
+        "seed": 4,
+        "n_iter": 20000,
+        "n_rep": 6,
+        "epsilons": [1e-1, 1e-2, 1e-3, 1e-4],
+        "perturbation": {"coeffs": [[0.0, 0.3, 0.0],
+                                    [0.1, 0.0, 0.2],
+                                    [0.2, 0.1, 0.0],
+                                    [0.0, 0.0, 0.3]]},
+        "out": str(workdir / "continuity.csv"),
+    }))
+    main(["continuity", "--config", str(config)])
 
-table = cl.ResultTable.from_csv(workdir / "continuity.csv")
+    table = cl.ResultTable.from_csv(workdir / "continuity.csv")
 print("epsilon     lambda_1    deviation   certified")
 for eps, lam1, lam2, dev, certified in table.rows:
     print(f"{eps:8.0e}   {lam1:+.6f}   {dev:.3e}   {certified}")

@@ -2,8 +2,9 @@
 
 One kernel serves the TWIST_D minors of the holonomy and the step-matrix
 determinants that pin the last exponent of the spectrum estimator.  It works
-on the contiguous entry layout, so every term is one vectorized operation
-over the whole stack.
+on a (d, d, n) entry layout, contiguous from ``_entries`` or a transposed
+view of the stack, so every term is one vectorized operation over the whole
+stack.
 """
 
 from __future__ import annotations

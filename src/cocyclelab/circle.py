@@ -66,15 +66,24 @@ def as_word(word, n_symbols):
 
 def _wrapped_cumulative(t0, steps):
     # extended precision keeps the endpoint of long orbits within ~1e-15
-    # of the exact rational orbit even for words of length 1e4.  The wrap
-    # takes modf, several times cheaper than a longdouble floor.  For
+    # of the exact rational orbit even for words of length 1e4
+    acc = np.cumsum(steps, dtype=np.longdouble)
+    acc += np.longdouble(t0)
+    return _wrap_extended(acc)
+
+
+def _wrap_extended(acc):
+    """The longdouble ``acc`` mod 1 as floats in [0, 1); overwrites ``acc``.
+
+    Shared by ``_wrapped_cumulative`` and callers that build the running
+    sums themselves, so both round the same way.
+    """
+    # modf is several times cheaper than a longdouble floor.  For
     # |acc| < 2**63 the fractional part, and frac + 1 of a negative one, are
     # exactly representable, so this is acc - floor(acc) bit for bit; the
     # -0.0 that modf gives for a negative or signed-zero integer acc becomes
     # +0.0 in the addition, as acc - floor(acc) gives there.  Working in
     # place holds two longdouble arrays at a time, as the floor did.
-    acc = np.cumsum(steps, dtype=np.longdouble)
-    acc += np.longdouble(t0)
     np.modf(acc, out=(acc, np.empty_like(acc)))
     acc += acc < 0.0
     out = acc.astype(float)

@@ -92,15 +92,21 @@ class TrigPolynomial:
         table[:, 2::2] = self.sin_coeffs.reshape(k, n).T
         return table.tolist()
 
-    def eval_many(self, ts):
+    def eval_many(self, ts, out=None):
         """Evaluate at an array of circle points; returns shape (n,) + value shape.
 
         The (n, degree) cosine and sine phases multiply (degree, value size)
         views of the coefficients and accumulate into a flat (n, value size)
         view of the result, so an empty ``ts`` gives shape (0,) + value shape.
+        ``out``, a C-contiguous float array of the result's shape, receives
+        the values and is returned; the bits do not depend on it.
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        out = np.empty((len(ts),) + self.const.shape)
+        shape = (len(ts),) + self.const.shape
+        if out is None:
+            out = np.empty(shape)
+        elif out.shape != shape or out.dtype != float or not out.flags.c_contiguous:
+            raise ValueError(f"out must be a C-contiguous float array of shape {shape}")
         out[:] = self.const
         k = self.degree
         if k:
@@ -112,7 +118,14 @@ class TrigPolynomial:
         return out
 
     def eval(self, t):
-        """Evaluate at a single circle point; returns the value shape."""
+        """Evaluate at a single circle point; returns the value shape.
+
+        From degree 2 on, the value may differ in the last bit from the same
+        point evaluated in a batch by :meth:`eval_many`: the one-row matrix
+        product takes another BLAS path, and a sum of two or more modes
+        rounds differently there.  An oracle that must match a batched route
+        bit for bit evaluates its points in batches too.
+        """
         return self.eval_many(np.array([t]))[0]
 
     def __add__(self, other):

@@ -12,10 +12,14 @@ Two Monte Carlo estimators and one exact route:
   the circle rule that the sum-rule oracle :func:`mean_log_abs_det` uses.
 
 Both estimators share one kernel that advances every replicate in
-lockstep: words and start points are drawn up front, step matrices are
-evaluated and multiplied into renormalization blocks ``CHUNK_BLOCKS``
-blocks at a time, so memory does not grow with n_iter * d^2, and each
-block runs one renormalization step on the whole ``(n_rep, d, d)`` stack.
+lockstep.  The words are drawn up front, one byte per step.  Everything
+else is made ``CHUNK_BLOCKS`` renormalization blocks at a time: the start
+points, from a longdouble running sum carried across chunks that has the
+bits of one cumulative sum over the whole word, and the step matrices,
+evaluated into one buffer that every chunk reuses and multiplied into
+blocks.  So memory grows with n_iter by the words' one byte per step and
+replicate only, and each block runs one renormalization step on the whole
+``(n_rep, d, d)`` stack.
 Within a block the step matrices are multiplied pairwise in stacked passes;
 the block product agrees with sequential multiplication up to roundoff.
 The block loop holds only the sequential step: the matmul, then the raw
@@ -37,9 +41,9 @@ import numpy as np
 # from the raw Householder factor; private numpy API, present since 1.22.
 from numpy.linalg._umath_linalg import qr_reduced as _qr_reduced
 
-from ._cofactor import _entries, _minors
+from ._cofactor import _minors
 from ._quadrature import circle_rule
-from .circle import _wrapped_cumulative
+from .circle import _wrap_extended
 from .cocycle import DIAGONAL
 from .errors import GroupTagError, RenormalizationError
 
@@ -47,6 +51,8 @@ DEFAULT_QR_PERIOD = 20
 # renormalization blocks evaluated per pass; bounds the step-matrix stack at
 # n_rep * CHUNK_BLOCKS * qr_period matrices whatever n_iter is
 CHUNK_BLOCKS = 64
+# steps per rng.choice call when a word is drawn
+_WORD_BLOCK = 1 << 16
 
 
 @dataclass
@@ -83,36 +89,65 @@ def _substreams(seed, n_rep):
 
 
 def _draw_replicates(product, seed, n_iter, n_rep, with_vector):
-    """Words, start points and (optionally) unit start vectors per replicate.
+    """Words, first points and (optionally) unit start vectors per replicate.
 
     Each substream draws its word, then its start point, then its start
-    vector, so replicate r sees the same numbers whatever n_rep is.
+    vector, so replicate r sees the same numbers whatever n_rep is.  The
+    word is drawn in blocks of ``_WORD_BLOCK`` steps, which consume the
+    stream as one draw of the whole word does, so ``choice``'s temporaries
+    stay bounded whatever n_iter is.  The points after the first are left
+    to ``_chunk_starts``.
     """
     words = np.empty((n_rep, n_iter), dtype=np.min_scalar_type(product.n_symbols - 1))
-    starts = np.empty((n_rep, n_iter))
+    firsts = np.empty(n_rep)
     vectors = np.empty((n_rep, product.dim)) if with_vector else None
     for r, rng in enumerate(_substreams(seed, n_rep)):
-        words[r] = rng.choice(product.n_symbols, size=n_iter, p=product.weights)
-        starts[r, 0] = rng.random()
-        starts[r, 1:] = _wrapped_cumulative(starts[r, 0], product.angles[words[r, :-1]])
+        for lo in range(0, n_iter, _WORD_BLOCK):
+            words[r, lo:lo + _WORD_BLOCK] = rng.choice(
+                product.n_symbols, size=min(_WORD_BLOCK, n_iter - lo), p=product.weights)
+        firsts[r] = rng.random()
         if with_vector:
             vec = rng.standard_normal(product.dim)
             vectors[r] = vec / np.linalg.norm(vec)
-    return words, starts, vectors
+    return words, firsts, vectors
 
 
-def _step_matrices(product, words, starts, period):
+def _chunk_starts(angles, words, firsts, carry):
+    """Start points of a chunk of steps, shape (n_rep, n) like ``words``.
+
+    ``carry`` holds each replicate's longdouble sum of the angles of every
+    earlier step, and is advanced past the chunk in place.  The sums run on
+    sequentially from it, so the points have the bits of one cumulative sum
+    over the whole word wrapped by ``_wrapped_cumulative``; the first point
+    of a replicate is ``firsts`` itself.
+    """
+    n_rep, n = words.shape
+    acc = np.empty((n_rep, n), dtype=np.longdouble)
+    acc[:, 0] = carry
+    acc[:, 1:] = angles[words[:, :-1]]
+    np.cumsum(acc, axis=1, out=acc)
+    carry[:] = acc[:, -1] + angles[words[:, -1]]
+    # contiguous longdouble operands take no casting buffers
+    acc += firsts.astype(np.longdouble)[:, None]
+    return _wrap_extended(acc)
+
+
+def _step_matrices(product, words, starts, period, workspace=None):
     """Step matrices of a chunk, padded with identities to whole blocks.
 
     ``words`` and ``starts`` have shape (n_rep, n); the result has shape
     (n_rep, ceil(n / period) * period, d, d).  Each symbol's points are
     gathered in row-major order, evaluated in one batch and placed by flat
-    integer index.
+    integer index.  The result is the head of ``workspace``, a flat float
+    buffer of twice its size, and the symbols are evaluated into the tail.
     """
     n_rep, n = words.shape
     d = product.dim
     n_pad = -(-n // period) * period
-    mats = np.empty((n_rep, n_pad, d, d))
+    size = n_rep * n_pad * d * d
+    if workspace is None:
+        workspace = np.empty(2 * size)
+    mats = workspace[:size].reshape(n_rep, n_pad, d, d)
     mats[:, n:] = np.eye(d)
     flat = mats.reshape(n_rep * n_pad, d, d)
     for s in range(product.n_symbols):
@@ -122,7 +157,8 @@ def _step_matrices(product, words, starts, period):
             if n_pad != n:
                 # row r of the (n_rep, n) chunk starts at r * n_pad in ``flat``
                 idx += idx // n * (n_pad - n)
-            flat[idx] = product.maps[s].eval_many(points)
+            values = workspace[size:size + idx.size * d * d].reshape(idx.size, d, d)
+            flat[idx] = product.maps[s].eval_many(points, out=values)
     return mats
 
 
@@ -151,13 +187,16 @@ def _block_log_dets(mats, period):
     Computed step by step, so the value is immune to the cancellation that
     corrupts the determinant of an explicitly multiplied block.  Each det is
     the full d x d minor of the shared cofactor kernel (``_cofactor``), about
-    d 2^d array operations over the whole stack; a det that is zero or not
-    finite (including one that overflows) is reported before any log is
-    taken.  Identity padding has det exactly 1 and contributes exactly zero.
+    d 2^d array operations over the whole stack.  The kernel reads a
+    transposed view of the stack: elementwise products have the same bits
+    on any strides, so the contiguous copy of its entry layout is not made.
+    A det that is zero or not finite (including one that overflows) is
+    reported before any log is taken.  Identity padding has det exactly 1
+    and contributes exactly zero.
     """
     n_rep, n, d, _ = mats.shape
     with np.errstate(over="ignore", invalid="ignore"):
-        dets = _minors(_entries(mats.reshape(-1, d, d)), range(d), range(d))
+        dets = _minors(mats.reshape(-1, d, d).transpose(1, 2, 0), range(d), range(d))
     if not np.all(np.isfinite(dets) & (dets != 0.0)):
         raise RenormalizationError("singular step matrix in sampled word")
     logdets = np.log(np.abs(dets))
@@ -192,8 +231,9 @@ def _iterate_frames(product, seed, n_iter, n_rep, qr_period, full_frame):
     if n_iter < 1 or n_rep < 1 or qr_period < 1:
         raise ValueError("n_iter, n_rep and qr_period must be >= 1")
     d = product.dim
-    words, starts, vectors = _draw_replicates(product, seed, n_iter, n_rep,
+    words, firsts, vectors = _draw_replicates(product, seed, n_iter, n_rep,
                                               with_vector=not full_frame)
+    carry = np.zeros(n_rep, dtype=np.longdouble)
     if full_frame:
         frame = np.repeat(np.eye(d)[None], n_rep, axis=0)
         log_sum = np.zeros((n_rep, d))
@@ -201,9 +241,14 @@ def _iterate_frames(product, seed, n_iter, n_rep, qr_period, full_frame):
         frame = vectors[:, :, None]
         log_sum = np.zeros(n_rep)
     chunk = CHUNK_BLOCKS * qr_period
+    # Every chunk reuses one buffer for its step matrices and evaluations,
+    # the two largest arrays of the walk.  Allocated per chunk, they let the
+    # heap be trimmed and faulted back in at every chunk.
+    workspace = np.empty(2 * n_rep * min(chunk, -(-n_iter // qr_period) * qr_period) * d * d)
     for lo in range(0, n_iter, chunk):
-        mats = _step_matrices(product, words[:, lo:lo + chunk],
-                              starts[:, lo:lo + chunk], qr_period)
+        chunk_words = words[:, lo:lo + chunk]
+        starts = _chunk_starts(product.angles, chunk_words, firsts, carry)
+        mats = _step_matrices(product, chunk_words, starts, qr_period, workspace)
         blocks = _block_products(mats, qr_period)
         if full_frame:
             # Orthogonality of the frame makes sum(log diag R) equal the
@@ -212,7 +257,6 @@ def _iterate_frames(product, seed, n_iter, n_rep, qr_period, full_frame):
             # all the rounding of the multiplied-out block, so pin it to the
             # exact invariant instead.
             dets = _block_log_dets(mats, qr_period)
-        del mats  # free this chunk's steps before the next one is evaluated
         n_blocks = blocks.shape[1]
         # The loop holds only the sequential step.  Overflow and vanishing
         # show up as non-finite or zero entries that the checks after it

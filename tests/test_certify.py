@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cocyclelab as cl
@@ -271,18 +271,25 @@ def test_pinching_d_degenerate_and_validation():
 
 @given(st.lists(st.floats(-5, 5), min_size=2, max_size=5), st.floats(-3, 3),
        st.integers(0, 1000))
+# the smallest normalized gap is REL_GAP itself: the margin is -8.2e-17 here
+# and +2.9e-17 after the shift
+@example([0.0, 1.0, 1e-6], 0.5, 0)
 @settings(max_examples=80)
 def test_pinching_d_shift_and_permutation_invariant(lam, shift, perm_seed):
     if max(lam) - min(lam) < 1e-3:
         return
     base = cl.pinching_d(lam)
     shifted = cl.pinching_d([x + shift for x in lam])
-    assert shifted.verdict == base.verdict
     assert shifted.margin == pytest.approx(base.margin, abs=1e-9)
     perm = np.random.default_rng(perm_seed).permutation(len(lam))
     mixed = cl.pinching_d([lam[i] for i in perm])
-    assert mixed.verdict == base.verdict
     assert mixed.margin == pytest.approx(base.margin, abs=1e-12)
+    # a margin within the rounding those asserts allow can change sign, so
+    # the verdicts are compared only where the base margin is clear of it
+    if abs(base.margin) > 1e-9:
+        assert shifted.verdict == base.verdict
+    if abs(base.margin) > 1e-12:
+        assert mixed.verdict == base.verdict
 
 
 def test_pinching_d_scale_invariant_margin():

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 import cocyclelab as cl
 from cocyclelab import certify, lyapunov
-from util import (SILVER, qr_step_reference, random_tuple, schrodinger_pair,
-                  step_matrices_reference)
+from util import (SILVER, draw_replicates_reference, qr_step_reference, random_tuple,
+                  schrodinger_pair, step_matrices_reference)
 
 LOG2 = math.log(2.0)
 
@@ -401,8 +401,89 @@ def test_step_matrices_match_the_boolean_mask_bits(n, period):
     # degree-2 maps: batch and single-point evaluation may differ in the last
     # bit, so the reference evaluates each symbol's points in one batch too
     rp = random_tuple(3, seed=1, n_maps=3)
-    words, starts, _ = lyapunov._draw_replicates(rp, 9, n + 10, 8, with_vector=False)
+    words, starts, _ = draw_replicates_reference(rp, 9, n + 10, 8, with_vector=False)
     # a strided slice of the drawn arrays, as the chunk loop passes them
     words, starts = words[:, 10:], starts[:, 10:]
     got = lyapunov._step_matrices(rp, words, starts, period)
     assert np.array_equal(got, step_matrices_reference(rp, words, starts, period))
+
+
+@pytest.mark.parametrize("with_vector", [False, True])
+@pytest.mark.parametrize("n_symbols", [1, 2, 3])
+@pytest.mark.parametrize("n_iter", [1, 6, 7, 8, 23])
+def test_block_drawn_words_match_one_draw_of_the_whole_word(monkeypatch, with_vector,
+                                                            n_symbols, n_iter):
+    # blocks of 7 steps: the word ends inside, at and past a block boundary,
+    # and the start point and vector drawn after it must not move
+    monkeypatch.setattr(lyapunov, "_WORD_BLOCK", 7)
+    rp = random_tuple(2, seed=n_symbols, n_maps=n_symbols)
+    words, firsts, vectors = lyapunov._draw_replicates(rp, 3, n_iter, 4, with_vector)
+    want_words, want_starts, want_vectors = draw_replicates_reference(rp, 3, n_iter, 4,
+                                                                      with_vector)
+    assert words.dtype == np.uint8
+    assert np.array_equal(words, want_words)
+    assert firsts.tobytes() == want_starts[:, 0].tobytes()
+    if with_vector:
+        assert vectors.tobytes() == want_vectors.tobytes()
+    else:
+        assert vectors is None
+
+
+def test_block_drawn_words_match_across_the_real_block_boundary():
+    rp = random_tuple(2, seed=2, n_maps=3)
+    n_iter = lyapunov._WORD_BLOCK + 5
+    words, firsts, vectors = lyapunov._draw_replicates(rp, 4, n_iter, 2, True)
+    want_words, want_starts, want_vectors = draw_replicates_reference(rp, 4, n_iter, 2, True)
+    assert np.array_equal(words, want_words)
+    assert firsts.tobytes() == want_starts[:, 0].tobytes()
+    assert vectors.tobytes() == want_vectors.tobytes()
+
+
+def _record_chunks(monkeypatch):
+    """The (words, starts) of every chunk the kernel evaluates, in order."""
+    seen = []
+    step_matrices = lyapunov._step_matrices
+
+    def recording(product, words, starts, period, workspace=None):
+        seen.append((words.copy(), starts.copy()))
+        return step_matrices(product, words, starts, period, workspace)
+
+    monkeypatch.setattr(lyapunov, "_step_matrices", recording)
+    return seen
+
+
+@pytest.mark.parametrize("estimator", ["estimate_spectrum", "estimate_top_exponent"])
+@pytest.mark.parametrize("n_symbols", [1, 2, 3])
+@pytest.mark.parametrize("chunks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 7)],
+                         ids=["1", "chunk-1", "chunk", "chunk+1", "3chunk+7"])
+def test_streamed_starts_match_one_full_length_cumsum(monkeypatch, estimator, n_symbols,
+                                                      chunks, extra):
+    qr_period = 3
+    chunk = lyapunov.CHUNK_BLOCKS * qr_period
+    n_iter = chunks * chunk + extra
+    rp = random_tuple(2, seed=n_symbols, n_maps=n_symbols)
+    seen = _record_chunks(monkeypatch)
+    getattr(cl, estimator)(rp, n_iter, 3, seed=11, qr_period=qr_period)
+    words, starts, _ = draw_replicates_reference(rp, 11, n_iter, 3,
+                                                 estimator == "estimate_top_exponent")
+    assert [w.shape[1] for w, _ in seen] == [min(chunk, n_iter - lo)
+                                             for lo in range(0, n_iter, chunk)]
+    assert np.array_equal(np.concatenate([w for w, _ in seen], axis=1), words)
+    # tobytes: a signed zero must match too
+    assert np.concatenate([t for _, t in seen], axis=1).tobytes() == starts.tobytes()
+
+
+def test_sampling_memory_grows_by_the_words_byte_per_step():
+    # the parent layout held every start point (8 bytes per step and
+    # replicate) and a longdouble cumsum: about 14 bytes per step
+    rp = random_tuple(2, seed=1)
+    cl.estimate_spectrum(rp, 2_000, 8, seed=0, qr_period=100)  # one-time allocations
+    peaks = []
+    for n_iter in (100_000, 400_000):
+        tracemalloc.start()
+        try:
+            cl.estimate_spectrum(rp, n_iter, 8, seed=0, qr_period=100)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 1.25 * 8 * 300_000

@@ -5,6 +5,8 @@ import math
 import numpy as np
 
 import cocyclelab as cl
+from cocyclelab.circle import _wrapped_cumulative
+from cocyclelab.lyapunov import _substreams
 
 SILVER = 0.41421356237309515
 
@@ -63,6 +65,23 @@ def inverse_word_product_reference(product, word, t):
     for s, u in zip(w, orbit[1:]):
         out = np.linalg.inv(product.maps[s].eval(u)) @ out
     return out
+
+
+def draw_replicates_reference(product, seed, n_iter, n_rep, with_vector):
+    """Words, full (n_rep, n_iter) start points and unit start vectors, each
+    word drawn whole and its points by one cumulative sum, as the library once
+    had it."""
+    words = np.empty((n_rep, n_iter), dtype=np.min_scalar_type(product.n_symbols - 1))
+    starts = np.empty((n_rep, n_iter))
+    vectors = np.empty((n_rep, product.dim)) if with_vector else None
+    for r, rng in enumerate(_substreams(seed, n_rep)):
+        words[r] = rng.choice(product.n_symbols, size=n_iter, p=product.weights)
+        starts[r, 0] = rng.random()
+        starts[r, 1:] = _wrapped_cumulative(starts[r, 0], product.angles[words[r, :-1]])
+        if with_vector:
+            vec = rng.standard_normal(product.dim)
+            vectors[r] = vec / np.linalg.norm(vec)
+    return words, starts, vectors
 
 
 def step_matrices_reference(product, words, starts, period):
