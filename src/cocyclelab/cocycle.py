@@ -215,10 +215,16 @@ class TrigMatrixMap(TrigPolynomial):
                 )
         grid = np.arange(CERT_GRID) / CERT_GRID
         vals = self.eval_many(grid)
-        dets = np.linalg.det(vals)
-        worst = np.min(np.abs(dets))
-        bound = math.prod(_max_row_norms(vals.transpose(1, 2, 0)))
+        # Scaled by a power of two, the largest entry is near 1, so neither the
+        # dets nor the squared row norms over- or underflow.  The scaling is
+        # exact, so a map whose values are in range is decided as unscaled.
+        shift = -int(np.frexp(np.max(np.abs(vals)))[1])
+        scaled = np.ldexp(vals, shift)
+        worst = np.min(np.abs(np.linalg.det(scaled)))
+        bound = math.prod(_max_row_norms(scaled.transpose(1, 2, 0)))
         if not worst > DET_FLOOR * bound:
+            with np.errstate(over="ignore", under="ignore"):
+                worst, bound = np.ldexp([worst, bound], -d * shift)
             raise NonInvertibleMapError(
                 f"matrix map is numerically singular on the certification grid "
                 f"(min |det| = {worst:.3e} <= {DET_FLOOR} x Hadamard bound {bound:.3e})"
@@ -226,7 +232,7 @@ class TrigMatrixMap(TrigPolynomial):
         if self.group_tag == SL2:
             if d != 2:
                 raise GroupTagError("SL2 maps are 2x2")
-            drift = np.max(np.abs(dets - 1.0))
+            drift = np.max(np.abs(np.linalg.det(vals) - 1.0))
             if not drift < SL2_DET_TOL:
                 raise GroupTagError(
                     f"SL2 map has |det - 1| up to {drift:.3e} on the certification grid"

@@ -13,13 +13,16 @@ An experiment is described by a JSON config file:
     Optional output CSV path (certificates go next to it as JSON).
 
 Estimator knobs (all optional, with defaults): ``n_iter``, ``n_rep``,
-``qr_period``, ``n_samples``, ``n_pullback``, ``grid_n``, ``budget``,
-``n_candidates``.  Each default is the named constant of the module that
-uses it (``certify``, ``holonomy``, ``lyapunov``).  The dimensionless
-certifier thresholds are constants, not knobs, and TWIST_D's zero test is
-relative to each minor's scale.  Keys the loader does not read are
-ignored, so configs written for older versions (say, with ``sep_tol``,
-``rel_gap`` or an absolute zero tolerance) keep loading.
+``n_samples``, ``n_pullback``, ``grid_n``, ``budget``, ``n_candidates``.
+Each default is the named constant of the module that uses it
+(``certify``, ``holonomy``).  The dimensionless certifier thresholds are
+constants, not knobs, TWIST_D's zero test is relative to each minor's
+scale, and the spectrum estimators set their own renormalization period
+(see :mod:`cocyclelab.lyapunov`).  The keys of ``RETIRED_KEYS`` (say,
+``sep_tol``, ``zero_tol`` or ``qr_period``) are ignored, so configs written
+for older versions keep loading.  Any other key that no experiment kind
+reads, such as a misspelt knob, is ignored too, with one warning line on
+stderr.
 
 Kind-specific fields: ``energies`` (list, or {min, max, steps}) for
 sweep-energy; ``epsilons``, ``perturbation`` ({"coeffs": d*d rows}) and
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -54,8 +58,7 @@ from .errors import ConfigError, UnsupportedPipelineError
 from .fileio import (file_digest, load_cocycle, read_int, read_number,
                      read_numbers, read_rows)
 from .holonomy import DEFAULT_PULLBACK
-from .lyapunov import (DEFAULT_QR_PERIOD, diagonal_spectrum, estimate_spectrum,
-                       estimate_top_exponent)
+from .lyapunov import diagonal_spectrum, estimate_spectrum, estimate_top_exponent
 from .tables import ResultTable
 
 EXPERIMENT_KINDS = ("lyapunov", "certify", "sweep-energy", "continuity",
@@ -64,7 +67,6 @@ EXPERIMENT_KINDS = ("lyapunov", "certify", "sweep-energy", "continuity",
 _INT_KNOBS = {
     "n_iter": DEFAULT_N_ITER,
     "n_rep": DEFAULT_N_REP,
-    "qr_period": DEFAULT_QR_PERIOD,
     "n_samples": DEFAULT_N_SAMPLES,
     "n_pullback": DEFAULT_PULLBACK,
     "grid_n": DEFAULT_GRID_N,
@@ -73,6 +75,12 @@ _INT_KNOBS = {
 _FLOAT_KNOBS = {
     "budget": 0.1,
 }
+# config keys that no experiment reads any more; configs carrying them load
+# without a warning
+RETIRED_KEYS = ("parallel", "certify_base", "zero_tol", "sep_tol", "frac_threshold",
+                "direction_tol", "rel_gap", "qr_period")
+_READ_KEYS = ("kind", "cocycle", "seed", "out", "energies", "epsilons", "perturbation",
+              "perturb_index", *_INT_KNOBS, *_FLOAT_KNOBS)
 DEFAULT_EPSILONS = (1e-1, 1e-2, 1e-3, 1e-4)
 
 
@@ -136,6 +144,10 @@ def load_experiment_config(path, kind, seed=None, out=None):
         raise ConfigError(f"config {path} is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
+    for key in doc:
+        if key not in _READ_KEYS and key not in RETIRED_KEYS:
+            print(f"warning: config key {key!r} is read by no experiment kind; ignored",
+                  file=sys.stderr)
     declared = doc.get("kind")
     if declared is not None and declared != kind:
         raise ConfigError(f"config declares kind {declared!r}, command runs {kind!r}")
@@ -227,8 +239,7 @@ def cmd_lyapunov(config):
     """Estimate the full spectrum of the configured tuple; one summary row."""
     product = config.cocycle.product
     kn = config.knobs
-    est = estimate_spectrum(product, kn["n_iter"], kn["n_rep"], config.seed,
-                            kn["qr_period"])
+    est = estimate_spectrum(product, kn["n_iter"], kn["n_rep"], config.seed)
     d = product.dim
     columns = ([f"lambda_{i}" for i in range(1, d + 1)]
                + [f"stderr_{i}" for i in range(1, d + 1)]
@@ -266,8 +277,7 @@ def cmd_sweep_energy(config):
     for energy in config.energies:
         maps = [make_schrodinger(shift_potential(-u, float(energy))) for u in potentials]
         product = RandomProduct(base.angles, maps, base.weights)
-        est = estimate_top_exponent(product, kn["n_iter"], kn["n_rep"], config.seed,
-                                    kn["qr_period"])
+        est = estimate_top_exponent(product, kn["n_iter"], kn["n_rep"], config.seed)
         rows.append([float(energy), est.top, float(est.stderr[0])])
     table = ResultTable(["energy", "lambda_top", "stderr"], rows,
                         config.provenance())
@@ -292,14 +302,12 @@ def cmd_continuity_probe(config):
     except UnsupportedPipelineError:
         certified = 0
 
-    base = estimate_spectrum(product, kn["n_iter"], kn["n_rep"], config.seed,
-                             kn["qr_period"])
+    base = estimate_spectrum(product, kn["n_iter"], kn["n_rep"], config.seed)
     rows = [[0.0] + list(base.values) + [0.0, certified]]
     for eps in config.epsilons:
         perturbed = _with_map(product, idx,
                               product.maps[idx] + eps * config.perturbation)
-        est = estimate_spectrum(perturbed, kn["n_iter"], kn["n_rep"], config.seed,
-                                kn["qr_period"])
+        est = estimate_spectrum(perturbed, kn["n_iter"], kn["n_rep"], config.seed)
         deviation = float(np.max(np.abs(est.values - base.values)))
         rows.append([float(eps)] + list(est.values) + [deviation, certified])
     columns = (["epsilon"] + [f"lambda_{i}" for i in range(1, d + 1)]

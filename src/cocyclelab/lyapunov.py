@@ -13,7 +13,7 @@ Two Monte Carlo estimators and one exact route:
 
 Both estimators share one kernel that advances every replicate in
 lockstep.  The words are drawn up front, one byte per step.  Everything
-else is made ``CHUNK_BLOCKS`` renormalization blocks at a time: the start
+else is made ``CHUNK_BLOCKS * START_PERIOD`` steps at a time: the start
 points, from a longdouble running sum carried across chunks that has the
 bits of one cumulative sum over the whole word, and the step matrices,
 evaluated into one buffer that every chunk reuses and multiplied into
@@ -30,6 +30,17 @@ with the bits of adding one block at a time.  The last QR exponent is
 pinned to the step determinants, evaluated by the cofactor kernel that
 TWIST_D shares (``_cofactor``).  Every replicate value is bitwise the same
 as iterating that replicate on its own.
+
+The renormalization period is not a knob: blocks start ``START_PERIOD``
+steps long, and the checks that read |diag R| (or the norms) decide it.
+When a block image is not finite or falls below the normal float range,
+or, on the full frame at d >= 3, a block spreads log |R_11| -
+log |R_{d-1,d-1}| past ``SPREAD_BUDGET`` (-log(eps) / 2, about 18), the
+chunk is redone from the frame and log sum it started with at half the
+period (20, 10, 5, 2, 1), which then holds for the rest of the run.  So a
+map's scale moves only the exponents, and the lower exponents of a widely
+spread spectrum stay accurate.  At one step per block only a non-finite or
+vanishing image raises ``RenormalizationError``.
 """
 
 from __future__ import annotations
@@ -47,10 +58,17 @@ from .circle import _wrap_extended
 from .cocycle import DIAGONAL
 from .errors import GroupTagError, RenormalizationError
 
-DEFAULT_QR_PERIOD = 20
-# renormalization blocks evaluated per pass; bounds the step-matrix stack at
-# n_rep * CHUNK_BLOCKS * qr_period matrices whatever n_iter is
+# steps per renormalization block until the kernel halves it
+START_PERIOD = 20
+# renormalization blocks per chunk at START_PERIOD; bounds the step-matrix
+# stack at n_rep * CHUNK_BLOCKS * START_PERIOD matrices whatever n_iter is
 CHUNK_BLOCKS = 64
+# largest log |R_11| - log |R_{d-1,d-1}| of a block: past -log(eps) the
+# lower columns of the block image are rounding noise, and this keeps half
+# the digits (Geist, Parlitz and Lauterborn, Prog. Theor. Phys. 1990)
+SPREAD_BUDGET = -0.5 * np.log(np.finfo(float).eps)
+# smallest normal float: a |R_ii| or squared norm below it has lost digits
+_TINY = np.finfo(float).tiny
 # steps per rng.choice call when a word is drawn
 _WORD_BLOCK = 1 << 16
 
@@ -198,7 +216,7 @@ def _block_log_dets(mats, period):
     with np.errstate(over="ignore", invalid="ignore"):
         dets = _minors(mats.reshape(-1, d, d).transpose(1, 2, 0), range(d), range(d))
     if not np.all(np.isfinite(dets) & (dets != 0.0)):
-        raise RenormalizationError("singular step matrix in sampled word")
+        raise RenormalizationError("zero or non-finite step determinant in sampled word")
     logdets = np.log(np.abs(dets))
     return logdets.reshape(n_rep, n // period, period).sum(axis=-1)
 
@@ -220,7 +238,7 @@ def _qr_step(image):
     return _qr_reduced(raw.swapaxes(-1, -2), tau), raw
 
 
-def _iterate_frames(product, seed, n_iter, n_rep, qr_period, full_frame):
+def _iterate_frames(product, seed, n_iter, n_rep, full_frame):
     """Per-replicate exponent estimates from lockstep frame iteration.
 
     With ``full_frame`` an orthonormal d-frame is pushed through the blocks
@@ -228,8 +246,8 @@ def _iterate_frames(product, seed, n_iter, n_rep, qr_period, full_frame):
     (n_rep, d).  Otherwise one random unit vector per replicate is pushed
     and renormalized by its norm, giving the top exponent, shape (n_rep,).
     """
-    if n_iter < 1 or n_rep < 1 or qr_period < 1:
-        raise ValueError("n_iter, n_rep and qr_period must be >= 1")
+    if n_iter < 1 or n_rep < 1:
+        raise ValueError("n_iter and n_rep must be >= 1")
     d = product.dim
     words, firsts, vectors = _draw_replicates(product, seed, n_iter, n_rep,
                                               with_vector=not full_frame)
@@ -240,64 +258,63 @@ def _iterate_frames(product, seed, n_iter, n_rep, qr_period, full_frame):
     else:
         frame = vectors[:, :, None]
         log_sum = np.zeros(n_rep)
-    chunk = CHUNK_BLOCKS * qr_period
+    period = START_PERIOD
+    chunk = CHUNK_BLOCKS * START_PERIOD
     # Every chunk reuses one buffer for its step matrices and evaluations,
     # the two largest arrays of the walk.  Allocated per chunk, they let the
-    # heap be trimmed and faulted back in at every chunk.
-    workspace = np.empty(2 * n_rep * min(chunk, -(-n_iter // qr_period) * qr_period) * d * d)
+    # heap be trimmed and faulted back in at every chunk.  The halvings of
+    # START_PERIOD (10, 5, 2, 1) divide it, so a redone chunk pads to no more
+    # steps and no block is all padding.
+    workspace = np.empty(2 * n_rep * min(chunk, -(-n_iter // period) * period) * d * d)
     for lo in range(0, n_iter, chunk):
         chunk_words = words[:, lo:lo + chunk]
         starts = _chunk_starts(product.angles, chunk_words, firsts, carry)
-        mats = _step_matrices(product, chunk_words, starts, qr_period, workspace)
-        blocks = _block_products(mats, qr_period)
-        if full_frame:
-            # Orthogonality of the frame makes sum(log diag R) equal the
-            # block's log |det| in exact arithmetic.  The leading diagonal
-            # entries come out of the QR step stably, the last one absorbs
-            # all the rounding of the multiplied-out block, so pin it to the
-            # exact invariant instead.
-            dets = _block_log_dets(mats, qr_period)
-        n_blocks = blocks.shape[1]
-        # The loop holds only the sequential step.  Overflow and vanishing
-        # show up as non-finite or zero entries that the checks after it
-        # report, so their warnings are noise.
-        if full_frame:
-            images = np.empty_like(blocks)
-            factors = []
+        while True:
+            mats = _step_matrices(product, chunk_words, starts, period, workspace)
+            blocks = _block_products(mats, period)
+            walk = frame
+            # The loop holds only the sequential step.  Overflow and
+            # vanishing show up as non-finite or subnormal values that the
+            # checks after it read, so their warnings are noise.
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                for j in range(n_blocks):
-                    np.matmul(blocks[:, j], frame, out=images[:, j])
-                    frame, factor = _qr_step(images[:, j])
-                    factors.append(factor)
-            diags = np.abs(np.diagonal(np.stack(factors, axis=1), axis1=2, axis2=3))
-            bad_image = ~np.all(np.isfinite(images), axis=(0, 2, 3))
-            bad = bad_image | ~np.all(diags > 0.0, axis=(0, 2))
-            if np.any(bad):
-                if bad_image[np.argmax(bad)]:
-                    raise RenormalizationError(
-                        "non-finite frame image; reduce qr_period for this tuple"
-                    )
-                raise RenormalizationError(
-                    "rank-deficient frame image; reduce qr_period for this tuple"
-                )
-            logs = np.log(diags)
+                if full_frame:
+                    # Orthogonality of the frame makes sum(log diag R) equal
+                    # the block's log |det| in exact arithmetic.  The leading
+                    # diagonal entries come out of the QR step stably, the
+                    # last one absorbs all the rounding of the multiplied-out
+                    # block, so pin it to the exact invariant instead.
+                    dets = _block_log_dets(mats, period)
+                    images = np.empty_like(blocks)
+                    factors = []
+                    for j in range(blocks.shape[1]):
+                        np.matmul(blocks[:, j], walk, out=images[:, j])
+                        walk, factor = _qr_step(images[:, j])
+                        factors.append(factor)
+                    diags = np.abs(np.diagonal(np.stack(factors, axis=1), axis1=2, axis2=3))
+                    logs = np.log(diags)
+                    ok = np.all(np.isfinite(images)) and np.all(diags >= _TINY)
+                    if ok and d > 2 and period > 1:
+                        ok = np.max(logs[:, :, 0] - logs[:, :, -2]) <= SPREAD_BUDGET
+                else:
+                    norms = np.empty(blocks.shape[:2])
+                    for j in range(blocks.shape[1]):
+                        image = np.matmul(blocks[:, j], walk)
+                        # a (1, d) @ (d, 1) product is the BLAS dot that
+                        # np.linalg.norm takes on one vector, so each norm
+                        # matches it bit for bit
+                        np.sqrt(np.matmul(image.transpose(0, 2, 1), image)[:, 0, 0],
+                                out=norms[:, j])
+                        walk = image / norms[:, j, None, None]
+                    logs = np.log(norms)
+                    ok = np.all(np.isfinite(norms) & (norms * norms >= _TINY))
+            if ok:
+                break
+            if period == 1:
+                raise RenormalizationError("iterate overflows or vanishes within one step")
+            period //= 2
+        frame = walk
+        if full_frame:
             logs[:, :, -1] = dets - np.sum(logs[:, :, :-1], axis=2)
-        else:
-            norms = np.empty((n_rep, n_blocks))
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                for j in range(n_blocks):
-                    image = np.matmul(blocks[:, j], frame)
-                    # a (1, d) @ (d, 1) product is the BLAS dot that
-                    # np.linalg.norm takes on one vector, so each norm
-                    # matches it bit for bit
-                    np.sqrt(np.matmul(image.transpose(0, 2, 1), image)[:, 0, 0],
-                            out=norms[:, j])
-                    frame = image / norms[:, j, None, None]
-            if not np.all(np.isfinite(norms) & (norms > 0.0)):
-                raise RenormalizationError(
-                    "vector iterate overflowed or vanished; reduce qr_period"
-                )
-            logs = np.log(norms)
         # accumulate is sequential along the block axis: the bits of adding
         # one block at a time
         logs[:, 0] += log_sum
@@ -317,27 +334,37 @@ def _aggregate(reps):
     return LyapunovEstimate(values=reps.mean(axis=0), stderr=stderr, replicates=reps)
 
 
-def estimate_spectrum(product, n_iter, n_rep, seed, qr_period=DEFAULT_QR_PERIOD):
+def estimate_spectrum(product, n_iter, n_rep, seed):
     """Estimate the full Lyapunov spectrum by frame iteration with QR steps.
 
     Each replicate draws an independent substream (start point and word),
     pushes an orthonormal frame through ``n_iter`` steps, re-orthonormalizes
-    every ``qr_period`` steps, and averages log |R_ii|.  Replicate vectors
-    are sorted before aggregation.  All replicates advance together.
+    it after every block of steps, and averages log |R_ii|.  Blocks start
+    ``START_PERIOD`` (20) steps long.  The period halves, down to one step,
+    where a block image overflows, falls below the normal float range, or
+    (d >= 3) spreads log |R_11| - log |R_{d-1,d-1}| past ``SPREAD_BUDGET``
+    (about 18), beyond which the lower columns are rounding noise.  At one
+    step per block only a non-finite or vanishing image raises
+    ``RenormalizationError``.  Replicate vectors are sorted before
+    aggregation.  All replicates advance together.
     """
-    reps = _iterate_frames(product, seed, n_iter, n_rep, qr_period, full_frame=True)
+    reps = _iterate_frames(product, seed, n_iter, n_rep, full_frame=True)
     return _aggregate(reps)
 
 
-def estimate_top_exponent(product, n_iter, n_rep, seed, qr_period=DEFAULT_QR_PERIOD):
+def estimate_top_exponent(product, n_iter, n_rep, seed):
     """Estimate the top Lyapunov exponent from the norm growth of one vector.
 
     Works for any dimension d.  Each replicate starts from an independent
     random unit d-vector, which avoids locking onto an invariant contracting
-    direction of structured tuples, and renormalizes it by its norm every
-    ``qr_period`` steps.
+    direction of structured tuples, and renormalizes it by its norm after
+    every block of steps.  Blocks start ``START_PERIOD`` (20) steps long and
+    halve, down to one step, where a squared norm overflows or falls below
+    the normal float range; at one step per block that raises
+    ``RenormalizationError``, so one step may grow or shrink a vector by at
+    most about 1e154.
     """
-    reps = _iterate_frames(product, seed, n_iter, n_rep, qr_period, full_frame=False)
+    reps = _iterate_frames(product, seed, n_iter, n_rep, full_frame=False)
     return _aggregate(reps.reshape(n_rep, 1))
 
 

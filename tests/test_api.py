@@ -45,7 +45,9 @@ def test_readme_documents_the_config_keys():
     for name in dict(experiments._INT_KNOBS, **experiments._FLOAT_KNOBS):
         assert f"`{name}`" in live, name
         assert f"`{name}`" not in retired[0], name
-    for name in ("parallel", "sep_tol", "frac_threshold", "direction_tol", "rel_gap",
-                 "zero_tol"):
+    assert set(experiments.RETIRED_KEYS) >= {
+        "parallel", "sep_tol", "frac_threshold", "direction_tol", "rel_gap", "zero_tol",
+        "qr_period"}
+    for name in experiments.RETIRED_KEYS:
         assert f"`{name}`" in retired[0], name
         assert f"`{name}`" not in live, name

@@ -164,6 +164,15 @@ def test_weakly_pinching_hyperbolic_passes():
     assert cert.seed == 1
 
 
+def test_pipeline_returns_certificates_at_a_large_energy():
+    # 20 Schrodinger steps at energy 1e8 square past the float range; the
+    # top-exponent estimator halves its period instead of raising
+    certs = cl.certification_pipeline(schrodinger_pair(1e8)[0])
+    assert [type(c) for c in certs] == [cl.Certificate, cl.Certificate]
+    assert certs[0].kind == "WEAK_PINCH" and certs[0].passed
+    assert certs[0].diagnostics["lambda_top"] == pytest.approx(math.log(1e8), abs=1e-3)
+
+
 def test_weakly_pinching_isometry_is_inconclusive():
     rot = cl.right_rotate(cl.TrigMatrixMap.constant(np.eye(2), group_tag=cl.SL2),
                           0.17)

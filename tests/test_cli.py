@@ -365,6 +365,45 @@ def test_parallel_is_retired(schro_setup, capsys):
             == cl.file_digest(old_cfg))
 
 
+def test_qr_period_is_retired(schro_setup, capsys):
+    """The estimators set their own renormalization period; a config still
+    carrying qr_period loads silently and writes the same table."""
+    tmp_path, _ = schro_setup
+    doc = {"kind": "lyapunov", "cocycle": "schro.json", "seed": 9, **FAST}
+    outs = []
+    for name, cfg_doc in [("plain", doc), ("old", {**doc, "qr_period": 5})]:
+        cfg = write_json(tmp_path / f"{name}.json", cfg_doc)
+        outs.append(tmp_path / f"{name}.csv")
+        assert main(["lyapunov", "--config", str(cfg), "--out", str(outs[-1])]) == 0
+
+    assert _without_digest(outs[1]) == _without_digest(outs[0])
+    assert capsys.readouterr().err == ""
+
+
+def test_unread_config_keys_warn_on_stderr(schro_setup, capsys):
+    """A key no experiment kind reads, such as a misspelt knob, gets one
+    stderr line and changes nothing; retired keys and other kinds' keys are
+    silent."""
+    tmp_path, _ = schro_setup
+    doc = {"kind": "lyapunov", "cocycle": "schro.json", "seed": 9, **FAST}
+    quiet = {**doc, "energies": [3.0], "epsilons": [0.1],
+             **{key: 1 for key in experiments.RETIRED_KEYS}}
+    outs = []
+    for name, cfg_doc in [("plain", doc), ("quiet", quiet), ("typo", {**doc, "n_iters": 50})]:
+        cfg = write_json(tmp_path / f"{name}.json", cfg_doc)
+        outs.append(tmp_path / f"{name}.csv")
+        assert main(["lyapunov", "--config", str(cfg), "--out", str(outs[-1])]) == 0
+        err = capsys.readouterr().err
+        if name == "typo":
+            assert err.splitlines() == [
+                "warning: config key 'n_iters' is read by no experiment kind; ignored"]
+        else:
+            assert err == ""
+
+    assert _without_digest(outs[1]) == _without_digest(outs[0])
+    assert _without_digest(outs[2]) == _without_digest(outs[0])
+
+
 def test_certify_base_is_retired(tmp_path):
     """continuity always certifies the base tuple; a config still carrying
     certify_base loads and writes the same table."""
@@ -390,8 +429,6 @@ def test_config_defaults_are_the_estimator_defaults():
     fed = {
         cl.weakly_pinching: ["n_iter", "n_rep"],
         cl.weakly_twisting: ["n_samples", "n_pullback"],
-        cl.estimate_spectrum: ["qr_period"],
-        cl.estimate_top_exponent: ["qr_period"],
         cl.twisting_d: ["grid_n"],
     }
     for fn, names in fed.items():

@@ -147,6 +147,38 @@ def test_invertibility_is_judged_against_the_hadamard_bound():
         cl.TrigMatrixMap.constant([[1e6, 1e6], [1e6, 1e6 + 1e-5]])
 
 
+def test_certification_holds_at_any_scale():
+    # squared entries and dets of these maps leave the float range unscaled
+    assert cl.TrigMatrixMap.constant(np.diag([1e160, 1.0])).group_tag == cl.GENERAL
+    for scale in (1e160, 1e-160):
+        assert all(isinstance(scale * m, cl.TrigMatrixMap)
+                   for m in random_tuple(3, seed=1).maps)
+    # the message is in the map's units
+    with pytest.raises(cl.NonInvertibleMapError, match=r"Hadamard bound 2\.000e\+212"):
+        cl.TrigMatrixMap.constant([[1e106, 1e106], [1e106, 1e106 * (1 + 1e-11)]])
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(-60, 60),
+       st.floats(0.0, 1e-8))
+@settings(max_examples=60, deadline=None)
+def test_scaled_certification_keeps_every_in_range_decision(seed, d, exponent, gap):
+    # the unscaled comparison decides every map whose grid values stay in range
+    rng = np.random.default_rng(seed)
+    const = rng.standard_normal((d, d))
+    const[-1] = const[0] * (1.0 + gap)  # singular at gap = 0, near it above
+    cos = 0.1 * rng.standard_normal((1, d, d))
+    const, cos = const * 10.0 ** exponent, cos * 10.0 ** exponent
+    vals = cl.TrigPolynomial(const, cos).eval_many(np.arange(1024) / 1024)
+    bound = math.prod(np.sqrt((vals * vals).sum(axis=2)).max(axis=0))
+    accepted = np.min(np.abs(np.linalg.det(vals))) > cl.cocycle.DET_FLOOR * bound
+    try:
+        cl.TrigMatrixMap(const, cos)
+    except cl.NonInvertibleMapError:
+        assert not accepted
+    else:
+        assert accepted
+
+
 def test_schrodinger_det_is_one_exactly():
     phi = cl.TrigPolynomial(3.0, [0.9, 0.0], [0.0, 0.4])
     m = cl.make_schrodinger(phi)

@@ -99,37 +99,114 @@ def test_top_exponent_matches_spectrum_head():
     assert abs(top.top - full.values[0]) <= 3.0 * (top.stderr[0] + full.stderr[0])
 
 
-def test_qr_period_invariance_constant_tuple():
+def test_qr_period_invariance_constant_tuple(monkeypatch):
     rp = constant_diag([3.0, 0.25])
-    fine = cl.estimate_spectrum(rp, 1000, 2, seed=2, qr_period=1)
-    coarse = cl.estimate_spectrum(rp, 1000, 2, seed=2, qr_period=25)
+    monkeypatch.setattr(lyapunov, "START_PERIOD", 1)
+    fine = cl.estimate_spectrum(rp, 1000, 2, seed=2)
+    monkeypatch.setattr(lyapunov, "START_PERIOD", 25)
+    coarse = cl.estimate_spectrum(rp, 1000, 2, seed=2)
     assert np.max(np.abs(fine.values - coarse.values)) <= 1e-12
 
 
-def test_overflow_raises_renormalization_error():
-    rp = constant_diag([1e12, 1.0])
-    with pytest.raises(cl.RenormalizationError, match="non-finite frame image"):
-        cl.estimate_spectrum(rp, 600, 1, seed=0, qr_period=600)
+def _block_periods(monkeypatch):
+    """The period of every chunk walk the kernel makes, in order."""
+    periods = []
+    block_products = lyapunov._block_products
+
+    def recording(mats, period):
+        periods.append(period)
+        return block_products(mats, period)
+
+    monkeypatch.setattr(lyapunov, "_block_products", recording)
+    return periods
 
 
-def test_overflow_inside_the_block_loop_raises_without_a_warning():
+def test_overflow_halves_the_period(monkeypatch):
+    # 20 steps of 1e20 overflow; blocks of 10 hold 1e200
+    periods = _block_periods(monkeypatch)
+    est = cl.estimate_spectrum(constant_diag([1e20, 1.0]), 600, 1, seed=0)
+    assert periods == [20, 10]
+    assert np.max(np.abs(est.values - [math.log(1e20), 0.0])) <= 1e-12
+
+
+def test_overflow_inside_the_block_loop_halves_without_a_warning():
     # NaN entries of the multiplied-out blocks reach the frame-image matmul;
-    # its warning must not pre-empt the error (RuntimeWarnings are errors here)
-    rp = constant_diag([1e12, 1.0])
-    with pytest.raises(cl.RenormalizationError, match="non-finite frame image"):
-        cl.estimate_spectrum(rp, 3000, 2, seed=0, qr_period=30)
+    # its warning must not pre-empt the redo (RuntimeWarnings are errors here)
+    est = cl.estimate_spectrum(constant_diag([1e20, 1.0]), 3000, 2, seed=0)
+    assert np.max(np.abs(est.values - [math.log(1e20), 0.0])) <= 1e-12
 
 
-def test_underflow_raises_rank_deficient_frame_image():
-    rp = constant_diag([1e-6, 1.0])
-    with pytest.raises(cl.RenormalizationError, match="rank-deficient frame image"):
-        cl.estimate_spectrum(rp, 600, 2, seed=0, qr_period=60)
+def test_underflow_halves_the_period(monkeypatch):
+    # 20 steps of 1e-20 underflow to zero; blocks of 10 hold 1e-200
+    periods = _block_periods(monkeypatch)
+    est = cl.estimate_spectrum(constant_diag([1e-20, 1.0]), 600, 2, seed=0)
+    assert periods == [20, 10]
+    assert np.max(np.abs(est.values - [0.0, math.log(1e-20)])) <= 1e-12
 
 
-def test_top_exponent_overflow_raises_renormalization_error():
-    rp = constant_diag([1e12, 1.0])
-    with pytest.raises(cl.RenormalizationError, match="overflowed or vanished"):
-        cl.estimate_top_exponent(rp, 600, 2, seed=0, qr_period=600)
+def test_top_exponent_overflow_halves_the_period(monkeypatch):
+    # the squared norm overflows past 1e154: blocks of 5 steps.  The same
+    # start vectors through diag(1, 1e-20), which stays at 20, give the
+    # value less log 1e20
+    periods = _block_periods(monkeypatch)
+    est = cl.estimate_top_exponent(constant_diag([1e20, 1.0]), 600, 2, seed=0)
+    assert periods == [20, 10, 5]
+    base = cl.estimate_top_exponent(constant_diag([1.0, 1e-20]), 600, 2, seed=0)
+    assert periods == [20, 10, 5, 20]
+    assert abs(est.top - base.top - math.log(1e20)) <= 1e-12
+
+
+def test_one_step_overflow_raises_renormalization_error():
+    # a single step of 1e200 keeps the frame finite, but squares past the
+    # float range on the vector route
+    rp = constant_diag([1e200, 1.0])
+    est = cl.estimate_spectrum(rp, 50, 1, seed=0)
+    assert np.max(np.abs(est.values - [math.log(1e200), 0.0])) <= 1e-12
+    with pytest.raises(cl.RenormalizationError, match="within one step"):
+        cl.estimate_top_exponent(rp, 50, 1, seed=0)
+
+
+def conjugated_constant(a):
+    """Two equal constant maps C diag(e^a, 1, e^-a) C^-1: exact spectrum (a, 0, -a)."""
+    c = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
+    m = cl.TrigMatrixMap.constant(c @ np.diag([math.exp(a), 1.0, math.exp(-a)])
+                                  @ np.linalg.inv(c))
+    return cl.RandomProduct([cl.GOLDEN_MEAN, SILVER], [m, m])
+
+
+@pytest.mark.parametrize("a", [1.5, 1.7, 1.9, 2.0, 3.0])
+def test_widely_spread_spectrum_keeps_its_lower_exponents(a):
+    # at 20 steps per block the middle column sits e^(-20 a) below the top
+    # one, near the float precision (e^-36) from a = 1.7: lambda_2 read
+    # 0.0025 there and 0.06 at a = 2
+    est = cl.estimate_spectrum(conjugated_constant(a), 20_000, 4, seed=0)
+    assert abs(est.values[1]) <= 5e-5
+    assert abs(est.values[2] + a) <= 5e-5
+
+
+def test_spread_redo_pads_no_block_to_identity(monkeypatch):
+    # a = 3 spreads 60 at 20 steps and 30 at 10: the first chunk is walked
+    # at 20, 10 and 5, each padded to whole blocks only, and 5 holds after
+    chunk = lyapunov.CHUNK_BLOCKS * lyapunov.START_PERIOD
+    calls = _count_qr_calls(monkeypatch)
+    cl.estimate_spectrum(conjugated_constant(3.0), 2 * chunk + 13, 2, seed=0)
+    assert len(calls) == chunk // 20 + chunk // 10 + chunk // 5 + chunk // 5 + 3
+    # every halving divides the start period, so a redone chunk fits the
+    # step-matrix buffer sized for it
+    assert all(lyapunov.START_PERIOD % (lyapunov.START_PERIOD >> k) == 0
+               for k in range(lyapunov.START_PERIOD.bit_length()))
+
+
+@pytest.mark.parametrize("scale", [1e10, 1e-20])
+@pytest.mark.parametrize("estimator", ["estimate_spectrum", "estimate_top_exponent"])
+def test_map_scale_shifts_the_exponents(estimator, scale):
+    # 20 steps of the scaled maps leave the float range, or the half of it
+    # that a squared norm holds
+    rp = random_tuple(3, seed=1)
+    scaled = cl.RandomProduct(rp.angles, [scale * m for m in rp.maps], rp.weights)
+    base = getattr(cl, estimator)(rp, 2000, 2, seed=0)
+    shifted = getattr(cl, estimator)(scaled, 2000, 2, seed=0)
+    assert np.max(np.abs(shifted.replicates - base.replicates - math.log(scale))) <= 1e-12
 
 
 def test_single_replicate_has_zero_stderr():
@@ -143,8 +220,11 @@ def test_knob_validation():
         cl.estimate_spectrum(rp, 0, 1, seed=0)
     with pytest.raises(ValueError):
         cl.estimate_spectrum(rp, 10, 0, seed=0)
-    with pytest.raises(ValueError):
-        cl.estimate_spectrum(rp, 10, 1, seed=0, qr_period=0)
+    # the period is set by the kernel, not by the caller
+    with pytest.raises(TypeError):
+        cl.estimate_spectrum(rp, 10, 1, seed=0, qr_period=5)
+    with pytest.raises(TypeError):
+        cl.estimate_top_exponent(rp, 10, 1, seed=0, qr_period=5)
 
 
 # Replicate values of the per-replicate estimators that the lockstep kernel
@@ -186,9 +266,10 @@ GOLDEN_REPLICATES = [
     "estimator, make_product, n_iter, n_rep, seed, qr_period, golden",
     GOLDEN_REPLICATES,
     ids=[f"{c[0]}-{c[2]}x{c[3]}-period{c[5]}" for c in GOLDEN_REPLICATES])
-def test_replicates_match_golden_bits(estimator, make_product, n_iter, n_rep, seed,
-                                      qr_period, golden):
-    est = getattr(cl, estimator)(make_product(), n_iter, n_rep, seed, qr_period=qr_period)
+def test_replicates_match_golden_bits(monkeypatch, estimator, make_product, n_iter, n_rep,
+                                      seed, qr_period, golden):
+    monkeypatch.setattr(lyapunov, "START_PERIOD", qr_period)
+    est = getattr(cl, estimator)(make_product(), n_iter, n_rep, seed)
     expected = np.array([[float.fromhex(x) for x in row] for row in golden])
     assert np.array_equal(est.replicates, expected)
 
@@ -227,9 +308,10 @@ GOLDEN_AGGREGATES = {
     "estimator, make_product, n_iter, n_rep, seed, qr_period, golden",
     GOLDEN_REPLICATES,
     ids=[f"{c[0]}-{c[2]}x{c[3]}-period{c[5]}" for c in GOLDEN_REPLICATES])
-def test_aggregates_match_golden_bits(estimator, make_product, n_iter, n_rep, seed,
-                                      qr_period, golden):
-    est = getattr(cl, estimator)(make_product(), n_iter, n_rep, seed, qr_period=qr_period)
+def test_aggregates_match_golden_bits(monkeypatch, estimator, make_product, n_iter, n_rep,
+                                      seed, qr_period, golden):
+    monkeypatch.setattr(lyapunov, "START_PERIOD", qr_period)
+    est = getattr(cl, estimator)(make_product(), n_iter, n_rep, seed)
     values, stderr = GOLDEN_AGGREGATES[f"{estimator}-{n_iter}x{n_rep}-period{qr_period}"]
     assert [float(v).hex() for v in est.values] == values
     assert [float(v).hex() for v in est.stderr] == stderr
@@ -250,10 +332,11 @@ LU_PIN_LAST_COLUMN = {
 
 
 @pytest.mark.parametrize("key", sorted(LU_PIN_LAST_COLUMN))
-def test_cofactor_pin_moves_the_lu_goldens_by_at_most_4_ulp(key):
+def test_cofactor_pin_moves_the_lu_goldens_by_at_most_4_ulp(monkeypatch, key):
     _, make_product, n_iter, n_rep, seed, qr_period, golden = next(
         c for c in GOLDEN_REPLICATES if f"{c[0]}-{c[2]}x{c[3]}-period{c[5]}" == key)
-    est = cl.estimate_spectrum(make_product(), n_iter, n_rep, seed, qr_period=qr_period)
+    monkeypatch.setattr(lyapunov, "START_PERIOD", qr_period)
+    est = cl.estimate_spectrum(make_product(), n_iter, n_rep, seed)
     reps, value, stderr = LU_PIN_LAST_COLUMN[key]
     lu_reps = np.array([float.fromhex(x) for x in reps])
     lu_value, lu_stderr = float.fromhex(value), float.fromhex(stderr)
@@ -322,7 +405,7 @@ def test_block_log_dets_identity_padding_is_exactly_zero():
 def test_block_log_dets_reject_singular_and_non_finite_steps(bad):
     mats = np.tile(np.eye(3), (2, 6, 1, 1))
     mats[1, 4] = bad
-    with pytest.raises(cl.RenormalizationError, match="singular step matrix"):
+    with pytest.raises(cl.RenormalizationError, match="zero or non-finite step determinant"):
         lyapunov._block_log_dets(mats, 3)
 
 
@@ -366,12 +449,13 @@ def _count_qr_calls(monkeypatch):
 def test_one_public_qr_call_per_renormalization_block(monkeypatch, n_iter, qr_period):
     # the benchmark counts these calls as lyapunov.qr.calls
     calls = _count_qr_calls(monkeypatch)
+    monkeypatch.setattr(lyapunov, "START_PERIOD", qr_period)
     rp = random_tuple(3, seed=1)
-    cl.estimate_spectrum(rp, n_iter, 2, seed=0, qr_period=qr_period)
+    cl.estimate_spectrum(rp, n_iter, 2, seed=0)
     assert len(calls) == math.ceil(n_iter / qr_period)
     assert set(calls) == {"raw"}
     calls.clear()
-    cl.estimate_top_exponent(rp, n_iter, 2, seed=0, qr_period=qr_period)
+    cl.estimate_top_exponent(rp, n_iter, 2, seed=0)
     assert calls == []
 
 
@@ -458,12 +542,12 @@ def _record_chunks(monkeypatch):
                          ids=["1", "chunk-1", "chunk", "chunk+1", "3chunk+7"])
 def test_streamed_starts_match_one_full_length_cumsum(monkeypatch, estimator, n_symbols,
                                                       chunks, extra):
-    qr_period = 3
-    chunk = lyapunov.CHUNK_BLOCKS * qr_period
+    monkeypatch.setattr(lyapunov, "START_PERIOD", 3)
+    chunk = lyapunov.CHUNK_BLOCKS * 3
     n_iter = chunks * chunk + extra
     rp = random_tuple(2, seed=n_symbols, n_maps=n_symbols)
     seen = _record_chunks(monkeypatch)
-    getattr(cl, estimator)(rp, n_iter, 3, seed=11, qr_period=qr_period)
+    getattr(cl, estimator)(rp, n_iter, 3, seed=11)
     words, starts, _ = draw_replicates_reference(rp, 11, n_iter, 3,
                                                  estimator == "estimate_top_exponent")
     assert [w.shape[1] for w, _ in seen] == [min(chunk, n_iter - lo)
@@ -473,16 +557,17 @@ def test_streamed_starts_match_one_full_length_cumsum(monkeypatch, estimator, n_
     assert np.concatenate([t for _, t in seen], axis=1).tobytes() == starts.tobytes()
 
 
-def test_sampling_memory_grows_by_the_words_byte_per_step():
+def test_sampling_memory_grows_by_the_words_byte_per_step(monkeypatch):
     # the parent layout held every start point (8 bytes per step and
     # replicate) and a longdouble cumsum: about 14 bytes per step
+    monkeypatch.setattr(lyapunov, "START_PERIOD", 100)
     rp = random_tuple(2, seed=1)
-    cl.estimate_spectrum(rp, 2_000, 8, seed=0, qr_period=100)  # one-time allocations
+    cl.estimate_spectrum(rp, 2_000, 8, seed=0)  # one-time allocations
     peaks = []
     for n_iter in (100_000, 400_000):
         tracemalloc.start()
         try:
-            cl.estimate_spectrum(rp, n_iter, 8, seed=0, qr_period=100)
+            cl.estimate_spectrum(rp, n_iter, 8, seed=0)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
