@@ -31,7 +31,7 @@ import numpy as np
 from ._cofactor import _entries, _max_row_norms, _minors
 from ._quadrature import circle_rule, graded_panel_rule
 from .circle import homoclinic_base_holonomy, rotate, wrap_unit
-from .holonomy import (DEFAULT_PULLBACK, closed_form_holonomy_many,
+from .holonomy import (PULLBACK_DEPTH, closed_form_holonomy_many,
                        oseledets_directions, projective_distance)
 from .lyapunov import estimate_top_exponent
 
@@ -46,7 +46,8 @@ PINCH_NOISE_FLOOR = 1e-10
 DEFAULT_N_ITER = 20000
 DEFAULT_N_REP = 8
 DEFAULT_N_SAMPLES = 200
-DEFAULT_GRID_N = 1 << 14
+# log_integrability's scan grid; a coarser one could miss close zero pairs
+SCAN_GRID_N = 1 << 14
 
 # Certifier thresholds on dimensionless quantities (WEAK_TWIST's sine
 # distance and separated fraction, PINCH_D's gap over the spread, and
@@ -200,8 +201,7 @@ def weakly_pinching(product, n_iter=DEFAULT_N_ITER, n_rep=DEFAULT_N_REP, seed=0)
                        diagnostics=diagnostics, seed=seed)
 
 
-def weakly_twisting(product, n_samples=DEFAULT_N_SAMPLES, seed=0,
-                    n_pullback=DEFAULT_PULLBACK):
+def weakly_twisting(product, n_samples=DEFAULT_N_SAMPLES, seed=0):
     """Certify projective separation of holonomy images of the Oseledets pair.
 
     At sampled points t the composed holonomy must move {e+, e-} off the
@@ -209,7 +209,8 @@ def weakly_twisting(product, n_samples=DEFAULT_N_SAMPLES, seed=0,
     pairwise sine distances reach ``SEP_TOL``.  PASS when the separated
     fraction of converged samples exceeds ``FRAC_THRESHOLD``; fewer than
     half the samples converging is INCONCLUSIVE.  A sample is converged
-    when both of its direction pairs meet ``holonomy.DIRECTION_TOL``.
+    when both of its direction pairs meet ``holonomy.DIRECTION_TOL`` at the
+    pullback depth ``holonomy.PULLBACK_DEPTH``.
     """
     if product.dim != 2:
         raise ValueError("weakly_twisting handles 2x2 tuples")
@@ -229,8 +230,8 @@ def weakly_twisting(product, n_samples=DEFAULT_N_SAMPLES, seed=0,
     angle0 = product.angles[0]
     map0 = product.maps[0]
     for i, t in enumerate(ts):
-        here = oseledets_directions(angle0, map0, t, n_pullback)
-        there = oseledets_directions(angle0, map0, rotate(t, offset), n_pullback)
+        here = oseledets_directions(angle0, map0, t)
+        there = oseledets_directions(angle0, map0, rotate(t, offset))
         if not (here.converged and there.converged):
             continue
         n_converged += 1
@@ -267,7 +268,7 @@ def weakly_twisting(product, n_samples=DEFAULT_N_SAMPLES, seed=0,
             "min_separation": min_separation,
             "sep_tol": SEP_TOL,
             "frac_threshold": FRAC_THRESHOLD,
-            "n_pullback": n_pullback,
+            "n_pullback": PULLBACK_DEPTH,
             "witnesses": witnesses,
         },
         seed=seed,
@@ -502,14 +503,14 @@ def _fit_zero_order(abs_vals, sup):
     return m, math.exp(log_c)
 
 
-def log_integrability(g, grid_n=DEFAULT_GRID_N, scale=1.0):
+def log_integrability(g, *, scale=1.0):
     """Estimate the circle integral of |log |g||, locating the zeros of g.
 
-    The scan grid finds sign changes (refined by bisection to ``ROOT_XTOL``
-    in t) and runs of grid points with |g| below ``ZERO_REL_TOL * scale``
-    (each run's center is a zero); dips of |g| below
-    ``sqrt(ZERO_REL_TOL) * scale`` are polished by golden-section search
-    to catch even-order zeros.  A run of three or more points means g
+    The scan grid of ``SCAN_GRID_N`` points finds sign changes (refined by
+    bisection to ``ROOT_XTOL`` in t) and runs of grid points with |g| below
+    ``ZERO_REL_TOL * scale`` (each run's center is a zero); dips of |g|
+    below ``sqrt(ZERO_REL_TOL) * scale`` are polished by golden-section
+    search to catch even-order zeros.  A run of three or more points means g
     vanishes on an interval, and the integral is infinite, unless |g|
     along it falls strictly to a single minimum and then rises strictly,
     as it does around a zero of high order.
@@ -537,7 +538,7 @@ def log_integrability(g, grid_n=DEFAULT_GRID_N, scale=1.0):
     if not (math.isfinite(scale) and scale > 0.0):
         raise ValueError(f"scale must be finite and positive, got {scale!r}")
     zero_thr = ZERO_REL_TOL * scale
-    ts = np.arange(grid_n) / grid_n
+    ts = np.arange(SCAN_GRID_N) / SCAN_GRID_N
     vals = np.asarray(g(ts), dtype=float)
     if vals.shape != ts.shape:
         raise ValueError("g must map a 1d array of points to values of equal shape")
@@ -552,28 +553,28 @@ def log_integrability(g, grid_n=DEFAULT_GRID_N, scale=1.0):
     groups = []
     if small_idx.size:
         groups = np.split(small_idx, np.nonzero(np.diff(small_idx) > 1)[0] + 1)
-        if len(groups) > 1 and groups[0][0] == 0 and groups[-1][-1] == grid_n - 1:
+        if len(groups) > 1 and groups[0][0] == 0 and groups[-1][-1] == SCAN_GRID_N - 1:
             # the run straddles t = 0; unwrap its front half past 1
-            groups[0] = np.concatenate([groups.pop(), groups[0] + grid_n])
+            groups[0] = np.concatenate([groups.pop(), groups[0] + SCAN_GRID_N])
 
-    if sup < zero_thr or any(_vanishes_on_run(absvals[group % grid_n])
+    if sup < zero_thr or any(_vanishes_on_run(absvals[group % SCAN_GRID_N])
                              for group in groups):
         return LogIntegralResult(
             estimate=math.inf, zeros=[], orders=[],
             diagnostics={"reason": "g vanishes on an interval", "sup": sup,
-                         "grid_n": grid_n, "scale": scale},
+                         "grid_n": SCAN_GRID_N, "scale": scale},
         )
     if np.all(vals == vals[0]):
         # flat integrand: the integral is |log| of the constant, exactly
         return LogIntegralResult(
             estimate=abs(math.log(abs(float(vals[0])))), zeros=[], orders=[],
-            diagnostics={"constant": float(vals[0]), "grid_n": grid_n},
+            diagnostics={"constant": float(vals[0]), "grid_n": SCAN_GRID_N},
         )
 
     def f(x):
         return np.asarray(g(wrap_unit(x)), dtype=float)
 
-    h = 1.0 / grid_n
+    h = 1.0 / SCAN_GRID_N
     # each run of grid points inside the zero tolerance gives its center
     roots = [wrap_unit(float(np.mean(group * h))) for group in groups]
 
@@ -611,7 +612,7 @@ def log_integrability(g, grid_n=DEFAULT_GRID_N, scale=1.0):
         estimate = float(ws @ np.abs(np.log(np.abs(g(xs)))))
         return LogIntegralResult(
             estimate=estimate, zeros=[], orders=[],
-            diagnostics={"sup": sup, "grid_n": grid_n, "scale": scale},
+            diagnostics={"sup": sup, "grid_n": SCAN_GRID_N, "scale": scale},
         )
 
     # classify each zero and give it a Taylor-model interval
@@ -675,7 +676,7 @@ def log_integrability(g, grid_n=DEFAULT_GRID_N, scale=1.0):
             "near_contribution": near,
             "far_contribution": far,
             "sup": sup,
-            "grid_n": grid_n,
+            "grid_n": SCAN_GRID_N,
             "scale": scale,
         },
     )
@@ -703,7 +704,7 @@ def _minor_function(product, index, precomputed):
     return g
 
 
-def twisting_d(product, grid_n=DEFAULT_GRID_N):
+def twisting_d(product):
     """Certify log-integrability of every minor of the homoclinic holonomy.
 
     PASS iff the |log |minor|| integral is finite for every row/column
@@ -715,14 +716,15 @@ def twisting_d(product, grid_n=DEFAULT_GRID_N):
     as ``max_non_transversal`` in the diagnostics.
 
     Each minor on rows I gets the ``scale`` prod_{i in I} max_t |row_i H(t)|
-    over the scan grid, its Hadamard bound, which a rescaled map changes by
-    the same factor as the minor, so neither zeros nor verdict depend on it.
+    over the ``SCAN_GRID_N`` scan points, its Hadamard bound, which a
+    rescaled map changes by the same factor as the minor, so neither zeros
+    nor verdict depend on it.
     """
     d = product.dim
     # every minor scans the same grid, and every zero-free minor integrates
     # on the same nodes: the holonomy is evaluated once on each point set
     precomputed = [(points, _entries(closed_form_holonomy_many(product, points)))
-                   for points in (np.arange(grid_n) / grid_n, circle_rule()[0])]
+                   for points in (np.arange(SCAN_GRID_N) / SCAN_GRID_N, circle_rule()[0])]
     row_max = _max_row_norms(precomputed[0][1]).tolist()
     per_minor = []
     worst_non_transversal = 0
@@ -731,7 +733,7 @@ def twisting_d(product, grid_n=DEFAULT_GRID_N):
     for index in all_minor_indices(d):
         g = _minor_function(product, index, precomputed)
         scale = math.prod(row_max[r - 1] for r in index.rows)
-        result = log_integrability(g, grid_n, scale)
+        result = log_integrability(g, scale=scale)
         n_non_trans = sum(1 for flag in result.diagnostics.get("transversal", [])
                           if not flag)
         worst_non_transversal = max(worst_non_transversal, n_non_trans)
@@ -758,7 +760,7 @@ def twisting_d(product, grid_n=DEFAULT_GRID_N):
             "minors": per_minor,
             "witness": infinite_witness,
             "max_non_transversal": worst_non_transversal,
-            "grid_n": grid_n,
+            "grid_n": SCAN_GRID_N,
             "zero_rel_tol": ZERO_REL_TOL,
         },
     )

@@ -13,13 +13,14 @@ An experiment is described by a JSON config file:
     Optional output CSV path (certificates go next to it as JSON).
 
 Estimator knobs (all optional, with defaults): ``n_iter``, ``n_rep``,
-``n_samples``, ``n_pullback``, ``grid_n``, ``budget``, ``n_candidates``.
-Each default is the named constant of the module that uses it
-(``certify``, ``holonomy``).  The dimensionless certifier thresholds are
-constants, not knobs, TWIST_D's zero test is relative to each minor's
-scale, and the spectrum estimators set their own renormalization period
-(see :mod:`cocyclelab.lyapunov`).  The keys of ``RETIRED_KEYS`` (say,
-``sep_tol``, ``zero_tol`` or ``qr_period``) are ignored, so configs written
+``n_samples``, ``budget``, ``n_candidates``.  The certifier defaults are
+the named constants of :mod:`cocyclelab.certify`.  The dimensionless
+certifier thresholds are constants, not knobs, and so are the certifiers'
+resolutions (``holonomy.PULLBACK_DEPTH``, ``certify.SCAN_GRID_N``);
+TWIST_D's zero test is relative to each minor's scale, and the spectrum
+estimators set their own renormalization period (see
+:mod:`cocyclelab.lyapunov`).  The keys of ``RETIRED_KEYS`` (say,
+``sep_tol``, ``grid_n`` or ``qr_period``) are ignored, so configs written
 for older versions keep loading.  Any other key that no experiment kind
 reads, such as a misspelt knob, is ignored too, with one warning line on
 stderr.
@@ -48,16 +49,14 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .certify import (DEFAULT_GRID_N, DEFAULT_N_ITER, DEFAULT_N_REP,
-                      DEFAULT_N_SAMPLES, pinching_d, twisting_d, weakly_pinching,
-                      weakly_twisting)
+from .certify import (DEFAULT_N_ITER, DEFAULT_N_REP, DEFAULT_N_SAMPLES, pinching_d,
+                      twisting_d, weakly_pinching, weakly_twisting)
 from .cocycle import (DIAGONAL, SCHRODINGER, SL2, RandomProduct, TrigPolynomial,
                       make_schrodinger, rescale_diagonal, right_rotate,
                       shift_potential)
 from .errors import ConfigError, UnsupportedPipelineError
 from .fileio import (file_digest, load_cocycle, read_int, read_number,
                      read_numbers, read_rows)
-from .holonomy import DEFAULT_PULLBACK
 from .lyapunov import diagonal_spectrum, estimate_spectrum, estimate_top_exponent
 from .tables import ResultTable
 
@@ -68,8 +67,6 @@ _INT_KNOBS = {
     "n_iter": DEFAULT_N_ITER,
     "n_rep": DEFAULT_N_REP,
     "n_samples": DEFAULT_N_SAMPLES,
-    "n_pullback": DEFAULT_PULLBACK,
-    "grid_n": DEFAULT_GRID_N,
     "n_candidates": 8,
 }
 _FLOAT_KNOBS = {
@@ -78,7 +75,7 @@ _FLOAT_KNOBS = {
 # config keys that no experiment reads any more; configs carrying them load
 # without a warning
 RETIRED_KEYS = ("parallel", "certify_base", "zero_tol", "sep_tol", "frac_threshold",
-                "direction_tol", "rel_gap", "qr_period")
+                "direction_tol", "rel_gap", "qr_period", "n_pullback", "grid_n")
 _READ_KEYS = ("kind", "cocycle", "seed", "out", "energies", "epsilons", "perturbation",
               "perturb_index", *_INT_KNOBS, *_FLOAT_KNOBS)
 DEFAULT_EPSILONS = (1e-1, 1e-2, 1e-3, 1e-4)
@@ -215,7 +212,7 @@ def certification_pipeline(product, seed=0, knobs=None):
     if product.dim == 2:
         return [
             weakly_pinching(product, kn["n_iter"], kn["n_rep"], seed),
-            weakly_twisting(product, kn["n_samples"], seed, kn["n_pullback"]),
+            weakly_twisting(product, kn["n_samples"], seed),
         ]
     if product.maps[0].group_tag != DIAGONAL:
         raise UnsupportedPipelineError(
@@ -225,7 +222,7 @@ def certification_pipeline(product, seed=0, knobs=None):
     exponents = diagonal_spectrum(product.solo(0))
     return [
         pinching_d(exponents),
-        twisting_d(product, kn["grid_n"]),
+        twisting_d(product),
     ]
 
 

@@ -28,7 +28,9 @@ from .cocycle import DIAGONAL, word_product
 # Paired fibers must match the base holonomy image to this tolerance.
 BASE_POINT_TOL = 1e-9
 
-DEFAULT_PULLBACK = 200
+# Steps per half of an Oseledets pullback; one too short for a map shows
+# as unconverged samples, which WEAK_TWIST leaves out of its verdict.
+PULLBACK_DEPTH = 200
 # Convergence bound on the projective residual between two pullback depths;
 # it is dimensionless, so no rescaling of a map calls for another value.
 DIRECTION_TOL = 1e-8
@@ -158,23 +160,20 @@ def _frobenius(mats):
     return np.sqrt(np.add.reduce(mats * mats, axis=(-2, -1), keepdims=True))
 
 
-def oseledets_directions(angle, mat_map, t, n_pullback=DEFAULT_PULLBACK):
+def oseledets_directions(angle, mat_map, t):
     """Oseledets directions of a single 2x2 quasi-periodic map at ``t``.
 
-    e_plus is the top left singular vector of the past product, the
-    2*n_pullback steps that end at ``t``; e_minus is the bottom right
-    singular vector of the future product, the 2*n_pullback steps that
-    start at ``t``.  The depth-n_pullback estimates use the last n_pullback
-    past steps and the first n_pullback future steps; the residual is the
-    larger projective distance between the two depths and convergence
-    means residual <= ``DIRECTION_TOL``.
+    With n = ``PULLBACK_DEPTH``, e_plus is the top left singular vector of
+    the past product, the 2n steps that end at ``t``; e_minus is the bottom
+    right singular vector of the future product, the 2n steps that start
+    at ``t``.  The depth-n estimates use the last n past and the first n
+    future steps; the residual is the larger projective distance between
+    the two depths and convergence means residual <= ``DIRECTION_TOL``.
     """
     if mat_map.dim != 2:
         raise ValueError("oseledets_directions handles 2x2 maps")
-    if n_pullback < 1:
-        raise ValueError("n_pullback must be >= 1")
     t = wrap_unit(t)
-    n2 = 2 * n_pullback
+    n2 = 2 * PULLBACK_DEPTH
 
     word = constant_word(n2)
     past = base_orbit([angle], word, rotate(t, -n2 * angle))
@@ -183,7 +182,7 @@ def oseledets_directions(angle, mat_map, t, n_pullback=DEFAULT_PULLBACK):
     # 1e-13 level, which the direction field does not resolve
     steps = mat_map.eval_many(np.concatenate([past[:-1], future[:-1]]))
     # halves: past first n, past last n, future first n, future last n
-    halves = _unit_products(steps.reshape(4, n_pullback, 2, 2))
+    halves = _unit_products(steps.reshape(4, PULLBACK_DEPTH, 2, 2))
     # SVD inputs: past whole, past last n, future whole, future first n;
     # the wholes are multiplied straight into their slots
     mats = halves[[1, 1, 3, 2]]
@@ -235,10 +234,10 @@ class OseledetsField:
         table.to_csv(path)
 
 
-def oseledets_field(angle, mat_map, ts, n_pullback=DEFAULT_PULLBACK):
+def oseledets_field(angle, mat_map, ts):
     """:func:`oseledets_directions` at every point of ``ts``, as one field."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    results = [oseledets_directions(angle, mat_map, t, n_pullback) for t in ts]
+    results = [oseledets_directions(angle, mat_map, t) for t in ts]
     return OseledetsField(
         ts=ts,
         e_plus=np.array([r.e_plus for r in results]).reshape(-1, 2),

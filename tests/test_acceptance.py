@@ -172,12 +172,11 @@ def test_criterion_08_twisting_pipeline_end_to_end():
 
 
 def test_criterion_09_weak_twisting_exact_pair():
-    cert = cl.weakly_twisting(axis_pair(0.125), n_samples=60, seed=3,
-                              n_pullback=150)
+    cert = cl.weakly_twisting(axis_pair(0.125), n_samples=60, seed=3)
     sep_err = abs(cert.diagnostics["min_separation"] - math.sin(math.pi / 4.0))
     a0 = cl.TrigMatrixMap.constant(np.diag([2.0, 0.5]), group_tag=cl.SL2)
     twin = cl.RandomProduct([cl.GOLDEN_MEAN, SILVER], [a0, a0])
-    fail = cl.weakly_twisting(twin, n_samples=60, seed=3, n_pullback=150)
+    fail = cl.weakly_twisting(twin, n_samples=60, seed=3)
     ok = cert.passed and sep_err <= 1e-6 and fail.verdict == "FAIL"
     report(9, "eighth-turn rotation separates by sin(pi/4)",
            ok, f"separation err {sep_err:.2e}, twin verdict {fail.verdict}")
@@ -212,7 +211,7 @@ def test_criterion_11_cli_determinism(tmp_path):
     a0 = cl.TrigMatrixMap.constant(np.diag([2.0, 0.5]), group_tag=cl.SL2)
     cl.save_cocycle(cl.RandomProduct([cl.GOLDEN_MEAN, SILVER], [a0, a0]),
                     tmp_path / "twin.json")
-    fast = {"n_iter": 1500, "n_rep": 2, "n_samples": 30, "n_pullback": 120}
+    fast = {"n_iter": 1500, "n_rep": 2, "n_samples": 30}
     configs = {
         "lyapunov": {"cocycle": "schro.json", "seed": 9, **fast},
         "certify": {"cocycle": "schro.json", "seed": 9, **fast},

@@ -194,8 +194,7 @@ def test_weakly_pinching_single_replicate_is_inconclusive():
 
 
 def test_weakly_twisting_rotated_axes_pass():
-    cert = cl.weakly_twisting(axis_pair(0.125), n_samples=40, seed=3,
-                              n_pullback=120)
+    cert = cl.weakly_twisting(axis_pair(0.125), n_samples=40, seed=3)
     assert cert.kind == "WEAK_TWIST" and cert.passed
     assert cert.diagnostics["converged_fraction"] == 1.0
     assert cert.diagnostics["separated_fraction"] == 1.0
@@ -206,7 +205,7 @@ def test_weakly_twisting_rotated_axes_pass():
 def test_weakly_twisting_trivial_holonomy_fails():
     a0 = cl.TrigMatrixMap.constant(np.diag([2.0, 0.5]), group_tag=cl.SL2)
     product = cl.RandomProduct([cl.GOLDEN_MEAN, 0.3], [a0, a0])
-    cert = cl.weakly_twisting(product, n_samples=40, seed=3, n_pullback=120)
+    cert = cl.weakly_twisting(product, n_samples=40, seed=3)
     assert cert.verdict == "FAIL"
     assert cert.diagnostics["witnesses"]
     assert cert.diagnostics["min_separation"] <= 1e-9
@@ -370,7 +369,16 @@ def test_log_integral_validation():
                          ids=["zero", "sin2"])
 def test_log_integral_rejects_a_bad_scale(scale, g):
     with pytest.raises(ValueError, match="scale must be finite and positive"):
-        cl.log_integrability(g, 1024, scale)
+        cl.log_integrability(g, scale=scale)
+
+
+def test_log_integral_scale_is_keyword_only():
+    # the second positional slot was the grid size, which is a constant now;
+    # an old call must not read it as the scale
+    with pytest.raises(TypeError):
+        cl.log_integrability(lambda t: np.sin(2 * np.pi * t), 1024)
+    with pytest.raises(TypeError):
+        cl.log_integrability(lambda t: np.sin(2 * np.pi * t), grid_n=1024)
 
 
 def test_log_integral_zeros_move_with_the_scale():
@@ -408,7 +416,7 @@ def test_log_integral_exact_zero_on_an_interval_is_infinite():
 def test_log_integral_small_runs_straddling_zero():
     # double zeros half a grid step before 1/2 and 1: two grid points each fall
     # under the zero threshold, and the run at 1 - h/2 wraps around t = 0
-    h = 1.0 / cl.certify.DEFAULT_GRID_N
+    h = 1.0 / cl.certify.SCAN_GRID_N
     result = cl.log_integrability(lambda t: 1e-5 * np.sin(2 * np.pi * (t + h / 2)) ** 2)
     assert result.zeros == [0.5 - h / 2, 1.0 - h / 2]
     assert result.orders == [2, 2]
@@ -639,7 +647,7 @@ def test_twisting_d_makes_no_lu_determinant_call(monkeypatch):
 
 def test_twisting_d_memory_stays_within_four_grid_stacks():
     product = random_tuple(4, seed=1)
-    stack_bytes = certify.DEFAULT_GRID_N * 4 * 4 * 8
+    stack_bytes = certify.SCAN_GRID_N * 4 * 4 * 8
     tracemalloc.start()
     try:
         cl.twisting_d(product)
@@ -660,7 +668,7 @@ def test_twisting_d_evaluates_the_zero_free_nodes_once(monkeypatch):
     minors = cl.twisting_d(pipeline_tuple_d3()).diagnostics["minors"]
     assert sum(m["n_zeros"] == 0 for m in minors) > 1
     assert sizes.count(4096) == 1
-    assert sizes.count(certify.DEFAULT_GRID_N) == 1
+    assert sizes.count(certify.SCAN_GRID_N) == 1
 
 
 def test_import_loads_no_scipy():

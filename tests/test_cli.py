@@ -12,7 +12,7 @@ from cocyclelab import experiments
 from cocyclelab.cli import main
 from util import axis_pair, pipeline_tuple_d3, schrodinger_pair
 
-FAST = {"n_iter": 2000, "n_rep": 2, "n_samples": 30, "n_pullback": 150}
+FAST = {"n_iter": 2000, "n_rep": 2, "n_samples": 30}
 
 
 def write_json(path, doc):
@@ -428,26 +428,30 @@ def test_config_defaults_are_the_estimator_defaults():
     knobs = dict(experiments._INT_KNOBS, **experiments._FLOAT_KNOBS)
     fed = {
         cl.weakly_pinching: ["n_iter", "n_rep"],
-        cl.weakly_twisting: ["n_samples", "n_pullback"],
-        cl.twisting_d: ["grid_n"],
+        cl.weakly_twisting: ["n_samples"],
     }
     for fn, names in fed.items():
         params = inspect.signature(fn).parameters
         for name in names:
             assert params[name].default == knobs[name], (fn.__name__, name)
     assert list(inspect.signature(cl.pinching_d).parameters) == ["exponents"]
+    # the certifiers' resolutions are module constants, not parameters
+    for fn in (cl.weakly_twisting, cl.oseledets_directions, cl.oseledets_field,
+               cl.twisting_d, cl.log_integrability):
+        params = inspect.signature(fn).parameters
+        assert "n_pullback" not in params and "grid_n" not in params, fn.__name__
 
 
 @pytest.mark.parametrize("make_product", [lambda: schrodinger_pair()[0],
                                           pipeline_tuple_d3], ids=["d2", "d3"])
 def test_retired_threshold_keys_change_nothing(tmp_path, make_product):
-    """sep_tol, frac_threshold, direction_tol and rel_gap are constants now,
-    and zero_tol gave way to a zero threshold relative to each minor's scale."""
+    """sep_tol, frac_threshold, direction_tol, rel_gap, n_pullback and grid_n
+    are constants now, and zero_tol gave way to a zero threshold relative to
+    each minor's scale."""
     cl.save_cocycle(make_product(), tmp_path / "tuple.json")
-    doc = {"kind": "certify", "cocycle": "tuple.json", "seed": 9, "grid_n": 4096,
-           **FAST}
+    doc = {"kind": "certify", "cocycle": "tuple.json", "seed": 9, **FAST}
     retired = {"sep_tol": 0.2, "frac_threshold": 0.5, "direction_tol": 1e-30,
-               "rel_gap": 0.5, "zero_tol": 1e-30}
+               "rel_gap": 0.5, "zero_tol": 1e-30, "grid_n": 3, "n_pullback": 1}
     outs = []
     for name, cfg_doc in [("plain", doc), ("old", {**doc, **retired})]:
         cfg = write_json(tmp_path / f"{name}.json", cfg_doc)

@@ -263,12 +263,12 @@ GOLDEN_REPLICATES = [
 
 
 @pytest.mark.parametrize(
-    "estimator, make_product, n_iter, n_rep, seed, qr_period, golden",
+    "estimator, make_product, n_iter, n_rep, seed, start_period, golden",
     GOLDEN_REPLICATES,
     ids=[f"{c[0]}-{c[2]}x{c[3]}-period{c[5]}" for c in GOLDEN_REPLICATES])
 def test_replicates_match_golden_bits(monkeypatch, estimator, make_product, n_iter, n_rep,
-                                      seed, qr_period, golden):
-    monkeypatch.setattr(lyapunov, "START_PERIOD", qr_period)
+                                      seed, start_period, golden):
+    monkeypatch.setattr(lyapunov, "START_PERIOD", start_period)
     est = getattr(cl, estimator)(make_product(), n_iter, n_rep, seed)
     expected = np.array([[float.fromhex(x) for x in row] for row in golden])
     assert np.array_equal(est.replicates, expected)
@@ -305,14 +305,14 @@ GOLDEN_AGGREGATES = {
 
 
 @pytest.mark.parametrize(
-    "estimator, make_product, n_iter, n_rep, seed, qr_period, golden",
+    "estimator, make_product, n_iter, n_rep, seed, start_period, golden",
     GOLDEN_REPLICATES,
     ids=[f"{c[0]}-{c[2]}x{c[3]}-period{c[5]}" for c in GOLDEN_REPLICATES])
 def test_aggregates_match_golden_bits(monkeypatch, estimator, make_product, n_iter, n_rep,
-                                      seed, qr_period, golden):
-    monkeypatch.setattr(lyapunov, "START_PERIOD", qr_period)
+                                      seed, start_period, golden):
+    monkeypatch.setattr(lyapunov, "START_PERIOD", start_period)
     est = getattr(cl, estimator)(make_product(), n_iter, n_rep, seed)
-    values, stderr = GOLDEN_AGGREGATES[f"{estimator}-{n_iter}x{n_rep}-period{qr_period}"]
+    values, stderr = GOLDEN_AGGREGATES[f"{estimator}-{n_iter}x{n_rep}-period{start_period}"]
     assert [float(v).hex() for v in est.values] == values
     assert [float(v).hex() for v in est.stderr] == stderr
 
@@ -333,9 +333,9 @@ LU_PIN_LAST_COLUMN = {
 
 @pytest.mark.parametrize("key", sorted(LU_PIN_LAST_COLUMN))
 def test_cofactor_pin_moves_the_lu_goldens_by_at_most_4_ulp(monkeypatch, key):
-    _, make_product, n_iter, n_rep, seed, qr_period, golden = next(
+    _, make_product, n_iter, n_rep, seed, start_period, golden = next(
         c for c in GOLDEN_REPLICATES if f"{c[0]}-{c[2]}x{c[3]}-period{c[5]}" == key)
-    monkeypatch.setattr(lyapunov, "START_PERIOD", qr_period)
+    monkeypatch.setattr(lyapunov, "START_PERIOD", start_period)
     est = cl.estimate_spectrum(make_product(), n_iter, n_rep, seed)
     reps, value, stderr = LU_PIN_LAST_COLUMN[key]
     lu_reps = np.array([float.fromhex(x) for x in reps])
@@ -348,7 +348,8 @@ def test_cofactor_pin_moves_the_lu_goldens_by_at_most_4_ulp(monkeypatch, key):
 
 
 def test_golden_cases_cover_chunk_edges():
-    sizes = {(n_iter, qr_period) for _, _, n_iter, _, _, qr_period, _ in GOLDEN_REPLICATES}
+    sizes = {(n_iter, start_period)
+             for _, _, n_iter, _, _, start_period, _ in GOLDEN_REPLICATES}
     chunk = lyapunov.CHUNK_BLOCKS
     assert any(n_iter % p for n_iter, p in sizes)
     assert any(n_iter < p for n_iter, p in sizes)
@@ -445,14 +446,15 @@ def _count_qr_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("n_iter, qr_period", [(1013, 20), (7, 20), (2000, 3), (2560, 20)])
-def test_one_public_qr_call_per_renormalization_block(monkeypatch, n_iter, qr_period):
+@pytest.mark.parametrize("n_iter, start_period",
+                         [(1013, 20), (7, 20), (2000, 3), (2560, 20)])
+def test_one_public_qr_call_per_renormalization_block(monkeypatch, n_iter, start_period):
     # the benchmark counts these calls as lyapunov.qr.calls
     calls = _count_qr_calls(monkeypatch)
-    monkeypatch.setattr(lyapunov, "START_PERIOD", qr_period)
+    monkeypatch.setattr(lyapunov, "START_PERIOD", start_period)
     rp = random_tuple(3, seed=1)
     cl.estimate_spectrum(rp, n_iter, 2, seed=0)
-    assert len(calls) == math.ceil(n_iter / qr_period)
+    assert len(calls) == math.ceil(n_iter / start_period)
     assert set(calls) == {"raw"}
     calls.clear()
     cl.estimate_top_exponent(rp, n_iter, 2, seed=0)
