@@ -26,14 +26,13 @@ angles = [cl.GOLDEN_MEAN, 0.41421356237309515]
 # minimum projective separation is the hand-computable sin(pi/4).
 good = cl.RandomProduct(angles, [a0, cl.right_rotate(a0, 0.125)])
 for cert in (cl.weakly_pinching(good, seed=0),
-             cl.weakly_twisting(good, n_samples=60, seed=0)):
+             cl.weakly_twisting(good, seed=0)):
     print(f"{cert.kind:11s} {cert.verdict:4s} margin {cert.margin:+.4f}")
-print("min separation:", cl.weakly_twisting(good, n_samples=60,
-                                            seed=0).diagnostics["min_separation"])
+print("min separation:", cl.weakly_twisting(good, seed=0).diagnostics["min_separation"])
 
 # Pair A0 with itself and the holonomy is the identity: twisting fails.
 twin = cl.RandomProduct(angles, [a0, a0])
-cert = cl.weakly_twisting(twin, n_samples=60, seed=0)
+cert = cl.weakly_twisting(twin, seed=0)
 print(f"\ntwin tuple: {cert.kind} {cert.verdict}, margin {cert.margin:+.4f}")
 
 # Hand the failing tuple to the search driver through the CLI.
@@ -45,9 +44,6 @@ with tempfile.TemporaryDirectory() as tmp:
         "kind": "perturb-search",
         "cocycle": "twin.json",
         "seed": 0,
-        "n_iter": 4000,
-        "n_rep": 4,
-        "n_samples": 60,
         "budget": 0.05,
         "n_candidates": 6,
         "out": str(workdir / "search.csv"),

@@ -43,9 +43,10 @@ VERDICTS = ("PASS", "FAIL", "INCONCLUSIVE")
 # estimate with zero spread across replicates.
 PINCH_NOISE_FLOOR = 1e-10
 
-DEFAULT_N_ITER = 20000
-DEFAULT_N_REP = 8
-DEFAULT_N_SAMPLES = 200
+# WEAK_PINCH's run (steps x replicates) and WEAK_TWIST's sample count
+PINCH_N_ITER = 20000
+PINCH_N_REP = 8
+TWIST_N_SAMPLES = 200
 # log_integrability's scan grid; a coarser one could miss close zero pairs
 SCAN_GRID_N = 1 << 14
 
@@ -179,47 +180,43 @@ def minor(matrix, index):
     return float(_minors(m[:, :, None], rows, cols)[0])
 
 
-def weakly_pinching(product, n_iter=DEFAULT_N_ITER, n_rep=DEFAULT_N_REP, seed=0):
+def weakly_pinching(product, *, seed=0):
     """Certify a positive top exponent for the first map of the tuple.
 
-    PASS when the Monte Carlo estimate clears three standard errors (and a
-    small absolute noise floor); otherwise INCONCLUSIVE, since sampling can
-    never witness an exactly-zero exponent.  Fewer than two replicates give
-    no standard error, so they are INCONCLUSIVE with a margin of at most 0.
+    PASS when the Monte Carlo estimate over ``PINCH_N_ITER`` steps and
+    ``PINCH_N_REP`` replicates clears three standard errors (and a small
+    absolute noise floor); otherwise INCONCLUSIVE, since sampling can never
+    witness an exactly-zero exponent.
     """
-    est = estimate_top_exponent(product.solo(0), n_iter, n_rep, seed)
+    est = estimate_top_exponent(product.solo(0), PINCH_N_ITER, PINCH_N_REP, seed)
     lam = est.top
     threshold = max(3.0 * float(est.stderr[0]), PINCH_NOISE_FLOOR)
     margin = lam - threshold
     diagnostics = {"lambda_top": lam, "stderr": float(est.stderr[0]),
-                   "threshold": threshold, "n_iter": n_iter, "n_rep": n_rep}
-    if n_rep < 2:
-        margin = min(margin, 0.0)
-        diagnostics["reason"] = "n_rep < 2 gives no standard error"
+                   "threshold": threshold, "n_iter": PINCH_N_ITER, "n_rep": PINCH_N_REP}
     verdict = "PASS" if margin > 0.0 else "INCONCLUSIVE"
     return Certificate(kind="WEAK_PINCH", verdict=verdict, margin=margin,
                        diagnostics=diagnostics, seed=seed)
 
 
-def weakly_twisting(product, n_samples=DEFAULT_N_SAMPLES, seed=0):
+def weakly_twisting(product, *, seed=0):
     """Certify projective separation of holonomy images of the Oseledets pair.
 
-    At sampled points t the composed holonomy must move {e+, e-} off the
-    pair at the holonomy-shifted point: a sample is separated when all four
-    pairwise sine distances reach ``SEP_TOL``.  PASS when the separated
-    fraction of converged samples exceeds ``FRAC_THRESHOLD``; fewer than
-    half the samples converging is INCONCLUSIVE.  A sample is converged
-    when both of its direction pairs meet ``holonomy.DIRECTION_TOL`` at the
-    pullback depth ``holonomy.PULLBACK_DEPTH``.
+    At ``TWIST_N_SAMPLES`` sampled points t the composed holonomy must move
+    {e+, e-} off the pair at the holonomy-shifted point: a sample is
+    separated when all four pairwise sine distances reach ``SEP_TOL``.  PASS
+    when the separated fraction of converged samples exceeds
+    ``FRAC_THRESHOLD``; fewer than half the samples converging is
+    INCONCLUSIVE.  A sample is converged when both of its direction pairs
+    meet ``holonomy.DIRECTION_TOL`` at the pullback depth
+    ``holonomy.PULLBACK_DEPTH``.
     """
     if product.dim != 2:
         raise ValueError("weakly_twisting handles 2x2 tuples")
     if product.n_symbols < 2:
         raise ValueError("weakly_twisting needs symbols 0 and 1")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
-    ts = rng.random(n_samples)
+    ts = rng.random(TWIST_N_SAMPLES)
     offset = homoclinic_base_holonomy(product.angles[0], product.angles[1])
     holonomies = closed_form_holonomy_many(product, ts)
 
@@ -248,7 +245,7 @@ def weakly_twisting(product, n_samples=DEFAULT_N_SAMPLES, seed=0):
         elif len(witnesses) < 8:
             witnesses.append({"t": float(t), "separation": float(separation)})
 
-    converged_fraction = n_converged / n_samples
+    converged_fraction = n_converged / len(ts)
     separated_fraction = n_separated / n_converged if n_converged else 0.0
     margin = separated_fraction - FRAC_THRESHOLD
     if converged_fraction < 0.5:
@@ -262,7 +259,7 @@ def weakly_twisting(product, n_samples=DEFAULT_N_SAMPLES, seed=0):
         verdict=verdict,
         margin=margin,
         diagnostics={
-            "n_samples": n_samples,
+            "n_samples": len(ts),
             "converged_fraction": converged_fraction,
             "separated_fraction": separated_fraction,
             "min_separation": min_separation,

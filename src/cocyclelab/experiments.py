@@ -12,18 +12,17 @@ An experiment is described by a JSON config file:
 ``out``
     Optional output CSV path (certificates go next to it as JSON).
 
-Estimator knobs (all optional, with defaults): ``n_iter``, ``n_rep``,
-``n_samples``, ``budget``, ``n_candidates``.  The certifier defaults are
-the named constants of :mod:`cocyclelab.certify`.  The dimensionless
-certifier thresholds are constants, not knobs, and so are the certifiers'
-resolutions (``holonomy.PULLBACK_DEPTH``, ``certify.SCAN_GRID_N``);
-TWIST_D's zero test is relative to each minor's scale, and the spectrum
-estimators set their own renormalization period (see
-:mod:`cocyclelab.lyapunov`).  The keys of ``RETIRED_KEYS`` (say,
-``sep_tol``, ``grid_n`` or ``qr_period``) are ignored, so configs written
-for older versions keep loading.  Any other key that no experiment kind
-reads, such as a misspelt knob, is ignored too, with one warning line on
-stderr.
+Knobs (all optional, with defaults): ``n_iter`` and ``n_rep`` size the
+estimates of ``lyapunov``, ``sweep-energy`` and ``continuity``'s ladder;
+``budget`` and ``n_candidates`` shape the ``perturb-search`` ladder.  The
+certifiers take only the tuple and the seed: their sample sizes (say,
+``certify.TWIST_N_SAMPLES``), resolutions and thresholds are constants of
+:mod:`cocyclelab.certify` and :mod:`cocyclelab.holonomy`, and the
+spectrum estimators set their own renormalization period.  The keys of
+``RETIRED_KEYS`` (say, ``sep_tol``, ``n_samples`` or ``qr_period``) are
+ignored, so configs written for older versions keep loading.  Any other
+key that no experiment kind reads, such as a misspelt knob, is ignored
+too, with one warning line on stderr.
 
 Kind-specific fields: ``energies`` (list, or {min, max, steps}) for
 sweep-energy; ``epsilons``, ``perturbation`` ({"coeffs": d*d rows}) and
@@ -49,8 +48,8 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .certify import (DEFAULT_N_ITER, DEFAULT_N_REP, DEFAULT_N_SAMPLES, pinching_d,
-                      twisting_d, weakly_pinching, weakly_twisting)
+from .certify import (PINCH_N_ITER, PINCH_N_REP, pinching_d, twisting_d,
+                      weakly_pinching, weakly_twisting)
 from .cocycle import (DIAGONAL, SCHRODINGER, SL2, RandomProduct, TrigPolynomial,
                       make_schrodinger, rescale_diagonal, right_rotate,
                       shift_potential)
@@ -64,9 +63,8 @@ EXPERIMENT_KINDS = ("lyapunov", "certify", "sweep-energy", "continuity",
                     "perturb-search")
 
 _INT_KNOBS = {
-    "n_iter": DEFAULT_N_ITER,
-    "n_rep": DEFAULT_N_REP,
-    "n_samples": DEFAULT_N_SAMPLES,
+    "n_iter": PINCH_N_ITER,
+    "n_rep": PINCH_N_REP,
     "n_candidates": 8,
 }
 _FLOAT_KNOBS = {
@@ -75,7 +73,7 @@ _FLOAT_KNOBS = {
 # config keys that no experiment reads any more; configs carrying them load
 # without a warning
 RETIRED_KEYS = ("parallel", "certify_base", "zero_tol", "sep_tol", "frac_threshold",
-                "direction_tol", "rel_gap", "qr_period", "n_pullback", "grid_n")
+                "direction_tol", "rel_gap", "qr_period", "n_pullback", "grid_n", "n_samples")
 _READ_KEYS = ("kind", "cocycle", "seed", "out", "energies", "epsilons", "perturbation",
               "perturb_index", *_INT_KNOBS, *_FLOAT_KNOBS)
 DEFAULT_EPSILONS = (1e-1, 1e-2, 1e-3, 1e-4)
@@ -192,15 +190,14 @@ def load_experiment_config(path, kind, seed=None, out=None):
     )
 
 
-def certification_pipeline(product, seed=0, knobs=None):
+def certification_pipeline(product, seed=0):
     """Run the certificate chain appropriate for the tuple's dimension.
 
     d = 2 runs WEAK_PINCH then WEAK_TWIST; d > 2 requires a diagonal first
     map and runs PINCH_D on its exact exponents, then TWIST_D on the
     holonomy minors.  Fewer than two symbols, or d < 2, is unsupported.
+    The certificates depend on the tuple and the seed alone.
     """
-    kn = dict(_INT_KNOBS, **_FLOAT_KNOBS)
-    kn.update(knobs or {})
     if product.n_symbols < 2:
         raise UnsupportedPipelineError(
             "certification needs at least two symbols (a fixed-point map and a "
@@ -211,8 +208,8 @@ def certification_pipeline(product, seed=0, knobs=None):
             f"certification needs d >= 2, got d = {product.dim}")
     if product.dim == 2:
         return [
-            weakly_pinching(product, kn["n_iter"], kn["n_rep"], seed),
-            weakly_twisting(product, kn["n_samples"], seed),
+            weakly_pinching(product, seed=seed),
+            weakly_twisting(product, seed=seed),
         ]
     if product.maps[0].group_tag != DIAGONAL:
         raise UnsupportedPipelineError(
@@ -252,7 +249,7 @@ def cmd_lyapunov(config):
 
 def cmd_certify(config):
     """Run the certification pipeline; one row per certificate."""
-    certs = certification_pipeline(config.cocycle.product, config.seed, config.knobs)
+    certs = certification_pipeline(config.cocycle.product, config.seed)
     for cert in certs:
         cert.input_digest = config.cocycle.digest
         cert.seed = config.seed
@@ -294,7 +291,7 @@ def cmd_continuity_probe(config):
     idx = config.perturb_index
 
     try:
-        certs = certification_pipeline(product, config.seed, kn)
+        certs = certification_pipeline(product, config.seed)
         certified = int(all(c.passed for c in certs))
     except UnsupportedPipelineError:
         certified = 0
@@ -400,7 +397,7 @@ def cmd_perturb_search(config):
     kn = config.knobs
     columns = ["candidate", "family", "parameter", "verdict", "margin", "selected"]
 
-    base_certs = certification_pipeline(product, config.seed, kn)
+    base_certs = certification_pipeline(product, config.seed)
     verdict, margin, failing = _pipeline_summary(base_certs)
     rows = [[0, "none", 0.0, verdict, margin, int(failing is None)]]
     certs_out = base_certs
@@ -409,7 +406,7 @@ def cmd_perturb_search(config):
             product, [cert for cert in base_certs if not cert.passed], kn["budget"],
             kn["n_candidates"])
         for number, (family, parameter, candidate) in enumerate(candidates, start=1):
-            certs = certification_pipeline(candidate, config.seed, kn)
+            certs = certification_pipeline(candidate, config.seed)
             verdict, margin, still_failing = _pipeline_summary(certs)
             found = still_failing is None
             rows.append([number, family, parameter, verdict, margin, int(found)])

@@ -172,11 +172,11 @@ def test_criterion_08_twisting_pipeline_end_to_end():
 
 
 def test_criterion_09_weak_twisting_exact_pair():
-    cert = cl.weakly_twisting(axis_pair(0.125), n_samples=60, seed=3)
+    cert = cl.weakly_twisting(axis_pair(0.125), seed=3)
     sep_err = abs(cert.diagnostics["min_separation"] - math.sin(math.pi / 4.0))
     a0 = cl.TrigMatrixMap.constant(np.diag([2.0, 0.5]), group_tag=cl.SL2)
     twin = cl.RandomProduct([cl.GOLDEN_MEAN, SILVER], [a0, a0])
-    fail = cl.weakly_twisting(twin, n_samples=60, seed=3)
+    fail = cl.weakly_twisting(twin, seed=3)
     ok = cert.passed and sep_err <= 1e-6 and fail.verdict == "FAIL"
     report(9, "eighth-turn rotation separates by sin(pi/4)",
            ok, f"separation err {sep_err:.2e}, twin verdict {fail.verdict}")
@@ -188,7 +188,7 @@ def test_criterion_10_continuity_probe(tmp_path):
     cfg = tmp_path / "cont.json"
     cfg.write_text(json.dumps({
         "kind": "continuity", "cocycle": "pair.json", "seed": 4,
-        "n_iter": 4000, "n_rep": 4, "n_samples": 60,
+        "n_iter": 4000, "n_rep": 4,
         "epsilons": [1e-1, 1e-2, 1e-3, 1e-4],
         "perturbation": {"coeffs": [[0.0, 0.3, 0.0], [0.1, 0.0, 0.2],
                                     [0.2, 0.1, 0.0], [0.0, 0.0, 0.3]]},
@@ -211,10 +211,10 @@ def test_criterion_11_cli_determinism(tmp_path):
     a0 = cl.TrigMatrixMap.constant(np.diag([2.0, 0.5]), group_tag=cl.SL2)
     cl.save_cocycle(cl.RandomProduct([cl.GOLDEN_MEAN, SILVER], [a0, a0]),
                     tmp_path / "twin.json")
-    fast = {"n_iter": 1500, "n_rep": 2, "n_samples": 30}
+    fast = {"n_iter": 1500, "n_rep": 2}
     configs = {
         "lyapunov": {"cocycle": "schro.json", "seed": 9, **fast},
-        "certify": {"cocycle": "schro.json", "seed": 9, **fast},
+        "certify": {"cocycle": "schro.json", "seed": 9},
         "sweep-energy": {"cocycle": "schro.json", "seed": 9, **fast,
                          "energies": {"min": 2.5, "max": 5.0, "steps": 3}},
         "continuity": {"cocycle": "pair.json", "seed": 4, **fast,
@@ -223,7 +223,7 @@ def test_criterion_11_cli_determinism(tmp_path):
                                                    [0.1, 0.0, 0.2],
                                                    [0.2, 0.1, 0.0],
                                                    [0.0, 0.0, 0.3]]}},
-        "perturb-search": {"cocycle": "twin.json", "seed": 4, **fast,
+        "perturb-search": {"cocycle": "twin.json", "seed": 4,
                            "budget": 0.05, "n_candidates": 6},
     }
     compared = 0

@@ -47,7 +47,7 @@ def test_readme_documents_the_config_keys():
         assert f"`{name}`" not in retired[0], name
     assert set(experiments.RETIRED_KEYS) >= {
         "parallel", "sep_tol", "frac_threshold", "direction_tol", "rel_gap", "zero_tol",
-        "qr_period", "n_pullback", "grid_n"}
+        "qr_period", "n_pullback", "grid_n", "n_samples"}
     for name in experiments.RETIRED_KEYS:
         assert f"`{name}`" in retired[0], name
         assert f"`{name}`" not in live, name

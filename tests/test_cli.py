@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 import cocyclelab as cl
-from cocyclelab import experiments
+from cocyclelab import certify, experiments
 from cocyclelab.cli import main
 from util import axis_pair, pipeline_tuple_d3, schrodinger_pair
 
-FAST = {"n_iter": 2000, "n_rep": 2, "n_samples": 30}
+# estimator sizes; certify and perturb-search read none of them
+FAST = {"n_iter": 2000, "n_rep": 2}
 
 
 def write_json(path, doc):
@@ -94,7 +95,7 @@ def test_certify_writes_certificate_json(schro_setup):
     out = tmp_path / "cert.csv"
     cfg = write_json(tmp_path / "cert.json",
                      {"kind": "certify", "cocycle": "schro.json", "seed": 9,
-                      "out": str(out), **FAST})
+                      "out": str(out)})
     assert main(["certify", "--config", str(cfg)]) == 0
     table = cl.ResultTable.from_csv(out)
     assert [row[0] for row in table.rows] == ["WEAK_PINCH", "WEAK_TWIST"]
@@ -184,7 +185,7 @@ def test_perturb_search_recovers_twisting(tmp_path):
     cfg = write_json(tmp_path / "search.json",
                      {"kind": "perturb-search", "cocycle": "pair_fail.json",
                       "seed": 4, "budget": 0.05, "n_candidates": 6,
-                      "out": str(out), **FAST})
+                      "out": str(out)})
     assert main(["perturb-search", "--config", str(cfg)]) == 0
     table = cl.ResultTable.from_csv(out)
     assert table.columns == ["candidate", "family", "parameter", "verdict",
@@ -203,7 +204,7 @@ def test_perturb_search_keeps_passing_tuple(tmp_path):
     cfg = write_json(tmp_path / "search.json",
                      {"kind": "perturb-search", "cocycle": "pair.json",
                       "seed": 4, "budget": 0.05, "n_candidates": 6,
-                      "out": str(out), **FAST})
+                      "out": str(out)})
     assert main(["perturb-search", "--config", str(cfg)]) == 0
     table = cl.ResultTable.from_csv(out)
     chosen = [row for row in table.rows if row[5] == 1]
@@ -425,19 +426,19 @@ def test_certify_base_is_retired(tmp_path):
 
 
 def test_config_defaults_are_the_estimator_defaults():
-    knobs = dict(experiments._INT_KNOBS, **experiments._FLOAT_KNOBS)
-    fed = {
-        cl.weakly_pinching: ["n_iter", "n_rep"],
-        cl.weakly_twisting: ["n_samples"],
-    }
-    for fn, names in fed.items():
+    # the estimator knobs default to the WEAK_PINCH run, defined once
+    assert experiments._INT_KNOBS == {"n_iter": certify.PINCH_N_ITER,
+                                      "n_rep": certify.PINCH_N_REP, "n_candidates": 8}
+    # the certifiers take the tuple and the seed: sizes, resolutions and
+    # thresholds are module constants, not parameters
+    for fn in (cl.weakly_pinching, cl.weakly_twisting):
         params = inspect.signature(fn).parameters
-        for name in names:
-            assert params[name].default == knobs[name], (fn.__name__, name)
+        assert list(params) == ["product", "seed"], fn.__name__
+    assert list(inspect.signature(cl.certification_pipeline).parameters) == [
+        "product", "seed"]
     assert list(inspect.signature(cl.pinching_d).parameters) == ["exponents"]
-    # the certifiers' resolutions are module constants, not parameters
-    for fn in (cl.weakly_twisting, cl.oseledets_directions, cl.oseledets_field,
-               cl.twisting_d, cl.log_integrability):
+    for fn in (cl.oseledets_directions, cl.oseledets_field, cl.twisting_d,
+               cl.log_integrability):
         params = inspect.signature(fn).parameters
         assert "n_pullback" not in params and "grid_n" not in params, fn.__name__
 
@@ -445,13 +446,14 @@ def test_config_defaults_are_the_estimator_defaults():
 @pytest.mark.parametrize("make_product", [lambda: schrodinger_pair()[0],
                                           pipeline_tuple_d3], ids=["d2", "d3"])
 def test_retired_threshold_keys_change_nothing(tmp_path, make_product):
-    """sep_tol, frac_threshold, direction_tol, rel_gap, n_pullback and grid_n
-    are constants now, and zero_tol gave way to a zero threshold relative to
-    each minor's scale."""
+    """sep_tol, frac_threshold, direction_tol, rel_gap, n_pullback, grid_n and
+    n_samples are constants now, and zero_tol gave way to a zero threshold
+    relative to each minor's scale."""
     cl.save_cocycle(make_product(), tmp_path / "tuple.json")
-    doc = {"kind": "certify", "cocycle": "tuple.json", "seed": 9, **FAST}
+    doc = {"kind": "certify", "cocycle": "tuple.json", "seed": 9}
     retired = {"sep_tol": 0.2, "frac_threshold": 0.5, "direction_tol": 1e-30,
-               "rel_gap": 0.5, "zero_tol": 1e-30, "grid_n": 3, "n_pullback": 1}
+               "rel_gap": 0.5, "zero_tol": 1e-30, "grid_n": 3, "n_pullback": 1,
+               "n_samples": 1}
     outs = []
     for name, cfg_doc in [("plain", doc), ("old", {**doc, **retired})]:
         cfg = write_json(tmp_path / f"{name}.json", cfg_doc)
@@ -465,6 +467,26 @@ def test_retired_threshold_keys_change_nothing(tmp_path, make_product):
                 == outs[0].with_suffix(f".{kind}.json").read_bytes())
 
 
+def test_certify_ignores_the_estimator_sizes(tmp_path):
+    """The same tuple and seed get the same certificates whatever sizes the
+    config sets.  On this pair and seed WEAK_PINCH run at 20000 x 6 steps
+    PASSes where the constant 20000 x 8 is INCONCLUSIVE, so a size that
+    reached the certifier would show."""
+    cl.save_cocycle(schrodinger_pair(2.0)[0], tmp_path / "tuple.json")
+    doc = {"kind": "certify", "cocycle": "tuple.json", "seed": 0}
+    outs = []
+    for name, cfg_doc in [("plain", doc),
+                          ("sized", {**doc, "n_iter": 20000, "n_rep": 6, "n_samples": 12})]:
+        cfg = write_json(tmp_path / f"{name}.json", cfg_doc)
+        outs.append(tmp_path / f"{name}.csv")
+        assert main(["certify", "--config", str(cfg), "--out", str(outs[-1])]) == 0
+
+    assert _without_digest(outs[1]) == _without_digest(outs[0])
+    for kind in ("weak_pinch", "weak_twist"):
+        assert (outs[1].with_suffix(f".{kind}.json").read_bytes()
+                == outs[0].with_suffix(f".{kind}.json").read_bytes())
+
+
 def test_certify_rejects_non_diagonal_higher_dim(tmp_path, capsys):
     rng = np.random.default_rng(0)
     maps = [cl.TrigMatrixMap(2.0 * np.eye(3) + 0.1 * rng.standard_normal((3, 3)),
@@ -474,8 +496,7 @@ def test_certify_rejects_non_diagonal_higher_dim(tmp_path, capsys):
     product = cl.RandomProduct([cl.GOLDEN_MEAN, 0.41421356237309515], maps)
     cl.save_cocycle(product, tmp_path / "triple.json")
     cfg = write_json(tmp_path / "cert3.json",
-                     {"kind": "certify", "cocycle": "triple.json", "seed": 1,
-                      **FAST})
+                     {"kind": "certify", "cocycle": "triple.json", "seed": 1})
     assert main(["certify", "--config", str(cfg)]) == 1
     assert "diagonal" in capsys.readouterr().err
 
@@ -493,7 +514,7 @@ def line_pair(tmp_path):
 
 def test_certify_one_dimensional_tuple_names_d(line_pair, capsys):
     cfg = write_json(line_pair / "cert1.json",
-                     {"kind": "certify", "cocycle": "line.json", "seed": 1, **FAST})
+                     {"kind": "certify", "cocycle": "line.json", "seed": 1})
     assert main(["certify", "--config", str(cfg)]) == 1
     assert "certification needs d >= 2, got d = 1" in capsys.readouterr().err
 
