@@ -31,8 +31,9 @@ import numpy as np
 from ._cofactor import _entries, _max_row_norms, _minors
 from ._quadrature import circle_rule, graded_panel_rule
 from .circle import homoclinic_base_holonomy, rotate, wrap_unit
-from .holonomy import (PULLBACK_DEPTH, closed_form_holonomy_many,
-                       oseledets_directions, projective_distance)
+from .holonomy import (PULLBACK_DEPTH, SHORT_PULLBACK_DEPTH,
+                       closed_form_holonomy_many, oseledets_directions,
+                       projective_distance)
 from .lyapunov import estimate_top_exponent
 
 CERTIFICATE_KINDS = ("WEAK_PINCH", "WEAK_TWIST", "PINCH_D", "TWIST_D")
@@ -42,6 +43,11 @@ VERDICTS = ("PASS", "FAIL", "INCONCLUSIVE")
 # in exactly-isometric products otherwise shows up as a tiny positive
 # estimate with zero spread across replicates.
 PINCH_NOISE_FLOOR = 1e-10
+# Largest WEAK_PINCH estimate at the half run over the final one.  The
+# finite-time estimate of a polynomial growth, exponent 0, is about
+# log(n) / n, so it reads about 1.6-1.9 here; a positive exponent with an
+# O(1/n) transient reads within a few 1e-4 of 1.  A heuristic, not a proof.
+HALF_RUN_MAX = 1.25
 
 # WEAK_PINCH's run (steps x replicates) and WEAK_TWIST's sample count
 PINCH_N_ITER = 20000
@@ -185,16 +191,24 @@ def weakly_pinching(product, *, seed=0):
 
     PASS when the Monte Carlo estimate over ``PINCH_N_ITER`` steps and
     ``PINCH_N_REP`` replicates clears three standard errors (and a small
-    absolute noise floor); otherwise INCONCLUSIVE, since sampling can never
-    witness an exactly-zero exponent.
+    absolute noise floor), and the estimate at the half run is at most
+    ``HALF_RUN_MAX`` times the final one; otherwise INCONCLUSIVE, since
+    sampling can never witness an exactly-zero exponent.  Every replicate
+    sheds the log(n) / n of a zero exponent's polynomial growth alike, so
+    the standard errors cannot see it, but the half-run ratio
+    (``half_run_ratio``, null unless the estimate is above the noise
+    floor) can.
     """
     est = estimate_top_exponent(product.solo(0), PINCH_N_ITER, PINCH_N_REP, seed)
     lam = est.top
     threshold = max(3.0 * float(est.stderr[0]), PINCH_NOISE_FLOOR)
     margin = lam - threshold
+    ratio = float(est.half_run[0]) / lam if lam > PINCH_NOISE_FLOOR else None
     diagnostics = {"lambda_top": lam, "stderr": float(est.stderr[0]),
-                   "threshold": threshold, "n_iter": PINCH_N_ITER, "n_rep": PINCH_N_REP}
-    verdict = "PASS" if margin > 0.0 else "INCONCLUSIVE"
+                   "threshold": threshold, "n_iter": PINCH_N_ITER, "n_rep": PINCH_N_REP,
+                   "half_run_ratio": ratio}
+    passed = margin > 0.0 and ratio <= HALF_RUN_MAX
+    verdict = "PASS" if passed else "INCONCLUSIVE"
     return Certificate(kind="WEAK_PINCH", verdict=verdict, margin=margin,
                        diagnostics=diagnostics, seed=seed)
 
@@ -208,8 +222,11 @@ def weakly_twisting(product, *, seed=0):
     when the separated fraction of converged samples exceeds
     ``FRAC_THRESHOLD``; fewer than half the samples converging is
     INCONCLUSIVE.  A sample is converged when both of its direction pairs
-    meet ``holonomy.DIRECTION_TOL`` at the pullback depth
-    ``holonomy.PULLBACK_DEPTH``.
+    meet ``holonomy.DIRECTION_TOL``.  Each pair is pulled back
+    ``holonomy.SHORT_PULLBACK_DEPTH`` (16) steps first and, only where that
+    has not converged, ``holonomy.PULLBACK_DEPTH`` (200) steps; the JSON
+    reports both depths and ``deep_fraction``, the share of the pullbacks
+    that fell through to the deep one.
     """
     if product.dim != 2:
         raise ValueError("weakly_twisting handles 2x2 tuples")
@@ -222,6 +239,7 @@ def weakly_twisting(product, *, seed=0):
 
     n_converged = 0
     n_separated = 0
+    n_deep = 0
     min_separation = None
     witnesses = []
     angle0 = product.angles[0]
@@ -229,6 +247,7 @@ def weakly_twisting(product, *, seed=0):
     for i, t in enumerate(ts):
         here = oseledets_directions(angle0, map0, t)
         there = oseledets_directions(angle0, map0, rotate(t, offset))
+        n_deep += (here.depth == PULLBACK_DEPTH) + (there.depth == PULLBACK_DEPTH)
         if not (here.converged and there.converged):
             continue
         n_converged += 1
@@ -266,6 +285,8 @@ def weakly_twisting(product, *, seed=0):
             "sep_tol": SEP_TOL,
             "frac_threshold": FRAC_THRESHOLD,
             "n_pullback": PULLBACK_DEPTH,
+            "short_pullback": SHORT_PULLBACK_DEPTH,
+            "deep_fraction": n_deep / (2 * len(ts)),
             "witnesses": witnesses,
         },
         seed=seed,

@@ -11,7 +11,10 @@ The Oseledets directions of a single map are singular vectors of long
 products, as for covariant Lyapunov vectors (Ginelli et al. 2007): e+ at t
 is the top left singular vector of the product of the steps that end at t,
 e- the bottom right singular vector of the product of the steps that start
-at t.
+at t.  A point is pulled back ``SHORT_PULLBACK_DEPTH`` (16) steps per half
+first; only where that has not converged is it pulled back again at
+``PULLBACK_DEPTH`` (200), by the same routine, so a point that falls
+through gets the bits of a 200-step pullback alone.
 """
 
 from __future__ import annotations
@@ -28,8 +31,11 @@ from .cocycle import DIAGONAL, word_product
 # Paired fibers must match the base holonomy image to this tolerance.
 BASE_POINT_TOL = 1e-9
 
-# Steps per half of an Oseledets pullback; one too short for a map shows
-# as unconverged samples, which WEAK_TWIST leaves out of its verdict.
+# Steps per half of an Oseledets pullback: the short rung that every point
+# runs first, and the deep one for a point the short one leaves
+# unconverged.  A deep rung too short for a map shows as unconverged
+# samples, which WEAK_TWIST leaves out of its verdict.
+SHORT_PULLBACK_DEPTH = 16
 PULLBACK_DEPTH = 200
 # Convergence bound on the projective residual between two pullback depths;
 # it is dimensionless, so no rescaling of a map calls for another value.
@@ -130,6 +136,7 @@ class OseledetsDirections:
     e_minus: np.ndarray
     residual: float
     converged: bool
+    depth: int
 
 
 def _unit_products(mats):
@@ -163,17 +170,28 @@ def _frobenius(mats):
 def oseledets_directions(angle, mat_map, t):
     """Oseledets directions of a single 2x2 quasi-periodic map at ``t``.
 
-    With n = ``PULLBACK_DEPTH``, e_plus is the top left singular vector of
+    With n the pullback depth, e_plus is the top left singular vector of
     the past product, the 2n steps that end at ``t``; e_minus is the bottom
     right singular vector of the future product, the 2n steps that start
     at ``t``.  The depth-n estimates use the last n past and the first n
     future steps; the residual is the larger projective distance between
     the two depths and convergence means residual <= ``DIRECTION_TOL``.
+    The pullback runs at n = ``SHORT_PULLBACK_DEPTH`` first and, where that
+    has not converged, again at n = ``PULLBACK_DEPTH``, whose result is
+    returned whether it converged or not; ``depth`` says which n it is.
     """
     if mat_map.dim != 2:
         raise ValueError("oseledets_directions handles 2x2 maps")
     t = wrap_unit(t)
-    n2 = 2 * PULLBACK_DEPTH
+    short = _pullback(angle, mat_map, t, SHORT_PULLBACK_DEPTH)
+    if short.converged:
+        return short
+    return _pullback(angle, mat_map, t, PULLBACK_DEPTH)
+
+
+def _pullback(angle, mat_map, t, depth):
+    """:func:`oseledets_directions` at one depth, for ``t`` in [0, 1)."""
+    n2 = 2 * depth
 
     word = constant_word(n2)
     past = base_orbit([angle], word, rotate(t, -n2 * angle))
@@ -182,7 +200,7 @@ def oseledets_directions(angle, mat_map, t):
     # 1e-13 level, which the direction field does not resolve
     steps = mat_map.eval_many(np.concatenate([past[:-1], future[:-1]]))
     # halves: past first n, past last n, future first n, future last n
-    halves = _unit_products(steps.reshape(4, PULLBACK_DEPTH, 2, 2))
+    halves = _unit_products(steps.reshape(4, depth, 2, 2))
     # SVD inputs: past whole, past last n, future whole, future first n;
     # the wholes are multiplied straight into their slots
     mats = halves[[1, 1, 3, 2]]
@@ -195,7 +213,7 @@ def oseledets_directions(angle, mat_map, t):
                    projective_distance(e_minus, minus_half))
     return OseledetsDirections(
         e_plus=e_plus, e_minus=e_minus, residual=float(residual),
-        converged=bool(residual <= DIRECTION_TOL),
+        converged=bool(residual <= DIRECTION_TOL), depth=depth,
     )
 
 

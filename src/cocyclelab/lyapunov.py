@@ -79,12 +79,16 @@ class LyapunovEstimate:
 
     ``values`` holds the replicate means sorted non-increasing, ``stderr``
     the standard error across replicates per index (zero when n_rep = 1),
-    and ``replicates`` the per-replicate sorted estimates.
+    and ``replicates`` the per-replicate sorted estimates.  ``half_run`` is
+    the replicate mean of the same estimates taken at the chunk boundary
+    nearest n_iter / 2: a growth that is only polynomial, whose finite-time
+    estimate is about log(n) / n, reads about twice as large there.
     """
 
     values: np.ndarray
     stderr: np.ndarray
     replicates: np.ndarray = field(repr=False, default=None)
+    half_run: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
         self.values = np.atleast_1d(np.asarray(self.values, dtype=float))
@@ -245,6 +249,8 @@ def _iterate_frames(product, seed, n_iter, n_rep, full_frame):
     and renormalized by QR, giving the sorted spectrum per replicate, shape
     (n_rep, d).  Otherwise one random unit vector per replicate is pushed
     and renormalized by its norm, giving the top exponent, shape (n_rep,).
+    Returns the estimates after ``n_iter`` steps and those after the chunk
+    boundary nearest ``n_iter / 2`` (the first of two equally near).
     """
     if n_iter < 1 or n_rep < 1:
         raise ValueError("n_iter and n_rep must be >= 1")
@@ -260,6 +266,8 @@ def _iterate_frames(product, seed, n_iter, n_rep, full_frame):
         log_sum = np.zeros(n_rep)
     period = START_PERIOD
     chunk = CHUNK_BLOCKS * START_PERIOD
+    half_step = min([*range(chunk, n_iter, chunk), n_iter],
+                    key=lambda end: abs(2 * end - n_iter))
     # Every chunk reuses one buffer for its step matrices and evaluations,
     # the two largest arrays of the walk.  Allocated per chunk, they let the
     # heap be trimmed and faulted back in at every chunk.  The halvings of
@@ -319,19 +327,23 @@ def _iterate_frames(product, seed, n_iter, n_rep, full_frame):
         # one block at a time
         logs[:, 0] += log_sum
         log_sum = np.add.accumulate(logs, axis=1)[:, -1]
+        if min(lo + chunk, n_iter) == half_step:
+            half_sum = log_sum
     if not full_frame:
-        return log_sum / n_iter
-    return np.sort(log_sum / n_iter, axis=1)[:, ::-1]
+        return log_sum / n_iter, half_sum / half_step
+    return (np.sort(log_sum / n_iter, axis=1)[:, ::-1],
+            np.sort(half_sum / half_step, axis=1)[:, ::-1])
 
 
-def _aggregate(reps):
+def _aggregate(reps, half_reps):
     """Mean and ddof=1 standard error (zero for one replicate) of (n_rep, k) values."""
     n_rep = reps.shape[0]
     if n_rep > 1:
         stderr = reps.std(axis=0, ddof=1) / np.sqrt(n_rep)
     else:
         stderr = np.zeros(reps.shape[1])
-    return LyapunovEstimate(values=reps.mean(axis=0), stderr=stderr, replicates=reps)
+    return LyapunovEstimate(values=reps.mean(axis=0), stderr=stderr, replicates=reps,
+                            half_run=half_reps.mean(axis=0))
 
 
 def estimate_spectrum(product, n_iter, n_rep, seed):
@@ -348,8 +360,7 @@ def estimate_spectrum(product, n_iter, n_rep, seed):
     ``RenormalizationError``.  Replicate vectors are sorted before
     aggregation.  All replicates advance together.
     """
-    reps = _iterate_frames(product, seed, n_iter, n_rep, full_frame=True)
-    return _aggregate(reps)
+    return _aggregate(*_iterate_frames(product, seed, n_iter, n_rep, full_frame=True))
 
 
 def estimate_top_exponent(product, n_iter, n_rep, seed):
@@ -364,8 +375,8 @@ def estimate_top_exponent(product, n_iter, n_rep, seed):
     ``RenormalizationError``, so one step may grow or shrink a vector by at
     most about 1e154.
     """
-    reps = _iterate_frames(product, seed, n_iter, n_rep, full_frame=False)
-    return _aggregate(reps.reshape(n_rep, 1))
+    reps, half_reps = _iterate_frames(product, seed, n_iter, n_rep, full_frame=False)
+    return _aggregate(reps.reshape(n_rep, 1), half_reps.reshape(n_rep, 1))
 
 
 def diagonal_spectrum(product):

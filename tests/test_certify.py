@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cocyclelab as cl
-from cocyclelab import certify
+from cocyclelab import certify, holonomy
 from cocyclelab.certify import REL_GAP
 from util import (axis_pair, bisect_reference, diagonal_first_tuple_d4, pipeline_tuple_d3,
                   random_tuple, schrodinger_pair)
@@ -163,9 +163,34 @@ def test_weakly_pinching_hyperbolic_passes():
     assert cert.margin == pytest.approx(LOG2, abs=5e-3)
     assert cert.seed == 1
     # the run size is reported from the module constants
-    assert set(cert.diagnostics) == {"lambda_top", "stderr", "threshold", "n_iter", "n_rep"}
+    assert set(cert.diagnostics) == {"lambda_top", "stderr", "threshold", "n_iter", "n_rep",
+                                     "half_run_ratio"}
     assert cert.diagnostics["n_iter"] == certify.PINCH_N_ITER == 20000
     assert cert.diagnostics["n_rep"] == certify.PINCH_N_REP == 8
+    assert abs(cert.diagnostics["half_run_ratio"] - 1.0) < 1e-3
+
+
+def _parabolic_pair():
+    """Map 0 is the constant parabolic [[1, 1], [0, 1]], exponent exactly 0."""
+    parabolic = cl.TrigMatrixMap.constant([[1.0, 1.0], [0.0, 1.0]], group_tag=cl.SL2)
+    hyperbolic = cl.TrigMatrixMap.constant(np.diag([2.0, 0.5]), group_tag=cl.SL2)
+    return cl.RandomProduct([cl.GOLDEN_MEAN, 0.3], [parabolic, hyperbolic])
+
+
+@pytest.mark.parametrize("make_product, seeds", [
+    (_parabolic_pair, (0, 1, 2)),
+    (lambda: schrodinger_pair(2.0)[0], (1, 4, 5, 6, 7, 9, 11)),
+], ids=["parabolic", "schrodinger-2.0"])
+def test_weakly_pinching_zero_exponent_is_inconclusive(make_product, seeds):
+    """A polynomial growth reads about log(n) / n at every replicate alike,
+    so these estimates clear three standard errors; the half-run ratio,
+    about 1.6-1.9 on them, keeps them from PASSing."""
+    product = make_product()
+    for seed in seeds:
+        cert = cl.weakly_pinching(product, seed=seed)
+        assert cert.margin > 0.0
+        assert cert.diagnostics["half_run_ratio"] > certify.HALF_RUN_MAX == 1.25
+        assert cert.verdict == "INCONCLUSIVE"
 
 
 def test_pipeline_returns_certificates_at_a_large_energy():
@@ -207,8 +232,9 @@ def test_weakly_twisting_trivial_holonomy_fails():
         cl.weakly_twisting(random_tuple(3, seed=0))
 
 
-# float.hex of the WEAK_TWIST diagnostics on the Schrodinger pair, taken
-# before the Oseledets pullback was tuned: the pullback must stay bit for bit
+# float.hex of the WEAK_TWIST diagnostics on the Schrodinger pair at the
+# 200-step pullback, taken before the pullback was tuned: that route must
+# stay bit for bit
 SCHRODINGER_TWIST_MIN_SEPARATION = "0x1.abf4a86810b68p-9"
 SCHRODINGER_TWIST_WITNESSES = [
     ("0x1.730a97f508540p-5", "0x1.68e625a023d7ap-4"),
@@ -224,6 +250,7 @@ SCHRODINGER_TWIST_WITNESSES = [
 
 def test_weakly_twisting_schrodinger_golden(monkeypatch):
     product = schrodinger_pair()[0]
+    monkeypatch.setattr(holonomy, "SHORT_PULLBACK_DEPTH", holonomy.PULLBACK_DEPTH)
     monkeypatch.setattr(certify, "TWIST_N_SAMPLES", 24)
     diag = cl.weakly_twisting(product, seed=3).diagnostics
     assert diag["n_samples"] == 24
@@ -239,6 +266,39 @@ def test_weakly_twisting_schrodinger_golden(monkeypatch):
     assert diag["converged_fraction"] == 1.0 and diag["separated_fraction"] == 0.0
     assert [(w["t"].hex(), w["separation"].hex())
             for w in diag["witnesses"]] == SCHRODINGER_TWIST_WITNESSES
+    assert diag["deep_fraction"] == 1.0
+
+
+def test_weakly_twisting_short_rung_agrees_with_the_golden(monkeypatch):
+    product = schrodinger_pair()[0]
+    monkeypatch.setattr(certify, "TWIST_N_SAMPLES", 24)
+    cert = cl.weakly_twisting(product, seed=3)
+    diag = cert.diagnostics
+    assert cert.verdict == "PASS"
+    assert diag["converged_fraction"] == 1.0 and diag["separated_fraction"] == 1.0
+    assert diag["witnesses"] == []
+    want = float.fromhex(SCHRODINGER_TWIST_MIN_SEPARATION)
+    assert abs(diag["min_separation"] - want) <= 1e-12 * want
+    # every pullback converged on the short rung
+    assert diag["n_pullback"] == 200 and diag["short_pullback"] == 16
+    assert diag["deep_fraction"] == 0.0
+
+
+@pytest.mark.parametrize("energy", [0.5, 0.0])
+def test_weakly_twisting_falls_through_to_the_deep_bits(energy, monkeypatch):
+    """Every pullback of map 0 of these pairs falls through the short rung
+    (energy 0.5 converges at depth 100, energy 0, a zero exponent, never),
+    so the certificate has the bits of the 200-step route alone."""
+    product = schrodinger_pair(energy)[0]
+    got = cl.weakly_twisting(product, seed=3).to_json_dict()
+    monkeypatch.setattr(holonomy, "SHORT_PULLBACK_DEPTH", holonomy.PULLBACK_DEPTH)
+    want = cl.weakly_twisting(product, seed=3).to_json_dict()
+    assert got["diagnostics"].pop("deep_fraction") == 1.0
+    assert got["diagnostics"].pop("short_pullback") == 16
+    for key in ("deep_fraction", "short_pullback"):
+        want["diagnostics"].pop(key)
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    assert got["verdict"] == ("PASS" if energy else "INCONCLUSIVE")
 
 
 def test_weak_certifiers_take_the_seed_by_keyword_only():

@@ -469,9 +469,9 @@ def test_retired_threshold_keys_change_nothing(tmp_path, make_product):
 
 def test_certify_ignores_the_estimator_sizes(tmp_path):
     """The same tuple and seed get the same certificates whatever sizes the
-    config sets.  On this pair and seed WEAK_PINCH run at 20000 x 6 steps
-    PASSes where the constant 20000 x 8 is INCONCLUSIVE, so a size that
-    reached the certifier would show."""
+    config sets.  The WEAK_PINCH JSON carries ``lambda_top``, which a run of
+    20000 x 6 steps moves, so a size that reached the certifier would show
+    in the bytes compared here."""
     cl.save_cocycle(schrodinger_pair(2.0)[0], tmp_path / "tuple.json")
     doc = {"kind": "certify", "cocycle": "tuple.json", "seed": 0}
     outs = []

@@ -271,11 +271,12 @@ def test_oseledets_contracting_axis_on_the_diagonal():
     assert cl.projective_distance(res.e_minus, [1.0, 1.0]) <= 1e-12
 
 
-def test_oseledets_deep_pullback_does_not_overflow():
-    """The unscaled products here are about 1e1200."""
+def test_oseledets_deep_pullback_does_not_overflow(monkeypatch):
+    """The unscaled products of the 200-step rung here are about 1e1200."""
+    monkeypatch.setattr(holonomy, "SHORT_PULLBACK_DEPTH", holonomy.PULLBACK_DEPTH)
     mat_map = cl.TrigMatrixMap.constant(np.diag([1e3, 1e-3]), group_tag=cl.DIAGONAL)
     res = cl.oseledets_directions(cl.GOLDEN_MEAN, mat_map, 0.7)
-    assert res.converged
+    assert res.converged and res.depth == holonomy.PULLBACK_DEPTH
     assert cl.projective_distance(res.e_plus, [1.0, 0.0]) <= 1e-12
     assert cl.projective_distance(res.e_minus, [0.0, 1.0]) <= 1e-12
 
@@ -351,7 +352,8 @@ def test_oseledets_field_csv_round_trip(tmp_path):
 
 
 # float.hex of (e_plus, e_minus, residual) on the Schrodinger pair's first
-# map, taken before the pullback was tuned: it must stay bit for bit
+# map at the 200-step pullback, taken before the pullback was tuned: that
+# rung must stay bit for bit
 OSELEDETS_GOLDEN = {
     0.0: (["-0x1.e881666fdec58p-1", "-0x1.32a2cfc0c01a4p-2"],
           ["0x1.dfa910a7132d9p-2", "0x1.c45b002fce33ep-1"], "0x0.0p+0"),
@@ -363,13 +365,45 @@ OSELEDETS_GOLDEN = {
 
 
 @pytest.mark.parametrize("t", sorted(OSELEDETS_GOLDEN))
-def test_oseledets_directions_golden(t):
+def test_oseledets_directions_golden(t, monkeypatch):
+    # a short rung as deep as the deep one sends every point down the
+    # 200-step route
+    monkeypatch.setattr(holonomy, "SHORT_PULLBACK_DEPTH", holonomy.PULLBACK_DEPTH)
     product, _ = schrodinger_pair()
     got = cl.oseledets_directions(product.angles[0], product.maps[0], t)
     e_plus, e_minus, residual = OSELEDETS_GOLDEN[t]
     assert [x.hex() for x in got.e_plus] == e_plus
     assert [x.hex() for x in got.e_minus] == e_minus
     assert got.residual.hex() == residual and got.converged
+    assert got.depth == holonomy.PULLBACK_DEPTH
+
+
+@pytest.mark.parametrize("t", sorted(OSELEDETS_GOLDEN))
+def test_oseledets_short_rung_agrees_with_the_golden(t):
+    product, _ = schrodinger_pair()
+    got = cl.oseledets_directions(product.angles[0], product.maps[0], t)
+    assert got.converged and got.depth == holonomy.SHORT_PULLBACK_DEPTH == 16
+    e_plus, e_minus, _ = OSELEDETS_GOLDEN[t]
+    for vec, golden in ((got.e_plus, e_plus), (got.e_minus, e_minus)):
+        assert cl.projective_distance(vec, [float.fromhex(x) for x in golden]) <= 1e-12
+
+
+@pytest.mark.parametrize("energy", [0.5, 0.0])
+def test_oseledets_unconverged_short_rung_falls_through_to_the_deep_bits(energy):
+    """Map 0 of these pairs converges only past 16 steps (energy 0.5) or
+    not at all (energy 0, a zero exponent): the result is the 200-step
+    pullback's, bit for bit."""
+    product, _ = schrodinger_pair(energy)
+    angle, mat_map = product.angles[0], product.maps[0]
+    for t in (0.05, 0.41, 0.77):
+        assert not holonomy._pullback(angle, mat_map, t, 16).converged
+        got = cl.oseledets_directions(angle, mat_map, t)
+        want = holonomy._pullback(angle, mat_map, t, holonomy.PULLBACK_DEPTH)
+        assert got.depth == want.depth == holonomy.PULLBACK_DEPTH
+        assert got.converged == want.converged == (energy != 0.0)
+        assert got.e_plus.tobytes() == want.e_plus.tobytes()
+        assert got.e_minus.tobytes() == want.e_minus.tobytes()
+        assert got.residual.hex() == want.residual.hex()
 
 
 def test_oseledets_field_empty_writes_header_only(tmp_path):

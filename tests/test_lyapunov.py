@@ -574,3 +574,33 @@ def test_sampling_memory_grows_by_the_words_byte_per_step(monkeypatch):
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] <= 1.25 * 8 * 300_000
+
+
+def test_half_run_is_the_estimate_at_the_chunk_boundary_nearest_half():
+    """At d = 1 the vector route's log sum is the Birkhoff sum of log |a|,
+    so the half-run estimate can be summed directly: 20000 steps put it at
+    step 10240, the chunk boundary nearest 10000."""
+    a = cl.TrigMatrixMap.from_rows((1, 1), [[2.0, 1.0, 0.0]], group_tag=cl.DIAGONAL)
+    product = cl.RandomProduct([cl.GOLDEN_MEAN], [a])
+    chunk = lyapunov.CHUNK_BLOCKS * lyapunov.START_PERIOD
+    assert chunk == 1280
+    est = cl.estimate_top_exponent(product, 20000, 2, seed=3)
+    _, firsts, _ = lyapunov._draw_replicates(product, 3, 20000, 2, with_vector=True)
+    steps = np.arange(20000)
+    logs = np.log(np.abs(np.array([a.eval_many(np.mod(t + steps * cl.GOLDEN_MEAN, 1.0))[:, 0, 0]
+                                   for t in firsts])))
+
+    def mean_at(n):
+        return np.mean(np.sum(logs[:, :n], axis=1) / n)
+
+    assert abs(est.top - mean_at(20000)) <= 1e-12
+    assert abs(est.half_run[0] - mean_at(10240)) <= 1e-12
+    # the neighbouring boundaries read visibly different estimates
+    for n in (8960, 11520):
+        assert abs(est.half_run[0] - mean_at(n)) > 1e-8
+
+
+def test_half_run_of_a_one_chunk_run_is_the_final_estimate():
+    for estimator in (cl.estimate_spectrum, cl.estimate_top_exponent):
+        est = estimator(random_tuple(2, seed=1), 1000, 2, seed=0)
+        assert est.half_run.tobytes() == est.values.tobytes()
