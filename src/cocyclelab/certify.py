@@ -29,8 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from ._cofactor import _entries, _max_row_norms, _minors
-from ._quadrature import circle_rule, graded_panel_rule
-from .circle import homoclinic_base_holonomy, rotate, wrap_unit
+from .circle import (CIRCLE_GRID_N, circle_grid, circle_mean,
+                     homoclinic_base_holonomy, rotate, wrap_unit)
 from .holonomy import (PULLBACK_DEPTH, SHORT_PULLBACK_DEPTH,
                        closed_form_holonomy_many, oseledets_directions,
                        projective_distance)
@@ -54,7 +54,7 @@ PINCH_N_ITER = 20000
 PINCH_N_REP = 8
 TWIST_N_SAMPLES = 200
 # log_integrability's scan grid; a coarser one could miss close zero pairs
-SCAN_GRID_N = 1 << 14
+SCAN_GRID_N = CIRCLE_GRID_N
 
 # Certifier thresholds on dimensionless quantities (WEAK_TWIST's sine
 # distance and separated fraction, PINCH_D's gap over the spread, and
@@ -471,17 +471,34 @@ def _circle_gap(t, roots):
 
 
 def _abs_log_power_integral(c, m, s):
-    """Exact 2 * integral_0^s |log(c u^m)| du for c, s > 0 and integer m >= 1."""
+    """Exact integral_0^s |log(c u^m)| du for c, s > 0 and integer m >= 1."""
     # antiderivative of log(c u^m) is F(u) = u log(c u^m) - m u
     def F(u):
         return u * math.log(c * u ** m) - m * u
 
     u_star = c ** (-1.0 / m)
     if s <= u_star:
-        one_sided = -F(s)
-    else:
-        one_sided = F(s) + 2.0 * m * u_star
-    return 2.0 * one_sided
+        return -F(s)
+    return F(s) + 2.0 * m * u_star
+
+
+def _cell_integrals(logs):
+    """Integral of |log |g|| over each scan cell (k, k + 1), over the cell width.
+
+    ``logs`` holds log |g| on the scan grid.  Where it keeps its sign over
+    a cell, the value is the trapezoid one.  Where it changes sign, |g|
+    crosses 1 and |log |g|| has a kink: the cell takes the exact integral of
+    |l|, l the linear interpolant, plus the Euler-Maclaurin end corrections
+    -h^2/12 f' of the smooth pieces on both sides of the kink, which come to
+    h |l'| / 6.  So a crossing costs O(h^3), not O(h^2).
+    """
+    a = np.abs(logs)
+    b = np.roll(a, -1)
+    cells = 0.5 * (a + b)
+    kink = np.sign(logs) * np.sign(np.roll(logs, -1)) < 0.0
+    a, b = a[kink], b[kink]
+    cells[kink] += (a + b) / 6.0 - a * b / (a + b)
+    return cells
 
 
 def _vanishes_on_run(run_vals):
@@ -524,21 +541,29 @@ def _fit_zero_order(abs_vals, sup):
 def log_integrability(g, *, scale=1.0):
     """Estimate the circle integral of |log |g||, locating the zeros of g.
 
-    The scan grid of ``SCAN_GRID_N`` points finds sign changes (refined by
-    bisection to ``ROOT_XTOL`` in t) and runs of grid points with |g| below
-    ``ZERO_REL_TOL * scale`` (each run's center is a zero); dips of |g|
-    below ``sqrt(ZERO_REL_TOL) * scale`` are polished by golden-section
-    search to catch even-order zeros.  A run of three or more points means g
-    vanishes on an interval, and the integral is infinite, unless |g|
-    along it falls strictly to a single minimum and then rises strictly,
-    as it does around a zero of high order.
+    The scan grid of ``SCAN_GRID_N`` points (``circle.circle_grid``) finds
+    sign changes (refined by bisection to ``ROOT_XTOL`` in t) and runs of
+    grid points with |g| below ``ZERO_REL_TOL * scale`` (each run's center
+    is a zero); dips of |g| below ``sqrt(ZERO_REL_TOL) * scale`` are polished
+    by golden-section search to catch even-order zeros.  A run of three or
+    more points means g vanishes on an interval, and the integral is
+    infinite, unless |g| along it falls strictly to a single minimum and
+    then rises strictly, as it does around a zero of high order.
 
     Each zero gets a transversality check of the central-difference
     derivative against ``TRANSVERSAL_FACTOR * sup |g|``; non-transversal
     zeros fall back to a log-log fit of the local order m, which has no
-    upper cap.  The integral splits into exact contributions of the model
-    c |t - root|^m on small root intervals plus graded Gauss-Legendre
-    quadrature on the rest.
+    upper cap.  Each zero's power model c |t - root|^m holds on a half-width
+    where it tracks |g|.
+
+    The integral is read off the scan values alone.  Each zero's model is
+    integrated exactly over the whole scan cells that cover its half-width
+    on both sides; where the cells of two neighbouring zeros would overlap,
+    both end at the scan node nearest their midpoint, and one always lies
+    strictly between them.  The other cells take the trapezoid rule, which
+    with no zero is the mean over the grid, corrected where |g| crosses 1
+    (``_cell_integrals``), and the Euler-Maclaurin correction -h^2/12 f' at
+    each end of a model, f' taken from that zero's model.
 
     ``g`` must accept a 1d array of circle points and return values of the
     same shape.  After the scan, every call of ``g`` serves all brackets,
@@ -546,17 +571,17 @@ def log_integrability(g, *, scale=1.0):
     and then once per four halvings; golden-section search once per
     iteration, and once more to test the polished dips; one call takes the
     central-difference probes and the edge-shrink points, which depend only
-    on the zeros; one the order-fit offsets of the non-transversal zeros;
-    and one the quadrature nodes.  Neighbouring grid values and bracket
-    ends are compared by sign, never by their product, which would
-    under/overflow for a g far from 1.  ``scale``, finite and positive,
-    is the size of the terms that make up g (a minor's Hadamard bound), so
-    g and ``scale`` rescaled together give the same zeros.
+    on the zeros; and one the order-fit offsets of the non-transversal
+    zeros.  Neighbouring grid values and bracket ends are compared by sign,
+    never by their product, which would under/overflow for a g far from 1.
+    ``scale``, finite and positive, is the size of the terms that make up g
+    (a minor's Hadamard bound), so g and ``scale`` rescaled together give
+    the same zeros.
     """
     if not (math.isfinite(scale) and scale > 0.0):
         raise ValueError(f"scale must be finite and positive, got {scale!r}")
     zero_thr = ZERO_REL_TOL * scale
-    ts = np.arange(SCAN_GRID_N) / SCAN_GRID_N
+    ts = circle_grid()
     vals = np.asarray(g(ts), dtype=float)
     if vals.shape != ts.shape:
         raise ValueError("g must map a 1d array of points to values of equal shape")
@@ -582,17 +607,12 @@ def log_integrability(g, *, scale=1.0):
             diagnostics={"reason": "g vanishes on an interval", "sup": sup,
                          "grid_n": SCAN_GRID_N, "scale": scale},
         )
-    if np.all(vals == vals[0]):
-        # flat integrand: the integral is |log| of the constant, exactly
-        return LogIntegralResult(
-            estimate=abs(math.log(abs(float(vals[0])))), zeros=[], orders=[],
-            diagnostics={"constant": float(vals[0]), "grid_n": SCAN_GRID_N},
-        )
 
     def f(x):
         return np.asarray(g(wrap_unit(x)), dtype=float)
 
-    h = 1.0 / SCAN_GRID_N
+    n = SCAN_GRID_N
+    h = 1.0 / n
     # each run of grid points inside the zero tolerance gives its center
     roots = [wrap_unit(float(np.mean(group * h))) for group in groups]
 
@@ -626,10 +646,8 @@ def log_integrability(g, *, scale=1.0):
     roots = merged
 
     if not roots:
-        xs, ws = circle_rule()
-        estimate = float(ws @ np.abs(np.log(np.abs(g(xs)))))
         return LogIntegralResult(
-            estimate=estimate, zeros=[], orders=[],
+            estimate=float(circle_mean(_cell_integrals(np.log(absvals)))), zeros=[], orders=[],
             diagnostics={"sup": sup, "grid_n": SCAN_GRID_N, "scale": scale},
         )
 
@@ -668,19 +686,36 @@ def log_integrability(g, *, scale=1.0):
                 break
         half_widths.append(s)
 
-    near = sum(_abs_log_power_integral(c, m, s)
-               for c, m, s in zip(scales, orders, half_widths))
-
-    rules = []
+    # scan node indices (unwrapped around each zero) that bound its model
+    lo = [math.floor((x - s) * n) for x, s in zip(roots, half_widths)]
+    hi = [math.ceil((x + s) * n) for x, s in zip(roots, half_widths)]
+    meets = [False] * q
     for j in range(q):
-        a = roots[j] + half_widths[j]
-        wrap = 1.0 if j == q - 1 else 0.0
-        b = roots[(j + 1) % q] + wrap - half_widths[(j + 1) % q]
-        edge = min(half_widths[j], half_widths[(j + 1) % q])
-        rules.append(graded_panel_rule(a, b, edge))
-    logs = np.abs(np.log(np.abs(f(np.concatenate([xs for xs, _ in rules])))))
-    parts = np.split(logs, np.cumsum([len(xs) for xs, _ in rules])[:-1])
-    far = sum(float(ws @ part) for (_, ws), part in zip(rules, parts))
+        k = (j + 1) % q
+        wrap = n if k == 0 else 0
+        if lo[k] + wrap <= hi[j]:
+            # the node nearest the midpoint is the one between the zeros
+            mid = round((roots[j] + roots[k] + wrap * h) * n / 2)
+            hi[j], lo[k] = mid, mid - wrap
+            meets[j] = True
+
+    near = 0.0
+    end_correction = 0.0
+    outside = np.ones(n, dtype=bool)
+    for j, (x, c, m) in enumerate(zip(roots, scales, orders)):
+        for u, open_end in ((x - lo[j] * h, not meets[j - 1]), (hi[j] * h - x, not meets[j])):
+            near += _abs_log_power_integral(c, m, u)
+            if open_end:
+                # -h^2/12 f' at this end of the trapezoid segment beyond it,
+                # with f = |log(c u^m)| and u the distance from the zero
+                end_correction += math.copysign(h * h / 12.0 * m / u, math.log(c * u ** m))
+        outside[np.arange(lo[j], hi[j]) % n] = False
+    # log |g| only at the nodes of the cells outside every model, so an
+    # exact zero on a scan node is never taken
+    nodes = outside | np.roll(outside, 1)
+    logs = np.zeros(n)
+    logs[nodes] = np.log(absvals[nodes])
+    far = float(circle_mean(np.where(outside, _cell_integrals(logs), 0.0))) + end_correction
 
     return LogIntegralResult(
         estimate=near + far,
@@ -703,20 +738,18 @@ def log_integrability(g, *, scale=1.0):
 def _minor_function(product, index, precomputed):
     """The minor ``index`` of the closed-form holonomy as a function of t.
 
-    ``precomputed`` is a sequence of ``(points, entries)`` pairs, the
-    holonomies in the ``_entries`` layout.  Called on exactly one of those
-    point sets, the function reads the stored entries; any other points are
-    evaluated afresh.
+    ``precomputed`` is one ``(points, entries)`` pair, the holonomy on
+    ``points`` in the ``_entries`` layout.  Called on those points, the
+    function reads the stored entries; any other points are evaluated
+    afresh.
     """
     rows = [r - 1 for r in index.rows]
     cols = [c - 1 for c in index.cols]
+    points, stored = precomputed
 
     def g(ts):
-        for points, entries in precomputed:
-            if np.array_equal(ts, points):
-                break
-        else:
-            entries = _entries(closed_form_holonomy_many(product, ts))
+        entries = stored if np.array_equal(ts, points) else _entries(
+            closed_form_holonomy_many(product, ts))
         return _minors(entries, rows, cols)
 
     return g
@@ -739,11 +772,11 @@ def twisting_d(product):
     nor verdict depend on it.
     """
     d = product.dim
-    # every minor scans the same grid, and every zero-free minor integrates
-    # on the same nodes: the holonomy is evaluated once on each point set
-    precomputed = [(points, _entries(closed_form_holonomy_many(product, points)))
-                   for points in (np.arange(SCAN_GRID_N) / SCAN_GRID_N, circle_rule()[0])]
-    row_max = _max_row_norms(precomputed[0][1]).tolist()
+    # every minor scans, and integrates on, the same grid: the holonomy is
+    # evaluated there once
+    grid = circle_grid()
+    precomputed = (grid, _entries(closed_form_holonomy_many(product, grid)))
+    row_max = _max_row_norms(precomputed[1]).tolist()
     per_minor = []
     worst_non_transversal = 0
     n_infinite = 0

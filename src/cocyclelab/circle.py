@@ -11,6 +11,7 @@ negated angles, so the forward functions here serve both sides.
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import numpy as np
 
@@ -18,6 +19,31 @@ from .errors import InvalidWordError, NotHomoclinicError
 
 # Default rotation angle: double-precision approximant of (sqrt(5)-1)/2.
 GOLDEN_MEAN = 0.6180339887498949
+# Points of the uniform circle grid behind every circle integral and the
+# TWIST_D zero scan; a power of two, so each point k / n is exact
+CIRCLE_GRID_N = 1 << 14
+
+
+@cache
+def circle_grid():
+    """The points k / ``CIRCLE_GRID_N``, built on first use as one read-only array."""
+    grid = np.arange(CIRCLE_GRID_N) / CIRCLE_GRID_N
+    grid.flags.writeable = False
+    return grid
+
+
+def circle_mean(values):
+    """Mean of ``values`` along axis 0, which runs over ``circle_grid()``.
+
+    This is the periodic trapezoid rule, which converges geometrically on
+    analytic integrands (Trefethen and Weideman, SIAM Review 2014).  The
+    values are averaged pairwise, so a constant comes back exactly and the
+    rounding grows only with log2 of the grid size, a power of two.
+    """
+    values = np.asarray(values, dtype=float)
+    while values.shape[0] > 1:
+        values = 0.5 * (values[0::2] + values[1::2])
+    return values[0]
 
 
 def wrap_unit(t):

@@ -199,6 +199,9 @@ def _pullback(angle, mat_map, t, depth):
     # pullback points drift from exact multiples of the angle only at the
     # 1e-13 level, which the direction field does not resolve
     steps = mat_map.eval_many(np.concatenate([past[:-1], future[:-1]]))
+    # each step scaled by 2^-e, e the exponent of its largest entry: no pair
+    # product leaves the float range, and a map in range keeps every bit
+    steps = np.ldexp(steps, -np.frexp(np.abs(steps).max(axis=(1, 2)))[1][:, None, None])
     # halves: past first n, past last n, future first n, future last n
     halves = _unit_products(steps.reshape(4, depth, 2, 2))
     # SVD inputs: past whole, past last n, future whole, future first n;

@@ -8,8 +8,9 @@ Two Monte Carlo estimators and one exact route:
 * :func:`estimate_top_exponent` pushes a single vector, renormalized by
   its norm, and reads the top exponent off its growth (any d).
 * :func:`diagonal_spectrum` evaluates the exponents of diagonal tuples in
-  closed form as weighted circle averages of log |diagonal entries|, on
-  the circle rule that the sum-rule oracle :func:`mean_log_abs_det` uses.
+  closed form as weighted circle averages of log |diagonal entries|: the
+  mean over the uniform circle grid (``circle.circle_mean``), which the
+  sum-rule oracle :func:`mean_log_abs_det` also takes.
 
 Both estimators share one kernel that advances every replicate in
 lockstep.  The words are drawn up front, one byte per step.  Everything
@@ -53,8 +54,7 @@ import numpy as np
 from numpy.linalg._umath_linalg import qr_reduced as _qr_reduced
 
 from ._cofactor import _minors
-from ._quadrature import circle_rule
-from .circle import _wrap_extended
+from .circle import _wrap_extended, circle_grid, circle_mean
 from .cocycle import DIAGONAL
 from .errors import GroupTagError, RenormalizationError
 
@@ -199,7 +199,9 @@ def _block_products(mats, period):
         while stack.shape[2] > 1:
             n = stack.shape[2]
             pairs = np.matmul(stack[:, :, 1::2], stack[:, :, 0:n - 1:2])
-            stack = np.concatenate([pairs, stack[:, :, n - n % 2:]], axis=2)
+            # an odd last matrix is carried to the next level
+            stack = pairs if n % 2 == 0 else np.concatenate(
+                [pairs, stack[:, :, n - 1:]], axis=2)
     return stack[:, :, 0]
 
 
@@ -383,27 +385,27 @@ def diagonal_spectrum(product):
     """Exact spectrum of a diagonal tuple, sorted non-increasing.
 
     The exponents of a diagonal tuple are the weighted circle averages
-    sum_s weight_s * integral of log |a_i^(s)|; the integral is evaluated
-    with the Gauss-Legendre circle rule (64 panels of 64 nodes).
+    sum_s weight_s * integral of log |a_i^(s)|; each integral is the mean
+    over the ``circle.CIRCLE_GRID_N``-point circle grid (the periodic
+    trapezoid rule), so a constant map gives log |a_ii| exactly.
     """
     if any(m.group_tag != DIAGONAL for m in product.maps):
         raise GroupTagError("diagonal_spectrum requires all maps tagged DIAGONAL")
-    xs, ws = circle_rule()
     exponents = np.zeros(product.dim)
     for weight, mat_map in zip(product.weights, product.maps):
-        diag = np.diagonal(mat_map.eval_many(xs), axis1=1, axis2=2)
-        logs = np.log(np.abs(diag))
+        diag = np.diagonal(mat_map.eval_many(circle_grid()), axis1=1, axis2=2)
+        with np.errstate(divide="ignore"):
+            logs = np.log(np.abs(diag))
         if not np.all(np.isfinite(logs)):
-            raise RenormalizationError("diagonal entry vanishes on the quadrature grid")
-        exponents += weight * (ws @ logs)
+            raise RenormalizationError("diagonal entry vanishes on the circle grid")
+        exponents += weight * circle_mean(logs)
     return np.sort(exponents)[::-1]
 
 
 def mean_log_abs_det(product):
     """Weighted circle average of log |det| across the tuple (sum-rule oracle)."""
-    xs, ws = circle_rule()
     total = 0.0
     for weight, mat_map in zip(product.weights, product.maps):
-        dets = np.linalg.det(mat_map.eval_many(xs))
-        total += weight * float(ws @ np.log(np.abs(dets)))
+        dets = np.linalg.det(mat_map.eval_many(circle_grid()))
+        total += weight * float(circle_mean(np.log(np.abs(dets))))
     return total

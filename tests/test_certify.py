@@ -6,10 +6,12 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 import cocyclelab as cl
 from cocyclelab import certify, holonomy
 from cocyclelab.certify import REL_GAP
+from cocyclelab.circle import circle_grid
 from util import (axis_pair, bisect_reference, diagonal_first_tuple_d4, pipeline_tuple_d3,
                   random_tuple, schrodinger_pair)
 
@@ -301,6 +304,27 @@ def test_weakly_twisting_falls_through_to_the_deep_bits(energy, monkeypatch):
     assert got["verdict"] == ("PASS" if energy else "INCONCLUSIVE")
 
 
+@pytest.fixture(scope="module")
+def unscaled_twist():
+    product = random_tuple(2, seed=1)
+    return product, cl.weakly_twisting(product, seed=3)
+
+
+@pytest.mark.parametrize("factor", [1e80, 1e-80, 1e100, 1e-100, 1e160, 1e-160], ids=str)
+def test_weakly_twisting_is_scale_free(factor, unscaled_twist):
+    # pair products of raw steps at 1e+-80 leave the float range; the
+    # pullback scales each step by a power of two first
+    product, plain = unscaled_twist
+    scaled = cl.weakly_twisting(
+        cl.RandomProduct(product.angles, [factor * m for m in product.maps], product.weights),
+        seed=3)
+    assert (scaled.verdict, scaled.margin) == (plain.verdict, plain.margin)
+    for key in ("converged_fraction", "separated_fraction", "deep_fraction"):
+        assert scaled.diagnostics[key] == plain.diagnostics[key]
+    want = plain.diagnostics["min_separation"]
+    assert abs(scaled.diagnostics["min_separation"] - want) <= 1e-12 * want
+
+
 def test_weak_certifiers_take_the_seed_by_keyword_only():
     # the second positional slot was a run size, which is a constant now;
     # an old call must not read it as the seed
@@ -483,6 +507,23 @@ def test_log_integral_small_runs_straddling_zero():
     assert result.finite
 
 
+@pytest.mark.parametrize("gap_cells", [0.7, 1.5, 2.5])
+def test_log_integral_close_zero_pair(gap_cells):
+    # at 0.7 and 1.5 cells apart the whole cells around the two models
+    # would overlap, so both end at the scan node between the zeros; at 2.5
+    # they do not.  |g| < 1 everywhere, so the integral of |log |g|| is
+    # 3 log 2; each model leaves out the other zero's factor, hence the
+    # tolerance
+    h = 1.0 / certify.SCAN_GRID_N
+    a = 0.3 + 0.3 * h
+    b = a + gap_cells * h
+    result = cl.log_integrability(
+        lambda t: 0.5 * np.sin(2 * np.pi * (t - a)) * np.sin(2 * np.pi * (t - b)))
+    assert result.zeros == pytest.approx([a, b, a + 0.5, b + 0.5], abs=1e-9)
+    assert result.orders == [1, 1, 1, 1]
+    assert result.estimate == pytest.approx(3.0 * LOG2, rel=5e-5)
+
+
 def _planted(roots, orders, scale):
     """scale * prod_k sin(pi (t - r_k))^m_k at one point, in math arithmetic."""
     def f(t):
@@ -623,18 +664,17 @@ PIPELINE_D3_ZEROS = [
 ]
 PIPELINE_D3_N_ZEROS = [0, 0, 0, 0, 0, 4, 2, 2, 0, 0, 4, 2, 2, 0, 0, 2, 0, 0, 0]
 TANGENCY_ZEROS = [["0x0.0p+0"], [], [], [], []]
-# float.hex of every per-minor TWIST_D integral, taken before the minors
-# shared the holonomy on the zero-free quadrature nodes
+# float.hex of every per-minor TWIST_D integral, read off the scan grid
 PIPELINE_D3_INTEGRALS = [
     "0x1.29da50c6c565ep+0", "0x1.297bce02c29f4p+1", "0x1.69e7964085ad0p+1",
-    "0x1.32c82e6f19831p+1", "0x1.2622759a1cf6ep+0", "0x1.95ecf589eeeaep+1",
-    "0x1.7ad336cc8671dp+0", "0x1.2a4041eaefddfp+1", "0x1.79268eee90e74p-2",
-    "0x1.1a24d35bc02e7p+1", "0x1.15430768186dbp+2", "0x1.09f4601710b6cp+2",
-    "0x1.b657fb114fec7p+1", "0x1.9fcdf3a62045bp-1", "0x1.0fb2a103738b6p+1",
-    "0x1.5fbc5d4d7e2f1p+1", "0x1.e08cdeb51e032p+0", "0x1.89d4a461792b0p-1",
+    "0x1.32c82e6f19831p+1", "0x1.2622759a1cf6ep+0", "0x1.95ecf603ca08fp+1",
+    "0x1.7ad33482c0b98p+0", "0x1.2a40434c037b8p+1", "0x1.79268eee90e73p-2",
+    "0x1.1a24d35bc02e6p+1", "0x1.1543087f8d494p+2", "0x1.09f46056260eap+2",
+    "0x1.b657fbcc89622p+1", "0x1.9fcdf3a62045cp-1", "0x1.0fb2a103738b6p+1",
+    "0x1.5fbc59d5aec84p+1", "0x1.e08cdeb51e032p+0", "0x1.89d4a461792b0p-1",
     "0x1.d866df2c823cap+0",
 ]
-TANGENCY_INTEGRALS = ["0x1.2a8ef73c85763p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+TANGENCY_INTEGRALS = ["0x1.2a8ef12d02466p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
                       "0x1.3f641e435ce7ap-1"]
 
 
@@ -687,6 +727,38 @@ def test_twisting_d_d4_diagonal_first_golden():
              "integral": m["integral"].hex()} for m in minors] == golden
 
 
+def _quad_abs_log_integral(g, zeros):
+    """scipy's adaptive quadrature of |log |g|| over the circle, on pieces
+    split at the zeros and where |g| crosses 1, where the integrand is not
+    smooth."""
+    grid = np.arange(4096) / 4096
+    logs = np.log(np.abs([g(t) for t in grid.tolist()]))
+    crossings = [scipy.optimize.brentq(lambda t: math.log(abs(g(t))), t, t + 1 / 4096,
+                                       xtol=1e-15)
+                 for t in grid[np.sign(logs) * np.sign(np.roll(logs, -1)) < 0.0].tolist()]
+    cuts = sorted({0.0, 1.0, *zeros, *crossings})
+    with warnings.catch_warnings():
+        # next to a zero, roundoff stops quad short of 1e-13, far below 1e-5
+        warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
+        return sum(scipy.integrate.quad(lambda t: abs(math.log(abs(g(t)))), a, b,
+                                        epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                   for a, b in zip(cuts, cuts[1:]))
+
+
+@pytest.mark.parametrize("rows, cols", [((2, 4), (2, 3)), ((1, 3, 4), (1, 2, 3))])
+def test_twisting_d_integrals_match_adaptive_quadrature(rows, cols):
+    # Gauss-Legendre panels between the zeros were off here by 6.2e-5 and
+    # 5.4e-5 relative: the kinks of |log |g|| where |g| = 1 defeat them
+    product = diagonal_first_tuple_d4(seed=2)
+    minors = cl.twisting_d(product).diagnostics["minors"]
+    got = next(m for m in minors if (tuple(m["rows"]), tuple(m["cols"])) == (rows, cols))
+    index = cl.MinorIndex(rows, cols)
+    want = _quad_abs_log_integral(
+        lambda t: cl.minor(cl.closed_form_holonomy(product, t), index), got["zeros"])
+    assert got["n_zeros"] == 2
+    assert abs(got["integral"] - want) <= 1e-5 * want
+
+
 def test_twisting_d_diagonal_first_makes_no_lu_solve(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("np.linalg.solve called")
@@ -718,22 +790,27 @@ def test_twisting_d_memory_stays_within_four_grid_stacks():
 
 
 def test_twisting_d_evaluates_the_zero_free_nodes_once(monkeypatch):
-    sizes = []
+    # every minor, zero-free or not, integrates on the scan grid, where the
+    # holonomy is evaluated once; the other calls are root refinement and
+    # model probes at points that depend on each minor's zeros
+    calls = []
 
     def counted(product, ts):
-        sizes.append(len(ts))
+        calls.append(ts)
         return cl.closed_form_holonomy_many(product, ts)
 
     monkeypatch.setattr(certify, "closed_form_holonomy_many", counted)
     minors = cl.twisting_d(pipeline_tuple_d3()).diagnostics["minors"]
     assert sum(m["n_zeros"] == 0 for m in minors) > 1
-    assert sizes.count(4096) == 1
-    assert sizes.count(certify.SCAN_GRID_N) == 1
+    assert calls[0] is circle_grid()
+    assert all(len(ts) < 1000 for ts in calls[1:])
 
 
 def test_import_loads_no_scipy():
+    # nor numpy.polynomial, which only the Gauss-Legendre rules once needed
     code = ("import sys, cocyclelab; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+            " or m.startswith('numpy.polynomial')))")
     package_root = str(Path(cl.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env=dict(os.environ, PYTHONPATH=package_root))

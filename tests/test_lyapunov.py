@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import cocyclelab as cl
 from cocyclelab import certify, lyapunov
-from util import (SILVER, draw_replicates_reference, qr_step_reference, random_tuple,
+from util import (SILVER, conjugated_diagonal_tuple, draw_replicates_reference,
+                  qr_step_reference, random_tuple,
                   schrodinger_pair, step_matrices_reference)
 
 LOG2 = math.log(2.0)
@@ -80,6 +81,33 @@ def test_sum_rule_against_log_det_integral():
     est = cl.estimate_spectrum(rp, 40_000, 8, seed=9)
     expected = cl.mean_log_abs_det(rp)
     assert abs(float(np.sum(est.values)) - expected) <= 3.0 * float(np.sum(est.stderr)) + 2e-3
+
+
+def test_diagonal_spectrum_of_constant_maps_is_exact():
+    values = np.array([3.7, -0.3, 1.9, 2.0, 0.5])
+    spec = cl.diagonal_spectrum(constant_diag(values))
+    assert spec.tolist() == sorted(np.log(np.abs(values)).tolist(), reverse=True)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_estimate_spectrum_of_a_conjugated_diagonal_tuple(d, seed):
+    # the tuple is conjugate to a diagonal one by a bounded B(t), so its
+    # exact spectrum is the diagonal tuple's; with d = 5 at seed 2 it checks
+    # the frame route on the kind of tuple that once broke the lower
+    # exponents (a widely spread spectrum at d >= 3)
+    product, diagonal = conjugated_diagonal_tuple(d, seed)
+    exact = cl.diagonal_spectrum(diagonal)
+    # each entry c + a cos 2 pi t + b sin 2 pi t, |c| > hypot(a, b), has the
+    # circle mean of log |entry| log((|c| + sqrt(c^2 - a^2 - b^2)) / 2)
+    closed = sum(weight * np.log((np.abs(c) + np.sqrt(c * c - a * a - b * b)) / 2.0)
+                 for weight, (c, a, b) in zip(
+                     diagonal.weights,
+                     ([np.diagonal(x) for x in (m.const, m.cos_coeffs[0], m.sin_coeffs[0])]
+                      for m in diagonal.maps)))
+    assert np.max(np.abs(exact - np.sort(closed)[::-1])) <= 1e-14
+    est = cl.estimate_spectrum(product, 50_000, 16, seed=seed)
+    assert np.all(np.abs(est.values - exact) <= 4.0 * est.stderr)
 
 
 def test_sl2_exponents_cancel():

@@ -161,3 +161,50 @@ def diagonal_first_tuple_d4(seed):
     sin = 0.12 * rng.standard_normal((2, 4, 4))
     a1 = cl.TrigMatrixMap(const, cos, sin)
     return cl.RandomProduct([cl.GOLDEN_MEAN, SILVER], [a0, a1])
+
+
+def conjugated_diagonal_tuple(d, seed, m=1):
+    """A tuple A_s(t) = B(t + theta_s) D_s(t) B(t)^-1 with a known spectrum.
+
+    B(t) = R(m t) C, where R(x) rotates by 2 pi x in the (e1, e2) plane and
+    C is a seeded constant near the identity.  Every product along a word
+    is B at its end times the diagonal product times B^-1 at its start, and
+    B is bounded with a bounded inverse, so the tuple has the spectrum of
+    the diagonal tuple of the D_s: ``diagonal_spectrum`` of the second
+    tuple returned.  The D_s are seeded zero-free diagonal maps of degree 1,
+    so each A_s is a trig polynomial of degree K = 1 + 2m, and a DFT on
+    2K + 2 points gives its coefficients exactly.
+    """
+    rng = np.random.default_rng(seed)
+    angles = [cl.GOLDEN_MEAN, SILVER]
+    conj = np.eye(d) + 0.3 * rng.standard_normal((d, d))
+    conj_inv = np.linalg.inv(conj)
+
+    def rotation(x):
+        out = np.repeat(np.eye(d)[None], len(x), axis=0)
+        cos, sin = np.cos(2.0 * np.pi * x), np.sin(2.0 * np.pi * x)
+        out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = cos, -sin, sin, cos
+        return out
+
+    # exponents at least about 0.1 apart, in a seeded order along the
+    # diagonal: the sorted replicate values of nearly equal exponents are
+    # biased up and down by their finite-n fluctuation
+    levels = 0.3 * rng.permutation(d)
+    degree = 1 + 2 * m
+    ts = np.arange(2 * degree + 2) / (2 * degree + 2)
+    maps, diagonal_maps = [], []
+    for theta in angles:
+        const = (np.exp(levels - 0.15 * (d - 1) + rng.uniform(-0.05, 0.05, d))
+                 * rng.choice([-1.0, 1.0], d))
+        # a first mode below half the constant keeps every entry off zero
+        amp = 0.5 * np.abs(const) * rng.uniform(0.0, 1.0, d)
+        phase = rng.uniform(0.0, 2.0 * np.pi, d)
+        diag = cl.TrigMatrixMap(np.diag(const), np.diag(amp * np.cos(phase))[None],
+                                np.diag(amp * np.sin(phase))[None], group_tag=cl.DIAGONAL)
+        values = (rotation(m * (ts + theta)) @ conj @ diag.eval_many(ts) @ conj_inv
+                  @ rotation(-m * ts))
+        modes = np.fft.rfft(values, axis=0) / len(ts)
+        maps.append(cl.TrigMatrixMap(modes[0].real, 2.0 * modes[1:degree + 1].real,
+                                     -2.0 * modes[1:degree + 1].imag))
+        diagonal_maps.append(diag)
+    return cl.RandomProduct(angles, maps), cl.RandomProduct(angles, diagonal_maps)
