@@ -72,9 +72,12 @@ ROOT_XTOL = 1e-12
 TRANSVERSAL_FACTOR = 1e-8
 _DIFF_STEP = 3e-6
 _ROOT_MERGE_TOL = 1e-9
-_MAX_HALF_WIDTH = 1e-3
+# A zero this close to a scan node takes the node's limit in the integral.
+# The limit is off by about m (pi n delta)^2 / 6n at a distance delta, the
+# closed-form term by about m ROOT_XTOL / (n delta) for a root off by
+# ROOT_XTOL; at this distance both are under 1e-9 m.
+_NODE_TOL = 1e-7
 _FIT_OFFSETS = np.geomspace(1e-7, 1e-4, 13)
-_EDGE_SHRINKS = 8
 # bisection stops at |step| < xtol + _BISECT_RTOL |x|, as scipy's does
 _BISECT_RTOL = 4.0 * np.finfo(float).eps
 _MAX_REFINE_ITER = 100
@@ -470,18 +473,6 @@ def _circle_gap(t, roots):
     return np.minimum(diff, 1.0 - diff).min(axis=-1)
 
 
-def _abs_log_power_integral(c, m, s):
-    """Exact integral_0^s |log(c u^m)| du for c, s > 0 and integer m >= 1."""
-    # antiderivative of log(c u^m) is F(u) = u log(c u^m) - m u
-    def F(u):
-        return u * math.log(c * u ** m) - m * u
-
-    u_star = c ** (-1.0 / m)
-    if s <= u_star:
-        return -F(s)
-    return F(s) + 2.0 * m * u_star
-
-
 def _cell_integrals(logs):
     """Integral of |log |g|| over each scan cell (k, k + 1), over the cell width.
 
@@ -521,7 +512,8 @@ def _fit_zero_order(abs_vals, sup):
     """Estimate order m and scale c of |g| ~ c |t - root|^m by a log-log fit.
 
     ``abs_vals[i]`` holds |g| at root - u and root + u for the i-th offset u
-    of ``_FIT_OFFSETS``.
+    of ``_FIT_OFFSETS``.  The integral reads c only at a zero within
+    ``_NODE_TOL`` of a scan node (``log_integrability``).
     """
     log_u = []
     log_g = []
@@ -543,37 +535,37 @@ def log_integrability(g, *, scale=1.0):
 
     The scan grid of ``SCAN_GRID_N`` points (``circle.circle_grid``) finds
     sign changes (refined by bisection to ``ROOT_XTOL`` in t) and runs of
-    grid points with |g| below ``ZERO_REL_TOL * scale`` (each run's center
-    is a zero); dips of |g| below ``sqrt(ZERO_REL_TOL) * scale`` are polished
-    by golden-section search to catch even-order zeros.  A run of three or
-    more points means g vanishes on an interval, and the integral is
-    infinite, unless |g| along it falls strictly to a single minimum and
-    then rises strictly, as it does around a zero of high order.
+    grid points with |g| below ``ZERO_REL_TOL * scale`` (a run's zeros are
+    its nodes where g is exactly 0 or, with none, its center); dips of |g|
+    below ``sqrt(ZERO_REL_TOL) * scale`` are polished by golden-section
+    search to catch even-order zeros.  A run of three or more points means
+    g vanishes on an interval, and the integral is infinite, unless |g|
+    along it falls strictly to a single minimum and then rises strictly, as
+    it does around a zero of high order.
 
     Each zero gets a transversality check of the central-difference
     derivative against ``TRANSVERSAL_FACTOR * sup |g|``; non-transversal
     zeros fall back to a log-log fit of the local order m, which has no
-    upper cap.  Each zero's power model c |t - root|^m holds on a half-width
-    where it tracks |g|.
+    upper cap.  Either gives the scale c of |g| ~ c |t - root|^m.
 
-    The integral is read off the scan values alone.  Each zero's model is
-    integrated exactly over the whole scan cells that cover its half-width
-    on both sides; where the cells of two neighbouring zeros would overlap,
-    both end at the scan node nearest their midpoint, and one always lies
-    strictly between them.  The other cells take the trapezoid rule, which
-    with no zero is the mean over the grid, corrected where |g| crosses 1
-    (``_cell_integrals``), and the Euler-Maclaurin correction -h^2/12 f' at
-    each end of a model, f' taken from that zero's model.
+    The integral is read off the scan values: their trapezoid sum, corrected
+    where |g| crosses 1 (``_cell_integrals``), plus m log |2 sin(pi n r)| / n
+    for each zero r of order m, the gap between the trapezoid sum of
+    m log |2 sin pi (t - r)| over the n scan nodes and its integral, 0
+    (Sidi and Israeli, J. Sci. Comput. 1988).  So g with its zeros divided
+    out, which is smooth, is integrated at the trapezoid rule's geometric
+    rate however close the zeros lie.  A zero within ``_NODE_TOL`` of a node
+    adds no such term; log |g| there takes its limit, log c - m log(2 pi n).
 
     ``g`` must accept a 1d array of circle points and return values of the
     same shape.  After the scan, every call of ``g`` serves all brackets,
     dips or zeros together: ``bisect`` calls it once for the bracket ends
     and then once per four halvings; golden-section search once per
     iteration, and once more to test the polished dips; one call takes the
-    central-difference probes and the edge-shrink points, which depend only
-    on the zeros; and one the order-fit offsets of the non-transversal
-    zeros.  Neighbouring grid values and bracket ends are compared by sign,
-    never by their product, which would under/overflow for a g far from 1.
+    central-difference probes; and one the order-fit offsets of the
+    non-transversal zeros.  Neighbouring grid values and bracket ends are
+    compared by sign, never by their product, which would under/overflow
+    for a g far from 1.
     ``scale``, finite and positive, is the size of the terms that make up g
     (a minor's Hadamard bound), so g and ``scale`` rescaled together give
     the same zeros.
@@ -613,8 +605,12 @@ def log_integrability(g, *, scale=1.0):
 
     n = SCAN_GRID_N
     h = 1.0 / n
-    # each run of grid points inside the zero tolerance gives its center
-    roots = [wrap_unit(float(np.mean(group * h))) for group in groups]
+    # each run of grid points inside the zero tolerance gives its nodes where
+    # g is exactly 0 or, with none, its center
+    roots = []
+    for group in groups:
+        exact = group[vals[group % n] == 0.0] % n
+        roots += (exact * h).tolist() if exact.size else [wrap_unit(float(np.mean(group * h)))]
 
     # sign changes between grid neighbors that are clear of the tolerance
     starts = ts[(~small) & (~np.roll(small, -1))
@@ -645,26 +641,12 @@ def log_integrability(g, *, scale=1.0):
         merged.pop()
     roots = merged
 
-    if not roots:
-        return LogIntegralResult(
-            estimate=float(circle_mean(_cell_integrals(np.log(absvals)))), zeros=[], orders=[],
-            diagnostics={"sup": sup, "grid_n": SCAN_GRID_N, "scale": scale},
-        )
-
-    # classify each zero and give it a Taylor-model interval
+    # the central difference, and for a non-transversal zero the order fit,
+    # give each zero's order m and scale c
     q = len(roots)
     r = np.array(roots)
-    s_max = np.full(q, _MAX_HALF_WIDTH)
-    if q > 1:
-        gap = np.minimum((np.roll(r, -1) - r) % 1.0, (r - np.roll(r, 1)) % 1.0)
-        s_max = np.minimum(s_max, gap / 4.0)
-    # the central-difference probes and the edge-shrink points depend only
-    # on the roots, so one call of f serves both
-    widths = s_max[:, None] * 0.25 ** np.arange(_EDGE_SHRINKS)
-    probes = f(np.concatenate([r + _DIFF_STEP, r - _DIFF_STEP,
-                               (r[:, None] - widths).ravel(), (r[:, None] + widths).ravel()]))
-    derivs = (probes[:q] - probes[q:2 * q]) / (2.0 * _DIFF_STEP)
-    edge_vals = np.maximum(*np.abs(probes[2 * q:]).reshape(2, q, _EDGE_SHRINKS))
+    probes = f(np.concatenate([r + _DIFF_STEP, r - _DIFF_STEP])) if q else r
+    derivs = (probes[:q] - probes[q:]) / (2.0 * _DIFF_STEP)
     transversal = np.abs(derivs) > TRANSVERSAL_FACTOR * sup
     orders = [1] * q
     scales = np.abs(derivs).tolist()
@@ -675,59 +657,34 @@ def log_integrability(g, *, scale=1.0):
         for j, abs_vals in zip(flat.tolist(), fit_vals):
             orders[j], scales[j] = _fit_zero_order(abs_vals, sup)
 
-    # shrink each interval until the power model tracks |g| at its edge
-    half_widths = []
-    for c, m, row, edges in zip(scales, orders, widths.tolist(), edge_vals.tolist()):
-        s = row[-1] * 0.25
-        for w, edge in zip(row, edges):
-            model = c * w ** m
-            if edge > 0.0 and model > 0.0 and abs(math.log(edge / model)) < 0.2:
-                s = w
-                break
-        half_widths.append(s)
-
-    # scan node indices (unwrapped around each zero) that bound its model
-    lo = [math.floor((x - s) * n) for x, s in zip(roots, half_widths)]
-    hi = [math.ceil((x + s) * n) for x, s in zip(roots, half_widths)]
-    meets = [False] * q
-    for j in range(q):
-        k = (j + 1) % q
-        wrap = n if k == 0 else 0
-        if lo[k] + wrap <= hi[j]:
-            # the node nearest the midpoint is the one between the zeros
-            mid = round((roots[j] + roots[k] + wrap * h) * n / 2)
-            hi[j], lo[k] = mid, mid - wrap
-            meets[j] = True
-
-    near = 0.0
-    end_correction = 0.0
-    outside = np.ones(n, dtype=bool)
-    for j, (x, c, m) in enumerate(zip(roots, scales, orders)):
-        for u, open_end in ((x - lo[j] * h, not meets[j - 1]), (hi[j] * h - x, not meets[j])):
-            near += _abs_log_power_integral(c, m, u)
-            if open_end:
-                # -h^2/12 f' at this end of the trapezoid segment beyond it,
-                # with f = |log(c u^m)| and u the distance from the zero
-                end_correction += math.copysign(h * h / 12.0 * m / u, math.log(c * u ** m))
-        outside[np.arange(lo[j], hi[j]) % n] = False
-    # log |g| only at the nodes of the cells outside every model, so an
-    # exact zero on a scan node is never taken
-    nodes = outside | np.roll(outside, 1)
-    logs = np.zeros(n)
-    logs[nodes] = np.log(absvals[nodes])
-    far = float(circle_mean(np.where(outside, _cell_integrals(logs), 0.0))) + end_correction
+    # Over the scan nodes the trapezoid sum of log |2 sin pi (t - x)| is
+    # log |2 sin(pi n x)| / n, and its integral is 0.  So with l = log |g|
+    # and |l| = 2 max(l, 0) - l, the trapezoid sum of |l| plus m times that
+    # term for each zero x of order m is the integral, up to the error of
+    # the trapezoid rule on smooth functions.  A zero within _NODE_TOL of a
+    # node instead gives l there its limit minus the term, log c - m log(2 pi n).
+    on_node = {}
+    correction = 0.0
+    for x, c, m in zip(roots, scales, orders):
+        k = round(x * n)
+        off = x * n - k  # exact, n being a power of two
+        if abs(off) <= _NODE_TOL * n:
+            on_node[k % n] = math.log(c) - m * math.log(2.0 * math.pi * n)
+        else:
+            correction += m * math.log(abs(2.0 * math.sin(math.pi * off))) / n
+    nodes = list(on_node)
+    off_node = np.ones(n, dtype=bool)
+    off_node[nodes] = False
+    logs = np.log(absvals, out=np.empty(n), where=off_node)
+    logs[nodes] = list(on_node.values())
 
     return LogIntegralResult(
-        estimate=near + far,
-        zeros=[float(r) for r in roots],
+        estimate=float(circle_mean(_cell_integrals(logs))) + correction,
+        zeros=[float(x) for x in roots],
         orders=orders,
         diagnostics={
             "transversal": transversal.tolist(),
             "derivatives": derivs.tolist(),
-            "model_scales": [float(x) for x in scales],
-            "half_widths": [float(x) for x in half_widths],
-            "near_contribution": near,
-            "far_contribution": far,
             "sup": sup,
             "grid_n": SCAN_GRID_N,
             "scale": scale,

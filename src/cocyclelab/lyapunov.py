@@ -79,8 +79,9 @@ class LyapunovEstimate:
 
     ``values`` holds the replicate means sorted non-increasing, ``stderr``
     the standard error across replicates per index (zero when n_rep = 1),
-    and ``replicates`` the per-replicate sorted estimates.  ``half_run`` is
-    the replicate mean of the same estimates taken at the chunk boundary
+    and ``replicates`` the per-replicate estimates, column j holding those
+    of the frame column whose mean is ``values[j]``.  ``half_run`` is the
+    replicate mean of the same estimates taken at the chunk boundary
     nearest n_iter / 2: a growth that is only polynomial, whose finite-time
     estimate is about log(n) / n, reads about twice as large there.
     """
@@ -248,9 +249,10 @@ def _iterate_frames(product, seed, n_iter, n_rep, full_frame):
     """Per-replicate exponent estimates from lockstep frame iteration.
 
     With ``full_frame`` an orthonormal d-frame is pushed through the blocks
-    and renormalized by QR, giving the sorted spectrum per replicate, shape
-    (n_rep, d).  Otherwise one random unit vector per replicate is pushed
-    and renormalized by its norm, giving the top exponent, shape (n_rep,).
+    and renormalized by QR, giving the spectrum per replicate in
+    frame-column order, shape (n_rep, d).  Otherwise one random unit vector
+    per replicate is pushed and renormalized by its norm, giving the top
+    exponent, shape (n_rep,).
     Returns the estimates after ``n_iter`` steps and those after the chunk
     boundary nearest ``n_iter / 2`` (the first of two equally near).
     """
@@ -331,14 +333,21 @@ def _iterate_frames(product, seed, n_iter, n_rep, full_frame):
         log_sum = np.add.accumulate(logs, axis=1)[:, -1]
         if min(lo + chunk, n_iter) == half_step:
             half_sum = log_sum
-    if not full_frame:
-        return log_sum / n_iter, half_sum / half_step
-    return (np.sort(log_sum / n_iter, axis=1)[:, ::-1],
-            np.sort(half_sum / half_step, axis=1)[:, ::-1])
+    return log_sum / n_iter, half_sum / half_step
 
 
 def _aggregate(reps, half_reps):
-    """Mean and ddof=1 standard error (zero for one replicate) of (n_rep, k) values."""
+    """Mean and ddof=1 standard error (zero for one replicate) of (n_rep, k) values.
+
+    The columns are averaged as they come and then sorted by their means,
+    non-increasing; the standard errors, replicates and half-run means
+    follow.  Sorting each replicate first would push two exponents closer
+    than one replicate's fluctuation apart.
+    """
+    order = np.argsort(-reps.mean(axis=0), kind="stable")
+    # numpy would sum an F-ordered copy pairwise, with other bits
+    reps = np.ascontiguousarray(reps[:, order])
+    half_reps = np.ascontiguousarray(half_reps[:, order])
     n_rep = reps.shape[0]
     if n_rep > 1:
         stderr = reps.std(axis=0, ddof=1) / np.sqrt(n_rep)
@@ -359,8 +368,9 @@ def estimate_spectrum(product, n_iter, n_rep, seed):
     (d >= 3) spreads log |R_11| - log |R_{d-1,d-1}| past ``SPREAD_BUDGET``
     (about 18), beyond which the lower columns are rounding noise.  At one
     step per block only a non-finite or vanishing image raises
-    ``RenormalizationError``.  Replicate vectors are sorted before
-    aggregation.  All replicates advance together.
+    ``RenormalizationError``.  Each exponent is the replicate mean of one
+    frame column, sorted after aggregation.  All replicates advance
+    together.
     """
     return _aggregate(*_iterate_frames(product, seed, n_iter, n_rep, full_frame=True))
 

@@ -110,6 +110,18 @@ def test_estimate_spectrum_of_a_conjugated_diagonal_tuple(d, seed):
     assert np.all(np.abs(est.values - exact) <= 4.0 * est.stderr)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_equal_exponents_are_averaged_before_sorting(seed):
+    # both exponents are exactly 0; sorting each replicate before the mean
+    # pushed the top one 3.7 to 7.5 standard errors above it
+    maps = [cl.TrigMatrixMap.constant(np.diag(np.exp(v)), group_tag=cl.DIAGONAL)
+            for v in ([0.5, -0.5], [-0.5, 0.5])]
+    est = cl.estimate_spectrum(cl.RandomProduct([cl.GOLDEN_MEAN, SILVER], maps),
+                               20000, 8, seed)
+    assert abs(est.values[0]) < 3.0 * est.stderr[0]
+    assert est.values.tolist() == est.replicates.mean(axis=0).tolist()
+
+
 def test_sl2_exponents_cancel():
     product, _ = schrodinger_pair(energy=3.0)
     est = cl.estimate_spectrum(product, 20_000, 6, seed=4)

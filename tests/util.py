@@ -187,8 +187,7 @@ def conjugated_diagonal_tuple(d, seed, m=1):
         return out
 
     # exponents at least about 0.1 apart, in a seeded order along the
-    # diagonal: the sorted replicate values of nearly equal exponents are
-    # biased up and down by their finite-n fluctuation
+    # diagonal
     levels = 0.3 * rng.permutation(d)
     degree = 1 + 2 * m
     ts = np.arange(2 * degree + 2) / (2 * degree + 2)
