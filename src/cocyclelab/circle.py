@@ -91,8 +91,10 @@ def as_word(word, n_symbols):
 
 
 def _wrapped_cumulative(t0, steps):
-    # extended precision keeps the endpoint of long orbits within ~1e-15
-    # of the exact rational orbit even for words of length 1e4
+    # The running sum grows with the word and rounds at its longdouble ulp
+    # each step: against the exact rational orbit of the float angles,
+    # random words of three symbols read errors up to 6.8e-14 at 1e4 steps
+    # and 1.2e-11 at 1e5 (three trials each)
     acc = np.cumsum(steps, dtype=np.longdouble)
     acc += np.longdouble(t0)
     return _wrap_extended(acc)

@@ -95,11 +95,11 @@ class TrigPolynomial:
     def eval_many(self, ts, out=None):
         """Evaluate at an array of circle points; returns shape (n,) + value shape.
 
-        The (n, degree) cosine and sine phases multiply (degree, value size)
-        views of the coefficients and accumulate into a flat (n, value size)
-        view of the result, so an empty ``ts`` gives shape (0,) + value shape.
-        ``out``, a C-contiguous float array of the result's shape, receives
-        the values and is returned; the bits do not depend on it.
+        A constant is broadcast; otherwise the (n, degree) cosine and sine
+        phases go to :meth:`_eval_harmonics`.  An empty ``ts`` gives shape
+        (0,) + value shape.  ``out``, a
+        C-contiguous float array of the result's shape, receives the values
+        and is returned; the bits do not depend on it.
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         shape = (len(ts),) + self.const.shape
@@ -107,14 +107,28 @@ class TrigPolynomial:
             out = np.empty(shape)
         elif out.shape != shape or out.dtype != float or not out.flags.c_contiguous:
             raise ValueError(f"out must be a C-contiguous float array of shape {shape}")
+        if not self.degree:
+            out[:] = self.const
+            return out
+        phases = 2.0 * np.pi * np.outer(ts, np.arange(1, self.degree + 1))
+        return self._eval_harmonics(np.cos(phases), np.sin(phases), out)
+
+    def _eval_harmonics(self, cos, sin, out):
+        """Values at n points from their (n, degree) harmonics, into ``out``.
+
+        Column m - 1 of ``cos`` and ``sin`` holds cos(2 pi m t) and
+        sin(2 pi m t).  They multiply (degree, value size) views of the
+        coefficients and accumulate onto the constant in a flat (n, value
+        size) view of ``out``, a C-contiguous float array of shape (n,) +
+        value shape, which is returned.
+        """
         out[:] = self.const
         k = self.degree
         if k:
             size = self.const.size
-            flat = out.reshape(len(ts), size)
-            phases = 2.0 * np.pi * np.outer(ts, np.arange(1, k + 1))
-            flat += np.cos(phases) @ self.cos_coeffs.reshape(k, size)
-            flat += np.sin(phases) @ self.sin_coeffs.reshape(k, size)
+            flat = out.reshape(len(out), size)
+            flat += cos @ self.cos_coeffs.reshape(k, size)
+            flat += sin @ self.sin_coeffs.reshape(k, size)
         return out
 
     def eval(self, t):

@@ -14,13 +14,20 @@ Two Monte Carlo estimators and one exact route:
 
 Both estimators share one kernel that advances every replicate in
 lockstep.  The words are drawn up front, one byte per step.  Everything
-else is made ``CHUNK_BLOCKS * START_PERIOD`` steps at a time: the start
-points, from a longdouble running sum carried across chunks that has the
-bits of one cumulative sum over the whole word, and the step matrices,
-evaluated into one buffer that every chunk reuses and multiplied into
-blocks.  So memory grows with n_iter by the words' one byte per step and
-replicate only, and each block runs one renormalization step on the whole
-``(n_rep, d, d)`` stack.
+else is made ``CHUNK_BLOCKS * START_PERIOD`` steps at a time.  A step's
+point enters only through its phasor e^{2 pi i t}: each chunk takes one
+base phasor per replicate from a longdouble carry (the sum of the earlier
+angles, mod 1) and multiplies it by per-symbol tables U_s[k] = e^{2 pi i
+frac(k theta_s)}, indexed by the counts of each symbol since the chunk
+began; the harmonics of degree m are complex powers.  So no cosine or
+sine is taken per step.  Against the exact rational orbit of the float
+angles, the phasors of two replicates of ``random_tuple(3, 1)`` stayed
+within 1.9e-15 over 1e5 steps; the longdouble cumulative sum of the
+angles that ``circle.base_orbit`` takes drifted 9.4e-12 on the same words.
+The step matrices are evaluated from those harmonics into one buffer that
+every chunk reuses and multiplied into blocks.  So memory grows with
+n_iter by the words' one byte per step and replicate only, and each block
+runs one renormalization step on the whole ``(n_rep, d, d)`` stack.
 Within a block the step matrices are multiplied pairwise in stacked passes;
 the block product agrees with sequential multiplication up to roundoff.
 The block loop holds only the sequential step: the matmul, then the raw
@@ -30,7 +37,7 @@ rank checks, the logs and the running sum are taken once per chunk too,
 with the bits of adding one block at a time.  The last QR exponent is
 pinned to the step determinants, evaluated by the cofactor kernel that
 TWIST_D shares (``_cofactor``).  Every replicate value is bitwise the same
-as iterating that replicate on its own.
+as iterating that replicate on its own at the same periods.
 
 The renormalization period is not a knob: blocks start ``START_PERIOD``
 steps long, and the checks that read |diag R| (or the norms) decide it.
@@ -38,10 +45,17 @@ When a block image is not finite or falls below the normal float range,
 or, on the full frame at d >= 3, a block spreads log |R_11| -
 log |R_{d-1,d-1}| past ``SPREAD_BUDGET`` (-log(eps) / 2, about 18), the
 chunk is redone from the frame and log sum it started with at half the
-period (20, 10, 5, 2, 1), which then holds for the rest of the run.  So a
-map's scale moves only the exponents, and the lower exponents of a widely
-spread spectrum stay accurate.  At one step per block only a non-finite or
-vanishing image raises ``RenormalizationError``.
+period (20, 10, 5, 2, 1).  After a chunk whose spread stays within half
+the budget and whose largest |log| of a |R_ii| or norm stays within an
+eighth of log(float max), the next chunk runs at twice the period, up to
+a quarter chunk (``MIN_BLOCKS`` blocks) and never back up to a period
+that had to be halved, so the period cannot oscillate.  Each map whose
+scale (the d-th root of its Hadamard bound) lies outside 2^+-64 is
+iterated scaled by a power of two to near 1, exactly, and each
+replicate's exponents get the log 2 per step of those scalings back.  So
+a map's scale moves only the exponents, and the lower exponents of a
+widely spread spectrum stay accurate.  At one step per block only a
+non-finite or vanishing image raises ``RenormalizationError``.
 """
 
 from __future__ import annotations
@@ -55,18 +69,26 @@ from numpy.linalg._umath_linalg import qr_reduced as _qr_reduced
 
 from ._cofactor import _minors
 from .circle import _wrap_extended, circle_grid, circle_mean
-from .cocycle import DIAGONAL
+from .cocycle import DIAGONAL, RandomProduct
 from .errors import GroupTagError, RenormalizationError
 
-# steps per renormalization block until the kernel halves it
+# steps per renormalization block until the kernel halves or doubles it
 START_PERIOD = 20
 # renormalization blocks per chunk at START_PERIOD; bounds the step-matrix
 # stack at n_rep * CHUNK_BLOCKS * START_PERIOD matrices whatever n_iter is
 CHUNK_BLOCKS = 64
+# fewest renormalization blocks per chunk, which caps the doubled period
+MIN_BLOCKS = 4
 # largest log |R_11| - log |R_{d-1,d-1}| of a block: past -log(eps) the
 # lower columns of the block image are rounding noise, and this keeps half
 # the digits (Geist, Parlitz and Lauterborn, Prog. Theor. Phys. 1990)
 SPREAD_BUDGET = -0.5 * np.log(np.finfo(float).eps)
+# largest |log| of a block's |R_ii| or norm after which the period may
+# double: an eighth of the float range's, so twice it leaves room to spare
+# even for a squared norm
+_LOG_ROOM = np.log(np.finfo(float).max) / 8.0
+# a map whose scale lies within 2^+-_SCALE_SLACK is iterated unscaled
+_SCALE_SLACK = 64
 # smallest normal float: a |R_ii| or squared norm below it has lost digits
 _TINY = np.finfo(float).tiny
 # steps per rng.choice call when a word is drawn
@@ -119,7 +141,7 @@ def _draw_replicates(product, seed, n_iter, n_rep, with_vector):
     word is drawn in blocks of ``_WORD_BLOCK`` steps, which consume the
     stream as one draw of the whole word does, so ``choice``'s temporaries
     stay bounded whatever n_iter is.  The points after the first are left
-    to ``_chunk_starts``.
+    to ``_chunk_phasors``.
     """
     words = np.empty((n_rep, n_iter), dtype=np.min_scalar_type(product.n_symbols - 1))
     firsts = np.empty(n_rep)
@@ -135,34 +157,71 @@ def _draw_replicates(product, seed, n_iter, n_rep, with_vector):
     return words, firsts, vectors
 
 
-def _chunk_starts(angles, words, firsts, carry):
-    """Start points of a chunk of steps, shape (n_rep, n) like ``words``.
+def _orbit_tables(angles, n):
+    """Phasors U_s[k] = e^{2 pi i frac(k theta_s)}, k = 0..n, one row per symbol.
 
-    ``carry`` holds each replicate's longdouble sum of the angles of every
-    earlier step, and is advanced past the chunk in place.  The sums run on
-    sequentially from it, so the points have the bits of one cumulative sum
-    over the whole word wrapped by ``_wrapped_cumulative``; the first point
-    of a replicate is ``firsts`` itself.
+    ``angles`` are the longdouble theta_s.  Each k theta_s is exact while
+    k < 2^11 (the 53 significant bits of theta_s and the bits of k fit in
+    its 64), and so is its fractional part; the phasor is then taken of
+    that part as a float.
+    """
+    turns = np.multiply.outer(angles, np.arange(n + 1))
+    np.modf(turns, out=(turns, np.empty_like(turns)))
+    return np.exp(2j * np.pi * turns.astype(float))
+
+
+def _chunk_phasors(tables, angles, words, firsts, carry):
+    """Phasors e^{2 pi i t} of a chunk's step points, shape (n_rep, n) like ``words``.
+
+    ``carry`` holds each replicate's longdouble sum, mod 1, of the angles
+    of every earlier step.  The chunk starts at t_c = carry + first, wrapped by
+    ``_wrap_extended``; step j sits at t_c + sum_s k_s theta_s, with k_s
+    the count of symbol s among the chunk's steps before j, so its phasor
+    is e^{2 pi i t_c} times the ``tables`` entries U_s[k_s].  ``angles``
+    are the longdouble theta_s; the carry advances by count times angle
+    per symbol, in place.
     """
     n_rep, n = words.shape
-    acc = np.empty((n_rep, n), dtype=np.longdouble)
-    acc[:, 0] = carry
-    acc[:, 1:] = angles[words[:, :-1]]
-    np.cumsum(acc, axis=1, out=acc)
-    carry[:] = acc[:, -1] + angles[words[:, -1]]
-    # contiguous longdouble operands take no casting buffers
-    acc += firsts.astype(np.longdouble)[:, None]
-    return _wrap_extended(acc)
+    base = np.exp(2j * np.pi * _wrap_extended(carry + firsts))
+    out = np.repeat(base[:, None], n, axis=1)
+    counts = np.zeros((n_rep, n), dtype=np.intp)
+    for s, table in enumerate(tables):
+        hits = words == s
+        np.cumsum(hits[:, :-1], axis=1, out=counts[:, 1:])
+        out *= table[counts]
+        carry += (counts[:, -1] + hits[:, -1]) * angles[s]
+    # kept in [0, 1), the carry rounds at 2^-64 whatever the run length
+    np.modf(carry, out=(carry, np.empty_like(carry)))
+    return out
 
 
-def _step_matrices(product, words, starts, period, workspace=None):
+def _harmonics(phasors, k):
+    """(n, k) cos(2 pi m t) and sin(2 pi m t), m = 1..k, from phasors e^{2 pi i t}.
+
+    Column m is the real or imaginary part of the m-th power, a running
+    complex product of the phasors; both come back as transposes of
+    contiguous (k, n) arrays, which BLAS takes as they are.
+    """
+    cos, sin = np.empty((2, k, len(phasors)))
+    power = phasors
+    for m in range(k):
+        if m:
+            power = power * phasors
+        cos[m], sin[m] = power.real, power.imag
+    return cos.T, sin.T
+
+
+def _step_matrices(product, words, points, period, workspace=None):
     """Step matrices of a chunk, padded with identities to whole blocks.
 
-    ``words`` and ``starts`` have shape (n_rep, n); the result has shape
-    (n_rep, ceil(n / period) * period, d, d).  Each symbol's points are
-    gathered in row-major order, evaluated in one batch and placed by flat
-    integer index.  The result is the head of ``workspace``, a flat float
-    buffer of twice its size, and the symbols are evaluated into the tail.
+    ``words`` and ``points`` have shape (n_rep, n); ``points`` holds each
+    step's circle point t, or its phasor e^{2 pi i t} (complex).  The
+    result has shape (n_rep, ceil(n / period) * period, d, d).  Each
+    symbol's points are gathered in row-major order, evaluated in one batch
+    (phasors through the harmonics of their powers, points by
+    ``eval_many``) and placed by flat integer index.  The result is the
+    head of ``workspace``, a flat float buffer of twice its size, and the
+    symbols are evaluated into the tail.
     """
     n_rep, n = words.shape
     d = product.dim
@@ -173,15 +232,18 @@ def _step_matrices(product, words, starts, period, workspace=None):
     mats = workspace[:size].reshape(n_rep, n_pad, d, d)
     mats[:, n:] = np.eye(d)
     flat = mats.reshape(n_rep * n_pad, d, d)
-    for s in range(product.n_symbols):
+    for s, mat_map in enumerate(product.maps):
         idx = np.flatnonzero(words == s)
         if idx.size:
-            points = starts.take(idx)
+            at = points.take(idx)
             if n_pad != n:
                 # row r of the (n_rep, n) chunk starts at r * n_pad in ``flat``
                 idx += idx // n * (n_pad - n)
             values = workspace[size:size + idx.size * d * d].reshape(idx.size, d, d)
-            flat[idx] = product.maps[s].eval_many(points, out=values)
+            if np.iscomplexobj(at):
+                flat[idx] = mat_map._eval_harmonics(*_harmonics(at, mat_map.degree), values)
+            else:
+                flat[idx] = mat_map.eval_many(at, out=values)
     return mats
 
 
@@ -245,6 +307,37 @@ def _qr_step(image):
     return _qr_reduced(raw.swapaxes(-1, -2), tau), raw
 
 
+def _scale_exponent(mat_map):
+    """The k with 2^k nearest a map's scale, or 0 while its scale lies within 2^+-64.
+
+    The scale is the d-th root of the map's Hadamard bound prod_i max_t
+    |row_i(t)|, each row bounded by the sum of its coefficients' magnitudes
+    (no square, so no over- or underflow at any scale).
+    """
+    coeffs = np.concatenate([mat_map.const[None], mat_map.cos_coeffs, mat_map.sin_coeffs])
+    k = round(float(np.mean(np.log2(np.abs(coeffs).sum(axis=(0, 2))))))
+    return k if abs(k) > _SCALE_SLACK else 0
+
+
+def _prescaled(product):
+    """The product with map s scaled by 2^-k_s (exact), and the k_s.
+
+    Maps whose scale lies within 2^+-64 keep k_s = 0 and are iterated as
+    they are; the product itself is returned when every k_s is 0.
+    """
+    exponents = [_scale_exponent(m) for m in product.maps]
+    if any(exponents):
+        product = RandomProduct(product.angles, [2.0 ** -k * m for k, m in
+                                                 zip(exponents, product.maps)], product.weights)
+    return product, exponents
+
+
+def _scale_logs(words, exponents, n):
+    """log 2 * sum_s k_s N_s per replicate, N_s the count of symbol s in the first n steps."""
+    return np.log(2.0) * sum(k * np.count_nonzero(words[:, :n] == s, axis=1)
+                             for s, k in enumerate(exponents) if k)
+
+
 def _iterate_frames(product, seed, n_iter, n_rep, full_frame):
     """Per-replicate exponent estimates from lockstep frame iteration.
 
@@ -261,6 +354,7 @@ def _iterate_frames(product, seed, n_iter, n_rep, full_frame):
     d = product.dim
     words, firsts, vectors = _draw_replicates(product, seed, n_iter, n_rep,
                                               with_vector=not full_frame)
+    scaled, exponents = _prescaled(product)
     carry = np.zeros(n_rep, dtype=np.longdouble)
     if full_frame:
         frame = np.repeat(np.eye(d)[None], n_rep, axis=0)
@@ -270,21 +364,28 @@ def _iterate_frames(product, seed, n_iter, n_rep, full_frame):
         log_sum = np.zeros(n_rep)
     period = START_PERIOD
     chunk = CHUNK_BLOCKS * START_PERIOD
+    # the period doubles up to the ceiling: a chunk over MIN_BLOCKS, then
+    # the period that any halving left
+    ceiling = chunk // MIN_BLOCKS
     half_step = min([*range(chunk, n_iter, chunk), n_iter],
                     key=lambda end: abs(2 * end - n_iter))
+    angles = product.angles.astype(np.longdouble)
+    tables = _orbit_tables(angles, min(chunk, n_iter))
     # Every chunk reuses one buffer for its step matrices and evaluations,
     # the two largest arrays of the walk.  Allocated per chunk, they let the
     # heap be trimmed and faulted back in at every chunk.  The halvings of
-    # START_PERIOD (10, 5, 2, 1) divide it, so a redone chunk pads to no more
-    # steps and no block is all padding.
+    # START_PERIOD (10, 5, 2, 1) and its doublings up to the ceiling divide
+    # the chunk, so a redone chunk pads to no more steps and no block is all
+    # padding.
     workspace = np.empty(2 * n_rep * min(chunk, -(-n_iter // period) * period) * d * d)
     for lo in range(0, n_iter, chunk):
         chunk_words = words[:, lo:lo + chunk]
-        starts = _chunk_starts(product.angles, chunk_words, firsts, carry)
+        phasors = _chunk_phasors(tables, angles, chunk_words, firsts, carry)
         while True:
-            mats = _step_matrices(product, chunk_words, starts, period, workspace)
+            mats = _step_matrices(scaled, chunk_words, phasors, period, workspace)
             blocks = _block_products(mats, period)
             walk = frame
+            spread = 0.0
             # The loop holds only the sequential step.  Overflow and
             # vanishing show up as non-finite or subnormal values that the
             # checks after it read, so their warnings are noise.
@@ -305,8 +406,9 @@ def _iterate_frames(product, seed, n_iter, n_rep, full_frame):
                     diags = np.abs(np.diagonal(np.stack(factors, axis=1), axis1=2, axis2=3))
                     logs = np.log(diags)
                     ok = np.all(np.isfinite(images)) and np.all(diags >= _TINY)
-                    if ok and d > 2 and period > 1:
-                        ok = np.max(logs[:, :, 0] - logs[:, :, -2]) <= SPREAD_BUDGET
+                    if ok and d > 2:
+                        spread = np.max(logs[:, :, 0] - logs[:, :, -2])
+                        ok = spread <= SPREAD_BUDGET or period == 1
                 else:
                     norms = np.empty(blocks.shape[:2])
                     for j in range(blocks.shape[1]):
@@ -324,7 +426,12 @@ def _iterate_frames(product, seed, n_iter, n_rep, full_frame):
             if period == 1:
                 raise RenormalizationError("iterate overflows or vanishes within one step")
             period //= 2
+            ceiling = period
         frame = walk
+        # a chunk well inside both budgets doubles the period of the next
+        if (2 * period <= ceiling and spread <= 0.5 * SPREAD_BUDGET
+                and np.max(np.abs(logs)) <= _LOG_ROOM):
+            period *= 2
         if full_frame:
             logs[:, :, -1] = dets - np.sum(logs[:, :, :-1], axis=2)
         # accumulate is sequential along the block axis: the bits of adding
@@ -333,6 +440,12 @@ def _iterate_frames(product, seed, n_iter, n_rep, full_frame):
         log_sum = np.add.accumulate(logs, axis=1)[:, -1]
         if min(lo + chunk, n_iter) == half_step:
             half_sum = log_sum
+    if any(exponents):
+        # each step of symbol s was scaled by 2^-k_s, every |R_ii| or norm with it
+        shifts = [_scale_logs(words, exponents, n) for n in (n_iter, half_step)]
+        if full_frame:
+            shifts = [shift[:, None] for shift in shifts]
+        log_sum, half_sum = log_sum + shifts[0], half_sum + shifts[1]
     return log_sum / n_iter, half_sum / half_step
 
 
@@ -362,15 +475,20 @@ def estimate_spectrum(product, n_iter, n_rep, seed):
 
     Each replicate draws an independent substream (start point and word),
     pushes an orthonormal frame through ``n_iter`` steps, re-orthonormalizes
-    it after every block of steps, and averages log |R_ii|.  Blocks start
+    it after every block of steps, and averages log |R_ii|.  The step
+    matrices are evaluated at orbit phasors (see the module docstring),
+    which stay within a few 1e-15 of the exact orbit.  Blocks start
     ``START_PERIOD`` (20) steps long.  The period halves, down to one step,
     where a block image overflows, falls below the normal float range, or
     (d >= 3) spreads log |R_11| - log |R_{d-1,d-1}| past ``SPREAD_BUDGET``
-    (about 18), beyond which the lower columns are rounding noise.  At one
-    step per block only a non-finite or vanishing image raises
-    ``RenormalizationError``.  Each exponent is the replicate mean of one
-    frame column, sorted after aggregation.  All replicates advance
-    together.
+    (about 18), beyond which the lower columns are rounding noise.  It
+    doubles, up to a quarter chunk and below any period that had to be
+    halved, after a chunk well inside both budgets.  Maps of scale outside
+    2^+-64 are iterated scaled by a power of two and their exponents
+    shifted back.  At one step per block only a non-finite or vanishing
+    image raises ``RenormalizationError``.  Each exponent is the replicate
+    mean of one frame column, sorted after aggregation.  All replicates
+    advance together.
     """
     return _aggregate(*_iterate_frames(product, seed, n_iter, n_rep, full_frame=True))
 
@@ -381,11 +499,14 @@ def estimate_top_exponent(product, n_iter, n_rep, seed):
     Works for any dimension d.  Each replicate starts from an independent
     random unit d-vector, which avoids locking onto an invariant contracting
     direction of structured tuples, and renormalizes it by its norm after
-    every block of steps.  Blocks start ``START_PERIOD`` (20) steps long and
-    halve, down to one step, where a squared norm overflows or falls below
-    the normal float range; at one step per block that raises
-    ``RenormalizationError``, so one step may grow or shrink a vector by at
-    most about 1e154.
+    every block of steps, evaluated at orbit phasors as in
+    :func:`estimate_spectrum`.  Blocks start ``START_PERIOD`` (20) steps
+    long; they halve, down to one step, where a squared norm overflows or
+    falls below the normal float range, and double as in
+    :func:`estimate_spectrum`.  Maps of scale outside 2^+-64 are iterated
+    scaled by a power of two to near 1, so only a single step that grows or
+    shrinks a vector by more than about 1e154 against its map's scale
+    raises ``RenormalizationError``.
     """
     reps, half_reps = _iterate_frames(product, seed, n_iter, n_rep, full_frame=False)
     return _aggregate(reps.reshape(n_rep, 1), half_reps.reshape(n_rep, 1))

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -218,3 +219,21 @@ def test_base_holonomy_is_rigid_rotation(theta0, theta1):
     delta = cl.homoclinic_base_holonomy(theta0, theta1)
     assert 0.0 <= delta < 1.0
     assert cl.circle_distance(cl.rotate(theta0, delta), theta1) <= 1e-15
+
+
+@pytest.mark.parametrize("trial", range(3))
+def test_base_orbit_stays_near_the_exact_orbit(trial):
+    # the longdouble running sum drifts from the exact rational orbit of the
+    # float angles as the word grows: 6.8e-14 at 1e4 steps over these trials
+    angles = np.array([cl.GOLDEN_MEAN, SILVER, 0.2360679774997897])
+    rng = np.random.default_rng(trial)
+    word = rng.integers(0, 3, 10_000)
+    t0 = rng.random()
+    got = cl.base_orbit(angles, word, t0)
+    step = [Fraction(float(a)) for a in angles]
+    t = Fraction(t0)
+    exact = [t0]
+    for s in word:
+        t += step[s]
+        exact.append(float(t - math.floor(t)))
+    assert np.max(cl.circle_distance(got, np.array(exact))) <= 1e-12

@@ -10,7 +10,7 @@ import pytest
 import cocyclelab as cl
 from cocyclelab import certify, experiments
 from cocyclelab.cli import main
-from util import axis_pair, pipeline_tuple_d3, schrodinger_pair
+from util import axis_pair, pipeline_tuple_d3, random_tuple, schrodinger_pair
 
 # estimator sizes; certify and perturb-search read none of them
 FAST = {"n_iter": 2000, "n_rep": 2}
@@ -106,6 +106,29 @@ def test_certify_writes_certificate_json(schro_setup):
         assert doc["margin"] == row[2]
         assert doc["seed"] == 9
         assert doc["input_digest"] == cl.file_digest(cocycle)
+
+
+@pytest.mark.parametrize("scale", [1e80, 1e-80, 1e160, 1e-160], ids=str)
+def test_certify_d2_handles_rescaled_tuples(tmp_path, scale):
+    # at 1e+-160 WEAK_PINCH raised RenormalizationError and the command
+    # exited 1 with no certificate
+    product = random_tuple(2, seed=1)
+    certs = {}
+    for name, factor in (("plain", 1.0), ("scaled", scale)):
+        cl.save_cocycle(cl.RandomProduct(product.angles, [factor * m for m in product.maps],
+                                         product.weights), tmp_path / f"{name}.json")
+        cfg = write_json(tmp_path / f"{name}_cfg.json",
+                         {"kind": "certify", "cocycle": f"{name}.json", "seed": 3,
+                          "out": str(tmp_path / f"{name}.csv")})
+        assert main(["certify", "--config", str(cfg)]) == 0
+        certs[name] = [json.loads((tmp_path / f"{name}.{kind}.json").read_text())
+                       for kind in ("weak_pinch", "weak_twist")]
+    (pinch, twist), (plain_pinch, plain_twist) = certs["scaled"], certs["plain"]
+    assert twist["verdict"] == plain_twist["verdict"] == "PASS"
+    assert twist["margin"] == plain_twist["margin"]
+    got, want = pinch["diagnostics"]["lambda_top"], plain_pinch["diagnostics"]["lambda_top"]
+    assert abs(got - want - np.log(scale)) <= 1e-9
+    assert pinch["verdict"] == ("PASS" if scale > 1.0 else "INCONCLUSIVE")
 
 
 def test_sweep_energy_rows(schro_setup):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -197,11 +198,12 @@ def test_top_exponent_overflow_halves_the_period(monkeypatch):
 
 
 def test_one_step_overflow_raises_renormalization_error():
-    # a single step of 1e200 keeps the frame finite, but squares past the
-    # float range on the vector route
-    rp = constant_diag([1e200, 1.0])
+    # a single step of 1e160 keeps the frame finite, but squares past the
+    # float range on the vector route; the map's scale, the geometric mean
+    # 1e10 of its rows, is in range, so the kernel takes it unscaled
+    rp = constant_diag([1e160, 1e-140])
     est = cl.estimate_spectrum(rp, 50, 1, seed=0)
-    assert np.max(np.abs(est.values - [math.log(1e200), 0.0])) <= 1e-12
+    assert np.max(np.abs(est.values - [math.log(1e160), math.log(1e-140)])) <= 1e-12
     with pytest.raises(cl.RenormalizationError, match="within one step"):
         cl.estimate_top_exponent(rp, 50, 1, seed=0)
 
@@ -249,6 +251,93 @@ def test_map_scale_shifts_the_exponents(estimator, scale):
     assert np.max(np.abs(shifted.replicates - base.replicates - math.log(scale))) <= 1e-12
 
 
+@pytest.mark.parametrize("scale", [1e80, 1e-80, 1e160, 1e-160])
+@pytest.mark.parametrize("d", [2, 3])
+def test_out_of_range_maps_are_prescaled(d, scale):
+    # 1e+-160 took the step determinants and the squared norms past the
+    # float range; the kernel now scales each map by a power of two to a
+    # scale near 1 and adds the shift back
+    rp = random_tuple(d, seed=1)
+    scaled = cl.RandomProduct(rp.angles, [scale * m for m in rp.maps], rp.weights)
+    for estimator in (cl.estimate_spectrum, cl.estimate_top_exponent):
+        base = estimator(rp, 3000, 2, seed=0)
+        shifted = estimator(scaled, 3000, 2, seed=0)
+        assert np.max(np.abs(shifted.replicates - base.replicates - math.log(scale))) <= 1e-9
+        assert np.max(np.abs(shifted.half_run - base.half_run - math.log(scale))) <= 1e-9
+
+
+def test_in_range_maps_are_iterated_as_they_are():
+    # every map whose scale lies within 2^+-64 keeps k_s = 0
+    for rp in (random_tuple(3, seed=1), schrodinger_pair(3.0)[0], constant_diag([1e20, 1.0]),
+               constant_diag([1e38, 1.0])):
+        scaled, exponents = lyapunov._prescaled(rp)
+        assert scaled is rp and exponents == [0] * rp.n_symbols
+    rp = constant_diag([2.0 ** 140, 1.0])
+    _, exponents = lyapunov._prescaled(rp)
+    assert exponents == [70]
+
+
+def _periods_of(monkeypatch, estimator, product, n_chunks):
+    periods = _block_periods(monkeypatch)
+    chunk = lyapunov.CHUNK_BLOCKS * lyapunov.START_PERIOD
+    est = estimator(product, n_chunks * chunk, 2, seed=0)
+    return periods, est
+
+
+@pytest.mark.parametrize("estimator", [cl.estimate_spectrum, cl.estimate_top_exponent])
+def test_calm_chunks_double_the_period_up_to_a_quarter_chunk(monkeypatch, estimator):
+    periods, est = _periods_of(monkeypatch, estimator, constant_diag([1.01, 0.99]), 7)
+    assert periods == [20, 40, 80, 160, 320, 320, 320]
+    assert lyapunov.CHUNK_BLOCKS * lyapunov.START_PERIOD // 320 == lyapunov.MIN_BLOCKS
+    if estimator is cl.estimate_spectrum:
+        assert np.max(np.abs(est.values - np.log([1.01, 0.99]))) <= 1e-12
+
+
+@pytest.mark.parametrize("growth, want", [(4.0, [20, 40, 40, 40]), (4.5, [20] * 4)])
+def test_doubling_reads_an_eighth_of_the_float_range(monkeypatch, growth, want):
+    # 20 steps of e^4 grow 80 in log, within log(float max) / 8 = 88.7;
+    # 20 steps of e^4.5 grow 90, and 40 steps of e^4 grow 160
+    periods, est = _periods_of(monkeypatch, cl.estimate_spectrum,
+                               constant_diag([math.exp(growth), 1.0]), 4)
+    assert periods == want
+    assert abs(est.top - growth) <= 1e-12
+
+
+@pytest.mark.parametrize("a, want", [(0.4, [20, 40, 40, 40]), (0.5, [20] * 4)])
+def test_doubling_reads_half_the_spread_budget(monkeypatch, a, want):
+    # the top two columns part by a per step: 8 at 20 steps is within half
+    # of SPREAD_BUDGET (about 9), 10 is not, and 16 at 40 steps is within it
+    periods, est = _periods_of(monkeypatch, cl.estimate_spectrum, conjugated_constant(a), 4)
+    assert periods == want
+    assert abs(est.values[1]) <= 5e-5
+    assert abs(est.values[2] + a) <= 5e-5
+
+
+def test_a_halved_period_never_doubles_back(monkeypatch):
+    # with no log budget the period doubles until 80 steps of 1e5 overflow;
+    # that chunk is redone once at 40, which then holds
+    monkeypatch.setattr(lyapunov, "_LOG_ROOM", np.inf)
+    periods, est = _periods_of(monkeypatch, cl.estimate_spectrum, constant_diag([1e5, 1.0]), 6)
+    assert periods == [20, 40, 80, 40, 40, 40, 40]
+    assert np.max(np.abs(est.values - [math.log(1e5), 0.0])) <= 1e-12
+
+
+@given(st.integers(2, 4), st.integers(0, 2), st.integers(-40, 40), st.integers(0, 2**16))
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_estimate_spectrum_matches_conjugated_diagonal_tuples(d, m, power, seed):
+    # an oracle independent of the kernel's arithmetic: the exact spectrum of
+    # a tuple conjugate to a diagonal one, shifted by the power of two that
+    # scales every map; the examples are fixed, as the check is statistical
+    product, diagonal = conjugated_diagonal_tuple(d, seed, m=m)
+    scaled = cl.RandomProduct(product.angles, [2.0 ** power * a for a in product.maps],
+                              product.weights)
+    exact = cl.diagonal_spectrum(diagonal) + power * LOG2
+    est = cl.estimate_spectrum(scaled, 3000, 8, seed=seed)
+    assert np.all(np.abs(est.values - exact) <= 5.0 * est.stderr)
+    again = cl.estimate_spectrum(scaled, 3000, 8, seed=seed)
+    assert again.replicates.tobytes() == est.replicates.tobytes()
+
+
 def test_single_replicate_has_zero_stderr():
     est = cl.estimate_spectrum(random_tuple(2, seed=8), 500, 1, seed=1)
     assert np.all(est.stderr == 0.0)
@@ -267,37 +356,38 @@ def test_knob_validation():
         cl.estimate_top_exponent(rp, 10, 1, seed=0, qr_period=5)
 
 
-# Replicate values of the per-replicate estimators that the lockstep kernel
-# replaced, as float.hex literals: the kernel must reproduce them bit for bit.
-# The last column of the d = 3 spectrum cases is the exponent pinned by the
-# step determinants; it was re-pinned when those moved from LU to the
-# cofactor kernel (see LU_PIN_LAST_COLUMN).
+# Replicate values of the lockstep kernel, as float.hex literals: the kernel
+# must reproduce them bit for bit.  They were first the per-replicate
+# estimators' values that the kernel replaced; the last column of the d = 3
+# spectrum cases, the exponent pinned by the step determinants, was re-pinned
+# when those moved from LU to the cofactor kernel (see LU_PIN_LAST_COLUMN),
+# and every case was regenerated when the step points became orbit phasors.
 GOLDEN_REPLICATES = [
     ("estimate_spectrum", lambda: random_tuple(3, seed=1), 1013, 3, 5, 20, [
-        ["0x1.9f3e99959b638p-1", "0x1.94842308d7a15p-1", "0x1.3d9420a45dc39p-1"],
-        ["0x1.9c0e099b7393fp-1", "0x1.96d5db3c0d106p-1", "0x1.3e78d70e19e29p-1"],
-        ["0x1.9f0d003cbfd44p-1", "0x1.95852685af90fp-1", "0x1.3e431a9b71191p-1"],
+        ["0x1.9f3e99959b638p-1", "0x1.94842308d7a14p-1", "0x1.3d9420a45dc38p-1"],
+        ["0x1.9c0e099b7393ep-1", "0x1.96d5db3c0d103p-1", "0x1.3e78d70e19e29p-1"],
+        ["0x1.9f0d003cbfd45p-1", "0x1.95852685af90ep-1", "0x1.3e431a9b71193p-1"],
     ]),
     ("estimate_spectrum", lambda: random_tuple(3, seed=1), 7, 2, 6, 20, [
-        ["0x1.a466d1d8e50edp-1", "0x1.8bb34fb379409p-1", "0x1.4c30f0ff6f34bp-1"],
+        ["0x1.a466d1d8e50ebp-1", "0x1.8bb34fb379409p-1", "0x1.4c30f0ff6f34ep-1"],
         ["0x1.b8742d5641acbp-1", "0x1.8096ae5059fc7p-1", "0x1.3a98b8daf42c0p-1"],
     ]),
     ("estimate_spectrum", lambda: random_tuple(2, seed=3), 2000, 2, 7, 3, [
-        ["0x1.9d0418b267896p-1", "0x1.3fd1719ee0d71p-1"],
-        ["0x1.9e3363410f9e8p-1", "0x1.41f618006f6a1p-1"],
+        ["0x1.9d0418b26789ep-1", "0x1.3fd1719ee0d62p-1"],
+        ["0x1.9e3363410f9e5p-1", "0x1.41f618006f6a3p-1"],
     ]),
     ("estimate_top_exponent", lambda: schrodinger_pair(3.0)[0], 1013, 3, 5, 20, [
         ["0x1.c69d0bef31d11p-1"],
         ["0x1.c76a81e52acd0p-1"],
-        ["0x1.c94b502a3a3bcp-1"],
+        ["0x1.c94b502a3a3bep-1"],
     ]),
     ("estimate_top_exponent", lambda: schrodinger_pair(3.0)[0], 7, 2, 6, 20, [
         ["0x1.df14c96bfcc95p-1"],
         ["0x1.c0a25275da3f6p-1"],
     ]),
     ("estimate_top_exponent", lambda: schrodinger_pair(2.5)[0], 2000, 2, 7, 3, [
-        ["0x1.27a9d16817f1ep-1"],
-        ["0x1.242490907e942p-1"],
+        ["0x1.27a9d16817f21p-1"],
+        ["0x1.242490907e941p-1"],
     ]),
 ]
 
@@ -315,31 +405,32 @@ def test_replicates_match_golden_bits(monkeypatch, estimator, make_product, n_it
 
 
 # values and stderr of the golden cases, as float.hex, pinned before both
-# estimators shared one replicate aggregation
+# estimators shared one replicate aggregation and regenerated with the
+# replicates above
 GOLDEN_AGGREGATES = {
     "estimate_spectrum-1013x3-period20": (
-        ["0x1.9e1de1249a43fp-1", "0x1.959fb6ee316b9p-1", "0x1.3e1ab0c4a2ea7p-1"],
-        ["0x1.084f1efbfb610p-9", "0x1.57cfd7a5f668cp-10", "0x1.142fb3832400ap-11"],
+        ["0x1.9e1de1249a43fp-1", "0x1.959fb6ee316b8p-1", "0x1.3e1ab0c4a2ea7p-1"],
+        ["0x1.084f1efbfb68bp-9", "0x1.57cfd7a5f6557p-10", "0x1.142fb3832421ep-11"],
     ),
     "estimate_spectrum-7x2-period20": (
-        ["0x1.ae6d7f97935dcp-1", "0x1.8624ff01e99e8p-1", "0x1.4364d4ed31b06p-1"],
-        ["0x1.40d5b7d5c9ddfp-6", "0x1.63942c63e883fp-7", "0x1.19838247b08b0p-6"],
+        ["0x1.ae6d7f97935dbp-1", "0x1.8624ff01e99e8p-1", "0x1.4364d4ed31b07p-1"],
+        ["0x1.40d5b7d5c9dffp-6", "0x1.63942c63e883fp-7", "0x1.19838247b08e0p-6"],
     ),
     "estimate_spectrum-2000x2-period3": (
-        ["0x1.9d9bbdf9bb93fp-1", "0x1.40e3c4cfa8209p-1"],
-        ["0x1.2f4a8ea8151ffp-10", "0x1.125330c7497ffp-9"],
+        ["0x1.9d9bbdf9bb942p-1", "0x1.40e3c4cfa8202p-1"],
+        ["0x1.2f4a8ea814700p-10", "0x1.125330c74a080p-9"],
     ),
     "estimate_top_exponent-1013x3-period20": (
-        ["0x1.c7c649ff879dfp-1"],
-        ["0x1.96b5292285ee0p-10"],
+        ["0x1.c7c649ff879e0p-1"],
+        ["0x1.96b5292286027p-10"],
     ),
     "estimate_top_exponent-7x2-period20": (
         ["0x1.cfdb8df0eb846p-1"],
         ["0x1.e7276f62289efp-6"],
     ),
     "estimate_top_exponent-2000x2-period3": (
-        ["0x1.25e730fc4b430p-1"],
-        ["0x1.c2a06bccaedffp-9"],
+        ["0x1.25e730fc4b431p-1"],
+        ["0x1.c2a06bccaefffp-9"],
     ),
 }
 
@@ -486,16 +577,32 @@ def _count_qr_calls(monkeypatch):
     return calls
 
 
+def _record_blocks(monkeypatch):
+    """The renormalization blocks of every chunk walk the kernel makes, in order."""
+    blocks = []
+    block_products = lyapunov._block_products
+
+    def recording(mats, period):
+        blocks.append(mats.shape[1] // period)
+        return block_products(mats, period)
+
+    monkeypatch.setattr(lyapunov, "_block_products", recording)
+    return blocks
+
+
 @pytest.mark.parametrize("n_iter, start_period",
                          [(1013, 20), (7, 20), (2000, 3), (2560, 20)])
 def test_one_public_qr_call_per_renormalization_block(monkeypatch, n_iter, start_period):
     # the benchmark counts these calls as lyapunov.qr.calls
     calls = _count_qr_calls(monkeypatch)
+    blocks = _record_blocks(monkeypatch)
     monkeypatch.setattr(lyapunov, "START_PERIOD", start_period)
     rp = random_tuple(3, seed=1)
     cl.estimate_spectrum(rp, n_iter, 2, seed=0)
-    assert len(calls) == math.ceil(n_iter / start_period)
+    assert len(calls) == sum(blocks)
     assert set(calls) == {"raw"}
+    # a doubled period runs fewer blocks than the start period would
+    assert sum(blocks) <= math.ceil(n_iter / start_period)
     calls.clear()
     cl.estimate_top_exponent(rp, n_iter, 2, seed=0)
     assert calls == []
@@ -566,16 +673,30 @@ def test_block_drawn_words_match_across_the_real_block_boundary():
 
 
 def _record_chunks(monkeypatch):
-    """The (words, starts) of every chunk the kernel evaluates, in order."""
+    """The (words, phasors) of every chunk the kernel evaluates, in order."""
     seen = []
     step_matrices = lyapunov._step_matrices
 
-    def recording(product, words, starts, period, workspace=None):
-        seen.append((words.copy(), starts.copy()))
-        return step_matrices(product, words, starts, period, workspace)
+    def recording(product, words, points, period, workspace=None):
+        # a redone chunk is evaluated again from the same arrays
+        if not seen or seen[-1][0] is not words:
+            seen.append((words, points.copy()))
+        return step_matrices(product, words, points, period, workspace)
 
     monkeypatch.setattr(lyapunov, "_step_matrices", recording)
     return seen
+
+
+def _exact_orbit(angles, word, first):
+    """Points t_j = first + angles[w_0] + ... + angles[w_{j-1}] mod 1 in exact
+    rational arithmetic on the float angles, one per step of the word."""
+    step = [Fraction(float(a)) for a in angles]
+    t = Fraction(float(first))
+    points = []
+    for s in word:
+        points.append(float(t - math.floor(t)))
+        t += step[s]
+    return np.array(points)
 
 
 @pytest.mark.parametrize("estimator", ["estimate_spectrum", "estimate_top_exponent"])
@@ -584,6 +705,8 @@ def _record_chunks(monkeypatch):
                          ids=["1", "chunk-1", "chunk", "chunk+1", "3chunk+7"])
 def test_streamed_starts_match_one_full_length_cumsum(monkeypatch, estimator, n_symbols,
                                                       chunks, extra):
+    # the phasors the kernel streams chunk by chunk sit on the orbit of one
+    # exact cumulative sum over the whole word
     monkeypatch.setattr(lyapunov, "START_PERIOD", 3)
     chunk = lyapunov.CHUNK_BLOCKS * 3
     n_iter = chunks * chunk + extra
@@ -595,8 +718,9 @@ def test_streamed_starts_match_one_full_length_cumsum(monkeypatch, estimator, n_
     assert [w.shape[1] for w, _ in seen] == [min(chunk, n_iter - lo)
                                              for lo in range(0, n_iter, chunk)]
     assert np.array_equal(np.concatenate([w for w, _ in seen], axis=1), words)
-    # tobytes: a signed zero must match too
-    assert np.concatenate([t for _, t in seen], axis=1).tobytes() == starts.tobytes()
+    phasors = np.concatenate([p for _, p in seen], axis=1)
+    exact = np.array([_exact_orbit(rp.angles, w, t) for w, t in zip(words, starts[:, 0])])
+    assert np.max(np.abs(phasors - np.exp(2j * np.pi * exact))) <= 1e-13
 
 
 def test_sampling_memory_grows_by_the_words_byte_per_step(monkeypatch):
