@@ -11,7 +11,8 @@ Four certificate kinds:
     Distinctness of all equal-cardinality subset sums of an exponent list.
 ``TWIST_D``
     Finiteness of the circle integrals of log |minor| for every minor of
-    the closed-form homoclinic holonomy.
+    the closed-form homoclinic holonomy, with each minor's zeros read off
+    the unit-circle roots of its Fourier modes.
 
 Verdicts are PASS / FAIL / INCONCLUSIVE; a PASS always comes with a
 nonnegative margin, a FAIL always carries a concrete witness in the
@@ -28,9 +29,10 @@ from pathlib import Path
 
 import numpy as np
 
+from ._circle_roots import fourier_modes, zeros
 from ._cofactor import _entries, _max_row_norms, _minors
 from .circle import (CIRCLE_GRID_N, circle_grid, circle_mean,
-                     homoclinic_base_holonomy, rotate, wrap_unit)
+                     homoclinic_base_holonomy, rotate)
 from .holonomy import (PULLBACK_DEPTH, SHORT_PULLBACK_DEPTH,
                        closed_form_holonomy_many, oseledets_directions,
                        projective_distance)
@@ -53,7 +55,7 @@ HALF_RUN_MAX = 1.25
 PINCH_N_ITER = 20000
 PINCH_N_REP = 8
 TWIST_N_SAMPLES = 200
-# log_integrability's scan grid; a coarser one could miss close zero pairs
+# log_integrability's scan grid
 SCAN_GRID_N = CIRCLE_GRID_N
 
 # Certifier thresholds on dimensionless quantities (WEAK_TWIST's sine
@@ -65,25 +67,15 @@ FRAC_THRESHOLD = 0.05
 REL_GAP = 1e-6
 ZERO_REL_TOL = 1e-12
 
-# Roots and dip minimizers are refined to this width in t.
-ROOT_XTOL = 1e-12
-
-# |g'(root)| must exceed this times sup |g| to count as transversal.
-TRANSVERSAL_FACTOR = 1e-8
-_DIFF_STEP = 3e-6
-_ROOT_MERGE_TOL = 1e-9
 # A zero this close to a scan node takes the node's limit in the integral.
 # The limit is off by about m (pi n delta)^2 / 6n at a distance delta, the
-# closed-form term by about m ROOT_XTOL / (n delta) for a root off by
-# ROOT_XTOL; at this distance both are under 1e-9 m.
+# closed-form term by about m e / (n delta) for a zero off by e; Newton's
+# method leaves e at a few 1e-16 in t, so at this distance both are under
+# 1e-9 m.
 _NODE_TOL = 1e-7
-_FIT_OFFSETS = np.geomspace(1e-7, 1e-4, 13)
-# bisection stops at |step| < xtol + _BISECT_RTOL |x|, as scipy's does
-_BISECT_RTOL = 4.0 * np.finfo(float).eps
-_MAX_REFINE_ITER = 100
-# bisect serves this many halvings of every open bracket per call of f
-_LOOKAHEAD = 4
-_GOLDEN_CUT = (math.sqrt(5.0) - 1.0) / 2.0
+# g counts as resolved when its chopped Fourier series ends below this
+# degree; the root finder's companion matrix has twice as many rows.
+_MAX_DEGREE = SCAN_GRID_N // 64
 
 
 def _jsonable(value):
@@ -362,117 +354,6 @@ class LogIntegralResult:
         return math.isfinite(self.estimate)
 
 
-def bisect(f, lo, hi, xtol):
-    """Roots of ``f`` in every bracket [lo[k], hi[k]], refined together.
-
-    ``f`` maps a 1d array of points to values of equal shape; f(lo[k]) and
-    f(hi[k]) must not share a strict sign.  Each bracket follows the
-    arithmetic of scipy.optimize.bisect, except where scipy's product of
-    two values under/overflows: halve the step, move the low end to the
-    midpoint when f there has the sign f has at the original low end, and
-    stop on an exact zero or once the step is below
-    ``xtol + 4 eps |midpoint|``.  A bracket still open after 100 halvings
-    returns its low end.
-
-    The first call of ``f`` takes both ends of every bracket.  Each later
-    call serves the next four halvings of every open bracket: it takes the
-    15 midpoints those halvings can reach (fewer once the bracket's step is
-    below ``xtol``), each built by the same addition low end + halved step
-    that one halving at a time makes, and every bracket then walks down its
-    own tree with the sign and stop tests in order.  So the roots are the
-    bits of one halving per call, in about a quarter of the calls.
-    """
-    lo = np.array(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    n = lo.size
-    ends = f(np.concatenate([lo, hi]))
-    f_lo, f_hi = ends[:n], ends[n:]
-    if np.any(np.sign(f_lo) * np.sign(f_hi) > 0.0):
-        raise ValueError("f must change sign on every bracket")
-    roots = np.where(f_lo == 0.0, lo, hi)
-    live = np.nonzero((f_lo != 0.0) & (f_hi != 0.0))[0].tolist()
-    lows, steps = lo.tolist(), (hi - lo).tolist()
-    # f times the sign of f at the low end is >= 0 exactly when scipy's
-    # f_mid * f_lo is, but it cannot under/overflow
-    signs = np.sign(f_lo).tolist()
-    rtol = float(_BISECT_RTOL)
-    halvings = 0
-    while live and halvings < _MAX_REFINE_ITER:
-        depth = min(_LOOKAHEAD, _MAX_REFINE_ITER - halvings)
-        # level k of a bracket's tree holds the 2^k midpoints that its
-        # (k + 1)-th halving from here can make; node j's children are 2j
-        # (the low end stayed) and 2j + 1 (the low end moved to node j)
-        points, trees = [], []
-        for i in live:
-            starts, h, path = [lows[i]], steps[i], []
-            for _ in range(depth):
-                h *= 0.5
-                mids = [x + h for x in starts]
-                points += mids
-                path.append(h)
-                if abs(h) < xtol:
-                    break  # the bracket stops by this level
-                starts = [x for pair in zip(starts, mids) for x in pair]
-            trees.append(path)
-        vals = f(np.array(points)).tolist()
-        still_open = []
-        base = 0
-        for i, path in zip(live, trees):
-            node = 0
-            for k, h in enumerate(path):
-                at = base + (1 << k) - 1 + node
-                mid, f_mid = points[at], vals[at]
-                node *= 2
-                if f_mid * signs[i] >= 0.0:
-                    lows[i] = mid
-                    node += 1
-                if f_mid == 0.0 or abs(h) < xtol + rtol * abs(mid):
-                    roots[i] = mid
-                    break
-            else:
-                steps[i] = h
-                still_open.append(i)
-            base += (1 << len(path)) - 1
-        halvings += depth
-        live = still_open
-    for i in live:
-        roots[i] = lows[i]
-    return roots
-
-
-def minimize_scalar(f, lo, hi, xtol):
-    """Minimizers of ``f`` on every interval [lo[k], hi[k]], by golden-section search.
-
-    Each iteration evaluates both interior points of every interval still
-    wider than ``2 * xtol`` in one call of ``f`` and keeps the part around
-    the smaller value, for at most 100 iterations.  Returns the midpoints of
-    the final intervals, so a minimizer of an f that is unimodal on its
-    interval lies within ``xtol`` of the point returned.
-    """
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    for _ in range(_MAX_REFINE_ITER):
-        live = np.nonzero(hi - lo > 2.0 * xtol)[0]
-        if not live.size:
-            break
-        cut = _GOLDEN_CUT * (hi[live] - lo[live])
-        left = hi[live] - cut
-        right = lo[live] + cut
-        vals = f(np.concatenate([left, right]))
-        go_left = vals[:live.size] < vals[live.size:]
-        hi[live[go_left]] = right[go_left]
-        lo[live[~go_left]] = left[~go_left]
-    return 0.5 * (lo + hi)
-
-
-def _circle_gap(t, roots):
-    """Circular distance from t (scalar or array) to the nearest of roots."""
-    if not roots:
-        return np.full(np.shape(t), math.inf)
-    diff = np.abs(np.subtract.outer(t, roots))
-    return np.minimum(diff, 1.0 - diff).min(axis=-1)
-
-
 def _cell_integrals(logs):
     """Integral of |log |g|| over each scan cell (k, k + 1), over the cell width.
 
@@ -492,61 +373,23 @@ def _cell_integrals(logs):
     return cells
 
 
-def _vanishes_on_run(run_vals):
-    """Does |g| on a run of sub-tolerance grid points mark an interval zero?
-
-    A run of one or two points is an isolated zero.  A longer run is one
-    only when |g| falls strictly to a single interior minimum and then
-    rises strictly, as near a zero of high order; a flat or wavering run
-    means g vanishes on an interval.
-    """
-    if len(run_vals) < 3:
-        return False
-    k = int(np.argmin(run_vals))
-    steps = np.diff(run_vals)
-    return not (0 < k < len(run_vals) - 1
-                and np.all(steps[:k] < 0.0) and np.all(steps[k:] > 0.0))
-
-
-def _fit_zero_order(abs_vals, sup):
-    """Estimate order m and scale c of |g| ~ c |t - root|^m by a log-log fit.
-
-    ``abs_vals[i]`` holds |g| at root - u and root + u for the i-th offset u
-    of ``_FIT_OFFSETS``.  The integral reads c only at a zero within
-    ``_NODE_TOL`` of a scan node (``log_integrability``).
-    """
-    log_u = []
-    log_g = []
-    for u, pair in zip(_FIT_OFFSETS, abs_vals.tolist()):
-        for val in pair:
-            if val > 0.0:
-                log_u.append(math.log(u))
-                log_g.append(math.log(val))
-    if len(log_u) < 4:
-        return 1, max(sup, 1.0)
-    slope, _ = np.polyfit(log_u, log_g, 1)
-    m = max(int(round(slope)), 1)
-    log_c = float(np.mean(np.asarray(log_g) - m * np.asarray(log_u)))
-    return m, math.exp(log_c)
-
-
 def log_integrability(g, *, scale=1.0):
     """Estimate the circle integral of |log |g||, locating the zeros of g.
 
-    The scan grid of ``SCAN_GRID_N`` points (``circle.circle_grid``) finds
-    sign changes (refined by bisection to ``ROOT_XTOL`` in t) and runs of
-    grid points with |g| below ``ZERO_REL_TOL * scale`` (a run's zeros are
-    its nodes where g is exactly 0 or, with none, its center); dips of |g|
-    below ``sqrt(ZERO_REL_TOL) * scale`` are polished by golden-section
-    search to catch even-order zeros.  A run of three or more points means
-    g vanishes on an interval, and the integral is infinite, unless |g|
-    along it falls strictly to a single minimum and then rises strictly, as
-    it does around a zero of high order.
-
-    Each zero gets a transversality check of the central-difference
-    derivative against ``TRANSVERSAL_FACTOR * sup |g|``; non-transversal
-    zeros fall back to a log-log fit of the local order m, which has no
-    upper cap.  Either gives the scale c of |g| ~ c |t - root|^m.
+    ``g`` is called once, on the ``SCAN_GRID_N`` points of
+    ``circle.circle_grid``, and must return values of the same shape.  Its
+    Fourier modes there, chopped where they fall to rounding, are g as a
+    trig polynomial: exactly for a trig polynomial, to convergence for an
+    analytic g.  The zeros of g are the unit-circle roots of that
+    polynomial (``_circle_roots.zeros``): the m roots that rounding splits
+    off one zero of order m form one group, a group where |g| is at most
+    ``ZERO_REL_TOL * scale`` is a zero of order m, polished by Newton's
+    method on the (m - 1)-th derivative, and a zero of order above 1 is
+    reported as not transversal.  The integral is infinite when g stays
+    below that threshold on the whole grid (it vanishes on an interval) or
+    when its series has not converged by degree ``_MAX_DEGREE``: no
+    analytic g vanishes on an interval, and the roots of an unresolved
+    series say nothing about the zeros of g.
 
     The integral is read off the scan values: their trapezoid sum, corrected
     where |g| crosses 1 (``_cell_integrals``), plus m log |2 sin(pi n r)| / n
@@ -555,17 +398,9 @@ def log_integrability(g, *, scale=1.0):
     (Sidi and Israeli, J. Sci. Comput. 1988).  So g with its zeros divided
     out, which is smooth, is integrated at the trapezoid rule's geometric
     rate however close the zeros lie.  A zero within ``_NODE_TOL`` of a node
-    adds no such term; log |g| there takes its limit, log c - m log(2 pi n).
+    adds no such term; log |g| there takes its limit, log c - m log(2 pi n),
+    where |g| ~ c |t - r|^m near r, c = |g^(m)(r)| / m! from the modes.
 
-    ``g`` must accept a 1d array of circle points and return values of the
-    same shape.  After the scan, every call of ``g`` serves all brackets,
-    dips or zeros together: ``bisect`` calls it once for the bracket ends
-    and then once per four halvings; golden-section search once per
-    iteration, and once more to test the polished dips; one call takes the
-    central-difference probes; and one the order-fit offsets of the
-    non-transversal zeros.  Neighbouring grid values and bracket ends are
-    compared by sign, never by their product, which would under/overflow
-    for a g far from 1.
     ``scale``, finite and positive, is the size of the terms that make up g
     (a minor's Hadamard bound), so g and ``scale`` rescaled together give
     the same zeros.
@@ -581,81 +416,16 @@ def log_integrability(g, *, scale=1.0):
         raise ValueError("g must be finite on the scan grid")
     absvals = np.abs(vals)
     sup = float(absvals.max())
-    small = absvals < zero_thr
-
-    # runs of grid points already inside the zero tolerance
-    small_idx = np.nonzero(small)[0]
-    groups = []
-    if small_idx.size:
-        groups = np.split(small_idx, np.nonzero(np.diff(small_idx) > 1)[0] + 1)
-        if len(groups) > 1 and groups[0][0] == 0 and groups[-1][-1] == SCAN_GRID_N - 1:
-            # the run straddles t = 0; unwrap its front half past 1
-            groups[0] = np.concatenate([groups.pop(), groups[0] + SCAN_GRID_N])
-
-    if sup < zero_thr or any(_vanishes_on_run(absvals[group % SCAN_GRID_N])
-                             for group in groups):
+    modes = fourier_modes(vals) if sup >= zero_thr else None
+    if modes is None or len(modes) > _MAX_DEGREE:
+        reason = ("g vanishes on an interval" if modes is None
+                  else "g is not resolved by its Fourier modes")
         return LogIntegralResult(
             estimate=math.inf, zeros=[], orders=[],
-            diagnostics={"reason": "g vanishes on an interval", "sup": sup,
-                         "grid_n": SCAN_GRID_N, "scale": scale},
+            diagnostics={"reason": reason, "sup": sup, "grid_n": SCAN_GRID_N,
+                         "scale": scale},
         )
-
-    def f(x):
-        return np.asarray(g(wrap_unit(x)), dtype=float)
-
-    n = SCAN_GRID_N
-    h = 1.0 / n
-    # each run of grid points inside the zero tolerance gives its nodes where
-    # g is exactly 0 or, with none, its center
-    roots = []
-    for group in groups:
-        exact = group[vals[group % n] == 0.0] % n
-        roots += (exact * h).tolist() if exact.size else [wrap_unit(float(np.mean(group * h)))]
-
-    # sign changes between grid neighbors that are clear of the tolerance
-    starts = ts[(~small) & (~np.roll(small, -1))
-                & (np.sign(vals) * np.sign(np.roll(vals, -1)) < 0.0)]
-    if starts.size:
-        roots += [wrap_unit(r) for r in bisect(f, starts, starts + h, ROOT_XTOL).tolist()]
-
-    # dips of |g| that may hide even-order zeros
-    dip_thr = math.sqrt(ZERO_REL_TOL) * scale
-    dips = ts[(absvals < dip_thr) & (~small)
-              & (absvals < np.roll(absvals, 1)) & (absvals <= np.roll(absvals, -1))]
-    dips = dips[_circle_gap(dips, roots) >= 2 * h]
-    if dips.size:
-        xs = minimize_scalar(lambda x: np.abs(f(x)), dips - h, dips + h, ROOT_XTOL * 0.1)
-        hit = np.abs(f(xs)) < zero_thr
-        for t_i, x in zip(dips[hit].tolist(), xs[hit].tolist()):
-            # a zero polished from an earlier dip may already sit next to t_i
-            if _circle_gap(t_i, roots) >= 2 * h:
-                roots.append(wrap_unit(x))
-
-    roots = sorted(roots)
-    merged = []
-    for r in roots:
-        if merged and (r - merged[-1] < _ROOT_MERGE_TOL):
-            continue
-        merged.append(r)
-    if len(merged) > 1 and (merged[0] + 1.0 - merged[-1]) < _ROOT_MERGE_TOL:
-        merged.pop()
-    roots = merged
-
-    # the central difference, and for a non-transversal zero the order fit,
-    # give each zero's order m and scale c
-    q = len(roots)
-    r = np.array(roots)
-    probes = f(np.concatenate([r + _DIFF_STEP, r - _DIFF_STEP])) if q else r
-    derivs = (probes[:q] - probes[q:]) / (2.0 * _DIFF_STEP)
-    transversal = np.abs(derivs) > TRANSVERSAL_FACTOR * sup
-    orders = [1] * q
-    scales = np.abs(derivs).tolist()
-    flat = np.nonzero(~transversal)[0]
-    if flat.size:
-        sides = r[flat, None, None] + np.stack([-_FIT_OFFSETS, _FIT_OFFSETS], axis=1)
-        fit_vals = np.abs(f(sides.ravel())).reshape(sides.shape)
-        for j, abs_vals in zip(flat.tolist(), fit_vals):
-            orders[j], scales[j] = _fit_zero_order(abs_vals, sup)
+    roots, orders, log_scales = zeros(modes, zero_thr)
 
     # Over the scan nodes the trapezoid sum of log |2 sin pi (t - x)| is
     # log |2 sin(pi n x)| / n, and its integral is 0.  So with l = log |g|
@@ -663,13 +433,14 @@ def log_integrability(g, *, scale=1.0):
     # term for each zero x of order m is the integral, up to the error of
     # the trapezoid rule on smooth functions.  A zero within _NODE_TOL of a
     # node instead gives l there its limit minus the term, log c - m log(2 pi n).
+    n = SCAN_GRID_N
     on_node = {}
     correction = 0.0
-    for x, c, m in zip(roots, scales, orders):
+    for x, log_c, m in zip(roots, log_scales, orders):
         k = round(x * n)
         off = x * n - k  # exact, n being a power of two
         if abs(off) <= _NODE_TOL * n:
-            on_node[k % n] = math.log(c) - m * math.log(2.0 * math.pi * n)
+            on_node[k % n] = log_c - m * math.log(2.0 * math.pi * n)
         else:
             correction += m * math.log(abs(2.0 * math.sin(math.pi * off))) / n
     nodes = list(on_node)
@@ -680,11 +451,10 @@ def log_integrability(g, *, scale=1.0):
 
     return LogIntegralResult(
         estimate=float(circle_mean(_cell_integrals(logs))) + correction,
-        zeros=[float(x) for x in roots],
+        zeros=roots,
         orders=orders,
         diagnostics={
-            "transversal": transversal.tolist(),
-            "derivatives": derivs.tolist(),
+            "transversal": [m == 1 for m in orders],
             "sup": sup,
             "grid_n": SCAN_GRID_N,
             "scale": scale,
@@ -692,24 +462,15 @@ def log_integrability(g, *, scale=1.0):
     )
 
 
-def _minor_function(product, index, precomputed):
-    """The minor ``index`` of the closed-form holonomy as a function of t.
+def _minor_function(index, entries):
+    """The minor ``index`` of the holonomy as ``log_integrability`` calls it.
 
-    ``precomputed`` is one ``(points, entries)`` pair, the holonomy on
-    ``points`` in the ``_entries`` layout.  Called on those points, the
-    function reads the stored entries; any other points are evaluated
-    afresh.
+    ``entries`` holds the holonomy on the scan grid in the ``_entries``
+    layout, and ``log_integrability`` calls g once, on that grid.
     """
     rows = [r - 1 for r in index.rows]
     cols = [c - 1 for c in index.cols]
-    points, stored = precomputed
-
-    def g(ts):
-        entries = stored if np.array_equal(ts, points) else _entries(
-            closed_form_holonomy_many(product, ts))
-        return _minors(entries, rows, cols)
-
-    return g
+    return lambda ts: _minors(entries, rows, cols)
 
 
 def twisting_d(product):
@@ -720,28 +481,29 @@ def twisting_d(product):
     minor touches zero tangentially, since a log-integrable tangency does
     not break twisting.  A FAIL carries minus the number of minors with an
     infinite integral as its margin, so every FAIL is below 0.  The largest
-    per-minor count of non-transversal zeros is reported for every verdict
-    as ``max_non_transversal`` in the diagnostics.
+    per-minor count of non-transversal zeros (zeros of order above 1) is
+    reported for every verdict as ``max_non_transversal`` in the
+    diagnostics.
 
-    Each minor on rows I gets the ``scale`` prod_{i in I} max_t |row_i H(t)|
-    over the ``SCAN_GRID_N`` scan points, its Hadamard bound, which a
-    rescaled map changes by the same factor as the minor, so neither zeros
-    nor verdict depend on it.
+    The holonomy H is evaluated once, on the ``SCAN_GRID_N`` scan points,
+    and each minor is handed to ``log_integrability`` on them.  When map 0
+    is constant every minor is a trig polynomial, otherwise an analytic
+    function, so its zeros and their orders are read off the unit-circle
+    roots of its Fourier modes.  Each minor on rows I gets the ``scale``
+    prod_{i in I} max_t |row_i H(t)| over the scan points, its Hadamard
+    bound, which a rescaled map changes by the same factor as the minor, so
+    neither zeros nor verdict depend on it.
     """
     d = product.dim
-    # every minor scans, and integrates on, the same grid: the holonomy is
-    # evaluated there once
-    grid = circle_grid()
-    precomputed = (grid, _entries(closed_form_holonomy_many(product, grid)))
-    row_max = _max_row_norms(precomputed[1]).tolist()
+    entries = _entries(closed_form_holonomy_many(product, circle_grid()))
+    row_max = _max_row_norms(entries).tolist()
     per_minor = []
     worst_non_transversal = 0
     n_infinite = 0
     infinite_witness = None
     for index in all_minor_indices(d):
-        g = _minor_function(product, index, precomputed)
         scale = math.prod(row_max[r - 1] for r in index.rows)
-        result = log_integrability(g, scale=scale)
+        result = log_integrability(_minor_function(index, entries), scale=scale)
         n_non_trans = sum(1 for flag in result.diagnostics.get("transversal", [])
                           if not flag)
         worst_non_transversal = max(worst_non_transversal, n_non_trans)

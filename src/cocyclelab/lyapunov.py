@@ -211,17 +211,16 @@ def _harmonics(phasors, k):
     return cos.T, sin.T
 
 
-def _step_matrices(product, words, points, period, workspace=None):
+def _step_matrices(product, words, phasors, period, workspace=None):
     """Step matrices of a chunk, padded with identities to whole blocks.
 
-    ``words`` and ``points`` have shape (n_rep, n); ``points`` holds each
-    step's circle point t, or its phasor e^{2 pi i t} (complex).  The
-    result has shape (n_rep, ceil(n / period) * period, d, d).  Each
-    symbol's points are gathered in row-major order, evaluated in one batch
-    (phasors through the harmonics of their powers, points by
-    ``eval_many``) and placed by flat integer index.  The result is the
-    head of ``workspace``, a flat float buffer of twice its size, and the
-    symbols are evaluated into the tail.
+    ``words`` and ``phasors`` have shape (n_rep, n); ``phasors`` holds each
+    step's phasor e^{2 pi i t}.  The result has shape (n_rep, ceil(n /
+    period) * period, d, d).  Each symbol's phasors are gathered in
+    row-major order, evaluated in one batch through the harmonics of their
+    powers and placed by flat integer index.  The result is the head of
+    ``workspace``, a flat float buffer of twice its size, and the symbols
+    are evaluated into the tail.
     """
     n_rep, n = words.shape
     d = product.dim
@@ -235,15 +234,12 @@ def _step_matrices(product, words, points, period, workspace=None):
     for s, mat_map in enumerate(product.maps):
         idx = np.flatnonzero(words == s)
         if idx.size:
-            at = points.take(idx)
+            at = phasors.take(idx)
             if n_pad != n:
                 # row r of the (n_rep, n) chunk starts at r * n_pad in ``flat``
                 idx += idx // n * (n_pad - n)
             values = workspace[size:size + idx.size * d * d].reshape(idx.size, d, d)
-            if np.iscomplexobj(at):
-                flat[idx] = mat_map._eval_harmonics(*_harmonics(at, mat_map.degree), values)
-            else:
-                flat[idx] = mat_map.eval_many(at, out=values)
+            flat[idx] = mat_map._eval_harmonics(*_harmonics(at, mat_map.degree), values)
     return mats
 
 

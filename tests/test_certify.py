@@ -20,8 +20,8 @@ import cocyclelab as cl
 from cocyclelab import certify, holonomy
 from cocyclelab.certify import REL_GAP
 from cocyclelab.circle import circle_grid
-from util import (axis_pair, bisect_reference, diagonal_first_tuple_d4, pipeline_tuple_d3,
-                  random_tuple, schrodinger_pair)
+from util import (axis_pair, diagonal_first_tuple_d4, pipeline_tuple_d3, random_tuple,
+                  schrodinger_pair)
 
 LOG2 = math.log(2.0)
 
@@ -480,9 +480,9 @@ def test_log_integral_zeros_move_with_the_scale():
 
 @pytest.mark.parametrize("m", [4, 5, 6])
 def test_log_integral_high_order_zeros(m):
-    # an order-m zero puts a run of grid points under the zero threshold; |g|
-    # falls strictly to the run's minimum and rises again, so it is no
-    # interval zero
+    # an order-m zero puts a run of grid points under the zero threshold,
+    # which is no interval zero: rounding splits it into m roots that form
+    # one group
     result = cl.log_integrability(lambda t: np.sin(2 * np.pi * t) ** m)
     assert result.finite
     assert result.orders == [m, m]
@@ -494,7 +494,7 @@ def test_log_integral_exact_zero_on_an_interval_is_infinite():
     result = cl.log_integrability(
         lambda t: np.where((t >= 0.3) & (t <= 0.4), 0.0, np.sin(np.pi * (t - 0.3)) ** 2))
     assert result.estimate == math.inf
-    assert result.diagnostics["reason"] == "g vanishes on an interval"
+    assert result.diagnostics["reason"] == "g is not resolved by its Fourier modes"
 
 
 def test_log_integral_small_runs_straddling_zero():
@@ -502,7 +502,7 @@ def test_log_integral_small_runs_straddling_zero():
     # under the zero threshold, and the run at 1 - h/2 wraps around t = 0
     h = 1.0 / cl.certify.SCAN_GRID_N
     result = cl.log_integrability(lambda t: 1e-5 * np.sin(2 * np.pi * (t + h / 2)) ** 2)
-    assert result.zeros == [0.5 - h / 2, 1.0 - h / 2]
+    assert result.zeros == pytest.approx([0.5 - h / 2, 1.0 - h / 2], abs=1e-15)
     assert result.orders == [2, 2]
     assert result.finite
 
@@ -574,157 +574,77 @@ def test_log_integral_of_planted_simple_zeros_is_exact(roots, shrink):
     assert result.estimate == pytest.approx(-math.log(a), rel=1e-9)
 
 
-def _planted(roots, orders, scale):
-    """scale * prod_k sin(pi (t - r_k))^m_k at one point, in math arithmetic."""
-    def f(t):
-        value = scale
-        for r, m in zip(roots, orders):
-            value *= math.sin(math.pi * (t - r)) ** m
-        return value
-    return f
+def _planted_products(n, seed):
+    """n products a prod_j (2 sin pi (t - r_j))^m_j with 2 or 4 uniform
+    zeros r_j of orders m_j in 1..3 with an even total (the last order moves
+    by one otherwise), and a = 2^-(sum m_j + U(0, 2)), so |g| < 1 and the
+    integral is -log a; each with its zeros, orders, a and the scale
+    a 2^(sum m_j), the largest |g| can be."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        q = int(rng.choice([2, 4]))
+        roots = np.sort(rng.uniform(0.0, 1.0, q)).tolist()
+        orders = rng.integers(1, 4, q)
+        if orders.sum() % 2:
+            orders[-1] += 1 if orders[-1] < 3 else -1
+        total = int(orders.sum())
+        a = 2.0 ** -(total + rng.uniform(0.0, 2.0))
+        yield roots, orders.tolist(), a, a * 2.0 ** total
 
 
-def _batched(f):
-    """Vectorized f built from the scalar one, so both see the same values."""
-    return lambda xs: np.array([f(x) for x in xs.tolist()])
+def test_log_integral_of_planted_products():
+    # zeros of orders 2 and 3 that lie off the scan nodes, and pairs of them
+    # a few dozen cells apart, where |g| between stays under the zero
+    # threshold; two pairs are closer than rounding can resolve ([3, 2]
+    # 4.6 cells and [3, 3] 20 cells apart), so they read as one zero.  A
+    # zero of order 3 next to another one is placed to about 1e-9, which
+    # moves its closed-form term by up to about 1e-9 relative
+    exact = 0
+    for roots, orders, a, scale in _planted_products(400, seed=7):
+        result = cl.log_integrability(_sine_product(a, roots, orders), scale=scale)
+        assert result.finite
+        if result.orders == orders and np.all(np.abs(np.subtract(result.zeros, roots)) <= 1e-8):
+            exact += 1
+            assert result.estimate == pytest.approx(-math.log(a), rel=2e-9)
+    assert exact >= 395
 
 
-# planted zeros at (slot + frac) / 64 for distinct slots: at least 1/64 apart
-planted_roots = st.lists(st.integers(0, 63), min_size=2, max_size=4,
-                         unique=True).flatmap(
-    lambda slots: st.tuples(
-        st.just(sorted(slots)),
-        st.lists(st.floats(0.1, 0.9), min_size=len(slots), max_size=len(slots))))
-bracket_sides = st.floats(1e-7, 1e-3)
+def test_log_integral_order_three_pair_103_cells_apart():
+    # |g| stays under ZERO_REL_TOL times the scale all the way between the
+    # two zeros, which once read as g vanishing on an interval
+    n = certify.SCAN_GRID_N
+    a = 2.0 ** -7
+    roots = [0.3 + 0.25 / n, 0.3 + 103.25 / n]
+    result = cl.log_integrability(_sine_product(a, roots, [3, 3]), scale=a * 2.0 ** 6)
+    assert result.orders == [3, 3]
+    assert result.zeros == pytest.approx(roots, abs=1e-10)
+    assert result.estimate == pytest.approx(-math.log(a), rel=1e-10)
 
 
-@given(planted_roots, st.lists(st.sampled_from([1, 3]), min_size=4, max_size=4),
-       st.lists(st.tuples(bracket_sides, bracket_sides), min_size=4, max_size=4),
-       st.floats(0.1, 10.0), st.sampled_from([1e-6, 1e-9, 1e-12, 1e-15, 1e-300]))
-@settings(max_examples=60, deadline=None)
-def test_bisect_matches_scipy_bit_for_bit(slots_fracs, orders, sides, scale, xtol):
-    slots, fracs = slots_fracs
-    roots = [(k + u) / 64.0 for k, u in zip(slots, fracs)]
-    orders = orders[:len(roots)]
-    if sum(orders) % 2:
-        # an even total order keeps the product 1-periodic, a trig polynomial
-        orders[-1] += 2 if orders[-1] == 1 else -2
-    f = _planted(roots, orders, scale)
-    lo = [r - a for r, (a, _) in zip(roots, sides)]
-    hi = [r + b for r, (_, b) in zip(roots, sides)]
-    got = certify.bisect(_batched(f), np.array(lo), np.array(hi), xtol)
-    want = [scipy.optimize.bisect(f, a, b, xtol=xtol) for a, b in zip(lo, hi)]
-    assert got.tolist() == want
-
-
-def test_bisect_exact_zero_at_an_end_or_midpoint():
-    # dyadic roots: the first midpoint of [0, 1/2] and both ends hit zeros
-    # exactly, and so does the sixth midpoint of the last bracket, past the
-    # first call's four halvings
-    f = _planted([0.25, 0.75], [1, 1], 1.0)
-    lo = np.array([0.0, 0.5, 0.125, 0.25 - 2.0 ** -7])
-    hi = np.array([0.5, 0.875, 0.25, 0.75 - 2.0 ** -7])
-    want = [scipy.optimize.bisect(f, a, b, xtol=1e-12) for a, b in zip(lo, hi)]
-    assert certify.bisect(_batched(f), lo, hi, 1e-12).tolist() == want
-    with pytest.raises(ValueError):
-        certify.bisect(_batched(f), np.array([0.3]), np.array([0.4]), 1e-12)
-
-
-# up to eight planted zeros and a bracket around each, from 1e-9 to 1e-3 a side
-many_brackets = st.lists(st.integers(0, 63), min_size=1, max_size=8,
-                         unique=True).flatmap(
-    lambda slots: st.tuples(
-        st.just(sorted(slots)),
-        st.lists(st.tuples(st.floats(0.1, 0.9), st.sampled_from([1, 3]),
-                           st.floats(-9.0, -3.0), st.floats(-9.0, -3.0)),
-                 min_size=len(slots), max_size=len(slots))))
-
-
-@given(many_brackets, st.floats(0.1, 10.0), st.sampled_from([1e-6, 1e-12, 1e-15, 1e-300]))
-@settings(max_examples=80, deadline=None)
-def test_bisect_lookahead_matches_one_halving_per_call(slots_params, scale, xtol):
-    # brackets of widths 2e-9 ... 2e-3 close after different numbers of
-    # halvings, so the trees of one call mix brackets at every stage
-    slots, params = slots_params
-    roots = [(k + u) / 64.0 for k, (u, _, _, _) in zip(slots, params)]
-    f = _planted(roots, [m for _, m, _, _ in params], scale)
-    lo = np.array([(k + u) / 64.0 - 10.0 ** a for k, (u, _, a, _) in zip(slots, params)])
-    hi = np.array([(k + u) / 64.0 + 10.0 ** b for k, (u, _, _, b) in zip(slots, params)])
-    got = certify.bisect(_batched(f), lo, hi, xtol)
-    assert got.tolist() == bisect_reference(_batched(f), lo, hi, xtol).tolist()
-
-
-def test_bisect_stops_after_exactly_100_halvings():
-    # |step| never falls below 1e-300 + 4 eps |x| while x closes in on 0,
-    # so the bracket is still open after 100 halvings and returns its low end
-    lo, hi = np.array([-1.0]), np.array([0.7])
-    got = certify.bisect(lambda xs: xs, lo, hi, 1e-300)
-    assert got.tolist() == bisect_reference(lambda xs: xs, lo, hi, 1e-300).tolist()
-    assert got[0] < 0.0
-
-
-def test_bisect_calls_f_once_per_four_halvings():
-    # a grid cell of the default scan needs 26 halvings to reach 1e-12,
-    # which take 27 calls at one halving per call
-    calls = []
-
-    def f(xs):
-        calls.append(xs.size)
-        return np.sin(2 * np.pi * (xs - 0.3 - 0.37 * 2.0 ** -14))
-
-    lo = np.array([0.3])
-    hi = lo + 2.0 ** -14
-    got = certify.bisect(f, lo, hi, 1e-12)
-    assert len(calls) <= 8
-    assert got.tolist() == bisect_reference(f, lo, hi, 1e-12).tolist()
-
-
-@pytest.mark.parametrize("scale", [1e-200, 1e200])
-def test_bisect_tests_signs_at_any_scale(scale):
-    # the product of two values of size 1e-200 underflows to 0, and one of
-    # size 1e200 overflows; comparing signs keeps every bracket as at scale 1
-    lo, hi = np.array([0.3, 0.8]), np.array([0.7, 1.1])
-    plain = lambda xs: np.sin(2 * np.pi * xs)  # noqa: E731
-    want = certify.bisect(plain, lo, hi, 1e-12)
-    assert certify.bisect(lambda xs: scale * plain(xs), lo, hi, 1e-12).tolist() == want.tolist()
-
-
-@given(planted_roots, st.lists(st.floats(1e-5, 1e-3), min_size=8, max_size=8),
-       st.floats(0.1, 10.0), st.sampled_from([1e-13, 1e-10, 1e-7]))
-@settings(max_examples=60, deadline=None)
-def test_minimize_scalar_finds_planted_double_zeros(slots_fracs, sides, scale, xtol):
-    slots, fracs = slots_fracs
-    roots = [(k + u) / 64.0 for k, u in zip(slots, fracs)]
-    f = _planted(roots, [2] * len(roots), scale)
-    lo = np.array([r - a for r, a in zip(roots, sides)])
-    hi = np.array([r + b for r, b in zip(roots, sides[len(roots):])])
-    got = certify.minimize_scalar(lambda xs: np.abs(_batched(f)(xs)), lo, hi, xtol)
-    assert np.all(np.abs(got - np.array(roots)) <= xtol)
-
-
-# float.hex of every TWIST_D zero, minor by minor, as computed by the scalar
-# scipy refinement the vectorized path replaced
+# float.hex of every TWIST_D zero, minor by minor, as the unit-circle roots
+# of each minor's Fourier modes place them; bisection to 1e-12 placed every
+# one within 9.1e-13 of these
 PIPELINE_D3_ZEROS = [
-    "0x1.665b55b0c0000p-6", "0x1.e7bcd46b68000p-3", "0x1.06e3ca584a000p-1",
-    "0x1.871c5ede86000p-1", "0x1.0475078fb2000p-1", "0x1.72e8cb8046000p-1",
-    "0x1.6b57911e10000p-4", "0x1.bcd9d8855a000p-1", "0x1.e21e7019b0000p-4",
-    "0x1.d7f6b58c68000p-3", "0x1.2a77f91d4a000p-1", "0x1.85855c3e8e000p-1",
-    "0x1.98186b3ef6000p-1", "0x1.d3d3ad1d92000p-1", "0x1.a2c7b0c2a4000p-2",
-    "0x1.9b1a7cd2c6000p-1", "0x1.2d8e34ad52000p-1", "0x1.6ce294693a000p-1",
+    "0x1.665b55b0c8bbbp-6", "0x1.e7bcd46b6c750p-3", "0x1.06e3ca584953ep-1",
+    "0x1.871c5ede8513ap-1", "0x1.0475078fb0142p-1", "0x1.72e8cb8046720p-1",
+    "0x1.6b57911e05005p-4", "0x1.bcd9d88559504p-1", "0x1.e21e7019b5af0p-4",
+    "0x1.d7f6b58c6da22p-3", "0x1.2a77f91d4a396p-1", "0x1.85855c3e8c47ep-1",
+    "0x1.98186b3ef5588p-1", "0x1.d3d3ad1d92e50p-1", "0x1.a2c7b0c2a4591p-2",
+    "0x1.9b1a7cd2c7f8dp-1", "0x1.2d8e34ad537f6p-1", "0x1.6ce294693a4dep-1",
 ]
 PIPELINE_D3_N_ZEROS = [0, 0, 0, 0, 0, 4, 2, 2, 0, 0, 4, 2, 2, 0, 0, 2, 0, 0, 0]
-TANGENCY_ZEROS = [["0x0.0p+0"], [], [], [], []]
+TANGENCY_ZEROS = [["0x1.7a3b52265f63cp-56"], [], [], [], []]
 # float.hex of every per-minor TWIST_D integral, read off the scan grid
 PIPELINE_D3_INTEGRALS = [
     "0x1.29da50c6c565ep+0", "0x1.297bce02c29f4p+1", "0x1.69e7964085ad0p+1",
-    "0x1.32c82e6f19831p+1", "0x1.2622759a1cf6ep+0", "0x1.95ecf622ff5ddp+1",
-    "0x1.7ad33757e5383p+0", "0x1.2a40422ccacb8p+1", "0x1.79268eee90e73p-2",
-    "0x1.1a24d35bc02e6p+1", "0x1.154308034b1f0p+2", "0x1.09f4606f0670bp+2",
-    "0x1.b657fb71d0031p+1", "0x1.9fcdf3a62045cp-1", "0x1.0fb2a103738b6p+1",
-    "0x1.5fbc5dde3be06p+1", "0x1.e08cdeb51e032p+0", "0x1.89d4a461792b0p-1",
+    "0x1.32c82e6f19831p+1", "0x1.2622759a1cf6ep+0", "0x1.95ecf622fcd00p+1",
+    "0x1.7ad33757e8adap+0", "0x1.2a40422cc9b63p+1", "0x1.79268eee90e73p-2",
+    "0x1.1a24d35bc02e6p+1", "0x1.1543080342c82p+2", "0x1.09f4606f04effp+2",
+    "0x1.b657fb71d110fp+1", "0x1.9fcdf3a62045cp-1", "0x1.0fb2a103738b6p+1",
+    "0x1.5fbc5dde3aa46p+1", "0x1.e08cdeb51e032p+0", "0x1.89d4a461792b0p-1",
     "0x1.d866df2c823cap+0",
 ]
-TANGENCY_INTEGRALS = ["0x1.2a8ef10fa54cep+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+TANGENCY_INTEGRALS = ["0x1.2a8ef10e6b24bp+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
                       "0x1.3f641e435ce7ap-1"]
 
 
@@ -749,9 +669,9 @@ def test_twisting_d_zeros_golden():
 
 def test_twisting_d_d4_golden():
     # n_zeros, orders and float.hex of every zero, and the integrals, of
-    # random_tuple(4, seed=1) as TWIST_D gave them while minors of three and
-    # four rows were LU determinants: the located zeros are unchanged, the
-    # integrals agree to rounding
+    # random_tuple(4, seed=1) as the unit-circle root finder gives them;
+    # n_zeros and orders are those bisection and the order fit gave, and the
+    # integrals keep to rounding under another evaluation order
     golden = json.loads(
         (Path(__file__).parent / "twist_d4_seed1_golden.json").read_text())
     minors = cl.twisting_d(random_tuple(4, seed=1)).diagnostics["minors"]
@@ -767,8 +687,8 @@ def test_twisting_d_d4_golden():
 
 def test_twisting_d_d4_diagonal_first_golden():
     # every field but n_non_transversal of TWIST_D on
-    # diagonal_first_tuple_d4(seed=1) as it was while the closed form solved
-    # the diagonal first map by LU; the row scaling rounds the same way
+    # diagonal_first_tuple_d4(seed=1) as the unit-circle root finder gives
+    # them; n_zeros and orders are those bisection and the order fit gave
     golden = json.loads(
         (Path(__file__).parent / "twist_d4_diagonal_seed1_golden.json").read_text())
     minors = cl.twisting_d(diagonal_first_tuple_d4(seed=1)).diagnostics["minors"]
@@ -842,10 +762,8 @@ def test_twisting_d_memory_stays_within_four_grid_stacks():
 
 
 def test_twisting_d_evaluates_the_zero_free_nodes_once(monkeypatch):
-    # every minor, zero-free or not, integrates on the scan grid, where the
-    # holonomy is evaluated once; the other calls are root refinement and
-    # the derivative and order-fit probes at points that depend on each
-    # minor's zeros
+    # every minor, zero-free or not, finds its zeros and integrates on the
+    # scan grid, where the holonomy is evaluated once, and nowhere else
     calls = []
 
     def counted(product, ts):
@@ -855,8 +773,8 @@ def test_twisting_d_evaluates_the_zero_free_nodes_once(monkeypatch):
     monkeypatch.setattr(certify, "closed_form_holonomy_many", counted)
     minors = cl.twisting_d(pipeline_tuple_d3()).diagnostics["minors"]
     assert sum(m["n_zeros"] == 0 for m in minors) > 1
-    assert calls[0] is circle_grid()
-    assert all(len(ts) < 1000 for ts in calls[1:])
+    assert sum(m["n_zeros"] for m in minors) > 1
+    assert len(calls) == 1 and calls[0] is circle_grid()
 
 
 def test_import_loads_no_scipy():

@@ -84,6 +84,38 @@ def test_sum_rule_against_log_det_integral():
     assert abs(float(np.sum(est.values)) - expected) <= 3.0 * float(np.sum(est.stderr)) + 2e-3
 
 
+def _jensen_log_mean(poly):
+    """Circle integral of log |f| for a scalar TrigPolynomial f with no zero
+    on the circle, by Jensen's formula: f is z^-K P(z) on z = e^{2 pi i t},
+    and the integral is log |leading coefficient of P| plus log |z| summed
+    over the roots z of P outside the unit circle."""
+    half = (poly.cos_coeffs - 1j * poly.sin_coeffs) / 2.0
+    coeffs = np.trim_zeros(np.concatenate([half[::-1], [poly.const], half.conj()]), "f")
+    roots = np.roots(coeffs)
+    return math.log(abs(coeffs[0])) + float(np.sum(np.log(np.abs(roots[np.abs(roots) > 1.0]))))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_diagonal_spectrum_and_log_det_match_jensens_formula(seed):
+    # seeded diagonal maps of degree 2 whose modes sum to less than the
+    # constant term, so no entry vanishes on the circle
+    rng = np.random.default_rng(seed)
+    d = 3
+    maps = []
+    for _ in range(2):
+        const = rng.choice([-1.0, 1.0], d) * rng.uniform(0.5, 2.0, d)
+        cos, sin = rng.standard_normal((2, 2, d))
+        shrink = 0.95 * np.abs(const) * rng.uniform(0.0, 1.0, d) / np.hypot(cos, sin).sum(axis=0)
+        maps.append(cl.TrigMatrixMap(np.diag(const), [np.diag(c) for c in cos * shrink],
+                                     [np.diag(s) for s in sin * shrink], group_tag=cl.DIAGONAL))
+    rp = cl.RandomProduct([cl.GOLDEN_MEAN, SILVER], maps, [0.3, 0.7])
+    want = sum(w * np.array([_jensen_log_mean(cl.TrigPolynomial(
+        m.const[i, i], m.cos_coeffs[:, i, i], m.sin_coeffs[:, i, i])) for i in range(d)])
+        for w, m in zip(rp.weights, maps))
+    assert np.max(np.abs(cl.diagonal_spectrum(rp) - np.sort(want)[::-1])) <= 1e-12
+    assert abs(cl.mean_log_abs_det(rp) - want.sum()) <= 1e-12
+
+
 def test_diagonal_spectrum_of_constant_maps_is_exact():
     values = np.array([3.7, -0.3, 1.9, 2.0, 0.5])
     spec = cl.diagonal_spectrum(constant_diag(values))
@@ -608,22 +640,29 @@ def test_one_public_qr_call_per_renormalization_block(monkeypatch, n_iter, start
     assert calls == []
 
 
+def _phasor_values(mat_map, phasors):
+    """A map's values at an array of phasors, through the harmonics of
+    their powers."""
+    out = np.empty((len(phasors),) + mat_map.const.shape)
+    return mat_map._eval_harmonics(*lyapunov._harmonics(phasors, mat_map.degree), out)
+
+
 @pytest.mark.parametrize("n_symbols", [1, 2, 3])
 def test_step_matrices_match_per_point_evaluation_bits(monkeypatch, n_symbols):
-    # one trig mode per entry: a point's matrix has the same bits whether its
-    # map evaluates it alone or in a batch
+    # one trig mode per entry: a phasor's matrix has the same bits whether
+    # its map evaluates it alone or in a batch
     rp = random_tuple(3, seed=4, degree=1, n_maps=n_symbols)
     rng = np.random.default_rng(n_symbols)
     n_rep, n, period = 3, 13, 5
     words = rng.integers(0, n_symbols, (n_rep, n)).astype(np.uint8)
     if n_symbols == 3:
         words[words == 1] = 2
-    starts = rng.random((n_rep, n))
-    want = np.array([[rp.maps[w].eval(t) for w, t in zip(wr, tr)]
-                     for wr, tr in zip(words, starts)])
+    phasors = np.exp(2j * np.pi * rng.random((n_rep, n)))
+    want = np.array([[_phasor_values(rp.maps[w], np.array([p]))[0] for w, p in zip(wr, pr)]
+                     for wr, pr in zip(words, phasors)])
     if n_symbols == 3:
-        monkeypatch.setattr(rp.maps[1], "eval_many", None)  # absent: never evaluated
-    mats = lyapunov._step_matrices(rp, words, starts, period)
+        monkeypatch.setattr(rp.maps[1], "_eval_harmonics", None)  # absent: never evaluated
+    mats = lyapunov._step_matrices(rp, words, phasors, period)
     assert mats.shape == (n_rep, 15, 3, 3)
     assert np.array_equal(mats[:, :n], want)
     assert np.array_equal(mats[:, n:], np.broadcast_to(np.eye(3), (n_rep, 2, 3, 3)))
@@ -631,14 +670,16 @@ def test_step_matrices_match_per_point_evaluation_bits(monkeypatch, n_symbols):
 
 @pytest.mark.parametrize("n, period", [(1280, 20), (1013, 20), (7, 20), (12, 1)])
 def test_step_matrices_match_the_boolean_mask_bits(n, period):
-    # degree-2 maps: batch and single-point evaluation may differ in the last
-    # bit, so the reference evaluates each symbol's points in one batch too
+    # degree-2 maps: batch and single-phasor evaluation may differ in the
+    # last bit, so the reference evaluates each symbol's phasors in one
+    # batch too
     rp = random_tuple(3, seed=1, n_maps=3)
     words, starts, _ = draw_replicates_reference(rp, 9, n + 10, 8, with_vector=False)
     # a strided slice of the drawn arrays, as the chunk loop passes them
-    words, starts = words[:, 10:], starts[:, 10:]
-    got = lyapunov._step_matrices(rp, words, starts, period)
-    assert np.array_equal(got, step_matrices_reference(rp, words, starts, period))
+    words, phasors = words[:, 10:], np.exp(2j * np.pi * starts)[:, 10:]
+    got = lyapunov._step_matrices(rp, words, phasors, period)
+    assert np.array_equal(got, step_matrices_reference(rp, words, phasors, period,
+                                                       _phasor_values))
 
 
 @pytest.mark.parametrize("with_vector", [False, True])
