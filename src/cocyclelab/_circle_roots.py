@@ -20,9 +20,6 @@ import numpy as np
 # modes above the degree of a trig polynomial read about 2e-16 of the
 # largest one on the TWIST_D minors.
 _CHOP = 32.0 * np.finfo(float).eps
-# Newton steps that polish a zero; the first root estimates are within a
-# few 1e-13 in t of a simple zero, so three quadratic steps reach rounding.
-_NEWTON_STEPS = 3
 
 
 def fourier_modes(values):
@@ -54,7 +51,7 @@ def _roots(modes):
     return np.roots(np.concatenate([modes[::-1], modes[1:].conj()]))
 
 
-def _local_log_scale(modes, ts, orders):
+def local_log_scale(modes, ts, orders):
     """log c for g ~ c (t - t_k)^m around each t_k of order m: log(|g^(m)(t_k)| / m!)."""
     with np.errstate(divide="ignore"):
         return (np.log(np.abs(evaluate(modes, ts, orders)))
@@ -62,7 +59,7 @@ def _local_log_scale(modes, ts, orders):
 
 
 def zeros(modes, threshold):
-    """Real zeros of g, their orders and log c for |g| ~ c |t - r|^m near each.
+    """Real zeros of g: their first estimates, orders and rounding radii.
 
     Only the roots of z^K g with |g| at most ``threshold`` at their angles
     t can belong to a zero; they are grouped bottom up by t, so that a root
@@ -74,16 +71,16 @@ def zeros(modes, threshold):
     groups merge while they are within the larger radius of the two, so
     the roots that rounding splits off one zero of order m become one group
     of m, and zeros further apart stay distinct.  A group is a zero when
-    |g| at its centre is at most ``threshold``.  Each zero r of order m is
-    then polished by Newton's method on the (m - 1)-th derivative of g,
-    which has a simple zero at r.  Zeros come sorted in [0, 1).
+    |g| at its centre is at most ``threshold``; its centre is within about
+    its radius of the zero, where the (m - 1)-th derivative of g has a
+    simple zero.  Returns three arrays: centres, orders and radii.
     """
     turns = np.angle(_roots(modes)) / (2.0 * np.pi)
     # a root that rounding split off a zero has |g| at its angle near the
     # rounding, far below the threshold
     turns = turns[np.abs(evaluate(modes, turns)) <= threshold]
     if not turns.size:
-        return [], [], []
+        return turns, np.zeros(0, dtype=int), turns
     # the 2K + 1 modes, each rounded by up to _CHOP times the largest
     log_rounding = math.log((2 * len(modes) - 1) * _CHOP * np.abs(modes).max())
     # row a marks the roots of group a
@@ -94,9 +91,7 @@ def zeros(modes, threshold):
         first = turns[groups.argmax(axis=1)]
         offsets = (turns - first[:, None] + 0.5) % 1.0 - 0.5
         ts = first + np.where(groups, offsets, 0.0).sum(axis=1) / orders
-        if len(groups) == 1:
-            break
-        radius = np.exp((log_rounding - _local_log_scale(modes, ts, orders)) / orders)
+        radius = np.exp((log_rounding - local_log_scale(modes, ts, orders)) / orders)
         apart = np.abs((ts[:, None] - ts + 0.5) % 1.0 - 0.5)
         near = apart <= np.maximum(radius[:, None], radius)
         np.fill_diagonal(near, False)
@@ -106,11 +101,4 @@ def zeros(modes, threshold):
         groups[a] |= groups[b]
         groups = np.delete(groups, b, axis=0)
     keep = np.abs(evaluate(modes, ts)) <= threshold
-    ts, orders = ts[keep], orders[keep]
-    for _ in range(_NEWTON_STEPS):
-        ts = ts - evaluate(modes, ts, orders - 1) / evaluate(modes, ts, orders)
-    ts = ts % 1.0
-    ts[ts >= 1.0] = 0.0
-    order = np.argsort(ts)
-    ts, orders = ts[order], orders[order]
-    return ts.tolist(), orders.tolist(), _local_log_scale(modes, ts, orders).tolist()
+    return ts[keep], orders[keep], radius[keep]

@@ -12,7 +12,8 @@ Four certificate kinds:
 ``TWIST_D``
     Finiteness of the circle integrals of log |minor| for every minor of
     the closed-form homoclinic holonomy, with each minor's zeros read off
-    the unit-circle roots of its Fourier modes.
+    the unit-circle roots of the Fourier modes of the minor times
+    det A0(t + offset), a trig polynomial.
 
 Verdicts are PASS / FAIL / INCONCLUSIVE; a PASS always comes with a
 nonnegative margin, a FAIL always carries a concrete witness in the
@@ -29,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._circle_roots import fourier_modes, zeros
+from ._circle_roots import evaluate, fourier_modes, local_log_scale, zeros
 from ._cofactor import _entries, _max_row_norms, _minors
 from .circle import (CIRCLE_GRID_N, circle_grid, circle_mean,
                      homoclinic_base_holonomy, rotate)
@@ -69,13 +70,21 @@ ZERO_REL_TOL = 1e-12
 
 # A zero this close to a scan node takes the node's limit in the integral.
 # The limit is off by about m (pi n delta)^2 / 6n at a distance delta, the
-# closed-form term by about m e / (n delta) for a zero off by e; Newton's
-# method leaves e at a few 1e-16 in t, so at this distance both are under
-# 1e-9 m.
+# closed-form term by about m e / (n delta) for a zero off by e; bisection
+# leaves e at a few 1e-16 in t, so at this distance both are under 1e-9 m.
 _NODE_TOL = 1e-7
 # g counts as resolved when its chopped Fourier series ends below this
-# degree; the root finder's companion matrix has twice as many rows.
-_MAX_DEGREE = SCAN_GRID_N // 64
+# degree: its modes from there to the scan grid's last one are rounding.
+_MAX_DEGREE = SCAN_GRID_N // 4
+# a zero is bisected on a bracket this many times its rounding radius wide
+# on each side of its first estimate
+_BRACKET = 4.0
+# bisection stops at |step| < xtol + _BISECT_RTOL |x|, as scipy's does
+_BISECT_RTOL = 4.0 * np.finfo(float).eps
+_MAX_REFINE_ITER = 100
+# bisect serves this many halvings of every open bracket per call of f
+_LOOKAHEAD = 4
+_GOLDEN_CUT = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _jsonable(value):
@@ -354,6 +363,111 @@ class LogIntegralResult:
         return math.isfinite(self.estimate)
 
 
+def bisect(f, lo, hi, xtol):
+    """Roots of ``f`` in every bracket [lo[k], hi[k]], refined together.
+
+    ``f`` maps a 1d array of points to values of equal shape; f(lo[k]) and
+    f(hi[k]) must not share a strict sign.  Each bracket follows the
+    arithmetic of scipy.optimize.bisect, except where scipy's product of
+    two values under/overflows: halve the step, move the low end to the
+    midpoint when f there has the sign f has at the original low end, and
+    stop on an exact zero or once the step is below
+    ``xtol + 4 eps |midpoint|``.  A bracket still open after 100 halvings
+    returns its low end.
+
+    The first call of ``f`` takes both ends of every bracket.  Each later
+    call serves the next four halvings of every open bracket: it takes the
+    15 midpoints those halvings can reach (fewer once the bracket's step is
+    below ``xtol``), each built by the same addition low end + halved step
+    that one halving at a time makes, and every bracket then walks down its
+    own tree with the sign and stop tests in order.  So the roots are the
+    bits of one halving per call, in about a quarter of the calls.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    n = lo.size
+    ends = f(np.concatenate([lo, hi]))
+    f_lo, f_hi = ends[:n], ends[n:]
+    if np.any(np.sign(f_lo) * np.sign(f_hi) > 0.0):
+        raise ValueError("f must change sign on every bracket")
+    roots = np.where(f_lo == 0.0, lo, hi)
+    live = np.nonzero((f_lo != 0.0) & (f_hi != 0.0))[0].tolist()
+    lows, steps = lo.tolist(), (hi - lo).tolist()
+    # f times the sign of f at the low end is >= 0 exactly when scipy's
+    # f_mid * f_lo is, but it cannot under/overflow
+    signs = np.sign(f_lo).tolist()
+    rtol = float(_BISECT_RTOL)
+    halvings = 0
+    while live and halvings < _MAX_REFINE_ITER:
+        depth = min(_LOOKAHEAD, _MAX_REFINE_ITER - halvings)
+        # level k of a bracket's tree holds the 2^k midpoints that its
+        # (k + 1)-th halving from here can make; node j's children are 2j
+        # (the low end stayed) and 2j + 1 (the low end moved to node j)
+        points, trees = [], []
+        for i in live:
+            starts, h, path = [lows[i]], steps[i], []
+            for _ in range(depth):
+                h *= 0.5
+                mids = [x + h for x in starts]
+                points += mids
+                path.append(h)
+                if abs(h) < xtol:
+                    break  # the bracket stops by this level
+                starts = [x for pair in zip(starts, mids) for x in pair]
+            trees.append(path)
+        vals = f(np.array(points)).tolist()
+        still_open = []
+        base = 0
+        for i, path in zip(live, trees):
+            node = 0
+            for k, h in enumerate(path):
+                at = base + (1 << k) - 1 + node
+                mid, f_mid = points[at], vals[at]
+                node *= 2
+                if f_mid * signs[i] >= 0.0:
+                    lows[i] = mid
+                    node += 1
+                if f_mid == 0.0 or abs(h) < xtol + rtol * abs(mid):
+                    roots[i] = mid
+                    break
+            else:
+                steps[i] = h
+                still_open.append(i)
+            base += (1 << len(path)) - 1
+        halvings += depth
+        live = still_open
+    for i in live:
+        roots[i] = lows[i]
+    return roots
+
+
+def minimize_scalar(f, lo, hi, xtol):
+    """Minimizers of ``f`` on every interval [lo[k], hi[k]], by golden-section search.
+
+    Each iteration evaluates both interior points of every interval still
+    wider than ``2 * xtol`` in one call of ``f`` and keeps the part around
+    the smaller value, for at most 100 iterations.  Returns the midpoints of
+    the final intervals, so a minimizer of an f that is unimodal on its
+    interval lies within ``xtol`` of the point returned.  Nothing in the
+    package calls it since TWIST_D reads even-order zeros off root groups;
+    ``perfbench/spans.py`` still times it with ``bisect`` as root refinement.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    for _ in range(_MAX_REFINE_ITER):
+        live = np.nonzero(hi - lo > 2.0 * xtol)[0]
+        if not live.size:
+            break
+        cut = _GOLDEN_CUT * (hi[live] - lo[live])
+        left = hi[live] - cut
+        right = lo[live] + cut
+        vals = f(np.concatenate([left, right]))
+        go_left = vals[:live.size] < vals[live.size:]
+        hi[live[go_left]] = right[go_left]
+        lo[live[~go_left]] = left[~go_left]
+    return 0.5 * (lo + hi)
+
+
 def _cell_integrals(logs):
     """Integral of |log |g|| over each scan cell (k, k + 1), over the cell width.
 
@@ -373,66 +487,19 @@ def _cell_integrals(logs):
     return cells
 
 
-def log_integrability(g, *, scale=1.0):
-    """Estimate the circle integral of |log |g||, locating the zeros of g.
+def _abs_log_integral(absvals, roots, orders, log_scales):
+    """Circle integral of |log |g|| from |g| on the scan grid and the zeros of g.
 
-    ``g`` is called once, on the ``SCAN_GRID_N`` points of
-    ``circle.circle_grid``, and must return values of the same shape.  Its
-    Fourier modes there, chopped where they fall to rounding, are g as a
-    trig polynomial: exactly for a trig polynomial, to convergence for an
-    analytic g.  The zeros of g are the unit-circle roots of that
-    polynomial (``_circle_roots.zeros``): the m roots that rounding splits
-    off one zero of order m form one group, a group where |g| is at most
-    ``ZERO_REL_TOL * scale`` is a zero of order m, polished by Newton's
-    method on the (m - 1)-th derivative, and a zero of order above 1 is
-    reported as not transversal.  The integral is infinite when g stays
-    below that threshold on the whole grid (it vanishes on an interval) or
-    when its series has not converged by degree ``_MAX_DEGREE``: no
-    analytic g vanishes on an interval, and the roots of an unresolved
-    series say nothing about the zeros of g.
-
-    The integral is read off the scan values: their trapezoid sum, corrected
-    where |g| crosses 1 (``_cell_integrals``), plus m log |2 sin(pi n r)| / n
-    for each zero r of order m, the gap between the trapezoid sum of
-    m log |2 sin pi (t - r)| over the n scan nodes and its integral, 0
-    (Sidi and Israeli, J. Sci. Comput. 1988).  So g with its zeros divided
-    out, which is smooth, is integrated at the trapezoid rule's geometric
-    rate however close the zeros lie.  A zero within ``_NODE_TOL`` of a node
-    adds no such term; log |g| there takes its limit, log c - m log(2 pi n),
-    where |g| ~ c |t - r|^m near r, c = |g^(m)(r)| / m! from the modes.
-
-    ``scale``, finite and positive, is the size of the terms that make up g
-    (a minor's Hadamard bound), so g and ``scale`` rescaled together give
-    the same zeros.
+    ``roots`` are the zeros of g, ``orders`` their orders and
+    ``log_scales`` log c for |g| ~ c |t - r|^m near each.  Over the scan
+    nodes the trapezoid sum of log |2 sin pi (t - x)| is
+    log |2 sin(pi n x)| / n, and its integral is 0.  So with l = log |g|
+    and |l| = 2 max(l, 0) - l, the trapezoid sum of |l| plus m times that
+    term for each zero x of order m is the integral, up to the error of
+    the trapezoid rule on smooth functions.  A zero within ``_NODE_TOL`` of
+    a node instead gives l there its limit minus the term,
+    log c - m log(2 pi n).
     """
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise ValueError(f"scale must be finite and positive, got {scale!r}")
-    zero_thr = ZERO_REL_TOL * scale
-    ts = circle_grid()
-    vals = np.asarray(g(ts), dtype=float)
-    if vals.shape != ts.shape:
-        raise ValueError("g must map a 1d array of points to values of equal shape")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("g must be finite on the scan grid")
-    absvals = np.abs(vals)
-    sup = float(absvals.max())
-    modes = fourier_modes(vals) if sup >= zero_thr else None
-    if modes is None or len(modes) > _MAX_DEGREE:
-        reason = ("g vanishes on an interval" if modes is None
-                  else "g is not resolved by its Fourier modes")
-        return LogIntegralResult(
-            estimate=math.inf, zeros=[], orders=[],
-            diagnostics={"reason": reason, "sup": sup, "grid_n": SCAN_GRID_N,
-                         "scale": scale},
-        )
-    roots, orders, log_scales = zeros(modes, zero_thr)
-
-    # Over the scan nodes the trapezoid sum of log |2 sin pi (t - x)| is
-    # log |2 sin(pi n x)| / n, and its integral is 0.  So with l = log |g|
-    # and |l| = 2 max(l, 0) - l, the trapezoid sum of |l| plus m times that
-    # term for each zero x of order m is the integral, up to the error of
-    # the trapezoid rule on smooth functions.  A zero within _NODE_TOL of a
-    # node instead gives l there its limit minus the term, log c - m log(2 pi n).
     n = SCAN_GRID_N
     on_node = {}
     correction = 0.0
@@ -448,29 +515,123 @@ def log_integrability(g, *, scale=1.0):
     off_node[nodes] = False
     logs = np.log(absvals, out=np.empty(n), where=off_node)
     logs[nodes] = list(on_node.values())
+    return float(circle_mean(_cell_integrals(logs))) + correction
 
+
+def _polished_zeros(modes, threshold):
+    """Zeros of g from its modes and their orders, sorted in [0, 1).
+
+    ``_circle_roots.zeros`` gives each zero's first estimate t, its order m
+    and its rounding radius; the (m - 1)-th derivative of g, which has a
+    simple zero there, is bisected on ``_BRACKET`` radii either side of t,
+    or a quarter of the distance to the nearest other zero when that is
+    less, where it changes sign across them, and t is kept otherwise.
+    """
+    ts, orders, radii = zeros(modes, threshold)
+    apart = np.abs((ts[:, None] - ts + 0.5) % 1.0 - 0.5)
+    np.fill_diagonal(apart, np.inf)
+    # between two zeros of order m the (m - 1)-th derivative has other
+    # zeros, none within a quarter of their distance for m <= 3
+    width = np.minimum(_BRACKET * radii, 0.25 * apart.min(axis=1, initial=np.inf))
+    for m in np.unique(orders).tolist():
+        at = np.flatnonzero(orders == m)
+        lo, hi = ts[at] - width[at], ts[at] + width[at]
+
+        def f(x, m=m):
+            return evaluate(modes, x, m - 1)
+
+        ends = np.sign(f(np.concatenate([lo, hi])))
+        flip = ends[:at.size] * ends[at.size:] <= 0.0
+        if flip.any():
+            ts[at[flip]] = bisect(f, lo[flip], hi[flip], 0.0)
+    ts %= 1.0
+    ts[ts >= 1.0] = 0.0
+    order = np.argsort(ts)
+    return ts[order], orders[order]
+
+
+def log_integrability(g, *, scale=1.0):
+    """Estimate the circle integral of |log |g||, locating the zeros of g.
+
+    ``g`` is called once, on the ``SCAN_GRID_N`` points of
+    ``circle.circle_grid``, and must return values of the same shape.  Its
+    Fourier modes there, chopped where they fall to rounding, are g as a
+    trig polynomial: exactly for a trig polynomial, to convergence for an
+    analytic g.  The zeros of g are the unit-circle roots of that
+    polynomial: the m roots that rounding splits off one zero of order m
+    form one group, a group where |g| is at most ``ZERO_REL_TOL * scale``
+    is a zero of order m, which ``bisect`` polishes on the (m - 1)-th
+    derivative (``_polished_zeros``), and a zero of order above 1 is
+    reported as not transversal.
+
+    The integral is read off the scan values: their trapezoid sum, corrected
+    where |g| crosses 1 (``_cell_integrals``), plus m log |2 sin(pi n r)| / n
+    for each zero r of order m, the gap between the trapezoid sum of
+    m log |2 sin pi (t - r)| over the n scan nodes and its integral, 0
+    (Sidi and Israeli, J. Sci. Comput. 1988).  So g with its zeros divided
+    out, which is smooth, is integrated at the trapezoid rule's geometric
+    rate however close the zeros lie.  A zero within ``_NODE_TOL`` of a node
+    adds no such term; log |g| there takes its limit, log c - m log(2 pi n),
+    where |g| ~ c |t - r|^m near r, c = |g^(m)(r)| / m! from the modes
+    (``_abs_log_integral``).
+
+    The integral is infinite when g stays below the threshold on the whole
+    grid: it vanishes on an interval.  A g whose series has not converged
+    by degree ``_MAX_DEGREE`` (a g that is not analytic) has no zeros to
+    read off its modes: when |g| stays above the threshold at every node
+    and g keeps one sign, it gets the trapezoid estimate with no zeros, and
+    otherwise an infinite integral, since such a g may vanish on an
+    interval.
+
+    ``scale``, finite and positive, is the size of the terms that make up g
+    (a minor's Hadamard bound), so g and ``scale`` rescaled together give
+    the same zeros.
+    """
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise ValueError(f"scale must be finite and positive, got {scale!r}")
+    zero_thr = ZERO_REL_TOL * scale
+    ts = circle_grid()
+    vals = np.asarray(g(ts), dtype=float)
+    if vals.shape != ts.shape:
+        raise ValueError("g must map a 1d array of points to values of equal shape")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("g must be finite on the scan grid")
+    absvals = np.abs(vals)
+    diagnostics = {"sup": float(absvals.max()), "grid_n": SCAN_GRID_N, "scale": scale}
+    modes = fourier_modes(vals) if diagnostics["sup"] >= zero_thr else None
+    if modes is not None and len(modes) <= _MAX_DEGREE:
+        roots, orders = _polished_zeros(modes, zero_thr)
+        log_scales = local_log_scale(modes, roots, orders)
+    elif (modes is not None and absvals.min() > zero_thr
+          and np.all(np.signbit(vals) == np.signbit(vals[0]))):
+        roots, orders, log_scales = np.zeros(0), np.zeros(0, dtype=int), np.zeros(0)
+    else:
+        reason = ("g vanishes on an interval" if modes is None
+                  else "g is not resolved by its Fourier modes")
+        return LogIntegralResult(estimate=math.inf, zeros=[], orders=[],
+                                 diagnostics={"reason": reason, **diagnostics})
+    roots, orders, log_scales = roots.tolist(), orders.tolist(), log_scales.tolist()
     return LogIntegralResult(
-        estimate=float(circle_mean(_cell_integrals(logs))) + correction,
+        estimate=_abs_log_integral(absvals, roots, orders, log_scales),
         zeros=roots,
         orders=orders,
-        diagnostics={
-            "transversal": [m == 1 for m in orders],
-            "sup": sup,
-            "grid_n": SCAN_GRID_N,
-            "scale": scale,
-        },
+        diagnostics={"transversal": [m == 1 for m in orders], "log_scales": log_scales,
+                     **diagnostics},
     )
 
 
-def _minor_function(index, entries):
-    """The minor ``index`` of the holonomy as ``log_integrability`` calls it.
+def _minor_function(index, entries, weight):
+    """The minor ``index`` of the holonomy times ``weight``, as ``log_integrability`` calls it.
 
     ``entries`` holds the holonomy on the scan grid in the ``_entries``
-    layout, and ``log_integrability`` calls g once, on that grid.
+    layout and ``weight`` a function on that grid, or None for 1, and
+    ``log_integrability`` calls g once, on that grid.
     """
     rows = [r - 1 for r in index.rows]
     cols = [c - 1 for c in index.cols]
-    return lambda ts: _minors(entries, rows, cols)
+    if weight is None:
+        return lambda ts: _minors(entries, rows, cols)
+    return lambda ts: _minors(entries, rows, cols) * weight
 
 
 def twisting_d(product):
@@ -485,32 +646,57 @@ def twisting_d(product):
     reported for every verdict as ``max_non_transversal`` in the
     diagnostics.
 
-    The holonomy H is evaluated once, on the ``SCAN_GRID_N`` scan points,
-    and each minor is handed to ``log_integrability`` on them.  When map 0
-    is constant every minor is a trig polynomial, otherwise an analytic
-    function, so its zeros and their orders are read off the unit-circle
-    roots of its Fourier modes.  Each minor on rows I gets the ``scale``
-    prod_{i in I} max_t |row_i H(t)| over the scan points, its Hadamard
-    bound, which a rescaled map changes by the same factor as the minor, so
-    neither zeros nor verdict depend on it.
+    The holonomy H(t) = A0(t + offset)^-1 A1(t) is evaluated once, on the
+    ``SCAN_GRID_N`` scan points, and so is w(t) = det A0(t + offset) over
+    its largest |value| there, unless A0 is constant.  Each minor times w
+    is a trig polynomial of degree at most k deg A1 + (d - k) deg A0 for a
+    k x k minor (Cauchy-Binet and Jacobi's complementary-minor identity),
+    and w has no zero on the circle, so ``log_integrability`` reads that product's zeros and their
+    orders, the minor's own, off the unit-circle roots of its Fourier
+    modes.  When A0 is constant, the minor is such a polynomial itself and
+    ``log_integrability`` gives its integral too; otherwise the minor's
+    integral is read off its own scan values with those zeros
+    (``_abs_log_integral``).  Each minor on rows I gets the
+    ``scale`` prod_{i in I} max_t |row_i H(t)| over the scan points, its
+    Hadamard bound, which a rescaled map changes by the same factor as the
+    minor, so neither zeros nor verdict depend on it.
     """
     d = product.dim
-    entries = _entries(closed_form_holonomy_many(product, circle_grid()))
+    ts = circle_grid()
+    entries = _entries(closed_form_holonomy_many(product, ts))
     row_max = _max_row_norms(entries).tolist()
+    # a constant det A0 only scales every minor
+    weight = None
+    if product.maps[0].degree:
+        offset = homoclinic_base_holonomy(product.angles[0], product.angles[1])
+        a0 = product.maps[0].eval_many(rotate(ts, offset))
+        det0 = _minors(a0.transpose(1, 2, 0), list(range(d)), list(range(d)))
+        del a0
+        weight = det0 / np.abs(det0).max()
     per_minor = []
     worst_non_transversal = 0
     n_infinite = 0
     infinite_witness = None
     for index in all_minor_indices(d):
         scale = math.prod(row_max[r - 1] for r in index.rows)
-        result = log_integrability(_minor_function(index, entries), scale=scale)
+        result = log_integrability(_minor_function(index, entries, weight), scale=scale)
+        integral = result.estimate
+        if result.finite and weight is not None:
+            # c of the minor at a zero is that of the product over |w| there
+            nodes = np.rint(np.multiply(result.zeros, SCAN_GRID_N)).astype(int) % SCAN_GRID_N
+            log_scales = np.subtract(result.diagnostics["log_scales"],
+                                     np.log(np.abs(weight[nodes]))).tolist()
+            minor_vals = _minors(entries, [r - 1 for r in index.rows],
+                                 [c - 1 for c in index.cols])
+            integral = _abs_log_integral(np.abs(minor_vals), result.zeros, result.orders,
+                                         log_scales)
         n_non_trans = sum(1 for flag in result.diagnostics.get("transversal", [])
                           if not flag)
         worst_non_transversal = max(worst_non_transversal, n_non_trans)
         per_minor.append({
             "rows": list(index.rows),
             "cols": list(index.cols),
-            "integral": result.estimate,
+            "integral": integral,
             "n_zeros": len(result.zeros),
             "zeros": result.zeros,
             "orders": result.orders,

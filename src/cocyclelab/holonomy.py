@@ -108,19 +108,25 @@ def closed_form_holonomy_many(product, ts):
     OpenBLAS's LU solve does on a diagonal matrix.  Any other first map
     goes through ``np.linalg.solve``.
     Both routes raise ``LinAlgError`` where A_0 is exactly singular.
+    A_1 is evaluated before A_0 and, on the DIAGONAL route, scaled in
+    place once A_0 is freed, so a constant A_0 keeps two (n, d, d) stacks
+    alive at most.
     """
     if product.n_symbols < 2:
         raise ValueError("the closed form needs symbols 0 and 1")
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     offset = homoclinic_base_holonomy(product.angles[0], product.angles[1])
-    a0 = product.maps[0].eval_many(rotate(ts, offset))
     a1 = product.maps[1].eval_many(ts)
+    a0 = product.maps[0].eval_many(rotate(ts, offset))
     if product.maps[0].group_tag != DIAGONAL:
         return np.linalg.solve(a0, a1)
     diag = np.diagonal(a0, axis1=1, axis2=2)
     if not diag.all():
         raise np.linalg.LinAlgError("Singular matrix")
-    return a1 * (1.0 / diag)[:, :, None]
+    scale = 1.0 / diag
+    del a0, diag
+    a1 *= scale[:, :, None]
+    return a1
 
 
 def closed_form_holonomy(product, t):

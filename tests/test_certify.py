@@ -20,8 +20,8 @@ import cocyclelab as cl
 from cocyclelab import certify, holonomy
 from cocyclelab.certify import REL_GAP
 from cocyclelab.circle import circle_grid
-from util import (axis_pair, diagonal_first_tuple_d4, pipeline_tuple_d3, random_tuple,
-                  schrodinger_pair)
+from util import (axis_pair, bisect_reference, diagonal_first_tuple_d4, pipeline_tuple_d3,
+                  random_tuple, schrodinger_pair)
 
 LOG2 = math.log(2.0)
 
@@ -490,6 +490,42 @@ def test_log_integral_high_order_zeros(m):
     assert result.estimate == pytest.approx(m * LOG2, rel=1e-10)
 
 
+def test_log_integral_of_a_zero_free_g_that_is_not_analytic():
+    # 1 + |sin 2 pi t| has modes that decay like k^-2, so its series never
+    # reaches rounding; it keeps clear of zero, so it still gets the
+    # trapezoid estimate, against the midpoint rule on 1e6 points
+    result = cl.log_integrability(lambda t: 1.0 + np.abs(np.sin(2 * np.pi * t)))
+    mid = (np.arange(1_000_000) + 0.5) / 1_000_000
+    assert result.zeros == []
+    assert result.estimate == pytest.approx(
+        np.mean(np.log1p(np.abs(np.sin(2 * np.pi * mid)))), abs=1e-8)
+
+
+def test_log_integral_sign_change_of_a_g_that_is_not_analytic():
+    # the zeros of g cannot be read off a series that has not converged
+    result = cl.log_integrability(lambda t: np.sin(2 * np.pi * t) * (1.0 + np.abs(
+        np.cos(2 * np.pi * t))))
+    assert result.estimate == math.inf
+    assert result.diagnostics["reason"] == "g is not resolved by its Fourier modes"
+
+
+def test_log_integral_trig_polynomial_of_degree_300():
+    # two planted zeros times 2 + p, p of degree 299 with |p| < 1
+    rng = np.random.default_rng(3)
+    k = np.arange(1, 300)
+    cos, sin = rng.standard_normal((2, 299)) / (2.0 * k ** 2)
+
+    def g(t):
+        phase = 2 * np.pi * np.multiply.outer(t, k)
+        p = np.cos(phase) @ cos + np.sin(phase) @ sin
+        return np.sin(2 * np.pi * (t - 0.2)) * (2.0 + p)
+
+    result = cl.log_integrability(g)
+    assert result.finite
+    assert result.orders == [1, 1]
+    assert result.zeros == pytest.approx([0.2, 0.7], abs=1e-12)
+
+
 def test_log_integral_exact_zero_on_an_interval_is_infinite():
     result = cl.log_integrability(
         lambda t: np.where((t >= 0.3) & (t <= 0.4), 0.0, np.sin(np.pi * (t - 0.3)) ** 2))
@@ -621,31 +657,158 @@ def test_log_integral_order_three_pair_103_cells_apart():
     assert result.estimate == pytest.approx(-math.log(a), rel=1e-10)
 
 
+def _planted(roots, orders, scale):
+    """scale * prod_k sin(pi (t - r_k))^m_k at one point, in math arithmetic."""
+    def f(t):
+        value = scale
+        for r, m in zip(roots, orders):
+            value *= math.sin(math.pi * (t - r)) ** m
+        return value
+    return f
+
+
+def _batched(f):
+    """Vectorized f built from the scalar one, so both see the same values."""
+    return lambda xs: np.array([f(x) for x in xs.tolist()])
+
+
+# planted zeros at (slot + frac) / 64 for distinct slots: at least 1/64 apart
+planted_roots = st.lists(st.integers(0, 63), min_size=2, max_size=4,
+                         unique=True).flatmap(
+    lambda slots: st.tuples(
+        st.just(sorted(slots)),
+        st.lists(st.floats(0.1, 0.9), min_size=len(slots), max_size=len(slots))))
+bracket_sides = st.floats(1e-7, 1e-3)
+
+
+@given(planted_roots, st.lists(st.sampled_from([1, 3]), min_size=4, max_size=4),
+       st.lists(st.tuples(bracket_sides, bracket_sides), min_size=4, max_size=4),
+       st.floats(0.1, 10.0), st.sampled_from([1e-6, 1e-9, 1e-12, 1e-15, 1e-300]))
+@settings(max_examples=60, deadline=None)
+def test_bisect_matches_scipy_bit_for_bit(slots_fracs, orders, sides, scale, xtol):
+    slots, fracs = slots_fracs
+    roots = [(k + u) / 64.0 for k, u in zip(slots, fracs)]
+    orders = orders[:len(roots)]
+    if sum(orders) % 2:
+        # an even total order keeps the product 1-periodic, a trig polynomial
+        orders[-1] += 2 if orders[-1] == 1 else -2
+    f = _planted(roots, orders, scale)
+    lo = [r - a for r, (a, _) in zip(roots, sides)]
+    hi = [r + b for r, (_, b) in zip(roots, sides)]
+    got = certify.bisect(_batched(f), np.array(lo), np.array(hi), xtol)
+    want = [scipy.optimize.bisect(f, a, b, xtol=xtol) for a, b in zip(lo, hi)]
+    assert got.tolist() == want
+
+
+def test_bisect_exact_zero_at_an_end_or_midpoint():
+    # dyadic roots: the first midpoint of [0, 1/2] and both ends hit zeros
+    # exactly, and so does the sixth midpoint of the last bracket, past the
+    # first call's four halvings
+    f = _planted([0.25, 0.75], [1, 1], 1.0)
+    lo = np.array([0.0, 0.5, 0.125, 0.25 - 2.0 ** -7])
+    hi = np.array([0.5, 0.875, 0.25, 0.75 - 2.0 ** -7])
+    want = [scipy.optimize.bisect(f, a, b, xtol=1e-12) for a, b in zip(lo, hi)]
+    assert certify.bisect(_batched(f), lo, hi, 1e-12).tolist() == want
+    with pytest.raises(ValueError):
+        certify.bisect(_batched(f), np.array([0.3]), np.array([0.4]), 1e-12)
+
+
+# up to eight planted zeros and a bracket around each, from 1e-9 to 1e-3 a side
+many_brackets = st.lists(st.integers(0, 63), min_size=1, max_size=8,
+                         unique=True).flatmap(
+    lambda slots: st.tuples(
+        st.just(sorted(slots)),
+        st.lists(st.tuples(st.floats(0.1, 0.9), st.sampled_from([1, 3]),
+                           st.floats(-9.0, -3.0), st.floats(-9.0, -3.0)),
+                 min_size=len(slots), max_size=len(slots))))
+
+
+@given(many_brackets, st.floats(0.1, 10.0), st.sampled_from([1e-6, 1e-12, 1e-15, 1e-300]))
+@settings(max_examples=80, deadline=None)
+def test_bisect_lookahead_matches_one_halving_per_call(slots_params, scale, xtol):
+    # brackets of widths 2e-9 ... 2e-3 close after different numbers of
+    # halvings, so the trees of one call mix brackets at every stage
+    slots, params = slots_params
+    roots = [(k + u) / 64.0 for k, (u, _, _, _) in zip(slots, params)]
+    f = _planted(roots, [m for _, m, _, _ in params], scale)
+    lo = np.array([(k + u) / 64.0 - 10.0 ** a for k, (u, _, a, _) in zip(slots, params)])
+    hi = np.array([(k + u) / 64.0 + 10.0 ** b for k, (u, _, _, b) in zip(slots, params)])
+    got = certify.bisect(_batched(f), lo, hi, xtol)
+    assert got.tolist() == bisect_reference(_batched(f), lo, hi, xtol).tolist()
+
+
+def test_bisect_stops_after_exactly_100_halvings():
+    # |step| never falls below 1e-300 + 4 eps |x| while x closes in on 0,
+    # so the bracket is still open after 100 halvings and returns its low end
+    lo, hi = np.array([-1.0]), np.array([0.7])
+    got = certify.bisect(lambda xs: xs, lo, hi, 1e-300)
+    assert got.tolist() == bisect_reference(lambda xs: xs, lo, hi, 1e-300).tolist()
+    assert got[0] < 0.0
+
+
+def test_bisect_calls_f_once_per_four_halvings():
+    # a grid cell of the default scan needs 26 halvings to reach 1e-12,
+    # which take 27 calls at one halving per call
+    calls = []
+
+    def f(xs):
+        calls.append(xs.size)
+        return np.sin(2 * np.pi * (xs - 0.3 - 0.37 * 2.0 ** -14))
+
+    lo = np.array([0.3])
+    hi = lo + 2.0 ** -14
+    got = certify.bisect(f, lo, hi, 1e-12)
+    assert len(calls) <= 8
+    assert got.tolist() == bisect_reference(f, lo, hi, 1e-12).tolist()
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_bisect_tests_signs_at_any_scale(scale):
+    # the product of two values of size 1e-200 underflows to 0, and one of
+    # size 1e200 overflows; comparing signs keeps every bracket as at scale 1
+    lo, hi = np.array([0.3, 0.8]), np.array([0.7, 1.1])
+    plain = lambda xs: np.sin(2 * np.pi * xs)  # noqa: E731
+    want = certify.bisect(plain, lo, hi, 1e-12)
+    assert certify.bisect(lambda xs: scale * plain(xs), lo, hi, 1e-12).tolist() == want.tolist()
+
+
+@given(planted_roots, st.lists(st.floats(1e-5, 1e-3), min_size=8, max_size=8),
+       st.floats(0.1, 10.0), st.sampled_from([1e-13, 1e-10, 1e-7]))
+@settings(max_examples=60, deadline=None)
+def test_minimize_scalar_finds_planted_double_zeros(slots_fracs, sides, scale, xtol):
+    slots, fracs = slots_fracs
+    roots = [(k + u) / 64.0 for k, u in zip(slots, fracs)]
+    f = _planted(roots, [2] * len(roots), scale)
+    lo = np.array([r - a for r, a in zip(roots, sides)])
+    hi = np.array([r + b for r, b in zip(roots, sides[len(roots):])])
+    got = certify.minimize_scalar(lambda xs: np.abs(_batched(f)(xs)), lo, hi, xtol)
+    assert np.all(np.abs(got - np.array(roots)) <= xtol)
+
+
 # float.hex of every TWIST_D zero, minor by minor, as the unit-circle roots
 # of each minor's Fourier modes place them; bisection to 1e-12 placed every
 # one within 9.1e-13 of these
 PIPELINE_D3_ZEROS = [
-    "0x1.665b55b0c8bbbp-6", "0x1.e7bcd46b6c750p-3", "0x1.06e3ca584953ep-1",
-    "0x1.871c5ede8513ap-1", "0x1.0475078fb0142p-1", "0x1.72e8cb8046720p-1",
-    "0x1.6b57911e05005p-4", "0x1.bcd9d88559504p-1", "0x1.e21e7019b5af0p-4",
-    "0x1.d7f6b58c6da22p-3", "0x1.2a77f91d4a396p-1", "0x1.85855c3e8c47ep-1",
-    "0x1.98186b3ef5588p-1", "0x1.d3d3ad1d92e50p-1", "0x1.a2c7b0c2a4591p-2",
+    "0x1.665b55b0c8bb8p-6", "0x1.e7bcd46b6c755p-3", "0x1.06e3ca5849540p-1",
+    "0x1.871c5ede85139p-1", "0x1.0475078fb0144p-1", "0x1.72e8cb804671fp-1",
+    "0x1.6b57911e05005p-4", "0x1.bcd9d88559505p-1", "0x1.e21e7019b5aedp-4",
+    "0x1.d7f6b58c6da1ep-3", "0x1.2a77f91d4a398p-1", "0x1.85855c3e8c47dp-1",
+    "0x1.98186b3ef5588p-1", "0x1.d3d3ad1d92e50p-1", "0x1.a2c7b0c2a458dp-2",
     "0x1.9b1a7cd2c7f8dp-1", "0x1.2d8e34ad537f6p-1", "0x1.6ce294693a4dep-1",
 ]
 PIPELINE_D3_N_ZEROS = [0, 0, 0, 0, 0, 4, 2, 2, 0, 0, 4, 2, 2, 0, 0, 2, 0, 0, 0]
-TANGENCY_ZEROS = [["0x1.7a3b52265f63cp-56"], [], [], [], []]
+TANGENCY_ZEROS = [["0x1.7a3b52265f63fp-56"], [], [], [], []]
 # float.hex of every per-minor TWIST_D integral, read off the scan grid
 PIPELINE_D3_INTEGRALS = [
     "0x1.29da50c6c565ep+0", "0x1.297bce02c29f4p+1", "0x1.69e7964085ad0p+1",
-    "0x1.32c82e6f19831p+1", "0x1.2622759a1cf6ep+0", "0x1.95ecf622fcd00p+1",
-    "0x1.7ad33757e8adap+0", "0x1.2a40422cc9b63p+1", "0x1.79268eee90e73p-2",
-    "0x1.1a24d35bc02e6p+1", "0x1.1543080342c82p+2", "0x1.09f4606f04effp+2",
+    "0x1.32c82e6f19831p+1", "0x1.2622759a1cf6ep+0", "0x1.95ecf622fccfdp+1",
+    "0x1.7ad33757e8ad4p+0", "0x1.2a40422cc9b64p+1", "0x1.79268eee90e73p-2",
+    "0x1.1a24d35bc02e6p+1", "0x1.1543080342c38p+2", "0x1.09f4606f04effp+2",
     "0x1.b657fb71d110fp+1", "0x1.9fcdf3a62045cp-1", "0x1.0fb2a103738b6p+1",
     "0x1.5fbc5dde3aa46p+1", "0x1.e08cdeb51e032p+0", "0x1.89d4a461792b0p-1",
     "0x1.d866df2c823cap+0",
 ]
-TANGENCY_INTEGRALS = ["0x1.2a8ef10e6b24bp+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
-                      "0x1.3f641e435ce7ap-1"]
+TANGENCY_INTEGRALS = ["0x1.2a8ef10e6b24bp+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.3f641e435ce7ap-1"]
 
 
 def _tangency_tuple():
@@ -729,6 +892,59 @@ def test_twisting_d_integrals_match_adaptive_quadrature(rows, cols):
         lambda t: cl.minor(cl.closed_form_holonomy(product, t), index), got["zeros"])
     assert got["n_zeros"] == 2
     assert abs(got["integral"] - want) <= 1e-8 * want
+
+
+def _near_singular_diagonal_first_tuple_d4():
+    """diagonal_first_tuple_d4(1) with map 0 diag(1 + a_i cos 2 pi t), a_1 = 0.999.
+
+    Each holonomy minor carries 1 / a0_ii(t + offset) for its rows i, whose
+    Fourier modes decay only like 0.956^k, so the minor's own series
+    reaches rounding near degree 700; times det A0(t + offset) it is a trig
+    polynomial of degree at most 4.
+    """
+    base = diagonal_first_tuple_d4(seed=1)
+    a0 = cl.TrigMatrixMap(np.eye(4), np.diag([0.999, 0.5, 0.3, 0.2])[None],
+                          np.zeros((1, 4, 4)), group_tag=cl.DIAGONAL)
+    return cl.RandomProduct(base.angles, [a0, base.maps[1]])
+
+
+def test_twisting_d_non_constant_diagonal_first_map():
+    # the minor's slow series once read as "not resolved", an infinite
+    # integral and a false FAIL on 35 of the 69 minors
+    product = _near_singular_diagonal_first_tuple_d4()
+    cert = cl.twisting_d(product)
+    assert cert.passed
+    scan = _sign_change_counts(product)
+    minors = cert.diagnostics["minors"]
+    assert all(m["orders"] == [1] * m["n_zeros"] for m in minors)
+    assert [m["n_zeros"] for m in minors] == [
+        scan[(tuple(m["rows"]), tuple(m["cols"]))] for m in minors]
+    for rows, cols in [((1,), (2,)), ((1, 2, 3, 4), (1, 2, 3, 4))]:
+        got = next(m for m in minors if (tuple(m["rows"]), tuple(m["cols"])) == (rows, cols))
+        index = cl.MinorIndex(rows, cols)
+        want = _quad_abs_log_integral(
+            lambda t: cl.minor(cl.closed_form_holonomy(product, t), index), got["zeros"])
+        assert abs(got["integral"] - want) <= 1e-8 * want
+
+
+def test_twisting_d_minor_of_degree_above_256():
+    # a degree-160 map 1 at d = 2 makes the determinant a trig polynomial of
+    # degree 320 with no zero; a fixed cap of degree 256 read it as "not
+    # resolved" and failed the tuple
+    rng = np.random.default_rng(11)
+    k = 160
+    a0 = cl.TrigMatrixMap.constant(np.diag([2.0, 0.5]), group_tag=cl.DIAGONAL)
+    a1 = cl.TrigMatrixMap(3.0 * np.eye(2) + 0.25 * rng.standard_normal((2, 2)),
+                          0.05 * rng.standard_normal((k, 2, 2)),
+                          0.05 * rng.standard_normal((k, 2, 2)))
+    product = cl.RandomProduct([cl.GOLDEN_MEAN, 0.3], [a0, a1])
+    cert = cl.twisting_d(product)
+    assert cert.passed
+    scan = _sign_change_counts(product)
+    minors = cert.diagnostics["minors"]
+    assert minors[-1]["rows"] == [1, 2] and sum(m["n_zeros"] for m in minors) > 0
+    assert [m["n_zeros"] for m in minors] == [
+        scan[(tuple(m["rows"]), tuple(m["cols"]))] for m in minors]
 
 
 def test_twisting_d_diagonal_first_makes_no_lu_solve(monkeypatch):
