@@ -13,7 +13,9 @@ Four certificate kinds:
     Finiteness of the circle integrals of log |minor| for every minor of
     the closed-form homoclinic holonomy, with each minor's zeros read off
     the unit-circle roots of the Fourier modes of the minor times
-    det A0(t + offset), a trig polynomial.
+    det A0(t + offset), a trig polynomial of known degree, and each
+    integral from Jensen's formula and Gauss-Legendre rules on the arcs
+    where |minor| > 1.
 
 Verdicts are PASS / FAIL / INCONCLUSIVE; a PASS always comes with a
 nonnegative margin, a FAIL always carries a concrete witness in the
@@ -25,12 +27,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
-from ._circle_roots import evaluate, fourier_modes, local_log_scale, zeros
+from ._circle_roots import chop, evaluate, fourier_modes, log_mean, roots, zeros
 from ._cofactor import _entries, _max_row_norms, _minors
 from .circle import (CIRCLE_GRID_N, circle_grid, circle_mean,
                      homoclinic_base_holonomy, rotate)
@@ -68,11 +71,6 @@ FRAC_THRESHOLD = 0.05
 REL_GAP = 1e-6
 ZERO_REL_TOL = 1e-12
 
-# A zero this close to a scan node takes the node's limit in the integral.
-# The limit is off by about m (pi n delta)^2 / 6n at a distance delta, the
-# closed-form term by about m e / (n delta) for a zero off by e; bisection
-# leaves e at a few 1e-16 in t, so at this distance both are under 1e-9 m.
-_NODE_TOL = 1e-7
 # g counts as resolved when its chopped Fourier series ends below this
 # degree: its modes from there to the scan grid's last one are rounding.
 _MAX_DEGREE = SCAN_GRID_N // 4
@@ -85,6 +83,13 @@ _MAX_REFINE_ITER = 100
 # bisect serves this many halvings of every open bracket per call of f
 _LOOKAHEAD = 4
 _GOLDEN_CUT = (math.sqrt(5.0) - 1.0) / 2.0
+# the log+ integral's Gauss-Legendre rule: its points per panel, the
+# agreement of a panel with its halves that ends its splitting, and the
+# most rounds of splitting and panels in a round
+_GL_POINTS = 20
+_GL_TOL = 1e-13
+_MAX_SPLITS = 40
+_MAX_PANELS = 512
 
 
 def _jsonable(value):
@@ -351,12 +356,17 @@ def pinching_d(exponents):
 
 @dataclass
 class LogIntegralResult:
-    """Estimate of the circle integral of |log |g||, with the located zeros."""
+    """Estimate of the circle integral of |log |g||, with the located zeros.
+
+    ``modes`` are the Fourier modes c_0 ... c_K that g was read as, or None
+    when its integral was not read off them.
+    """
 
     estimate: float
     zeros: list
     orders: list
     diagnostics: dict = field(default_factory=dict)
+    modes: np.ndarray = None
 
     @property
     def finite(self):
@@ -487,39 +497,107 @@ def _cell_integrals(logs):
     return cells
 
 
-def _abs_log_integral(absvals, roots, orders, log_scales):
-    """Circle integral of |log |g|| from |g| on the scan grid and the zeros of g.
+@cache
+def _gauss_legendre():
+    """Nodes and weights of the ``_GL_POINTS``-point Gauss-Legendre rule on [-1, 1].
 
-    ``roots`` are the zeros of g, ``orders`` their orders and
-    ``log_scales`` log c for |g| ~ c |t - r|^m near each.  Over the scan
-    nodes the trapezoid sum of log |2 sin pi (t - x)| is
-    log |2 sin(pi n x)| / n, and its integral is 0.  So with l = log |g|
-    and |l| = 2 max(l, 0) - l, the trapezoid sum of |l| plus m times that
-    term for each zero x of order m is the integral, up to the error of
-    the trapezoid rule on smooth functions.  A zero within ``_NODE_TOL`` of
-    a node instead gives l there its limit minus the term,
-    log c - m log(2 pi n).
+    The nodes are the eigenvalues of the Jacobi matrix of the Legendre
+    polynomials and the weights twice the squared first components of its
+    eigenvectors (Golub and Welsch, Math. Comp. 1969).
     """
-    n = SCAN_GRID_N
-    on_node = {}
-    correction = 0.0
-    for x, log_c, m in zip(roots, log_scales, orders):
-        k = round(x * n)
-        off = x * n - k  # exact, n being a power of two
-        if abs(off) <= _NODE_TOL * n:
-            on_node[k % n] = log_c - m * math.log(2.0 * math.pi * n)
-        else:
-            correction += m * math.log(abs(2.0 * math.sin(math.pi * off))) / n
-    nodes = list(on_node)
-    off_node = np.ones(n, dtype=bool)
-    off_node[nodes] = False
-    logs = np.log(absvals, out=np.empty(n), where=off_node)
-    logs[nodes] = list(on_node.values())
-    return float(circle_mean(_cell_integrals(logs))) + correction
+    k = np.arange(1.0, _GL_POINTS)
+    beta = k / np.sqrt(4.0 * k * k - 1.0)
+    nodes, vectors = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
+    return nodes, 2.0 * vectors[0] ** 2
 
 
-def _polished_zeros(modes, threshold):
-    """Zeros of g from its modes and their orders, sorted in [0, 1).
+def _adaptive_gauss_legendre(f, lo, hi):
+    """Sum of the integrals of ``f`` over the arcs [lo[k], hi[k]].
+
+    Each panel takes the Gauss-Legendre rule on its halves, which stands
+    once it agrees with the rule on the whole panel within ``_GL_TOL``
+    times the larger of its value and the panel's width; the halves of a
+    panel that does not are the next round's panels.  So the panels shrink
+    about geometrically towards a log singularity of f off the real line,
+    such as a complex zero of g next to the arc, and stay few elsewhere,
+    where f is analytic (Trefethen and Weideman, SIAM Review 2014).  A
+    round with more than ``_MAX_PANELS`` panels, which only rounding in f
+    can keep apart, takes them all as they are.
+    """
+    nodes, weights = _gauss_legendre()
+
+    def rule(a, b):
+        half = 0.5 * (b - a)
+        points = (0.5 * (a + b))[:, None] + half[:, None] * nodes
+        return half * (f(points.ravel()).reshape(points.shape) @ weights)
+
+    whole = rule(lo, hi)
+    total = 0.0
+    for _ in range(_MAX_SPLITS):
+        mid = 0.5 * (lo + hi)
+        halves = rule(np.concatenate([lo, mid]), np.concatenate([mid, hi]))
+        left, right = halves[:lo.size], halves[lo.size:]
+        pair = left + right
+        done = np.abs(whole - pair) <= _GL_TOL * np.maximum(np.abs(pair), hi - lo)
+        if lo.size > _MAX_PANELS:
+            done[:] = True
+        total += float(pair[done].sum())
+        keep = ~done
+        lo, hi = (np.concatenate([lo[keep], mid[keep]]),
+                  np.concatenate([mid[keep], hi[keep]]))
+        whole = np.concatenate([left[keep], right[keep]])
+        if not lo.size:
+            return total
+    return total + float(whole.sum())
+
+
+def _abs_log_integral_from_modes(num, mean, threshold, den=None):
+    """Circle integral of |log |num / den||, num and den given by their modes.
+
+    ``mean`` is the circle integral of log |num / den|, from Jensen's
+    formula, and |l| = 2 max(l, 0) - l, so what is left is the integral of
+    log |num / den| over the arcs where |num| > |den| (den None stands for
+    1).  Their ends are the real zeros of num - den and num + den, from the
+    same root finder, with ``threshold`` as the zero threshold; on each arc
+    log |num / den| is analytic, and it is integrated by adaptive
+    Gauss-Legendre.  With no arc end, |num / den| stays on one side of 1
+    and the integral is +-``mean``.  Without den, |num| lies within
+    2 sum_{k >= 1} |c_k| of |c_0|, and when that keeps it on one side of 1
+    no end is looked for.
+    """
+    plain = den is None
+    if plain:
+        rest = 2.0 * np.abs(num[1:]).sum()
+        if abs(num[0]) + rest <= 1.0:
+            return 0.0 - mean  # +0.0, not -0.0, for a log mean of 0
+        if abs(num[0]) - rest > 1.0:
+            return mean
+        den = np.ones(1)
+    num_p = np.zeros(max(len(num), len(den)), dtype=complex)
+    den_p = num_p.copy()
+    num_p[:len(num)] = num
+    den_p[:len(den)] = den
+    ends = []
+    for diff in (num_p - den_p, num_p + den_p):
+        if np.abs(diff).max() > threshold:
+            diff = chop(diff)
+            ends.append(zeros(diff, roots(diff), threshold)[0])
+    ends = np.sort(np.concatenate(ends) % 1.0) if ends else np.zeros(0)
+
+    def log_ratio(t):
+        with np.errstate(divide="ignore"):
+            size = np.abs(evaluate(num, t))
+            return np.log(size if plain else size / np.abs(evaluate(den, t)))
+
+    if not ends.size:
+        return mean if log_ratio(np.zeros(1))[0] > 0.0 else 0.0 - mean
+    lo, hi = ends, np.append(ends[1:], ends[0] + 1.0)
+    above = log_ratio(0.5 * (lo + hi)) > 0.0
+    return 2.0 * _adaptive_gauss_legendre(log_ratio, lo[above], hi[above]) - mean
+
+
+def _polished_zeros(modes, ts, orders, radii):
+    """Zeros of g and their orders, sorted in [0, 1), from the first estimates.
 
     ``_circle_roots.zeros`` gives each zero's first estimate t, its order m
     and its rounding radius; the (m - 1)-th derivative of g, which has a
@@ -527,7 +605,6 @@ def _polished_zeros(modes, threshold):
     or a quarter of the distance to the nearest other zero when that is
     less, where it changes sign across them, and t is kept otherwise.
     """
-    ts, orders, radii = zeros(modes, threshold)
     apart = np.abs((ts[:, None] - ts + 0.5) % 1.0 - 0.5)
     np.fill_diagonal(apart, np.inf)
     # between two zeros of order m the (m - 1)-th derivative has other
@@ -550,13 +627,30 @@ def _polished_zeros(modes, threshold):
     return ts[order], orders[order]
 
 
-def log_integrability(g, *, scale=1.0):
+def _sample_points(degree):
+    """The n points k / n, n the smallest power of two of at least 4 ``degree`` + 4.
+
+    Up to ``SCAN_GRID_N`` points they are every (SCAN_GRID_N / n)-th point
+    of the scan grid, bit for bit.  A trig polynomial of that degree is
+    fixed by its values there, and its modes from degree + 1 to n / 2 show
+    whether it is one.
+    """
+    n = 1 << (4 * degree + 3).bit_length()
+    return np.arange(n) / n
+
+
+def log_integrability(g, *, scale=1.0, degree=None):
     """Estimate the circle integral of |log |g||, locating the zeros of g.
 
-    ``g`` is called once, on the ``SCAN_GRID_N`` points of
-    ``circle.circle_grid``, and must return values of the same shape.  Its
-    Fourier modes there, chopped where they fall to rounding, are g as a
-    trig polynomial: exactly for a trig polynomial, to convergence for an
+    ``g`` maps a 1d array of points to values of the same shape and is
+    called once.  With a ``degree``, g must be a trig polynomial of at
+    most that degree: it is called on the ``_sample_points(degree)``, the
+    smallest power-of-two subgrid of the scan grid with at least
+    4 degree + 4 points, and its modes above ``degree`` must be below
+    ``ZERO_REL_TOL * scale``, or ``ValueError`` is raised.  Without one, g
+    is called on the ``SCAN_GRID_N`` points of ``circle.circle_grid`` and
+    its modes, chopped where they fall to rounding, are g as a trig
+    polynomial: exactly for a trig polynomial, to convergence for an
     analytic g.  The zeros of g are the unit-circle roots of that
     polynomial: the m roots that rounding splits off one zero of order m
     form one group, a group where |g| is at most ``ZERO_REL_TOL * scale``
@@ -564,74 +658,88 @@ def log_integrability(g, *, scale=1.0):
     derivative (``_polished_zeros``), and a zero of order above 1 is
     reported as not transversal.
 
-    The integral is read off the scan values: their trapezoid sum, corrected
-    where |g| crosses 1 (``_cell_integrals``), plus m log |2 sin(pi n r)| / n
-    for each zero r of order m, the gap between the trapezoid sum of
-    m log |2 sin pi (t - r)| over the n scan nodes and its integral, 0
-    (Sidi and Israeli, J. Sci. Comput. 1988).  So g with its zeros divided
-    out, which is smooth, is integrated at the trapezoid rule's geometric
-    rate however close the zeros lie.  A zero within ``_NODE_TOL`` of a node
-    adds no such term; log |g| there takes its limit, log c - m log(2 pi n),
-    where |g| ~ c |t - r|^m near r, c = |g^(m)(r)| / m! from the modes
-    (``_abs_log_integral``).
+    The integral is 2 int log+ |g| - int log |g|.  The second term is
+    Jensen's formula on the same roots, log |c_K| plus log |z| over the
+    roots outside the unit circle, where the roots of a zero count as on
+    it (``_circle_roots.log_mean``; reported as ``log_mean``).  The first
+    is adaptive Gauss-Legendre over the arcs where |g| > 1, whose ends are
+    the real zeros of g - 1 and g + 1 (``_abs_log_integral_from_modes``).
+    So no zero of g is ever a node of a rule.  The modes are the
+    result's ``modes``.
 
     The integral is infinite when g stays below the threshold on the whole
-    grid: it vanishes on an interval.  A g whose series has not converged
-    by degree ``_MAX_DEGREE`` (a g that is not analytic) has no zeros to
-    read off its modes: when |g| stays above the threshold at every node
-    and g keeps one sign, it gets the trapezoid estimate with no zeros, and
-    otherwise an infinite integral, since such a g may vanish on an
-    interval.
+    grid: it vanishes on an interval.  A g of no declared degree whose
+    series has not converged by degree ``_MAX_DEGREE`` (a g that is not
+    analytic) has no zeros to read off its modes: when |g| stays above the
+    threshold at every node and g keeps one sign, it gets the trapezoid
+    estimate with no zeros (``_cell_integrals``), and otherwise an
+    infinite integral, since such a g may vanish on an interval.
 
     ``scale``, finite and positive, is the size of the terms that make up g
     (a minor's Hadamard bound), so g and ``scale`` rescaled together give
-    the same zeros.
+    the same zeros.  ``degree`` is a property of g like ``scale``.
     """
     if not (math.isfinite(scale) and scale > 0.0):
         raise ValueError(f"scale must be finite and positive, got {scale!r}")
+    if degree is not None and not (isinstance(degree, (int, np.integer)) and degree >= 0):
+        raise ValueError(f"degree must be a nonnegative integer, got {degree!r}")
     zero_thr = ZERO_REL_TOL * scale
-    ts = circle_grid()
+    ts = circle_grid() if degree is None else _sample_points(int(degree))
     vals = np.asarray(g(ts), dtype=float)
     if vals.shape != ts.shape:
         raise ValueError("g must map a 1d array of points to values of equal shape")
     if not np.all(np.isfinite(vals)):
-        raise ValueError("g must be finite on the scan grid")
+        raise ValueError("g must be finite at every point it is sampled at")
     absvals = np.abs(vals)
-    diagnostics = {"sup": float(absvals.max()), "grid_n": SCAN_GRID_N, "scale": scale}
-    modes = fourier_modes(vals) if diagnostics["sup"] >= zero_thr else None
-    if modes is not None and len(modes) <= _MAX_DEGREE:
-        roots, orders = _polished_zeros(modes, zero_thr)
-        log_scales = local_log_scale(modes, roots, orders)
-    elif (modes is not None and absvals.min() > zero_thr
-          and np.all(np.signbit(vals) == np.signbit(vals[0]))):
-        roots, orders, log_scales = np.zeros(0), np.zeros(0, dtype=int), np.zeros(0)
-    else:
-        reason = ("g vanishes on an interval" if modes is None
-                  else "g is not resolved by its Fourier modes")
+    diagnostics = {"sup": float(absvals.max()), "grid_n": len(ts), "scale": scale}
+    if diagnostics["sup"] < zero_thr:
         return LogIntegralResult(estimate=math.inf, zeros=[], orders=[],
-                                 diagnostics={"reason": reason, **diagnostics})
-    roots, orders, log_scales = roots.tolist(), orders.tolist(), log_scales.tolist()
+                                 diagnostics={"reason": "g vanishes on an interval",
+                                              **diagnostics})
+    modes = fourier_modes(vals, degree, zero_thr)
+    if degree is None and len(modes) > _MAX_DEGREE:
+        if absvals.min() > zero_thr and np.all(np.signbit(vals) == np.signbit(vals[0])):
+            return LogIntegralResult(
+                estimate=float(circle_mean(_cell_integrals(np.log(absvals)))), zeros=[],
+                orders=[], diagnostics={"transversal": [], **diagnostics})
+        return LogIntegralResult(estimate=math.inf, zeros=[], orders=[], diagnostics={
+            "reason": "g is not resolved by its Fourier modes", **diagnostics})
+    all_roots = roots(modes)
+    ts, orders, radii, real = zeros(modes, all_roots, zero_thr)
+    ts, orders = _polished_zeros(modes, ts, orders, radii)
+    mean = log_mean(modes, all_roots, real)
+    orders = orders.tolist()
     return LogIntegralResult(
-        estimate=_abs_log_integral(absvals, roots, orders, log_scales),
-        zeros=roots,
+        estimate=_abs_log_integral_from_modes(modes, mean, ZERO_REL_TOL * (scale + 1.0)),
+        zeros=ts.tolist(),
         orders=orders,
-        diagnostics={"transversal": [m == 1 for m in orders], "log_scales": log_scales,
+        diagnostics={"transversal": [m == 1 for m in orders], "log_mean": mean,
                      **diagnostics},
+        modes=modes,
     )
 
 
 def _minor_function(index, entries, weight):
     """The minor ``index`` of the holonomy times ``weight``, as ``log_integrability`` calls it.
 
-    ``entries`` holds the holonomy on the scan grid in the ``_entries``
-    layout and ``weight`` a function on that grid, or None for 1, and
-    ``log_integrability`` calls g once, on that grid.
+    ``entries`` holds the holonomy on the n points k / n in the
+    ``_entries`` layout and ``weight`` a function on those points, or None
+    for 1; g takes any of those points, such as the subgrid that
+    ``log_integrability`` samples for the minor's degree.
     """
     rows = [r - 1 for r in index.rows]
     cols = [c - 1 for c in index.cols]
-    if weight is None:
-        return lambda ts: _minors(entries, rows, cols)
-    return lambda ts: _minors(entries, rows, cols) * weight
+    n = entries.shape[2]
+
+    def g(ts):
+        at = np.multiply(ts, n)
+        nodes = at.astype(np.intp)
+        if not np.array_equal(nodes, at):
+            raise ValueError(f"the minor is known only at the points k / {n}")
+        vals = _minors(entries[:, :, nodes], rows, cols)
+        return vals if weight is None else vals * weight[nodes]
+
+    return g
 
 
 def twisting_d(product):
@@ -646,50 +754,54 @@ def twisting_d(product):
     reported for every verdict as ``max_non_transversal`` in the
     diagnostics.
 
-    The holonomy H(t) = A0(t + offset)^-1 A1(t) is evaluated once, on the
-    ``SCAN_GRID_N`` scan points, and so is w(t) = det A0(t + offset) over
-    its largest |value| there, unless A0 is constant.  Each minor times w
-    is a trig polynomial of degree at most k deg A1 + (d - k) deg A0 for a
-    k x k minor (Cauchy-Binet and Jacobi's complementary-minor identity),
-    and w has no zero on the circle, so ``log_integrability`` reads that product's zeros and their
-    orders, the minor's own, off the unit-circle roots of its Fourier
-    modes.  When A0 is constant, the minor is such a polynomial itself and
-    ``log_integrability`` gives its integral too; otherwise the minor's
-    integral is read off its own scan values with those zeros
-    (``_abs_log_integral``).  Each minor on rows I gets the
-    ``scale`` prod_{i in I} max_t |row_i H(t)| over the scan points, its
+    Each k x k minor times w(t) = det A0(t + offset) is a trig polynomial
+    of degree at most K = k deg A1 + (d - k) deg A0 (Cauchy-Binet and
+    Jacobi's complementary-minor identity), and w has no zero on the
+    circle.  So the holonomy H(t) = A0(t + offset)^-1 A1(t) is evaluated
+    once, on the ``_sample_points`` of the largest K, d max(deg A0, deg A1)
+    (the JSON's ``grid_n``), and so is w over its largest |value| there,
+    unless A0 is constant; ``log_integrability`` with ``degree`` K reads
+    the product's zeros and their orders, the minor's own, off the
+    unit-circle roots of its modes.  When A0 is constant, the minor is
+    such a polynomial itself and ``log_integrability`` gives its integral
+    too; otherwise the minor's integral is that of |log |N / w||, N the
+    product: Jensen's formula gives int log |N| - int log |w|, and the arcs
+    where |N| > |w| end at the real zeros of N - w and N + w
+    (``_abs_log_integral_from_modes``).  Each minor on rows I gets the
+    ``scale`` prod_{i in I} max_t |row_i H(t)| over those points, its
     Hadamard bound, which a rescaled map changes by the same factor as the
     minor, so neither zeros nor verdict depend on it.
     """
     d = product.dim
-    ts = circle_grid()
+    degree0, degree1 = product.maps[0].degree, product.maps[1].degree
+    ts = _sample_points(d * max(degree0, degree1))
     entries = _entries(closed_form_holonomy_many(product, ts))
     row_max = _max_row_norms(entries).tolist()
     # a constant det A0 only scales every minor
     weight = None
-    if product.maps[0].degree:
+    if degree0:
         offset = homoclinic_base_holonomy(product.angles[0], product.angles[1])
         a0 = product.maps[0].eval_many(rotate(ts, offset))
         det0 = _minors(a0.transpose(1, 2, 0), list(range(d)), list(range(d)))
-        del a0
         weight = det0 / np.abs(det0).max()
+        weight_modes = fourier_modes(weight, d * degree0, ZERO_REL_TOL)
+        weight_roots = roots(weight_modes)
+        weight_log_mean = log_mean(weight_modes, weight_roots,
+                                   zeros(weight_modes, weight_roots, ZERO_REL_TOL)[3])
     per_minor = []
     worst_non_transversal = 0
     n_infinite = 0
     infinite_witness = None
     for index in all_minor_indices(d):
+        k = len(index.rows)
         scale = math.prod(row_max[r - 1] for r in index.rows)
-        result = log_integrability(_minor_function(index, entries, weight), scale=scale)
+        result = log_integrability(_minor_function(index, entries, weight), scale=scale,
+                                   degree=k * degree1 + (d - k) * degree0)
         integral = result.estimate
         if result.finite and weight is not None:
-            # c of the minor at a zero is that of the product over |w| there
-            nodes = np.rint(np.multiply(result.zeros, SCAN_GRID_N)).astype(int) % SCAN_GRID_N
-            log_scales = np.subtract(result.diagnostics["log_scales"],
-                                     np.log(np.abs(weight[nodes]))).tolist()
-            minor_vals = _minors(entries, [r - 1 for r in index.rows],
-                                 [c - 1 for c in index.cols])
-            integral = _abs_log_integral(np.abs(minor_vals), result.zeros, result.orders,
-                                         log_scales)
+            integral = _abs_log_integral_from_modes(
+                result.modes, result.diagnostics["log_mean"] - weight_log_mean,
+                ZERO_REL_TOL * (scale + 1.0), weight_modes)
         n_non_trans = sum(1 for flag in result.diagnostics.get("transversal", [])
                           if not flag)
         worst_non_transversal = max(worst_non_transversal, n_non_trans)
@@ -716,7 +828,7 @@ def twisting_d(product):
             "minors": per_minor,
             "witness": infinite_witness,
             "max_non_transversal": worst_non_transversal,
-            "grid_n": SCAN_GRID_N,
+            "grid_n": len(ts),
             "zero_rel_tol": ZERO_REL_TOL,
         },
     )

@@ -545,10 +545,9 @@ def test_log_integral_small_runs_straddling_zero():
 
 @pytest.mark.parametrize("gap_cells", [0.7, 1.5, 2.5, 10, 100])
 def test_log_integral_close_zero_pair(gap_cells):
-    # |g| < 1 everywhere, so the integral of |log |g|| is 3 log 2; each
-    # zero's singularity is added in closed form, whatever the other's
-    # distance, so even a pair inside one scan cell keeps the trapezoid
-    # rule's accuracy on the smooth rest
+    # |g| < 1 everywhere, so the integral of |log |g|| is minus Jensen's
+    # log mean, 3 log 2, whatever the zeros' distance, even for a pair
+    # inside one scan cell
     h = 1.0 / certify.SCAN_GRID_N
     a = 0.3 + 0.3 * h
     b = a + gap_cells * h
@@ -632,9 +631,9 @@ def test_log_integral_of_planted_products():
     # zeros of orders 2 and 3 that lie off the scan nodes, and pairs of them
     # a few dozen cells apart, where |g| between stays under the zero
     # threshold; two pairs are closer than rounding can resolve ([3, 2]
-    # 4.6 cells and [3, 3] 20 cells apart), so they read as one zero.  A
-    # zero of order 3 next to another one is placed to about 1e-9, which
-    # moves its closed-form term by up to about 1e-9 relative
+    # 4.6 cells and [3, 3] 20 cells apart), so they read as one zero.  The
+    # integral is minus Jensen's log mean, which does not depend on where
+    # a zero is placed: all 400 are within 1e-15 relative of -log a
     exact = 0
     for roots, orders, a, scale in _planted_products(400, seed=7):
         result = cl.log_integrability(_sine_product(a, roots, orders), scale=scale)
@@ -786,29 +785,33 @@ def test_minimize_scalar_finds_planted_double_zeros(slots_fracs, sides, scale, x
 
 
 # float.hex of every TWIST_D zero, minor by minor, as the unit-circle roots
-# of each minor's Fourier modes place them; bisection to 1e-12 placed every
-# one within 9.1e-13 of these
+# of each minor's Fourier modes on its 32-point sample place them; bisection
+# to 1e-12 placed every one within 9.1e-13 of these, and the modes on the
+# 16384-point scan grid within 3.4e-16
 PIPELINE_D3_ZEROS = [
-    "0x1.665b55b0c8bb8p-6", "0x1.e7bcd46b6c755p-3", "0x1.06e3ca5849540p-1",
-    "0x1.871c5ede85139p-1", "0x1.0475078fb0144p-1", "0x1.72e8cb804671fp-1",
-    "0x1.6b57911e05005p-4", "0x1.bcd9d88559505p-1", "0x1.e21e7019b5aedp-4",
-    "0x1.d7f6b58c6da1ep-3", "0x1.2a77f91d4a398p-1", "0x1.85855c3e8c47dp-1",
-    "0x1.98186b3ef5588p-1", "0x1.d3d3ad1d92e50p-1", "0x1.a2c7b0c2a458dp-2",
-    "0x1.9b1a7cd2c7f8dp-1", "0x1.2d8e34ad537f6p-1", "0x1.6ce294693a4dep-1",
+    "0x1.665b55b0c8bbcp-6", "0x1.e7bcd46b6c755p-3", "0x1.06e3ca5849540p-1",
+    "0x1.871c5ede8513cp-1", "0x1.0475078fb0143p-1", "0x1.72e8cb8046720p-1",
+    "0x1.6b57911e05006p-4", "0x1.bcd9d88559504p-1", "0x1.e21e7019b5aedp-4",
+    "0x1.d7f6b58c6da20p-3", "0x1.2a77f91d4a398p-1", "0x1.85855c3e8c47dp-1",
+    "0x1.98186b3ef5587p-1", "0x1.d3d3ad1d92e50p-1", "0x1.a2c7b0c2a458dp-2",
+    "0x1.9b1a7cd2c7f8dp-1", "0x1.2d8e34ad537f7p-1", "0x1.6ce294693a4dep-1",
 ]
 PIPELINE_D3_N_ZEROS = [0, 0, 0, 0, 0, 4, 2, 2, 0, 0, 4, 2, 2, 0, 0, 2, 0, 0, 0]
-TANGENCY_ZEROS = [["0x1.7a3b52265f63fp-56"], [], [], [], []]
-# float.hex of every per-minor TWIST_D integral, read off the scan grid
+TANGENCY_ZEROS = [["0x1.1d34a60108f6fp-55"], [], [], [], []]
+# float.hex of every per-minor TWIST_D integral, from Jensen's formula and
+# Gauss-Legendre rules on the arcs where |minor| > 1; the trapezoid rule on
+# the 16384-point scan grid with each zero's singularity in closed form
+# gave them within 1.3e-14 relative
 PIPELINE_D3_INTEGRALS = [
-    "0x1.29da50c6c565ep+0", "0x1.297bce02c29f4p+1", "0x1.69e7964085ad0p+1",
-    "0x1.32c82e6f19831p+1", "0x1.2622759a1cf6ep+0", "0x1.95ecf622fccfdp+1",
-    "0x1.7ad33757e8ad4p+0", "0x1.2a40422cc9b64p+1", "0x1.79268eee90e73p-2",
-    "0x1.1a24d35bc02e6p+1", "0x1.1543080342c38p+2", "0x1.09f4606f04effp+2",
-    "0x1.b657fb71d110fp+1", "0x1.9fcdf3a62045cp-1", "0x1.0fb2a103738b6p+1",
-    "0x1.5fbc5dde3aa46p+1", "0x1.e08cdeb51e032p+0", "0x1.89d4a461792b0p-1",
-    "0x1.d866df2c823cap+0",
+    "0x1.29da50c6c5662p+0", "0x1.297bce02c29f9p+1", "0x1.69e7964085ad6p+1",
+    "0x1.32c82e6f1982dp+1", "0x1.2622759a1cf70p+0", "0x1.95ecf622fccfep+1",
+    "0x1.7ad33757e8ad6p+0", "0x1.2a40422cc9b60p+1", "0x1.79268eee90e60p-2",
+    "0x1.1a24d35bc02e4p+1", "0x1.1543080342c76p+2", "0x1.09f4606f04f04p+2",
+    "0x1.b657fb71d110cp+1", "0x1.9fcdf3a620440p-1", "0x1.0fb2a103738b6p+1",
+    "0x1.5fbc5dde3aa45p+1", "0x1.e08cdeb51e028p+0", "0x1.89d4a461792a8p-1",
+    "0x1.d866df2c823c4p+0",
 ]
-TANGENCY_INTEGRALS = ["0x1.2a8ef10e6b24bp+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.3f641e435ce7ap-1"]
+TANGENCY_INTEGRALS = ["0x1.2a8ef10e6b123p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.3f641e435ce83p-1"]
 
 
 def _tangency_tuple():
@@ -927,6 +930,75 @@ def test_twisting_d_non_constant_diagonal_first_map():
         assert abs(got["integral"] - want) <= 1e-8 * want
 
 
+# Catalan's constant: the circle integral of |log 2 sin^2 pi t| is 4 G / pi
+CATALAN = 0.91596559417721901505
+
+
+@pytest.mark.parametrize("g, degree", [
+    # |g| touches 1 from below at its maximum t = 0.1, with a double zero at 0.6
+    (lambda t: np.cos(np.pi * (t - 0.1)) ** 2, 1),
+    # |g| touches 1 from above at its minimum t = 0.1, with contact of order 4
+    (lambda t: 1.0 + np.sin(np.pi * (t - 0.1)) ** 4, 2),
+    # |g| crosses 1 with contact of order 3 at 0.1 and 0.6, double zero at 0.85
+    (lambda t: 1.0 + np.sin(2 * np.pi * (t - 0.1)) ** 3, 3),
+], ids=["below", "above", "crossing"])
+def test_log_integral_where_g_touches_one_tangentially(g, degree):
+    # the ends of the arcs where |g| > 1 are zeros of g - 1 of order above
+    # 1, which the root finder groups like any other zero
+    result = cl.log_integrability(g, degree=degree)
+    want = _quad_abs_log_integral(g, result.zeros)
+    assert abs(result.estimate - want) <= 1e-8 * want
+
+
+def test_log_integral_of_two_sin_squared_is_four_catalan_over_pi():
+    # a double zero at 0, and |g| crosses 1 at 1/4 and 3/4
+    result = cl.log_integrability(lambda t: 1.0 - np.cos(2 * np.pi * t), degree=1)
+    assert result.orders == [2]
+    assert result.diagnostics["log_mean"] == pytest.approx(-LOG2, abs=1e-15)
+    assert result.estimate == pytest.approx(4.0 * CATALAN / math.pi, rel=1e-14)
+
+
+def test_log_integral_complex_zero_pair_next_to_the_circle():
+    # g = B (sin^2 pi (t - a) + e^2) cos^2 pi (t - a) has complex zeros at
+    # a +- i asinh(e) / pi, 1e-6 from the circle, where |g| dips to
+    # B e^2 = 9.9 > 1: the arc where |g| > 1 runs through them, between the
+    # ends 3.2e-7 either side of the double zero at a + 1/2, so the
+    # Gauss-Legendre panels must shrink around a to 1e-6
+    a, big = 0.3, 1e12
+    e = math.sinh(math.pi * 1e-6)
+
+    def g(t):
+        return big * (np.sin(np.pi * (t - a)) ** 2 + e * e) * np.cos(np.pi * (t - a)) ** 2
+
+    result = cl.log_integrability(g, scale=big, degree=2)
+    assert result.orders == [2]
+    assert result.zeros == pytest.approx([a + 0.5], abs=1e-9)
+    # quad's grid sees neither the dip at a nor where |g| crosses 1 next to
+    # the zero, 3.2e-7 away, so they are its cuts; without the crossings
+    # its extrapolation reads |log |g|| there as log |g|, 4 x 3.2e-7 off
+    crossings = [scipy.optimize.brentq(lambda t: math.log(g(t)), lo, hi, xtol=1e-15)
+                 for lo, hi in ((a + 0.49, a + 0.5 - 1e-9), (a + 0.5 + 1e-9, a + 0.51))]
+    want = _quad_abs_log_integral(g, result.zeros + [a] + crossings)
+    assert abs(result.estimate - want) <= 1e-8 * want
+
+
+@pytest.mark.parametrize("amplitude", [1.0, 1e-11])
+def test_log_integral_rejects_a_g_above_its_declared_degree(amplitude):
+    # a mode of degree K + 1 at or above ZERO_REL_TOL times the scale
+    def g(t):
+        return 0.5 + np.cos(2 * np.pi * t) + amplitude * np.sin(2 * np.pi * 3 * t)
+
+    assert cl.log_integrability(g, degree=3).finite
+    with pytest.raises(ValueError, match="above its declared degree 2"):
+        cl.log_integrability(g, degree=2)
+
+
+@pytest.mark.parametrize("degree", [-1, 2.0, "2"])
+def test_log_integral_rejects_a_bad_degree(degree):
+    with pytest.raises(ValueError, match="degree must be a nonnegative integer"):
+        cl.log_integrability(lambda t: np.sin(2 * np.pi * t), degree=degree)
+
+
 def test_twisting_d_minor_of_degree_above_256():
     # a degree-160 map 1 at d = 2 makes the determinant a trig polynomial of
     # degree 320 with no zero; a fixed cap of degree 256 read it as "not
@@ -978,8 +1050,10 @@ def test_twisting_d_memory_stays_within_four_grid_stacks():
 
 
 def test_twisting_d_evaluates_the_zero_free_nodes_once(monkeypatch):
-    # every minor, zero-free or not, finds its zeros and integrates on the
-    # scan grid, where the holonomy is evaluated once, and nowhere else
+    # every minor, zero-free or not, finds its zeros from the holonomy on
+    # the 32 points k / 32 of the scan grid, the smallest power of two of at
+    # least 4 K + 4 for the largest minor degree K = 3 x 2, evaluated once,
+    # and nowhere else
     calls = []
 
     def counted(product, ts):
@@ -987,10 +1061,13 @@ def test_twisting_d_evaluates_the_zero_free_nodes_once(monkeypatch):
         return cl.closed_form_holonomy_many(product, ts)
 
     monkeypatch.setattr(certify, "closed_form_holonomy_many", counted)
-    minors = cl.twisting_d(pipeline_tuple_d3()).diagnostics["minors"]
+    cert = cl.twisting_d(pipeline_tuple_d3())
+    minors = cert.diagnostics["minors"]
     assert sum(m["n_zeros"] == 0 for m in minors) > 1
     assert sum(m["n_zeros"] for m in minors) > 1
-    assert len(calls) == 1 and calls[0] is circle_grid()
+    assert len(calls) == 1
+    assert calls[0].tobytes() == circle_grid()[::certify.SCAN_GRID_N // 32].tobytes()
+    assert cert.diagnostics["grid_n"] == 32
 
 
 def test_import_loads_no_scipy():

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 import cocyclelab as cl
 from cocyclelab import certify, lyapunov
-from util import (SILVER, conjugated_diagonal_tuple, draw_replicates_reference,
-                  qr_step_reference, random_tuple,
-                  schrodinger_pair, step_matrices_reference)
+from util import (SILVER, axis_pair, conjugated_diagonal_tuple, diagonal_first_tuple_d4,
+                  draw_replicates_reference, pipeline_tuple_d3, qr_step_reference,
+                  random_tuple, schrodinger_pair, step_matrices_reference)
 
 LOG2 = math.log(2.0)
 
@@ -114,6 +114,54 @@ def test_diagonal_spectrum_and_log_det_match_jensens_formula(seed):
         for w, m in zip(rp.weights, maps))
     assert np.max(np.abs(cl.diagonal_spectrum(rp) - np.sort(want)[::-1])) <= 1e-12
     assert abs(cl.mean_log_abs_det(rp) - want.sum()) <= 1e-12
+
+
+def _jensen_log_mean_of_det(mat_map):
+    """Circle integral of log |det A(t)| by Jensen's formula.
+
+    det A is a trig polynomial of degree K = d deg A, so the FFT of its
+    values on the smallest power of two of at least 4K + 4 points gives its
+    modes c_0 ... c_K.  Trailing modes under 1e-13 of the largest are
+    rounding (det A = 1 has modes of about 1e-17 up to K) and are dropped;
+    then det A is z^-K P(z) on z = e^{2 pi i t}, with P's coefficients
+    c_K ... c_1, c_0, conj(c_1) ... conj(c_K), and the integral is
+    log |c_K| plus log |z| over the roots of P outside the unit circle.
+    """
+    k = mat_map.dim * mat_map.degree
+    n = 1 << (4 * k + 3).bit_length()
+    modes = np.fft.rfft(np.linalg.det(mat_map.eval_many(np.arange(n) / n))) / n
+    size = np.abs(modes[:k + 1])
+    modes = modes[:np.flatnonzero(size > 1e-13 * size.max())[-1] + 1]
+    roots = np.roots(np.concatenate([modes[::-1], modes[1:].conj()]))
+    return math.log(abs(modes[-1])) + float(np.sum(np.log(np.abs(roots[np.abs(roots) > 1.0]))))
+
+
+JENSEN_TUPLES = {
+    **{f"random_tuple({d}, {seed})": (lambda d=d, seed=seed: random_tuple(d, seed))
+       for d in (2, 3, 4, 5) for seed in (1, 2, 3)},
+    "pipeline_tuple_d3": pipeline_tuple_d3,
+    "diagonal_first_tuple_d4(1)": lambda: diagonal_first_tuple_d4(1),
+    "diagonal_first_tuple_d4(2)": lambda: diagonal_first_tuple_d4(2),
+    "schrodinger_pair": lambda: schrodinger_pair()[0],
+    "axis_pair": axis_pair,
+    **{f"conjugated_diagonal_tuple({d}, {seed})[{part}]":
+       (lambda d=d, seed=seed, part=part: conjugated_diagonal_tuple(d, seed)[part])
+       for d in (2, 3, 4) for seed in (1, 2) for part in (0, 1)},
+}
+
+
+@pytest.mark.parametrize("name", list(JENSEN_TUPLES))
+def test_log_det_and_diagonal_spectrum_match_jensens_formula_on_the_test_tuples(name):
+    # both sides are exact up to rounding: the trapezoid rule on the 16384
+    # scan points converges geometrically on log |det| of these zero-free
+    # determinants, far below 1e-100, and np.roots places each root to a
+    # few eps times its condition.  The gaps are at most 5.2e-15; 1e-13
+    # leaves room for another LAPACK, not for a wrong formula
+    product = JENSEN_TUPLES[name]()
+    want = sum(w * _jensen_log_mean_of_det(m) for w, m in zip(product.weights, product.maps))
+    assert abs(cl.mean_log_abs_det(product) - want) <= 1e-13
+    if all(m.group_tag == cl.DIAGONAL for m in product.maps):
+        assert abs(float(np.sum(cl.diagonal_spectrum(product))) - want) <= 1e-13
 
 
 def test_diagonal_spectrum_of_constant_maps_is_exact():
