@@ -38,7 +38,8 @@ for k, (value, err) in enumerate(zip(est.values, est.stderr), start=1):
     print(f"  lambda_{k} = {value:+.6f}  (stderr {err:.1e})")
 
 # The exponents must add up to the average log |det| over the invariant
-# measure, which is computable by quadrature without any sampling.
+# measure, which Jensen's formula gives from the Fourier modes of det A,
+# a trig polynomial, without any sampling of the product.
 target = cl.mean_log_abs_det(product)
 print(f"  sum rule: {np.sum(est.values):+.6f} vs quadrature {target:+.6f}")
 

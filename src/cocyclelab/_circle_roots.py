@@ -7,7 +7,8 @@ unit-circle roots of P, which ``np.roots`` finds as the eigenvalues of its
 companion matrix (Boyd, J. Eng. Math. 2006; Wright, Javed, Montanelli and
 Trefethen, SIAM J. Sci. Comput. 2015).  An analytic g is handled the same
 way once its modes are chopped where they have fallen to rounding.  The
-same roots give the circle integral of log |g| by Jensen's formula.
+same roots give the circle integral of log |g| by Jensen's formula;
+``circle_log_mean`` runs that route from the values of g.
 """
 
 from __future__ import annotations
@@ -21,6 +22,18 @@ import numpy as np
 # modes above the degree of a trig polynomial read about 2e-16 of the
 # largest one on the TWIST_D minors.
 _CHOP = 32.0 * np.finfo(float).eps
+# |g| at most this times the size of g's terms is a zero of g
+ZERO_REL_TOL = 1e-12
+
+
+def sample_points(degree):
+    """The n points k / n, n the smallest power of two of at least 4 ``degree`` + 4.
+
+    They fix a trig polynomial of that degree, and the modes of g from
+    degree + 1 to n / 2 show whether g is one.
+    """
+    n = 1 << (4 * degree + 3).bit_length()
+    return np.arange(n) / n
 
 
 def fourier_modes(values, degree=None, threshold=0.0):
@@ -135,3 +148,18 @@ def zeros(modes, all_roots, threshold):
     keep = np.abs(evaluate(modes, ts)) <= threshold
     real[candidates[groups[keep].any(axis=0)]] = True
     return ts[keep], orders[keep], radius[keep], real
+
+
+def circle_log_mean(values, degree):
+    """Modes, real zeros and circle integral of log |g| from its values at the n points k / n.
+
+    g is a trig polynomial of at most ``degree`` and n at least
+    ``len(sample_points(degree))``.  |g| at most ``ZERO_REL_TOL`` times the
+    largest |value| is a zero, and a mode above ``degree`` that is not below
+    that raises ``ValueError`` (``fourier_modes``).
+    """
+    threshold = ZERO_REL_TOL * np.abs(values).max()
+    modes = fourier_modes(values, degree, threshold)
+    all_roots = roots(modes)
+    ts, _, _, real = zeros(modes, all_roots, threshold)
+    return modes, ts, log_mean(modes, all_roots, real)

@@ -33,10 +33,10 @@ from pathlib import Path
 
 import numpy as np
 
-from ._circle_roots import chop, evaluate, fourier_modes, log_mean, roots, zeros
+from ._circle_roots import (ZERO_REL_TOL, chop, circle_log_mean, evaluate, fourier_modes,
+                            log_mean, roots, sample_points, zeros)
 from ._cofactor import _entries, _max_row_norms, _minors
-from .circle import (CIRCLE_GRID_N, circle_grid, circle_mean,
-                     homoclinic_base_holonomy, rotate)
+from .circle import homoclinic_base_holonomy, rotate
 from .holonomy import (PULLBACK_DEPTH, SHORT_PULLBACK_DEPTH,
                        closed_form_holonomy_many, oseledets_directions,
                        projective_distance)
@@ -59,8 +59,8 @@ HALF_RUN_MAX = 1.25
 PINCH_N_ITER = 20000
 PINCH_N_REP = 8
 TWIST_N_SAMPLES = 200
-# log_integrability's scan grid
-SCAN_GRID_N = CIRCLE_GRID_N
+# log_integrability's scan grid for a g of no declared degree
+SCAN_GRID_N = 1 << 14
 
 # Certifier thresholds on dimensionless quantities (WEAK_TWIST's sine
 # distance and separated fraction, PINCH_D's gap over the spread, and
@@ -69,7 +69,6 @@ SCAN_GRID_N = CIRCLE_GRID_N
 SEP_TOL = 1e-3
 FRAC_THRESHOLD = 0.05
 REL_GAP = 1e-6
-ZERO_REL_TOL = 1e-12
 
 # g counts as resolved when its chopped Fourier series ends below this
 # degree: its modes from there to the scan grid's last one are rounding.
@@ -479,14 +478,14 @@ def minimize_scalar(f, lo, hi, xtol):
 
 
 def _cell_integrals(logs):
-    """Integral of |log |g|| over each scan cell (k, k + 1), over the cell width.
+    """Circle integral of |log |g|| from ``logs``, log |g| on the scan grid.
 
-    ``logs`` holds log |g| on the scan grid.  Where it keeps its sign over
-    a cell, the value is the trapezoid one.  Where it changes sign, |g|
-    crosses 1 and |log |g|| has a kink: the cell takes the exact integral of
-    |l|, l the linear interpolant, plus the Euler-Maclaurin end corrections
-    -h^2/12 f' of the smooth pieces on both sides of the kink, which come to
-    h |l'| / 6.  So a crossing costs O(h^3), not O(h^2).
+    A scan cell where log |g| keeps its sign takes the trapezoid value.
+    Where it changes sign, |g| crosses 1 and |log |g|| has a kink: the cell
+    takes the exact integral of |l|, l the linear interpolant, plus the
+    Euler-Maclaurin end corrections -h^2/12 f' of the smooth pieces on both
+    sides of the kink, which come to h |l'| / 6, so a crossing costs O(h^3).
+    The cells are averaged pairwise, so a constant comes back exactly.
     """
     a = np.abs(logs)
     b = np.roll(a, -1)
@@ -494,7 +493,9 @@ def _cell_integrals(logs):
     kink = np.sign(logs) * np.sign(np.roll(logs, -1)) < 0.0
     a, b = a[kink], b[kink]
     cells[kink] += (a + b) / 6.0 - a * b / (a + b)
-    return cells
+    while cells.size > 1:
+        cells = 0.5 * (cells[0::2] + cells[1::2])
+    return float(cells[0])
 
 
 @cache
@@ -627,36 +628,22 @@ def _polished_zeros(modes, ts, orders, radii):
     return ts[order], orders[order]
 
 
-def _sample_points(degree):
-    """The n points k / n, n the smallest power of two of at least 4 ``degree`` + 4.
-
-    Up to ``SCAN_GRID_N`` points they are every (SCAN_GRID_N / n)-th point
-    of the scan grid, bit for bit.  A trig polynomial of that degree is
-    fixed by its values there, and its modes from degree + 1 to n / 2 show
-    whether it is one.
-    """
-    n = 1 << (4 * degree + 3).bit_length()
-    return np.arange(n) / n
-
-
 def log_integrability(g, *, scale=1.0, degree=None):
     """Estimate the circle integral of |log |g||, locating the zeros of g.
 
     ``g`` maps a 1d array of points to values of the same shape and is
     called once.  With a ``degree``, g must be a trig polynomial of at
-    most that degree: it is called on the ``_sample_points(degree)``, the
-    smallest power-of-two subgrid of the scan grid with at least
-    4 degree + 4 points, and its modes above ``degree`` must be below
-    ``ZERO_REL_TOL * scale``, or ``ValueError`` is raised.  Without one, g
-    is called on the ``SCAN_GRID_N`` points of ``circle.circle_grid`` and
-    its modes, chopped where they fall to rounding, are g as a trig
-    polynomial: exactly for a trig polynomial, to convergence for an
-    analytic g.  The zeros of g are the unit-circle roots of that
-    polynomial: the m roots that rounding splits off one zero of order m
-    form one group, a group where |g| is at most ``ZERO_REL_TOL * scale``
-    is a zero of order m, which ``bisect`` polishes on the (m - 1)-th
-    derivative (``_polished_zeros``), and a zero of order above 1 is
-    reported as not transversal.
+    most that degree: it is called on ``sample_points(degree)``, and its
+    modes above ``degree`` must be below ``ZERO_REL_TOL * scale``, or
+    ``ValueError`` is raised.  Without one, g is called on the scan grid of
+    ``SCAN_GRID_N`` points, and its modes, chopped where they fall to
+    rounding, are g as a trig polynomial: exactly for a trig polynomial,
+    to convergence for an analytic g.  The zeros of g are the unit-circle
+    roots of that polynomial: the m roots that rounding splits off one zero
+    of order m form one group, a group where |g| is at most
+    ``ZERO_REL_TOL * scale`` is a zero of order m, which ``bisect`` polishes
+    on the (m - 1)-th derivative (``_polished_zeros``), and a zero of order
+    above 1 is reported as not transversal.
 
     The integral is 2 int log+ |g| - int log |g|.  The second term is
     Jensen's formula on the same roots, log |c_K| plus log |z| over the
@@ -684,7 +671,7 @@ def log_integrability(g, *, scale=1.0, degree=None):
     if degree is not None and not (isinstance(degree, (int, np.integer)) and degree >= 0):
         raise ValueError(f"degree must be a nonnegative integer, got {degree!r}")
     zero_thr = ZERO_REL_TOL * scale
-    ts = circle_grid() if degree is None else _sample_points(int(degree))
+    ts = np.arange(SCAN_GRID_N) / SCAN_GRID_N if degree is None else sample_points(int(degree))
     vals = np.asarray(g(ts), dtype=float)
     if vals.shape != ts.shape:
         raise ValueError("g must map a 1d array of points to values of equal shape")
@@ -700,8 +687,8 @@ def log_integrability(g, *, scale=1.0, degree=None):
     if degree is None and len(modes) > _MAX_DEGREE:
         if absvals.min() > zero_thr and np.all(np.signbit(vals) == np.signbit(vals[0])):
             return LogIntegralResult(
-                estimate=float(circle_mean(_cell_integrals(np.log(absvals)))), zeros=[],
-                orders=[], diagnostics={"transversal": [], **diagnostics})
+                estimate=_cell_integrals(np.log(absvals)), zeros=[], orders=[],
+                diagnostics={"transversal": [], **diagnostics})
         return LogIntegralResult(estimate=math.inf, zeros=[], orders=[], diagnostics={
             "reason": "g is not resolved by its Fourier modes", **diagnostics})
     all_roots = roots(modes)
@@ -758,14 +745,15 @@ def twisting_d(product):
     of degree at most K = k deg A1 + (d - k) deg A0 (Cauchy-Binet and
     Jacobi's complementary-minor identity), and w has no zero on the
     circle.  So the holonomy H(t) = A0(t + offset)^-1 A1(t) is evaluated
-    once, on the ``_sample_points`` of the largest K, d max(deg A0, deg A1)
+    once, on the ``sample_points`` of the largest K, d max(deg A0, deg A1)
     (the JSON's ``grid_n``), and so is w over its largest |value| there,
     unless A0 is constant; ``log_integrability`` with ``degree`` K reads
     the product's zeros and their orders, the minor's own, off the
     unit-circle roots of its modes.  When A0 is constant, the minor is
     such a polynomial itself and ``log_integrability`` gives its integral
     too; otherwise the minor's integral is that of |log |N / w||, N the
-    product: Jensen's formula gives int log |N| - int log |w|, and the arcs
+    product: Jensen's formula gives int log |N| - int log |w|, the latter
+    from ``circle_log_mean``, and the arcs
     where |N| > |w| end at the real zeros of N - w and N + w
     (``_abs_log_integral_from_modes``).  Each minor on rows I gets the
     ``scale`` prod_{i in I} max_t |row_i H(t)| over those points, its
@@ -774,7 +762,7 @@ def twisting_d(product):
     """
     d = product.dim
     degree0, degree1 = product.maps[0].degree, product.maps[1].degree
-    ts = _sample_points(d * max(degree0, degree1))
+    ts = sample_points(d * max(degree0, degree1))
     entries = _entries(closed_form_holonomy_many(product, ts))
     row_max = _max_row_norms(entries).tolist()
     # a constant det A0 only scales every minor
@@ -784,10 +772,7 @@ def twisting_d(product):
         a0 = product.maps[0].eval_many(rotate(ts, offset))
         det0 = _minors(a0.transpose(1, 2, 0), list(range(d)), list(range(d)))
         weight = det0 / np.abs(det0).max()
-        weight_modes = fourier_modes(weight, d * degree0, ZERO_REL_TOL)
-        weight_roots = roots(weight_modes)
-        weight_log_mean = log_mean(weight_modes, weight_roots,
-                                   zeros(weight_modes, weight_roots, ZERO_REL_TOL)[3])
+        weight_modes, _, weight_log_mean = circle_log_mean(weight, d * degree0)
     per_minor = []
     worst_non_transversal = 0
     n_infinite = 0

@@ -8,9 +8,9 @@ Two Monte Carlo estimators and one exact route:
 * :func:`estimate_top_exponent` pushes a single vector, renormalized by
   its norm, and reads the top exponent off its growth (any d).
 * :func:`diagonal_spectrum` evaluates the exponents of diagonal tuples in
-  closed form as weighted circle averages of log |diagonal entries|: the
-  mean over the uniform circle grid (``circle.circle_mean``), which the
-  sum-rule oracle :func:`mean_log_abs_det` also takes.
+  closed form as weighted circle averages of log |diagonal entries| by
+  Jensen's formula (``_circle_roots.circle_log_mean``), as the sum-rule
+  oracle :func:`mean_log_abs_det` does.
 
 Both estimators share one kernel that advances every replicate in
 lockstep.  The words are drawn up front, one byte per step.  Everything
@@ -67,8 +67,9 @@ import numpy as np
 # from the raw Householder factor; private numpy API, present since 1.22.
 from numpy.linalg._umath_linalg import qr_reduced as _qr_reduced
 
+from ._circle_roots import circle_log_mean, sample_points
 from ._cofactor import _minors
-from .circle import _wrap_extended, circle_grid, circle_mean
+from .circle import _wrap_extended
 from .cocycle import DIAGONAL, RandomProduct
 from .errors import GroupTagError, RenormalizationError
 
@@ -512,27 +513,37 @@ def diagonal_spectrum(product):
     """Exact spectrum of a diagonal tuple, sorted non-increasing.
 
     The exponents of a diagonal tuple are the weighted circle averages
-    sum_s weight_s * integral of log |a_i^(s)|; each integral is the mean
-    over the ``circle.CIRCLE_GRID_N``-point circle grid (the periodic
-    trapezoid rule), so a constant map gives log |a_ii| exactly.
+    sum_s weight_s * integral of log |a_i^(s)|.  Each entry is a trig
+    polynomial of its map's degree, and its integral is Jensen's formula on
+    its Fourier modes (``_circle_roots.circle_log_mean``), so a constant
+    map gives log |a_ii| exactly.  An entry with a real zero raises
+    ``RenormalizationError``.
     """
     if any(m.group_tag != DIAGONAL for m in product.maps):
         raise GroupTagError("diagonal_spectrum requires all maps tagged DIAGONAL")
     exponents = np.zeros(product.dim)
     for weight, mat_map in zip(product.weights, product.maps):
-        diag = np.diagonal(mat_map.eval_many(circle_grid()), axis1=1, axis2=2)
-        with np.errstate(divide="ignore"):
-            logs = np.log(np.abs(diag))
-        if not np.all(np.isfinite(logs)):
-            raise RenormalizationError("diagonal entry vanishes on the circle grid")
-        exponents += weight * circle_mean(logs)
+        diag = np.diagonal(mat_map.eval_many(sample_points(mat_map.degree)), axis1=1, axis2=2)
+        for i in range(product.dim):
+            _, zeros, mean = circle_log_mean(diag[:, i], mat_map.degree)
+            if zeros.size:
+                raise RenormalizationError("diagonal entry vanishes on the circle")
+            exponents[i] += weight * mean
     return np.sort(exponents)[::-1]
 
 
 def mean_log_abs_det(product):
-    """Weighted circle average of log |det| across the tuple (sum-rule oracle)."""
+    """Weighted circle average of log |det| across the tuple (sum-rule oracle).
+
+    det A_s is taken by LU, independent of the estimators' cofactor pin, and
+    its integral by Jensen's formula; a real zero raises ``RenormalizationError``.
+    """
     total = 0.0
     for weight, mat_map in zip(product.weights, product.maps):
-        dets = np.linalg.det(mat_map.eval_many(circle_grid()))
-        total += weight * float(circle_mean(np.log(np.abs(dets))))
+        degree = mat_map.dim * mat_map.degree
+        _, zeros, mean = circle_log_mean(
+            np.linalg.det(mat_map.eval_many(sample_points(degree))), degree)
+        if zeros.size:
+            raise RenormalizationError("determinant vanishes on the circle")
+        total += weight * mean
     return total

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 import cocyclelab as cl
 from cocyclelab import certify, holonomy
 from cocyclelab.certify import REL_GAP
-from cocyclelab.circle import circle_grid
 from util import (axis_pair, bisect_reference, diagonal_first_tuple_d4, pipeline_tuple_d3,
                   random_tuple, schrodinger_pair)
 
@@ -501,6 +500,13 @@ def test_log_integral_of_a_zero_free_g_that_is_not_analytic():
         np.mean(np.log1p(np.abs(np.sin(2 * np.pi * mid)))), abs=1e-8)
 
 
+@given(st.floats(min_value=-1e300, max_value=1e300, allow_nan=False))
+def test_cell_integrals_of_a_constant_is_exact(value):
+    # the scan cells are averaged pairwise, so a constant log |g| comes back
+    # exactly
+    assert certify._cell_integrals(np.full(certify.SCAN_GRID_N, value)) == abs(value)
+
+
 def test_log_integral_sign_change_of_a_g_that_is_not_analytic():
     # the zeros of g cannot be read off a series that has not converged
     result = cl.log_integrability(lambda t: np.sin(2 * np.pi * t) * (1.0 + np.abs(
@@ -863,20 +869,33 @@ def test_twisting_d_d4_diagonal_first_golden():
              "integral": m["integral"].hex()} for m in minors] == golden
 
 
-def _quad_abs_log_integral(g, zeros):
-    """scipy's adaptive quadrature of |log |g|| over the circle, on pieces
-    split at the zeros and where |g| crosses 1, where the integrand is not
-    smooth."""
-    grid = np.arange(4096) / 4096
-    logs = np.log(np.abs([g(t) for t in grid.tolist()]))
-    crossings = [scipy.optimize.brentq(lambda t: math.log(abs(g(t))), t, t + 1 / 4096,
-                                       xtol=1e-15)
-                 for t in grid[np.sign(logs) * np.sign(np.roll(logs, -1)) < 0.0].tolist()]
-    cuts = sorted({0.0, 1.0, *zeros, *crossings})
+def _quad_abs_log_integral(g, zeros, degree, den=lambda t: 1.0):
+    """scipy's adaptive quadrature of |log |g / den|| over the circle, g and
+    den trig polynomials of at most ``degree``, den zero-free.
+
+    The pieces are split at ``zeros`` and where |g / den| crosses 1, where
+    the integrand is not smooth: the angles of the roots of g - den and
+    g + den within 1e-2 of the unit circle, which np.roots finds from their
+    FFT modes, as ``_jensen_log_mean`` in test_lyapunov.py does.  The
+    roots that rounding moves off the circle are among them, and so are
+    complex ones next to it, where |g / den| comes near 1 off the circle
+    and the integrand may change too fast for quad's first rule to see.
+    """
+    n = 1 << (4 * degree + 3).bit_length()
+    grid = np.arange(n) / n
+    num, div = (np.fft.rfft([f(t) for t in grid.tolist()])[:degree + 1] / n for f in (g, den))
+    cuts = {0.0, 1.0, *zeros}
+    for modes in (num - div, num + div):
+        size = np.abs(modes)
+        modes = modes[:np.flatnonzero(size > 1e-13 * size.max())[-1] + 1]
+        roots = np.roots(np.concatenate([modes[::-1], modes[1:].conj()]))
+        near = roots[np.abs(np.abs(roots) - 1.0) < 1e-2]
+        cuts.update((np.angle(near) / (2.0 * np.pi) % 1.0).tolist())
+    cuts = sorted(cuts)
     with warnings.catch_warnings():
         # next to a zero, roundoff stops quad short of 1e-13, far below 1e-5
         warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
-        return sum(scipy.integrate.quad(lambda t: abs(math.log(abs(g(t)))), a, b,
+        return sum(scipy.integrate.quad(lambda t: abs(math.log(abs(g(t) / den(t)))), a, b,
                                         epsabs=0.0, epsrel=1e-13, limit=200)[0]
                    for a, b in zip(cuts, cuts[1:]))
 
@@ -892,7 +911,8 @@ def test_twisting_d_integrals_match_adaptive_quadrature(rows, cols):
     got = next(m for m in minors if (tuple(m["rows"]), tuple(m["cols"])) == (rows, cols))
     index = cl.MinorIndex(rows, cols)
     want = _quad_abs_log_integral(
-        lambda t: cl.minor(cl.closed_form_holonomy(product, t), index), got["zeros"])
+        lambda t: cl.minor(cl.closed_form_holonomy(product, t), index), got["zeros"],
+        len(rows) * product.maps[1].degree)
     assert got["n_zeros"] == 2
     assert abs(got["integral"] - want) <= 1e-8 * want
 
@@ -922,11 +942,20 @@ def test_twisting_d_non_constant_diagonal_first_map():
     assert all(m["orders"] == [1] * m["n_zeros"] for m in minors)
     assert [m["n_zeros"] for m in minors] == [
         scan[(tuple(m["rows"]), tuple(m["cols"]))] for m in minors]
+    offset = cl.homoclinic_base_holonomy(*product.angles)
+
+    def det0(t):
+        return np.linalg.det(product.maps[0].eval_many(np.array([t + offset]))[0])
+
     for rows, cols in [((1,), (2,)), ((1, 2, 3, 4), (1, 2, 3, 4))]:
         got = next(m for m in minors if (tuple(m["rows"]), tuple(m["cols"])) == (rows, cols))
         index = cl.MinorIndex(rows, cols)
+        # the minor times det A0(t + offset) is a trig polynomial of degree
+        # k deg A1 + (4 - k) deg A0
+        k = len(rows)
         want = _quad_abs_log_integral(
-            lambda t: cl.minor(cl.closed_form_holonomy(product, t), index), got["zeros"])
+            lambda t: cl.minor(cl.closed_form_holonomy(product, t), index) * det0(t),
+            got["zeros"], k * product.maps[1].degree + (4 - k) * product.maps[0].degree, det0)
         assert abs(got["integral"] - want) <= 1e-8 * want
 
 
@@ -934,19 +963,25 @@ def test_twisting_d_non_constant_diagonal_first_map():
 CATALAN = 0.91596559417721901505
 
 
-@pytest.mark.parametrize("g, degree", [
+@pytest.mark.parametrize("g, degree, scale", [
     # |g| touches 1 from below at its maximum t = 0.1, with a double zero at 0.6
-    (lambda t: np.cos(np.pi * (t - 0.1)) ** 2, 1),
+    (lambda t: np.cos(np.pi * (t - 0.1)) ** 2, 1, 1.0),
     # |g| touches 1 from above at its minimum t = 0.1, with contact of order 4
-    (lambda t: 1.0 + np.sin(np.pi * (t - 0.1)) ** 4, 2),
+    (lambda t: 1.0 + np.sin(np.pi * (t - 0.1)) ** 4, 2, 1.0),
     # |g| crosses 1 with contact of order 3 at 0.1 and 0.6, double zero at 0.85
-    (lambda t: 1.0 + np.sin(2 * np.pi * (t - 0.1)) ** 3, 3),
-], ids=["below", "above", "crossing"])
-def test_log_integral_where_g_touches_one_tangentially(g, degree):
-    # the ends of the arcs where |g| > 1 are zeros of g - 1 of order above
-    # 1, which the root finder groups like any other zero
-    result = cl.log_integrability(g, degree=degree)
-    want = _quad_abs_log_integral(g, result.zeros)
+    (lambda t: 1.0 + np.sin(2 * np.pi * (t - 0.1)) ** 3, 3, 1.0),
+    # B (sin^2 pi (t - a) + e^2) cos^2 pi (t - a), B = 1e12: |g| crosses 1
+    # 3.2e-7 either side of its double zero at a + 1/2, both crossings in
+    # one cell of a 4096-point sign scan, and dips to 9.9 at a = 0.3
+    (lambda t: 1e12 * (np.sin(np.pi * (t - 0.3)) ** 2 + math.sinh(math.pi * 1e-6) ** 2)
+     * np.cos(np.pi * (t - 0.3)) ** 2, 2, 1e12),
+], ids=["below", "above", "crossing", "crossings_next_to_a_double_zero"])
+def test_log_integral_where_g_touches_one_tangentially(g, degree, scale):
+    # the ends of the arcs where |g| > 1 are zeros of g - 1, of order above
+    # 1 or close to a zero of g, which the root finder groups like any other
+    # zero
+    result = cl.log_integrability(g, scale=scale, degree=degree)
+    want = _quad_abs_log_integral(g, result.zeros, degree)
     assert abs(result.estimate - want) <= 1e-8 * want
 
 
@@ -974,11 +1009,10 @@ def test_log_integral_complex_zero_pair_next_to_the_circle():
     assert result.orders == [2]
     assert result.zeros == pytest.approx([a + 0.5], abs=1e-9)
     # quad's grid sees neither the dip at a nor where |g| crosses 1 next to
-    # the zero, 3.2e-7 away, so they are its cuts; without the crossings
-    # its extrapolation reads |log |g|| there as log |g|, 4 x 3.2e-7 off
-    crossings = [scipy.optimize.brentq(lambda t: math.log(g(t)), lo, hi, xtol=1e-15)
-                 for lo, hi in ((a + 0.49, a + 0.5 - 1e-9), (a + 0.5 + 1e-9, a + 0.51))]
-    want = _quad_abs_log_integral(g, result.zeros + [a] + crossings)
+    # the zero, 3.2e-7 away, so both are cuts: a passed in, the crossings
+    # found by the oracle from its roots of g - 1; without the crossings its
+    # extrapolation reads |log |g|| there as log |g|, 4 x 3.2e-7 off
+    want = _quad_abs_log_integral(g, result.zeros + [a], 2)
     assert abs(result.estimate - want) <= 1e-8 * want
 
 
@@ -1051,9 +1085,9 @@ def test_twisting_d_memory_stays_within_four_grid_stacks():
 
 def test_twisting_d_evaluates_the_zero_free_nodes_once(monkeypatch):
     # every minor, zero-free or not, finds its zeros from the holonomy on
-    # the 32 points k / 32 of the scan grid, the smallest power of two of at
-    # least 4 K + 4 for the largest minor degree K = 3 x 2, evaluated once,
-    # and nowhere else
+    # the 32 points k / 32, the smallest power of two of at least 4 K + 4
+    # for the largest minor degree K = 3 x 2, evaluated once, and nowhere
+    # else
     calls = []
 
     def counted(product, ts):
@@ -1066,7 +1100,7 @@ def test_twisting_d_evaluates_the_zero_free_nodes_once(monkeypatch):
     assert sum(m["n_zeros"] == 0 for m in minors) > 1
     assert sum(m["n_zeros"] for m in minors) > 1
     assert len(calls) == 1
-    assert calls[0].tobytes() == circle_grid()[::certify.SCAN_GRID_N // 32].tobytes()
+    assert calls[0].tobytes() == (np.arange(32) / 32).tobytes()
     assert cert.diagnostics["grid_n"] == 32
 
 

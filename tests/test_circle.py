@@ -1,9 +1,5 @@
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,35 +113,6 @@ def test_orbit_endpoint_accuracy_long_word():
 def test_orbit_equidistribution():
     orbit = cl.base_orbit([cl.GOLDEN_MEAN], cl.constant_word(4096), 0.0)
     assert stats.kstest(orbit[:-1], "uniform").pvalue > 0.01
-
-
-def test_circle_grid_is_read_only():
-    grid = circle.circle_grid()
-    assert grid.tobytes() == (np.arange(circle.CIRCLE_GRID_N) / circle.CIRCLE_GRID_N).tobytes()
-    assert circle.circle_grid() is grid
-    with pytest.raises(ValueError, match="read-only"):
-        grid[0] = 0.5
-
-
-def test_circle_grid_is_built_on_first_use_not_at_import():
-    # every CLI start-up imports the package; only a circle integral needs the grid
-    code = "\n".join([
-        "import cocyclelab",
-        "from cocyclelab import circle",
-        "assert circle.circle_grid.cache_info().currsize == 0",
-        "circle.circle_grid(); circle.circle_grid()",
-        "info = circle.circle_grid.cache_info()",
-        "assert (info.misses, info.hits) == (1, 1), info",
-    ])
-    package_root = str(Path(circle.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=package_root))
-    assert proc.returncode == 0, proc.stderr
-
-
-@given(st.floats(min_value=-1e300, max_value=1e300, allow_nan=False))
-def test_circle_mean_of_a_constant_is_exact(value):
-    assert circle.circle_mean(np.full(circle.CIRCLE_GRID_N, value)) == value
 
 
 def test_backward_orbit_inverts_forward():

@@ -152,16 +152,32 @@ JENSEN_TUPLES = {
 
 @pytest.mark.parametrize("name", list(JENSEN_TUPLES))
 def test_log_det_and_diagonal_spectrum_match_jensens_formula_on_the_test_tuples(name):
-    # both sides are exact up to rounding: the trapezoid rule on the 16384
-    # scan points converges geometrically on log |det| of these zero-free
-    # determinants, far below 1e-100, and np.roots places each root to a
-    # few eps times its condition.  The gaps are at most 5.2e-15; 1e-13
-    # leaves room for another LAPACK, not for a wrong formula
+    # both sides are exact up to rounding: each is Jensen's formula on the
+    # FFT modes of the zero-free determinants (the sum of diagonal_spectrum
+    # on those of the entries), chopped by its own rule, and np.roots places
+    # each root to a few eps times its condition.  The gaps are at most
+    # 1.4e-15; 1e-13 leaves room for another LAPACK, not for a wrong formula
     product = JENSEN_TUPLES[name]()
     want = sum(w * _jensen_log_mean_of_det(m) for w, m in zip(product.weights, product.maps))
     assert abs(cl.mean_log_abs_det(product) - want) <= 1e-13
     if all(m.group_tag == cl.DIAGONAL for m in product.maps):
         assert abs(float(np.sum(cl.diagonal_spectrum(product))) - want) <= 1e-13
+
+
+def test_diagonal_spectrum_and_log_det_reject_an_entry_with_a_real_zero():
+    # diag(sin 2 pi (t - a), 1) with a = 2^-15 passes the map's 1024-point
+    # invertibility check, which the zeros at a and a + 1/2 fall between; a
+    # 16384-point grid mean of log |a_11| read -0.69306 and raised nothing
+    a = 2.0 ** -15
+    # sin 2 pi (t - a) = -sin(2 pi a) cos 2 pi t + cos(2 pi a) sin 2 pi t
+    cos = np.diag([-math.sin(2 * math.pi * a), 0.0])[None]
+    sin = np.diag([math.cos(2 * math.pi * a), 0.0])[None]
+    m = cl.TrigMatrixMap(np.diag([0.0, 1.0]), cos, sin, group_tag=cl.DIAGONAL)
+    rp = cl.RandomProduct([cl.GOLDEN_MEAN], [m])
+    with pytest.raises(cl.RenormalizationError, match="diagonal entry vanishes"):
+        cl.diagonal_spectrum(rp)
+    with pytest.raises(cl.RenormalizationError, match="determinant vanishes"):
+        cl.mean_log_abs_det(rp)
 
 
 def test_diagonal_spectrum_of_constant_maps_is_exact():
