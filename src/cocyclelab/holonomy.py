@@ -11,14 +11,19 @@ The Oseledets directions of a single map are singular vectors of long
 products, as for covariant Lyapunov vectors (Ginelli et al. 2007): e+ at t
 is the top left singular vector of the product of the steps that end at t,
 e- the bottom right singular vector of the product of the steps that start
-at t.  A point is pulled back ``SHORT_PULLBACK_DEPTH`` (16) steps per half
-first; only where that has not converged is it pulled back again at
+at t.  One pullback evaluates the map along one base orbit through t,
+scales all its steps by one power of two, multiplies them pairwise at unit
+norm, and reads each 2x2 singular direction in closed form, as half the
+angle atan2 takes of the entries of M M^T (left) or M^T M (right).  A
+point is pulled back ``SHORT_PULLBACK_DEPTH`` (16) steps per half first;
+only where that has not converged is it pulled back again at
 ``PULLBACK_DEPTH`` (200), by the same routine, so a point that falls
 through gets the bits of a 200-step pullback alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,11 +48,18 @@ DIRECTION_TOL = 1e-8
 
 
 def projective_distance(u, v):
-    """Sine of the angle between the lines spanned by two 2-vectors."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    cross = u[0] * v[1] - u[1] * v[0]
-    return abs(cross) / (np.linalg.norm(u) * np.linalg.norm(v))
+    """Sine of the angle between the lines spanned by two 2-vectors.
+
+    ``u`` and ``v`` may be lists, tuples or arrays; the result is a Python
+    float, computed on Python floats with ``math.hypot`` for the norms.  A
+    zero vector spans no line and raises ``ValueError``.
+    """
+    u0, u1 = u.tolist() if isinstance(u, np.ndarray) else u
+    v0, v1 = v.tolist() if isinstance(v, np.ndarray) else v
+    try:
+        return float(abs(u0 * v1 - u1 * v0) / (math.hypot(u0, u1) * math.hypot(v0, v1)))
+    except ZeroDivisionError:
+        raise ValueError("a zero vector spans no line") from None
 
 
 def linear_holonomy(product, x_tail, y_tail, t_x, t_y, side="stable"):
@@ -196,34 +208,62 @@ def oseledets_directions(angle, mat_map, t):
 
 
 def _pullback(angle, mat_map, t, depth):
-    """:func:`oseledets_directions` at one depth, for ``t`` in [0, 1)."""
-    n2 = 2 * depth
+    """:func:`oseledets_directions` at one depth, for ``t`` in [0, 1).
 
-    word = constant_word(n2)
-    past = base_orbit([angle], word, rotate(t, -n2 * angle))
-    future = base_orbit([angle], word, t)
-    # pullback points drift from exact multiples of the angle only at the
-    # 1e-13 level, which the direction field does not resolve
-    steps = mat_map.eval_many(np.concatenate([past[:-1], future[:-1]]))
-    # each step scaled by 2^-e, e the exponent of its largest entry: no pair
-    # product leaves the float range, and a map in range keeps every bit
-    steps = np.ldexp(steps, -np.frexp(np.abs(steps).max(axis=(1, 2)))[1][:, None, None])
+    The 4n steps lie on one base orbit from t - 2n theta: the first 2n
+    are the past, the last 2n the future.  All of them are scaled by one
+    power of two, taken from their largest entry.  The scaling is exact,
+    so a map in range keeps every bit, and the map certification floor
+    (``cocycle.DET_FLOOR`` times the Hadamard bound) keeps each row's norm
+    on the certification grid within 1e10 of its largest, which bounds
+    how far one row's entries spread over the steps of a call.  The four
+    singular directions come in closed form, on Python floats.
+    """
+    n2 = 2 * depth
+    # the start is taken in longdouble, where 2n theta is exact for
+    # 2n < 2^11, and the orbit's running sum is longdouble too, so every
+    # point, t among them, lies within an ulp of t + j theta
+    start = float((np.longdouble(t) - n2 * np.longdouble(angle)) % 1.0)
+    orbit = base_orbit([angle], constant_word(2 * n2), start)
+    steps = mat_map.eval_many(orbit[:-1])
+    # one exponent for all steps; np.ldexp, unlike a multiplication by
+    # 2.0 ** -e, also takes the exponent of a subnormal largest entry
+    np.ldexp(steps, -math.frexp(np.abs(steps).max())[1], out=steps)
     # halves: past first n, past last n, future first n, future last n
     halves = _unit_products(steps.reshape(4, depth, 2, 2))
-    # SVD inputs: past whole, past last n, future whole, future first n;
-    # the wholes are multiplied straight into their slots
+    # past whole, past last n, future whole, future first n; the wholes
+    # are multiplied straight into their slots
     mats = halves[[1, 1, 3, 2]]
     np.matmul(halves[1::2], halves[0::2], out=mats[::2])
-    left, _, right = np.linalg.svd(mats)
-    e_plus, plus_half = left[0, :, 0], left[1, :, 0]
-    e_minus, minus_half = right[2, -1], right[3, -1]
-
-    residual = max(projective_distance(e_plus, plus_half),
-                   projective_distance(e_minus, minus_half))
+    past, past_half, future, future_half = mats.reshape(4, 4).tolist()
+    e_plus = _top_left_direction(*past)
+    e_minus = _bottom_right_direction(*future)
+    residual = max(projective_distance(e_plus, _top_left_direction(*past_half)),
+                   projective_distance(e_minus, _bottom_right_direction(*future_half)))
     return OseledetsDirections(
-        e_plus=e_plus, e_minus=e_minus, residual=float(residual),
-        converged=bool(residual <= DIRECTION_TOL), depth=depth,
+        e_plus=np.array(e_plus), e_minus=np.array(e_minus), residual=residual,
+        converged=residual <= DIRECTION_TOL, depth=depth,
     )
+
+
+def _top_left_direction(a, b, c, d):
+    """Unit top left singular vector of [[a, b], [c, d]], as a tuple.
+
+    It is the top eigenvector of M M^T = [[p, r], [r, q]], at half the
+    angle atan2(2 r, p - q).
+    """
+    phi = 0.5 * math.atan2(2.0 * (a * c + b * d), (a * a + b * b) - (c * c + d * d))
+    return math.cos(phi), math.sin(phi)
+
+
+def _bottom_right_direction(a, b, c, d):
+    """Unit bottom right singular vector of [[a, b], [c, d]], as a tuple.
+
+    The top right singular vector of M is the top left one of M^T; the
+    bottom one is that turned by pi / 2.
+    """
+    top0, top1 = _top_left_direction(a, c, b, d)
+    return -top1, top0
 
 
 @dataclass

@@ -92,7 +92,7 @@ _LOG_ROOM = np.log(np.finfo(float).max) / 8.0
 _SCALE_SLACK = 64
 # smallest normal float: a |R_ii| or squared norm below it has lost digits
 _TINY = np.finfo(float).tiny
-# steps per rng.choice call when a word is drawn
+# steps per block of uniforms when a word is drawn
 _WORD_BLOCK = 1 << 16
 
 
@@ -140,17 +140,27 @@ def _draw_replicates(product, seed, n_iter, n_rep, with_vector):
     Each substream draws its word, then its start point, then its start
     vector, so replicate r sees the same numbers whatever n_rep is.  The
     word is drawn in blocks of ``_WORD_BLOCK`` steps, which consume the
-    stream as one draw of the whole word does, so ``choice``'s temporaries
-    stay bounded whatever n_iter is.  The points after the first are left
-    to ``_chunk_phasors``.
+    stream as one draw of the whole word does, so the uniforms stay
+    bounded whatever n_iter is.  A step's symbol is the number of entries
+    of the normalized cdf at or below its uniform, counted straight into
+    the word: the words ``Generator.choice(..., p=weights)`` draws, which
+    takes ``searchsorted(cdf, rng.random(n), 'right')``.  The points
+    after the first are left to ``_chunk_phasors``.
     """
     words = np.empty((n_rep, n_iter), dtype=np.min_scalar_type(product.n_symbols - 1))
     firsts = np.empty(n_rep)
     vectors = np.empty((n_rep, product.dim)) if with_vector else None
+    cdf = np.cumsum(product.weights)
+    cdf /= cdf[-1]
+    # the last entry is 1, which no uniform in [0, 1) reaches
+    edges = cdf[:-1].tolist()
     for r, rng in enumerate(_substreams(seed, n_rep)):
         for lo in range(0, n_iter, _WORD_BLOCK):
-            words[r, lo:lo + _WORD_BLOCK] = rng.choice(
-                product.n_symbols, size=min(_WORD_BLOCK, n_iter - lo), p=product.weights)
+            block = words[r, lo:lo + _WORD_BLOCK]
+            uniforms = rng.random(block.size)
+            block[...] = 0
+            for edge in edges:
+                block += uniforms >= edge
         firsts[r] = rng.random()
         if with_vector:
             vec = rng.standard_normal(product.dim)

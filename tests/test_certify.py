@@ -235,19 +235,32 @@ def test_weakly_twisting_trivial_holonomy_fails():
 
 
 # float.hex of the WEAK_TWIST diagnostics on the Schrodinger pair at the
-# 200-step pullback, taken before the pullback was tuned: that route must
-# stay bit for bit
-SCHRODINGER_TWIST_MIN_SEPARATION = "0x1.abf4a86810b68p-9"
+# 200-step pullback (one exactly placed base orbit, one power-of-two scale,
+# closed-form singular vectors): that route must stay bit for bit
+SCHRODINGER_TWIST_MIN_SEPARATION = "0x1.abf4a868109aep-9"
 SCHRODINGER_TWIST_WITNESSES = [
-    ("0x1.730a97f508540p-5", "0x1.68e625a023d7ap-4"),
-    ("0x1.050928da2950cp-3", "0x1.ce412cbc2be9dp-7"),
-    ("0x1.add2ee249a428p-3", "0x1.1ea838a7daff0p-4"),
-    ("0x1.ec6399bee402cp-1", "0x1.3af1ea68c7ff2p-4"),
-    ("0x1.eba0dc1dcdbdcp-1", "0x1.324c6eb2e2863p-4"),
-    ("0x1.7364cda2a6e9cp-1", "0x1.abf4a86810b68p-9"),
-    ("0x1.c080655723ec0p-1", "0x1.f0a7f9c1cbc2bp-5"),
-    ("0x1.ec1746e8bc5bap-2", "0x1.889f708f388d7p-4"),
+    ("0x1.730a97f508540p-5", "0x1.68e625a023d7ep-4"),
+    ("0x1.050928da2950cp-3", "0x1.ce412cbc2be7ap-7"),
+    ("0x1.add2ee249a428p-3", "0x1.1ea838a7dafe7p-4"),
+    ("0x1.ec6399bee402cp-1", "0x1.3af1ea68c7e21p-4"),
+    ("0x1.eba0dc1dcdbdcp-1", "0x1.324c6eb2e2746p-4"),
+    ("0x1.7364cda2a6e9cp-1", "0x1.abf4a868109aep-9"),
+    ("0x1.c080655723ec0p-1", "0x1.f0a7f9c1cbdfdp-5"),
+    ("0x1.ec1746e8bc5bap-2", "0x1.889f708f388dap-4"),
 ]
+# the same separations from the earlier 200-step pullback (two base orbits,
+# the past one started at t - 400 theta rounded in floats, a power-of-two
+# scale per step, LAPACK's SVD); they moved by at most 1.3e-12 relative
+SVD_TWIST_MIN_SEPARATION = "0x1.abf4a86810b68p-9"
+SVD_TWIST_SEPARATIONS = ["0x1.68e625a023d7ap-4", "0x1.ce412cbc2be9dp-7",
+                         "0x1.1ea838a7daff0p-4", "0x1.3af1ea68c7ff2p-4",
+                         "0x1.324c6eb2e2863p-4", "0x1.abf4a86810b68p-9",
+                         "0x1.f0a7f9c1cbc2bp-5", "0x1.889f708f388d7p-4"]
+
+
+def _close_to_svd(got, want_hex):
+    want = float.fromhex(want_hex)
+    return abs(got - want) <= 1e-10 * want
 
 
 def test_weakly_twisting_schrodinger_golden(monkeypatch):
@@ -269,6 +282,9 @@ def test_weakly_twisting_schrodinger_golden(monkeypatch):
     assert [(w["t"].hex(), w["separation"].hex())
             for w in diag["witnesses"]] == SCHRODINGER_TWIST_WITNESSES
     assert diag["deep_fraction"] == 1.0
+    assert _close_to_svd(diag["min_separation"], SVD_TWIST_MIN_SEPARATION)
+    for witness, want in zip(diag["witnesses"], SVD_TWIST_SEPARATIONS, strict=True):
+        assert _close_to_svd(witness["separation"], want)
 
 
 def test_weakly_twisting_short_rung_agrees_with_the_golden(monkeypatch):
@@ -312,7 +328,7 @@ def unscaled_twist():
 @pytest.mark.parametrize("factor", [1e80, 1e-80, 1e100, 1e-100, 1e160, 1e-160], ids=str)
 def test_weakly_twisting_is_scale_free(factor, unscaled_twist):
     # pair products of raw steps at 1e+-80 leave the float range; the
-    # pullback scales each step by a power of two first
+    # pullback scales all its steps by one power of two first
     product, plain = unscaled_twist
     scaled = cl.weakly_twisting(
         cl.RandomProduct(product.angles, [factor * m for m in product.maps], product.weights),
@@ -876,10 +892,10 @@ def _quad_abs_log_integral(g, zeros, degree, den=lambda t: 1.0):
     The pieces are split at ``zeros`` and where |g / den| crosses 1, where
     the integrand is not smooth: the angles of the roots of g - den and
     g + den within 1e-2 of the unit circle, which np.roots finds from their
-    FFT modes, as ``_jensen_log_mean`` in test_lyapunov.py does.  The
-    roots that rounding moves off the circle are among them, and so are
-    complex ones next to it, where |g / den| comes near 1 off the circle
-    and the integrand may change too fast for quad's first rule to see.
+    FFT modes.  The roots that rounding moves off the circle are among
+    them, and so are complex ones next to it, where |g / den| comes near 1
+    off the circle and the integrand may change too fast for quad's first
+    rule to see.
     """
     n = 1 << (4 * degree + 3).bit_length()
     grid = np.arange(n) / n

@@ -1,6 +1,7 @@
 """Holonomy quotients, the closed form, and Oseledets direction fields."""
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,22 @@ def test_projective_distance_basic():
     assert cl.projective_distance([1.0, 1.0], [-3.0, -3.0]) == 0.0
     d = cl.projective_distance([1.0, 0.0], [1.0, 1.0])
     assert d == pytest.approx(np.sin(np.pi / 4), abs=1e-15)
+
+
+@pytest.mark.parametrize("make", [list, tuple, np.array])
+def test_projective_distance_is_a_python_float(make):
+    for u, v in (([3.0, 4.0], [1.0, 0.0]), ([3, 4], [1, 0]),
+                 ([np.float64(3.0), np.float64(4.0)], [1.0, 0.0])):
+        got = cl.projective_distance(make(u), make(v))
+        assert type(got) is float and got == 0.8
+
+
+@pytest.mark.parametrize("make", [list, tuple, np.array])
+def test_projective_distance_of_a_zero_vector_raises(make):
+    with pytest.raises(ValueError, match="zero vector"):
+        cl.projective_distance(make([0.0, 0.0]), make([1.0, 0.0]))
+    with pytest.raises(ValueError, match="zero vector"):
+        cl.projective_distance(make([1.0, 0.0]), make([0.0, -0.0]))
 
 
 @given(
@@ -281,6 +298,91 @@ def test_oseledets_deep_pullback_does_not_overflow(monkeypatch):
     assert cl.projective_distance(res.e_minus, [0.0, 1.0]) <= 1e-12
 
 
+@pytest.mark.parametrize("depth", [holonomy.SHORT_PULLBACK_DEPTH, holonomy.PULLBACK_DEPTH])
+def test_pullback_steps_lie_on_the_exact_orbit(depth, monkeypatch):
+    """Step j of a pullback at t sits at t + (j - 2n) theta mod 1 to within
+    an ulp of 1, where t - 2n theta rounded in floats drifted by up to
+    1.4e-14.  t = 0.2471 puts the orbit's start below 1/16."""
+    orbits = []
+    base_orbit = holonomy.base_orbit
+
+    def recording(angles, word, t):
+        orbits.append(base_orbit(angles, word, t))
+        return orbits[-1]
+
+    product, _ = schrodinger_pair()
+    angle, mat_map = product.angles[0], product.maps[0]
+    monkeypatch.setattr(holonomy, "base_orbit", recording)
+    for t in (0.0, 0.05, 0.2471, 0.41, 0.77):
+        holonomy._pullback(angle, mat_map, t, depth)
+        (orbit,) = orbits
+        orbits.clear()
+        assert len(orbit) == 4 * depth + 1
+        for j, point in enumerate(orbit.tolist()):
+            exact = (Fraction(t) + (j - 2 * depth) * Fraction(angle)) % 1
+            assert abs(Fraction(point) - exact) <= Fraction(2.0 ** -52)
+
+
+@pytest.mark.parametrize("diagonal", [(1e160, 1e-140), (5e-309, 4e-309)], ids=str)
+@pytest.mark.parametrize("deep", [False, True])
+def test_oseledets_axes_at_the_ends_of_the_float_range(diagonal, deep, monkeypatch):
+    """Entries 300 decades apart, and a largest entry below 2^-1024, whose
+    power-of-two scale 2^1024 is not a float."""
+    if deep:
+        monkeypatch.setattr(holonomy, "SHORT_PULLBACK_DEPTH", holonomy.PULLBACK_DEPTH)
+    mat_map = cl.TrigMatrixMap.constant(np.diag(diagonal), group_tag=cl.DIAGONAL)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = cl.oseledets_directions(cl.GOLDEN_MEAN, mat_map, 0.7)
+    assert res.converged and res.residual == 0.0
+    assert res.depth == (holonomy.PULLBACK_DEPTH if deep else holonomy.SHORT_PULLBACK_DEPTH)
+    assert cl.projective_distance(res.e_plus, [1.0, 0.0]) <= 1e-15
+    assert cl.projective_distance(res.e_minus, [0.0, 1.0]) <= 1e-15
+
+
+@pytest.mark.parametrize("power", [530, -530])
+@pytest.mark.parametrize("energy", [3.0, 0.5])
+def test_oseledets_directions_of_a_rescaled_map_keep_their_bits(power, energy):
+    """The pullback's one power-of-two scale is exact, so a map scaled by
+    2^+-530 gives the unscaled map's bits on both rungs (energy 0.5 falls
+    through to the deep one)."""
+    product, _ = schrodinger_pair(energy)
+    angle, plain = product.angles[0], product.maps[0]
+    scaled = cl.TrigMatrixMap(np.ldexp(plain.const, power), np.ldexp(plain.cos_coeffs, power),
+                              np.ldexp(plain.sin_coeffs, power))
+    for t in (0.05, 0.41, 0.77):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = cl.oseledets_directions(angle, scaled, t)
+        want = cl.oseledets_directions(angle, plain, t)
+        assert got.converged and got.depth == want.depth
+        assert want.depth == (holonomy.SHORT_PULLBACK_DEPTH if energy == 3.0
+                              else holonomy.PULLBACK_DEPTH)
+        assert got.e_plus.tobytes() == want.e_plus.tobytes()
+        assert got.e_minus.tobytes() == want.e_minus.tobytes()
+        assert got.residual.hex() == want.residual.hex()
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.floats(-15.0, 0.0))
+@settings(max_examples=200, deadline=None)
+def test_closed_form_singular_vectors_match_svd(seed, n, log_noise):
+    """On unit-norm products of n factors, the first one 10^log_noise from
+    rank 1, the closed-form directions sit within a few eps over the
+    relative singular gap of LAPACK's."""
+    rng = np.random.default_rng(seed)
+    factors = rng.standard_normal((n, 2, 2))
+    factors[0] = np.outer(*rng.standard_normal((2, 2))) + 10.0 ** log_noise * factors[0]
+    mat = holonomy._unit_products(factors)
+    left, sigma, right = np.linalg.svd(mat)
+    gap = (sigma[0] - sigma[1]) / sigma[0]
+    if gap == 0.0:
+        return
+    tol = 8.0 * np.finfo(float).eps / gap
+    entries = mat.ravel().tolist()
+    assert cl.projective_distance(holonomy._top_left_direction(*entries), left[:, 0]) <= tol
+    assert cl.projective_distance(holonomy._bottom_right_direction(*entries), right[-1]) <= tol
+
+
 @given(st.integers(1, 9), st.integers(1, 3), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_unit_products_match_multi_dot(n, d, seed):
@@ -352,15 +454,28 @@ def test_oseledets_field_csv_round_trip(tmp_path):
 
 
 # float.hex of (e_plus, e_minus, residual) on the Schrodinger pair's first
-# map at the 200-step pullback, taken before the pullback was tuned: that
-# rung must stay bit for bit
+# map at the 200-step pullback (one exactly placed base orbit, one
+# power-of-two scale, closed-form singular vectors): that rung must stay
+# bit for bit
 OSELEDETS_GOLDEN = {
+    0.0: (["0x1.e881666fdec59p-1", "0x1.32a2cfc0c01a5p-2"],
+          ["0x1.dfa910a7132d8p-2", "0x1.c45b002fce33ep-1"], "0x0.0p+0"),
+    0.3: (["0x1.e2972fc60fc5ep-1", "0x1.560dfaf267e03p-2"],
+          ["0x1.5e325eb788f9dp-2", "0x1.e120e036ab03ap-1"], "0x1.0000000000000p-54"),
+    0.7734: (["0x1.d3b99f48fb4b3p-1", "0x1.a08b49028178ap-2"],
+             ["0x1.74ae4de1063eap-2", "0x1.dce31485cfe57p-1"], "0x1.0000000000000p-54"),
+}
+# (e_plus, e_minus) at the same points from the earlier 200-step pullback
+# (two base orbits, the past one started at t - 400 theta rounded in
+# floats, a power-of-two scale per step, LAPACK's SVD); they moved by at
+# most 6.1e-15
+OSELEDETS_SVD_GOLDEN = {
     0.0: (["-0x1.e881666fdec58p-1", "-0x1.32a2cfc0c01a4p-2"],
-          ["0x1.dfa910a7132d9p-2", "0x1.c45b002fce33ep-1"], "0x0.0p+0"),
+          ["0x1.dfa910a7132d9p-2", "0x1.c45b002fce33ep-1"]),
     0.3: (["-0x1.e2972fc60fc50p-1", "-0x1.560dfaf267e5cp-2"],
-          ["-0x1.5e325eb788f9ap-2", "-0x1.e120e036ab039p-1"], "0x1.4000000000001p-52"),
+          ["-0x1.5e325eb788f9ap-2", "-0x1.e120e036ab039p-1"]),
     0.7734: (["-0x1.d3b99f48fb4cap-1", "-0x1.a08b490281727p-2"],
-             ["-0x1.74ae4de1063e9p-2", "-0x1.dce31485cfe58p-1"], "0x1.8000000000001p-53"),
+             ["-0x1.74ae4de1063e9p-2", "-0x1.dce31485cfe58p-1"]),
 }
 
 
@@ -376,6 +491,8 @@ def test_oseledets_directions_golden(t, monkeypatch):
     assert [x.hex() for x in got.e_minus] == e_minus
     assert got.residual.hex() == residual and got.converged
     assert got.depth == holonomy.PULLBACK_DEPTH
+    for vec, svd_golden in zip((got.e_plus, got.e_minus), OSELEDETS_SVD_GOLDEN[t]):
+        assert cl.projective_distance(vec, [float.fromhex(x) for x in svd_golden]) <= 1e-13
 
 
 @pytest.mark.parametrize("t", sorted(OSELEDETS_GOLDEN))

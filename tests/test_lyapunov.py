@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -116,24 +117,15 @@ def test_diagonal_spectrum_and_log_det_match_jensens_formula(seed):
     assert abs(cl.mean_log_abs_det(rp) - want.sum()) <= 1e-12
 
 
-def _jensen_log_mean_of_det(mat_map):
-    """Circle integral of log |det A(t)| by Jensen's formula.
+def _quad_log_mean_of_det(mat_map):
+    """Circle integral of log |det A(t)| by scipy's adaptive quadrature.
 
-    det A is a trig polynomial of degree K = d deg A, so the FFT of its
-    values on the smallest power of two of at least 4K + 4 points gives its
-    modes c_0 ... c_K.  Trailing modes under 1e-13 of the largest are
-    rounding (det A = 1 has modes of about 1e-17 up to K) and are dropped;
-    then det A is z^-K P(z) on z = e^{2 pi i t}, with P's coefficients
-    c_K ... c_1, c_0, conj(c_1) ... conj(c_K), and the integral is
-    log |c_K| plus log |z| over the roots of P outside the unit circle.
+    det A is zero-free on every test tuple, so the integrand is smooth and
+    the Gauss-Kronrod rule, which shares neither the sample points nor the
+    Fourier modes of Jensen's formula, meets 1e-13 with no roundoff warning.
     """
-    k = mat_map.dim * mat_map.degree
-    n = 1 << (4 * k + 3).bit_length()
-    modes = np.fft.rfft(np.linalg.det(mat_map.eval_many(np.arange(n) / n))) / n
-    size = np.abs(modes[:k + 1])
-    modes = modes[:np.flatnonzero(size > 1e-13 * size.max())[-1] + 1]
-    roots = np.roots(np.concatenate([modes[::-1], modes[1:].conj()]))
-    return math.log(abs(modes[-1])) + float(np.sum(np.log(np.abs(roots[np.abs(roots) > 1.0]))))
+    return scipy.integrate.quad(lambda t: math.log(abs(np.linalg.det(mat_map.eval(t)))),
+                                0.0, 1.0, epsabs=1e-13, epsrel=0.0, limit=200)[0]
 
 
 JENSEN_TUPLES = {
@@ -152,13 +144,13 @@ JENSEN_TUPLES = {
 
 @pytest.mark.parametrize("name", list(JENSEN_TUPLES))
 def test_log_det_and_diagonal_spectrum_match_jensens_formula_on_the_test_tuples(name):
-    # both sides are exact up to rounding: each is Jensen's formula on the
-    # FFT modes of the zero-free determinants (the sum of diagonal_spectrum
-    # on those of the entries), chopped by its own rule, and np.roots places
-    # each root to a few eps times its condition.  The gaps are at most
-    # 1.4e-15; 1e-13 leaves room for another LAPACK, not for a wrong formula
+    # mean_log_abs_det is Jensen's formula on the FFT modes of the zero-free
+    # determinants (diagonal_spectrum sums it over those of the entries);
+    # the oracle integrates log |det A| by adaptive quadrature instead.  The
+    # gaps are at most 4.9e-15; 1e-13 leaves room for another LAPACK, not
+    # for a wrong formula
     product = JENSEN_TUPLES[name]()
-    want = sum(w * _jensen_log_mean_of_det(m) for w, m in zip(product.weights, product.maps))
+    want = sum(w * _quad_log_mean_of_det(m) for w, m in zip(product.weights, product.maps))
     assert abs(cl.mean_log_abs_det(product) - want) <= 1e-13
     if all(m.group_tag == cl.DIAGONAL for m in product.maps):
         assert abs(float(np.sum(cl.diagonal_spectrum(product))) - want) <= 1e-13
@@ -775,6 +767,45 @@ def test_block_drawn_words_match_across_the_real_block_boundary():
     assert np.array_equal(words, want_words)
     assert firsts.tobytes() == want_starts[:, 0].tobytes()
     assert vectors.tobytes() == want_vectors.tobytes()
+
+
+UNEVEN_WEIGHTS = [[1.0], [0.7, 0.1, 0.2], [0.05, 0.5, 0.15, 0.3]]
+
+
+def _weighted_product(weights):
+    """One map under every symbol: only the angles and weights differ."""
+    mat_map = random_tuple(2, seed=1).maps[0]
+    angles = [cl.GOLDEN_MEAN, SILVER, 0.2360679774997897, 0.1415926535897931]
+    return cl.RandomProduct(angles[:len(weights)], [mat_map] * len(weights), weights)
+
+
+@pytest.mark.parametrize("weights", UNEVEN_WEIGHTS, ids=len)
+@pytest.mark.parametrize("n_iter", [1, 6, 7, 8, 23])
+def test_block_drawn_words_with_uneven_weights_match_choice(monkeypatch, weights, n_iter):
+    # blocks of 7 steps, as above, with 1, 3 and 4 symbols of uneven weight
+    monkeypatch.setattr(lyapunov, "_WORD_BLOCK", 7)
+    rp = _weighted_product(weights)
+    words, firsts, vectors = lyapunov._draw_replicates(rp, 3, n_iter, 4, True)
+    want_words, want_starts, want_vectors = draw_replicates_reference(rp, 3, n_iter, 4, True)
+    assert words.dtype == np.uint8
+    assert np.array_equal(words, want_words)
+    assert firsts.tobytes() == want_starts[:, 0].tobytes()
+    assert vectors.tobytes() == want_vectors.tobytes()
+
+
+@pytest.mark.parametrize("weights", UNEVEN_WEIGHTS, ids=len)
+def test_block_drawn_words_with_uneven_weights_match_across_the_real_block_boundary(weights):
+    rp = _weighted_product(weights)
+    n_iter = lyapunov._WORD_BLOCK + 5
+    words, firsts, vectors = lyapunov._draw_replicates(rp, 4, n_iter, 2, True)
+    want_words, want_starts, want_vectors = draw_replicates_reference(rp, 4, n_iter, 2, True)
+    assert np.array_equal(words, want_words)
+    assert firsts.tobytes() == want_starts[:, 0].tobytes()
+    assert vectors.tobytes() == want_vectors.tobytes()
+    # every symbol is drawn at about its weight
+    for r in range(2):
+        shares = np.bincount(words[r], minlength=len(weights)) / n_iter
+        np.testing.assert_allclose(shares, weights, atol=0.01)
 
 
 def _record_chunks(monkeypatch):
