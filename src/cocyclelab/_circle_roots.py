@@ -7,8 +7,9 @@ unit-circle roots of P, which ``np.roots`` finds as the eigenvalues of its
 companion matrix (Boyd, J. Eng. Math. 2006; Wright, Javed, Montanelli and
 Trefethen, SIAM J. Sci. Comput. 2015).  An analytic g is handled the same
 way once its modes are chopped where they have fallen to rounding.  The
-same roots give the circle integral of log |g| by Jensen's formula;
-``circle_log_mean`` runs that route from the values of g.
+same roots give the circle integral of log |g| by Jensen's formula.  One
+call of ``zeros`` on the modes takes the roots and returns both, the zeros
+and that log mean; ``circle_log_mean`` runs it from the values of g.
 """
 
 from __future__ import annotations
@@ -74,12 +75,7 @@ def evaluate(modes, ts, orders=0):
     return 2.0 * terms.sum(axis=-1).real - weights[..., 0].real
 
 
-def roots(modes):
-    """The 2K roots of z^K g on the complex plane, g of degree K."""
-    return np.roots(np.concatenate([modes[::-1], modes[1:].conj()]))
-
-
-def log_mean(modes, all_roots, real):
+def _log_mean(modes, all_roots, real):
     """Circle integral of log |g| by Jensen's formula.
 
     z^K g is c_K prod_j (z - z_j), so the integral is log |c_K| plus
@@ -100,10 +96,10 @@ def local_log_scale(modes, ts, orders):
                 - [math.lgamma(m + 1) for m in orders.tolist()])
 
 
-def zeros(modes, all_roots, threshold):
-    """Real zeros of g: their first estimates, orders and rounding radii.
+def zeros(modes, threshold):
+    """Real zeros of g: their first estimates, orders and rounding radii, and its log mean.
 
-    Only the roots ``all_roots`` of z^K g with |g| at most ``threshold``
+    Only those of the 2K roots of z^K g with |g| at most ``threshold``
     at their angles t can belong to a zero; they are grouped bottom up by
     t, so that a root off the circle and its mirror image in it, which
     share t, fall together.  A group of m roots centred at t gets the radius
@@ -115,9 +111,10 @@ def zeros(modes, all_roots, threshold):
     of m, and zeros further apart stay distinct.  A group is a zero when
     |g| at its centre is at most ``threshold``; its centre is within about
     its radius of the zero, where the (m - 1)-th derivative of g has a
-    simple zero.  Returns four arrays: centres, orders and radii, and a mask
-    of the roots that make up the zeros.
+    simple zero.  Returns centres, orders and radii as arrays, and the
+    circle integral of log |g| from the same roots (``_log_mean``).
     """
+    all_roots = np.roots(np.concatenate([modes[::-1], modes[1:].conj()]))
     turns = np.angle(all_roots) / (2.0 * np.pi)
     # a root that rounding split off a zero has |g| at its angle near the
     # rounding, far below the threshold
@@ -125,7 +122,7 @@ def zeros(modes, all_roots, threshold):
     real = np.zeros(len(all_roots), dtype=bool)
     turns = turns[candidates]
     if not turns.size:
-        return turns, np.zeros(0, dtype=int), turns, real
+        return turns, np.zeros(0, dtype=int), turns, _log_mean(modes, all_roots, real)
     # the 2K + 1 modes, each rounded by up to _CHOP times the largest
     log_rounding = math.log((2 * len(modes) - 1) * _CHOP * np.abs(modes).max())
     # row a marks the roots of group a
@@ -147,7 +144,7 @@ def zeros(modes, all_roots, threshold):
         groups = np.delete(groups, b, axis=0)
     keep = np.abs(evaluate(modes, ts)) <= threshold
     real[candidates[groups[keep].any(axis=0)]] = True
-    return ts[keep], orders[keep], radius[keep], real
+    return ts[keep], orders[keep], radius[keep], _log_mean(modes, all_roots, real)
 
 
 def circle_log_mean(values, degree):
@@ -160,6 +157,5 @@ def circle_log_mean(values, degree):
     """
     threshold = ZERO_REL_TOL * np.abs(values).max()
     modes = fourier_modes(values, degree, threshold)
-    all_roots = roots(modes)
-    ts, _, _, real = zeros(modes, all_roots, threshold)
-    return modes, ts, log_mean(modes, all_roots, real)
+    ts, _, _, mean = zeros(modes, threshold)
+    return modes, ts, mean

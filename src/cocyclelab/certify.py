@@ -34,13 +34,13 @@ from pathlib import Path
 import numpy as np
 
 from ._circle_roots import (ZERO_REL_TOL, chop, circle_log_mean, evaluate, fourier_modes,
-                            log_mean, roots, sample_points, zeros)
+                            sample_points, zeros)
 from ._cofactor import _entries, _max_row_norms, _minors
 from .circle import homoclinic_base_holonomy, rotate
 from .holonomy import (PULLBACK_DEPTH, SHORT_PULLBACK_DEPTH,
                        closed_form_holonomy_many, oseledets_directions,
                        projective_distance)
-from .lyapunov import estimate_top_exponent
+from .lyapunov import _SCALE_SLACK, estimate_top_exponent
 
 CERTIFICATE_KINDS = ("WEAK_PINCH", "WEAK_TWIST", "PINCH_D", "TWIST_D")
 VERDICTS = ("PASS", "FAIL", "INCONCLUSIVE")
@@ -89,6 +89,9 @@ _GL_POINTS = 20
 _GL_TOL = 1e-13
 _MAX_SPLITS = 40
 _MAX_PANELS = 512
+# the modes of the constant 1
+_ONE = np.ones(1)
+_LOG2 = math.log(2.0)
 
 
 def _jsonable(value):
@@ -552,43 +555,41 @@ def _adaptive_gauss_legendre(f, lo, hi):
     return total + float(whole.sum())
 
 
-def _abs_log_integral_from_modes(num, mean, threshold, den=None):
+def _abs_log_integral_from_modes(num, mean, threshold, den=_ONE):
     """Circle integral of |log |num / den||, num and den given by their modes.
 
     ``mean`` is the circle integral of log |num / den|, from Jensen's
     formula, and |l| = 2 max(l, 0) - l, so what is left is the integral of
-    log |num / den| over the arcs where |num| > |den| (den None stands for
-    1).  Their ends are the real zeros of num - den and num + den, from the
-    same root finder, with ``threshold`` as the zero threshold; on each arc
+    log |num / den| over the arcs where |num| > |den| (den defaults to 1).
+    A g of modes c lies within 2 sum_{k >= 1} |c_k| of |c_0|, and when
+    those bounds of num and den keep |num| on one side of |den| the
+    integral is +-``mean`` and no arc is looked for.  Otherwise the arcs
+    end at the real zeros of num - den and num + den, from the same root
+    finder, with ``threshold`` as the zero threshold; on each arc
     log |num / den| is analytic, and it is integrated by adaptive
     Gauss-Legendre.  With no arc end, |num / den| stays on one side of 1
-    and the integral is +-``mean``.  Without den, |num| lies within
-    2 sum_{k >= 1} |c_k| of |c_0|, and when that keeps it on one side of 1
-    no end is looked for.
+    and the integral is +-``mean`` again.  A constant den is never
+    evaluated: its value is |c_0|.
     """
-    plain = den is None
-    if plain:
-        rest = 2.0 * np.abs(num[1:]).sum()
-        if abs(num[0]) + rest <= 1.0:
-            return 0.0 - mean  # +0.0, not -0.0, for a log mean of 0
-        if abs(num[0]) - rest > 1.0:
-            return mean
-        den = np.ones(1)
+    num_rest = 2.0 * np.abs(num[1:]).sum()
+    den_rest = 2.0 * np.abs(den[1:]).sum()
+    if abs(num[0]) + num_rest <= abs(den[0]) - den_rest:
+        return 0.0 - mean  # +0.0, not -0.0, for a log mean of 0
+    if abs(num[0]) - num_rest > abs(den[0]) + den_rest:
+        return mean
     num_p = np.zeros(max(len(num), len(den)), dtype=complex)
     den_p = num_p.copy()
     num_p[:len(num)] = num
     den_p[:len(den)] = den
-    ends = []
-    for diff in (num_p - den_p, num_p + den_p):
-        if np.abs(diff).max() > threshold:
-            diff = chop(diff)
-            ends.append(zeros(diff, roots(diff), threshold)[0])
+    ends = [zeros(chop(diff), threshold)[0] for diff in (num_p - den_p, num_p + den_p)
+            if np.abs(diff).max() > threshold]
     ends = np.sort(np.concatenate(ends) % 1.0) if ends else np.zeros(0)
 
     def log_ratio(t):
+        size = np.abs(evaluate(num, t))
+        den_size = abs(den[0]) if len(den) == 1 else np.abs(evaluate(den, t))
         with np.errstate(divide="ignore"):
-            size = np.abs(evaluate(num, t))
-            return np.log(size if plain else size / np.abs(evaluate(den, t)))
+            return np.log(size / den_size)
 
     if not ends.size:
         return mean if log_ratio(np.zeros(1))[0] > 0.0 else 0.0 - mean
@@ -648,7 +649,7 @@ def log_integrability(g, *, scale=1.0, degree=None):
     The integral is 2 int log+ |g| - int log |g|.  The second term is
     Jensen's formula on the same roots, log |c_K| plus log |z| over the
     roots outside the unit circle, where the roots of a zero count as on
-    it (``_circle_roots.log_mean``; reported as ``log_mean``).  The first
+    it (``_circle_roots.zeros``; reported as ``log_mean``).  The first
     is adaptive Gauss-Legendre over the arcs where |g| > 1, whose ends are
     the real zeros of g - 1 and g + 1 (``_abs_log_integral_from_modes``).
     So no zero of g is ever a node of a rule.  The modes are the
@@ -691,10 +692,8 @@ def log_integrability(g, *, scale=1.0, degree=None):
                 diagnostics={"transversal": [], **diagnostics})
         return LogIntegralResult(estimate=math.inf, zeros=[], orders=[], diagnostics={
             "reason": "g is not resolved by its Fourier modes", **diagnostics})
-    all_roots = roots(modes)
-    ts, orders, radii, real = zeros(modes, all_roots, zero_thr)
+    ts, orders, radii, mean = zeros(modes, zero_thr)
     ts, orders = _polished_zeros(modes, ts, orders, radii)
-    mean = log_mean(modes, all_roots, real)
     orders = orders.tolist()
     return LogIntegralResult(
         estimate=_abs_log_integral_from_modes(modes, mean, ZERO_REL_TOL * (scale + 1.0)),
@@ -759,14 +758,31 @@ def twisting_d(product):
     ``scale`` prod_{i in I} max_t |row_i H(t)| over those points, its
     Hadamard bound, which a rescaled map changes by the same factor as the
     minor, so neither zeros nor verdict depend on it.
+
+    A row of H whose largest entry lies outside 2^+-64 is first scaled by
+    2^-e, e the exponent of that entry, which is exact; ``scale`` is then
+    that of the scaled rows.  The minor on rows I is 2^E times the one read
+    off, E the sum of e over I, and its integral is that of
+    |log |N / (2^-E w)||, w = 1 when A0 is constant, by the same route.
+    Where 2^-E, or the minor's bound 2^E ``scale``, is no float,
+    log |minor| keeps one sign up to rounding, and the integral is
+    |int log |minor||.  So maps at widely different scales give the zeros,
+    orders and verdict of the tuple at one scale.
     """
     d = product.dim
     degree0, degree1 = product.maps[0].degree, product.maps[1].degree
     ts = sample_points(d * max(degree0, degree1))
     entries = _entries(closed_form_holonomy_many(product, ts))
+    # row i outside 2^+-_SCALE_SLACK is scaled by 2^-e_i (exact), so the
+    # minor on rows I is 2^E times the one computed, E the sum of e_i over I
+    exps = np.frexp(np.abs(entries).max(axis=(1, 2)))[1]
+    exps[np.abs(exps) <= _SCALE_SLACK] = 0
+    if exps.any():
+        entries *= np.ldexp(1.0, -exps)[:, None, None]
+    exps = exps.tolist()
     row_max = _max_row_norms(entries).tolist()
-    # a constant det A0 only scales every minor
-    weight = None
+    # a constant det A0 only scales every minor: w = 1
+    weight, weight_modes, weight_log_mean = None, _ONE, 0.0
     if degree0:
         offset = homoclinic_base_holonomy(product.angles[0], product.angles[1])
         a0 = product.maps[0].eval_many(rotate(ts, offset))
@@ -783,10 +799,18 @@ def twisting_d(product):
         result = log_integrability(_minor_function(index, entries, weight), scale=scale,
                                    degree=k * degree1 + (d - k) * degree0)
         integral = result.estimate
-        if result.finite and weight is not None:
-            integral = _abs_log_integral_from_modes(
-                result.modes, result.diagnostics["log_mean"] - weight_log_mean,
-                ZERO_REL_TOL * (scale + 1.0), weight_modes)
+        power = sum(exps[r - 1] for r in index.rows)
+        if result.finite and (power or weight is not None):
+            # the minor is N / (2^-E w), N the product read off
+            mean = result.diagnostics["log_mean"] - weight_log_mean + power * _LOG2
+            # den = 2^-E w while 2^-E and the minor's bound 2^E scale are
+            # floats; past them log |minor| keeps one sign up to rounding
+            if abs(power) <= 1022 and math.frexp(scale)[1] + power <= 1024:
+                unit = math.ldexp(1.0, -power)
+                integral = _abs_log_integral_from_modes(
+                    result.modes, mean, ZERO_REL_TOL * (scale + unit), unit * weight_modes)
+            else:
+                integral = abs(mean)
         n_non_trans = sum(1 for flag in result.diagnostics.get("transversal", [])
                           if not flag)
         worst_non_transversal = max(worst_non_transversal, n_non_trans)

@@ -92,21 +92,15 @@ class TrigPolynomial:
         table[:, 2::2] = self.sin_coeffs.reshape(k, n).T
         return table.tolist()
 
-    def eval_many(self, ts, out=None):
+    def eval_many(self, ts):
         """Evaluate at an array of circle points; returns shape (n,) + value shape.
 
         A constant is broadcast; otherwise the (n, degree) cosine and sine
         phases go to :meth:`_eval_harmonics`.  An empty ``ts`` gives shape
-        (0,) + value shape.  ``out``, a
-        C-contiguous float array of the result's shape, receives the values
-        and is returned; the bits do not depend on it.
+        (0,) + value shape.
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        shape = (len(ts),) + self.const.shape
-        if out is None:
-            out = np.empty(shape)
-        elif out.shape != shape or out.dtype != float or not out.flags.c_contiguous:
-            raise ValueError(f"out must be a C-contiguous float array of shape {shape}")
+        out = np.empty((len(ts),) + self.const.shape)
         if not self.degree:
             out[:] = self.const
             return out

@@ -31,7 +31,7 @@ import numpy as np
 from .circle import (base_orbit, circle_distance, constant_word,
                      forward_agreement_index, homoclinic_base_holonomy, rotate,
                      single_flip_word, stable_holonomy_offset, wrap_unit)
-from .cocycle import DIAGONAL, word_product
+from .cocycle import word_product
 
 # Paired fibers must match the base holonomy image to this tolerance.
 BASE_POINT_TOL = 1e-9
@@ -114,15 +114,8 @@ def composed_holonomy(product, t):
 def closed_form_holonomy_many(product, ts):
     """Vectorized closed form inv(A_0(t + offset)) @ A_1(t); shape (n, d, d).
 
-    A DIAGONAL first map, which every d > 2 pipeline run has, is inverted
-    by scaling row i of A_1(t) by 1 / a0_ii(t + offset), with no LU solve.
-    The reciprocal-multiply form, not a true division, rounds as
-    OpenBLAS's LU solve does on a diagonal matrix.  Any other first map
-    goes through ``np.linalg.solve``.
-    Both routes raise ``LinAlgError`` where A_0 is exactly singular.
-    A_1 is evaluated before A_0 and, on the DIAGONAL route, scaled in
-    place once A_0 is freed, so a constant A_0 keeps two (n, d, d) stacks
-    alive at most.
+    One batched ``np.linalg.solve`` for every first map; it raises
+    ``LinAlgError`` where A_0 is exactly singular.
     """
     if product.n_symbols < 2:
         raise ValueError("the closed form needs symbols 0 and 1")
@@ -130,15 +123,7 @@ def closed_form_holonomy_many(product, ts):
     offset = homoclinic_base_holonomy(product.angles[0], product.angles[1])
     a1 = product.maps[1].eval_many(ts)
     a0 = product.maps[0].eval_many(rotate(ts, offset))
-    if product.maps[0].group_tag != DIAGONAL:
-        return np.linalg.solve(a0, a1)
-    diag = np.diagonal(a0, axis1=1, axis2=2)
-    if not diag.all():
-        raise np.linalg.LinAlgError("Singular matrix")
-    scale = 1.0 / diag
-    del a0, diag
-    a1 *= scale[:, :, None]
-    return a1
+    return np.linalg.solve(a0, a1)
 
 
 def closed_form_holonomy(product, t):

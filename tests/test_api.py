@@ -1,5 +1,7 @@
 """The public surface: the exported names and the README quick start."""
 
+import importlib
+import importlib.util
 import inspect
 import re
 from pathlib import Path
@@ -51,3 +53,64 @@ def test_readme_documents_the_config_keys():
     for name in experiments.RETIRED_KEYS:
         assert f"`{name}`" in retired[0], name
         assert f"`{name}`" not in live, name
+
+
+def _readme_spans():
+    return re.findall(r"`([^`\n]+)`", README.read_text())
+
+
+def test_readme_module_names_resolve():
+    # `module.name` of a cocyclelab module, or `cocyclelab.module`
+    checked = []
+    for span in _readme_spans():
+        parts = span.split(".")
+        if len(parts) < 2 or not all(part.isidentifier() for part in parts):
+            continue
+        if parts[0] == "cocyclelab":
+            importlib.import_module(span)
+        elif importlib.util.find_spec(f"cocyclelab.{parts[0]}") is not None:
+            target = importlib.import_module(f"cocyclelab.{parts[0]}")
+            for part in parts[1:]:
+                assert hasattr(target, part), span
+                target = getattr(target, part)
+        else:
+            continue
+        checked.append(span)
+    assert len(set(checked)) >= 16
+
+
+def _public_callables(name):
+    """The public functions named ``name`` and the methods of that name on
+    public classes."""
+    found = getattr(cl, name, None) if name in cl.__all__ else None
+    if inspect.isfunction(found):
+        return [found]
+    return [getattr(cls, name) for cls in map(cl.__dict__.get, cl.__all__)
+            if inspect.isclass(cls) and inspect.isfunction(getattr(cls, name, None))]
+
+
+def _parameter_names(func):
+    names = []
+    for param in inspect.signature(func).parameters.values():
+        if param.name == "self":
+            continue
+        if param.kind is param.KEYWORD_ONLY and "*" not in names:
+            names.append("*")
+        names.append(param.name)
+    return names
+
+
+def test_readme_call_signatures_match_the_code():
+    # `name(a, b=..., *, c)` of a public function or method lists exactly
+    # its parameters
+    checked = set()
+    for span in _readme_spans():
+        match = re.fullmatch(r"([A-Za-z_]\w*)\(([^()]*)\)", span)
+        if match is None:
+            continue
+        funcs = _public_callables(match.group(1))
+        written = [arg.split("=")[0].strip() for arg in match.group(2).split(",")]
+        for func in funcs:
+            assert written == _parameter_names(func), span
+            checked.add(match.group(1))
+    assert {"eval", "eval_many", "log_integrability"} <= checked

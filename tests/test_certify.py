@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cocyclelab as cl
-from cocyclelab import certify, holonomy
+from cocyclelab import _circle_roots, certify, holonomy
 from cocyclelab.certify import REL_GAP
 from util import (axis_pair, bisect_reference, diagonal_first_tuple_d4, pipeline_tuple_d3,
                   random_tuple, schrodinger_pair)
@@ -1049,6 +1049,36 @@ def test_log_integral_rejects_a_bad_degree(degree):
         cl.log_integrability(lambda t: np.sin(2 * np.pi * t), degree=degree)
 
 
+@pytest.mark.parametrize("above", [True, False], ids=["above", "below"])
+def test_abs_log_integral_of_mode_separated_num_and_den_finds_no_root(above, monkeypatch):
+    # |3 + cos 2 pi t| >= 2 > 1.25 >= |1 + sin(4 pi t) / 4|, and the mode
+    # bounds |c_0| +- 2 sum |c_k| show it: the integral is +-mean, with no
+    # arc to find
+    def big(t):
+        return 3.0 + np.cos(2 * np.pi * t)
+
+    def small(t):
+        return 1.0 + 0.25 * np.sin(4 * np.pi * t)
+
+    num, den = (big, small) if above else (small, big)
+    ts = _circle_roots.sample_points(2)
+    num_modes, den_modes = (_circle_roots.fourier_modes(f(ts), 2, 1e-12) for f in (num, den))
+    mean = _circle_roots.zeros(num_modes, 1e-12)[3] - _circle_roots.zeros(den_modes, 1e-12)[3]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("root finder called")
+
+    monkeypatch.setattr(certify, "zeros", refuse)
+    got = certify._abs_log_integral_from_modes(num_modes, mean, 1e-12, den_modes)
+    assert got == (mean if above else -mean)
+    # log |num / den| keeps one sign, so |log| is analytic on the whole
+    # circle, one arc for the Gauss-Legendre rule
+    rule = certify._adaptive_gauss_legendre(
+        lambda t: np.abs(np.log(np.abs(num(t) / den(t)))), np.zeros(1), np.ones(1))
+    assert got == pytest.approx(rule, rel=1e-13)
+    assert got == pytest.approx(_quad_abs_log_integral(num, [], 2, den), rel=1e-12)
+
+
 def test_twisting_d_minor_of_degree_above_256():
     # a degree-160 map 1 at d = 2 makes the determinant a trig polynomial of
     # degree 320 with no zero; a fixed cap of degree 256 read it as "not
@@ -1067,14 +1097,6 @@ def test_twisting_d_minor_of_degree_above_256():
     assert minors[-1]["rows"] == [1, 2] and sum(m["n_zeros"] for m in minors) > 0
     assert [m["n_zeros"] for m in minors] == [
         scan[(tuple(m["rows"]), tuple(m["cols"]))] for m in minors]
-
-
-def test_twisting_d_diagonal_first_makes_no_lu_solve(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("np.linalg.solve called")
-
-    monkeypatch.setattr(np.linalg, "solve", refuse)
-    assert cl.twisting_d(pipeline_tuple_d3()).passed
 
 
 def test_twisting_d_makes_no_lu_determinant_call(monkeypatch):
@@ -1175,6 +1197,52 @@ def test_twisting_d_is_invariant_under_rescaling_the_first_map(factors):
     minors = cert.diagnostics["minors"]
     assert [m["n_zeros"] for m in minors] == [m["n_zeros"] for m in plain]
     assert [m["orders"] for m in minors] == [m["orders"] for m in plain]
+
+
+# (map 0, map 1) scaled by (2^e0, 2^e1): every holonomy row lies outside
+# 2^+-64, and the first five once raised or warned: the Hadamard bound of
+# three rows overflowed to inf or underflowed to 0, or np.roots overflowed
+WIDE_SCALINGS = [(0, 350), (-300, 150), (0, -350), (0, -340), (40, -300),
+                 (0, 330), (0, -330), (0, 340), (0, 70), (0, -70)]
+
+
+@pytest.fixture(scope="module")
+def pipeline_d3_log_means():
+    """TWIST_D's minors of pipeline_tuple_d3() and scipy's circle integral
+    of log |minor| for each, split at its zeros."""
+    product = pipeline_tuple_d3()
+    cert = cl.twisting_d(product)
+    means = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
+        for m in cert.diagnostics["minors"]:
+            index = cl.MinorIndex(m["rows"], m["cols"])
+            cuts = [0.0, *m["zeros"], 1.0]
+            means.append(sum(
+                scipy.integrate.quad(
+                    lambda t: math.log(abs(cl.minor(cl.closed_form_holonomy(product, t), index))),
+                    a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                for a, b in zip(cuts, cuts[1:])))
+    return cert, means
+
+
+@pytest.mark.parametrize("e0, e1", WIDE_SCALINGS, ids=str)
+def test_twisting_d_at_widely_different_map_scales(e0, e1, pipeline_d3_log_means):
+    plain, log_means = pipeline_d3_log_means
+    product = pipeline_tuple_d3()
+    maps = [math.ldexp(1.0, e0) * product.maps[0], math.ldexp(1.0, e1) * product.maps[1]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = cl.twisting_d(cl.RandomProduct(product.angles, maps))
+    assert cert.verdict == plain.verdict
+    minors, plain_minors = cert.diagnostics["minors"], plain.diagnostics["minors"]
+    assert [m["n_zeros"] for m in minors] == [m["n_zeros"] for m in plain_minors]
+    assert [m["orders"] for m in minors] == [m["orders"] for m in plain_minors]
+    # a k x k minor is 2^(k (e1 - e0)) times the unscaled one, so
+    # log |minor| keeps one sign but within 2^-70 of its zeros
+    for m, log_mean in zip(minors, log_means):
+        want = abs(len(m["rows"]) * (e1 - e0) * LOG2 + log_mean)
+        assert abs(m["integral"] - want) <= 1e-8 * want
 
 
 def test_twisting_d_trivial_holonomy_fails():

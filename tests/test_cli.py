@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import math
 import warnings
 
 import numpy as np
@@ -129,6 +130,22 @@ def test_certify_d2_handles_rescaled_tuples(tmp_path, scale):
     got, want = pinch["diagnostics"]["lambda_top"], plain_pinch["diagnostics"]["lambda_top"]
     assert abs(got - want - np.log(scale)) <= 1e-9
     assert pinch["verdict"] == ("PASS" if scale > 1.0 else "INCONCLUSIVE")
+
+
+@pytest.mark.parametrize("e0, e1", [(0, 350), (-300, 150), (0, -350), (0, -340), (40, -300)],
+                         ids=str)
+def test_certify_d3_handles_maps_at_widely_different_scales(tmp_path, e0, e1):
+    # map 0 scaled by 2^e0 and map 1 by 2^e1: TWIST_D's minors overflowed
+    # or underflowed, and the command exited 1 or warned
+    product = pipeline_tuple_d3()
+    maps = [math.ldexp(1.0, e0) * product.maps[0], math.ldexp(1.0, e1) * product.maps[1]]
+    cl.save_cocycle(cl.RandomProduct(product.angles, maps), tmp_path / "wide.json")
+    cfg = write_json(tmp_path / "cfg.json", {"kind": "certify", "cocycle": "wide.json",
+                                             "seed": 3, "out": str(tmp_path / "wide.csv")})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["certify", "--config", str(cfg)]) == 0
+    assert json.loads((tmp_path / "wide.twist_d.json").read_text())["verdict"] == "PASS"
 
 
 def test_sweep_energy_rows(schro_setup):

@@ -58,30 +58,6 @@ def test_eval_many_matches_tensordot_bit_for_bit(shape, degree):
     assert p.eval_many(ts).tobytes() == _tensordot_eval_many(p, ts).tobytes()
 
 
-@pytest.mark.parametrize("shape", [(), (3, 3)])
-@pytest.mark.parametrize("degree", [0, 2])
-def test_eval_many_into_out_has_the_same_bits(shape, degree):
-    rng = np.random.default_rng(degree)
-    p = cl.TrigPolynomial(rng.standard_normal(shape),
-                          rng.standard_normal((degree,) + shape),
-                          rng.standard_normal((degree,) + shape))
-    ts = rng.random(37)
-    buffer = np.full(40 * max(1, np.prod(shape, dtype=int)), np.nan)
-    out = buffer[:ts.size * max(1, np.prod(shape, dtype=int))].reshape((ts.size,) + shape)
-    assert p.eval_many(ts, out=out) is out
-    assert out.tobytes() == p.eval_many(ts).tobytes()
-    assert np.all(np.isnan(buffer[out.size:]))
-
-
-@pytest.mark.parametrize("out", [np.empty((5, 2, 2)), np.empty((4, 2, 2), dtype=np.float32),
-                                 np.empty((4, 2, 4))[:, :, ::2]],
-                         ids=["shape", "dtype", "strided"])
-def test_eval_many_rejects_an_unusable_out(out):
-    p = cl.TrigPolynomial(np.eye(2), np.ones((1, 2, 2)), np.ones((1, 2, 2)))
-    with pytest.raises(ValueError, match="C-contiguous float array"):
-        p.eval_many(np.linspace(0.0, 1.0, 4), out=out)
-
-
 @pytest.mark.parametrize("shape", [(), (2, 2)])
 @pytest.mark.parametrize("degree", [0, 2])
 def test_eval_many_empty(shape, degree):

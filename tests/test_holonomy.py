@@ -208,19 +208,10 @@ def test_diagonal_first_closed_form_equals_composed(build):
                                    rtol=0.0, atol=1e-10)
 
 
-@pytest.mark.parametrize("build", DIAGONAL_FIRST.values(), ids=DIAGONAL_FIRST)
-def test_diagonal_first_row_scaling_matches_lu_solve(build):
-    product = build()
-    ts = np.linspace(0.0, 1.0, 1024, endpoint=False)
-    delta = cl.homoclinic_base_holonomy(product.angles[0], product.angles[1])
-    want = np.linalg.solve(product.maps[0].eval_many(cl.rotate(ts, delta)),
-                           product.maps[1].eval_many(ts))
-    got = cl.closed_form_holonomy_many(product, ts)
-    assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * np.abs(want))
-
-
-@pytest.mark.parametrize("build", SOLVED_FIRST.values(), ids=SOLVED_FIRST)
+@pytest.mark.parametrize("build", [*DIAGONAL_FIRST.values(), *SOLVED_FIRST.values()],
+                         ids=[*DIAGONAL_FIRST, *SOLVED_FIRST])
 def test_other_first_maps_keep_the_lu_solve(build, monkeypatch):
+    # a DIAGONAL first map takes the one batched solve as any other does
     product = build()
     shapes = []
     solve = np.linalg.solve
