@@ -10,6 +10,8 @@ way once its modes are chopped where they have fallen to rounding.  The
 same roots give the circle integral of log |g| by Jensen's formula.  One
 call of ``zeros`` on the modes takes the roots and returns both, the zeros
 and that log mean; ``circle_log_mean`` runs it from the values of g.
+``rounding`` is the size of the rounding of g on the circle, which sets how
+far a zero can move and below which |g| cannot be told from 0.
 """
 
 from __future__ import annotations
@@ -89,6 +91,16 @@ def _log_mean(modes, all_roots, real):
     return math.log(abs(modes[-1])) + float(np.log(size[outside]).sum())
 
 
+def rounding(modes):
+    """The rounding of g on the circle, (2K + 1) ``_CHOP`` max |c_k|.
+
+    Each of the 2K + 1 modes of g is rounded by up to ``_CHOP`` times the
+    largest.  It sets the radii of ``zeros``, and below it |g| is noise
+    beside a zero of g.
+    """
+    return (2 * len(modes) - 1) * _CHOP * np.abs(modes).max()
+
+
 def local_log_scale(modes, ts, orders):
     """log c for g ~ c (t - t_k)^m around each t_k of order m: log(|g^(m)(t_k)| / m!)."""
     with np.errstate(divide="ignore"):
@@ -104,11 +116,10 @@ def zeros(modes, threshold):
     t, so that a root off the circle and its mirror image in it, which
     share t, fall together.  A group of m roots centred at t gets the radius
     (e / c)^(1/m), c = |g^(m)(t)| / m! and e the rounding of g on the
-    circle, its 2K + 1 modes each rounded by ``_CHOP`` times the largest:
-    how far rounding can move a zero of order m at t.  The two nearest
-    groups merge while they are within the larger radius of the two, so
-    the roots that rounding splits off one zero of order m become one group
-    of m, and zeros further apart stay distinct.  A group is a zero when
+    circle (``rounding``): how far rounding can move a zero of order m at
+    t.  The two nearest groups merge while they are within the larger
+    radius of the two, so the roots that rounding splits off one zero of
+    order m become one group of m, and zeros further apart stay distinct.  A group is a zero when
     |g| at its centre is at most ``threshold``; its centre is within about
     its radius of the zero, where the (m - 1)-th derivative of g has a
     simple zero.  Returns centres, orders and radii as arrays, and the
@@ -123,8 +134,7 @@ def zeros(modes, threshold):
     turns = turns[candidates]
     if not turns.size:
         return turns, np.zeros(0, dtype=int), turns, _log_mean(modes, all_roots, real)
-    # the 2K + 1 modes, each rounded by up to _CHOP times the largest
-    log_rounding = math.log((2 * len(modes) - 1) * _CHOP * np.abs(modes).max())
+    log_rounding = math.log(rounding(modes))
     # row a marks the roots of group a
     groups = np.eye(len(turns), dtype=bool)
     while True:

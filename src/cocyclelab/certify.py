@@ -34,9 +34,9 @@ from pathlib import Path
 import numpy as np
 
 from ._circle_roots import (ZERO_REL_TOL, chop, circle_log_mean, evaluate, fourier_modes,
-                            sample_points, zeros)
+                            rounding, sample_points, zeros)
 from ._cofactor import _entries, _max_row_norms, _minors
-from .circle import homoclinic_base_holonomy, rotate
+from .circle import homoclinic_base_holonomy, rotate, wrap_unit
 from .holonomy import (PULLBACK_DEPTH, SHORT_PULLBACK_DEPTH,
                        closed_form_holonomy_many, oseledets_directions,
                        projective_distance)
@@ -263,9 +263,10 @@ def weakly_twisting(product, *, seed=0):
             continue
         n_converged += 1
         hol = holonomies[i]
+        images = (hol @ here.e_plus, hol @ here.e_minus)
         separation = min(
-            projective_distance(hol @ image, target)
-            for image in (here.e_plus, here.e_minus)
+            projective_distance(image, target)
+            for image in images
             for target in (there.e_plus, there.e_minus)
         )
         if min_separation is None or separation < min_separation:
@@ -480,27 +481,6 @@ def minimize_scalar(f, lo, hi, xtol):
     return 0.5 * (lo + hi)
 
 
-def _cell_integrals(logs):
-    """Circle integral of |log |g|| from ``logs``, log |g| on the scan grid.
-
-    A scan cell where log |g| keeps its sign takes the trapezoid value.
-    Where it changes sign, |g| crosses 1 and |log |g|| has a kink: the cell
-    takes the exact integral of |l|, l the linear interpolant, plus the
-    Euler-Maclaurin end corrections -h^2/12 f' of the smooth pieces on both
-    sides of the kink, which come to h |l'| / 6, so a crossing costs O(h^3).
-    The cells are averaged pairwise, so a constant comes back exactly.
-    """
-    a = np.abs(logs)
-    b = np.roll(a, -1)
-    cells = 0.5 * (a + b)
-    kink = np.sign(logs) * np.sign(np.roll(logs, -1)) < 0.0
-    a, b = a[kink], b[kink]
-    cells[kink] += (a + b) / 6.0 - a * b / (a + b)
-    while cells.size > 1:
-        cells = 0.5 * (cells[0::2] + cells[1::2])
-    return float(cells[0])
-
-
 @cache
 def _gauss_legendre():
     """Nodes and weights of the ``_GL_POINTS``-point Gauss-Legendre rule on [-1, 1].
@@ -563,13 +543,18 @@ def _abs_log_integral_from_modes(num, mean, threshold, den=_ONE):
     log |num / den| over the arcs where |num| > |den| (den defaults to 1).
     A g of modes c lies within 2 sum_{k >= 1} |c_k| of |c_0|, and when
     those bounds of num and den keep |num| on one side of |den| the
-    integral is +-``mean`` and no arc is looked for.  Otherwise the arcs
-    end at the real zeros of num - den and num + den, from the same root
-    finder, with ``threshold`` as the zero threshold; on each arc
-    log |num / den| is analytic, and it is integrated by adaptive
-    Gauss-Legendre.  With no arc end, |num / den| stays on one side of 1
-    and the integral is +-``mean`` again.  A constant den is never
-    evaluated: its value is |c_0|.
+    integral is +-``mean`` and no arc is looked for.  When |den| stays
+    within the rounding of num (``_circle_roots.rounding``), every point
+    where |num| = |den| lies within the rounding radius r_z of a zero z of
+    num, so log |num / den| keeps one sign but within those radii, and the
+    integral is |``mean``|; what that neglects is at most 4 sum_z m_z r_z,
+    m_z the order of z.  Otherwise the arcs end at the real zeros of
+    num - den and num + den, from the same root finder, with ``threshold``
+    as the zero threshold; on each arc log |num / den| is analytic, and it
+    is integrated by adaptive Gauss-Legendre, with |num| floored at its
+    rounding, below which num is noise beside a zero.  With no arc end,
+    |num / den| stays on one side of 1 and the integral is +-``mean``
+    again.  A constant den is never evaluated: its value is |c_0|.
     """
     num_rest = 2.0 * np.abs(num[1:]).sum()
     den_rest = 2.0 * np.abs(den[1:]).sum()
@@ -577,6 +562,9 @@ def _abs_log_integral_from_modes(num, mean, threshold, den=_ONE):
         return 0.0 - mean  # +0.0, not -0.0, for a log mean of 0
     if abs(num[0]) - num_rest > abs(den[0]) + den_rest:
         return mean
+    floor = rounding(num)
+    if abs(den[0]) + den_rest <= floor:
+        return abs(mean)
     num_p = np.zeros(max(len(num), len(den)), dtype=complex)
     den_p = num_p.copy()
     num_p[:len(num)] = num
@@ -586,10 +574,9 @@ def _abs_log_integral_from_modes(num, mean, threshold, den=_ONE):
     ends = np.sort(np.concatenate(ends) % 1.0) if ends else np.zeros(0)
 
     def log_ratio(t):
-        size = np.abs(evaluate(num, t))
+        size = np.maximum(np.abs(evaluate(num, t)), floor)
         den_size = abs(den[0]) if len(den) == 1 else np.abs(evaluate(den, t))
-        with np.errstate(divide="ignore"):
-            return np.log(size / den_size)
+        return np.log(size / den_size)
 
     if not ends.size:
         return mean if log_ratio(np.zeros(1))[0] > 0.0 else 0.0 - mean
@@ -623,8 +610,7 @@ def _polished_zeros(modes, ts, orders, radii):
         flip = ends[:at.size] * ends[at.size:] <= 0.0
         if flip.any():
             ts[at[flip]] = bisect(f, lo[flip], hi[flip], 0.0)
-    ts %= 1.0
-    ts[ts >= 1.0] = 0.0
+    ts = wrap_unit(ts)
     order = np.argsort(ts)
     return ts[order], orders[order]
 
@@ -659,9 +645,10 @@ def log_integrability(g, *, scale=1.0, degree=None):
     grid: it vanishes on an interval.  A g of no declared degree whose
     series has not converged by degree ``_MAX_DEGREE`` (a g that is not
     analytic) has no zeros to read off its modes: when |g| stays above the
-    threshold at every node and g keeps one sign, it gets the trapezoid
-    estimate with no zeros (``_cell_integrals``), and otherwise an
-    infinite integral, since such a g may vanish on an interval.
+    threshold at every node and g keeps one sign, it gets the periodic
+    trapezoid rule's mean of |log |g|| on the scan grid with no zeros, and
+    otherwise an infinite integral, since such a g may vanish on an
+    interval.
 
     ``scale``, finite and positive, is the size of the terms that make up g
     (a minor's Hadamard bound), so g and ``scale`` rescaled together give
@@ -688,7 +675,7 @@ def log_integrability(g, *, scale=1.0, degree=None):
     if degree is None and len(modes) > _MAX_DEGREE:
         if absvals.min() > zero_thr and np.all(np.signbit(vals) == np.signbit(vals[0])):
             return LogIntegralResult(
-                estimate=_cell_integrals(np.log(absvals)), zeros=[], orders=[],
+                estimate=float(np.abs(np.log(absvals)).mean()), zeros=[], orders=[],
                 diagnostics={"transversal": [], **diagnostics})
         return LogIntegralResult(estimate=math.inf, zeros=[], orders=[], diagnostics={
             "reason": "g is not resolved by its Fourier modes", **diagnostics})
@@ -763,11 +750,12 @@ def twisting_d(product):
     2^-e, e the exponent of that entry, which is exact; ``scale`` is then
     that of the scaled rows.  The minor on rows I is 2^E times the one read
     off, E the sum of e over I, and its integral is that of
-    |log |N / (2^-E w)||, w = 1 when A0 is constant, by the same route.
-    Where 2^-E, or the minor's bound 2^E ``scale``, is no float,
-    log |minor| keeps one sign up to rounding, and the integral is
-    |int log |minor||.  So maps at widely different scales give the zeros,
-    orders and verdict of the tuple at one scale.
+    |log |N / (2^-E w)||, w = 1 when A0 is constant, by the same route at
+    every E: where |2^-E w| lies within the rounding of N, every crossing
+    of |minor| = 1 lies within the rounding radius of a zero, and the
+    integral is |int log |minor||.  2^-E is capped at 2^960, past which
+    |minor| < 1 on the whole circle anyway.  So maps at widely different
+    scales give the zeros, orders and verdict of the tuple at one scale.
     """
     d = product.dim
     degree0, degree1 = product.maps[0].degree, product.maps[1].degree
@@ -777,8 +765,7 @@ def twisting_d(product):
     # minor on rows I is 2^E times the one computed, E the sum of e_i over I
     exps = np.frexp(np.abs(entries).max(axis=(1, 2)))[1]
     exps[np.abs(exps) <= _SCALE_SLACK] = 0
-    if exps.any():
-        entries *= np.ldexp(1.0, -exps)[:, None, None]
+    entries *= np.ldexp(1.0, -exps)[:, None, None]
     exps = exps.tolist()
     row_max = _max_row_norms(entries).tolist()
     # a constant det A0 only scales every minor: w = 1
@@ -801,16 +788,14 @@ def twisting_d(product):
         integral = result.estimate
         power = sum(exps[r - 1] for r in index.rows)
         if result.finite and (power or weight is not None):
-            # the minor is N / (2^-E w), N the product read off
+            # the minor is N / (2^-E w), N the product read off.  2^-E is
+            # capped at 2^960, which leaves den, its mode bound and its values
+            # 2^63 below overflow; past it |minor| < 1 on the whole circle
+            # anyway, as the bound of k rows within 2^64 is below 2^960
             mean = result.diagnostics["log_mean"] - weight_log_mean + power * _LOG2
-            # den = 2^-E w while 2^-E and the minor's bound 2^E scale are
-            # floats; past them log |minor| keeps one sign up to rounding
-            if abs(power) <= 1022 and math.frexp(scale)[1] + power <= 1024:
-                unit = math.ldexp(1.0, -power)
-                integral = _abs_log_integral_from_modes(
-                    result.modes, mean, ZERO_REL_TOL * (scale + unit), unit * weight_modes)
-            else:
-                integral = abs(mean)
+            unit = math.ldexp(1.0, min(-power, 960))
+            integral = _abs_log_integral_from_modes(
+                result.modes, mean, ZERO_REL_TOL * (scale + unit), unit * weight_modes)
         n_non_trans = sum(1 for flag in result.diagnostics.get("transversal", [])
                           if not flag)
         worst_non_transversal = max(worst_non_transversal, n_non_trans)

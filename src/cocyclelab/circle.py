@@ -103,8 +103,7 @@ def base_orbit(angles, word, t):
     w = as_word(word, len(angles))
     out = np.empty(len(w) + 1)
     out[0] = wrap_unit(t)
-    if len(w):
-        out[1:] = _wrapped_cumulative(out[0], angles[w])
+    out[1:] = _wrapped_cumulative(out[0], angles[w])
     return out
 
 

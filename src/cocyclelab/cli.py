@@ -11,7 +11,8 @@ Subcommands: ``lyapunov``, ``certify``, ``sweep-energy``, ``continuity``,
 provenance header; certificates are written as JSON files next to the
 table.  With no ``--out`` (and no ``out`` in the config) the table goes to
 stdout.  Exit status is 0 when the experiment completed (FAIL verdicts are
-data, not errors) and 1 on configuration or domain errors.
+data, not errors) and 1 on configuration or domain errors, or when an
+output file cannot be written.
 """
 
 from __future__ import annotations
@@ -61,11 +62,16 @@ def main(argv=None):
         text = output.table.emit()
         if config.out:
             out_path = Path(config.out)
-            if out_path.parent != Path("."):
-                out_path.parent.mkdir(parents=True, exist_ok=True)
-            out_path.write_text(text)
-            for cert in output.certificates:
-                cert.write_json(out_path.with_suffix(f".{cert.kind.lower()}.json"))
+            try:
+                if out_path.parent != Path("."):
+                    out_path.parent.mkdir(parents=True, exist_ok=True)
+                out_path.write_text(text)
+                for cert in output.certificates:
+                    cert.write_json(out_path.with_suffix(f".{cert.kind.lower()}.json"))
+            except OSError as exc:
+                print(f"error: cannot write {exc.filename or out_path}: {exc.strerror or exc}",
+                      file=sys.stderr)
+                return 1
         else:
             sys.stdout.write(text)
     except (CocycleLabError, ValueError) as exc:

@@ -36,8 +36,6 @@ SL2_DET_TOL = 1e-9
 
 
 def _pad_modes(arr, k):
-    if arr.shape[0] == k:
-        return arr
     out = np.zeros((k,) + arr.shape[1:])
     out[: arr.shape[0]] = arr
     return out
@@ -95,15 +93,12 @@ class TrigPolynomial:
     def eval_many(self, ts):
         """Evaluate at an array of circle points; returns shape (n,) + value shape.
 
-        A constant is broadcast; otherwise the (n, degree) cosine and sine
-        phases go to :meth:`_eval_harmonics`.  An empty ``ts`` gives shape
-        (0,) + value shape.
+        The (n, degree) cosine and sine phases go to :meth:`_eval_harmonics`,
+        which broadcasts a constant.  An empty ``ts`` gives shape (0,) +
+        value shape.
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         out = np.empty((len(ts),) + self.const.shape)
-        if not self.degree:
-            out[:] = self.const
-            return out
         phases = 2.0 * np.pi * np.outer(ts, np.arange(1, self.degree + 1))
         return self._eval_harmonics(np.cos(phases), np.sin(phases), out)
 

@@ -91,6 +91,22 @@ def test_stdout_when_no_out(schro_setup, capsys):
     assert "lambda_1" in captured.out
 
 
+def test_unwritable_out_exits_with_an_error(schro_setup, capsys):
+    # an existing directory as the table, and a table under a regular file,
+    # whose parent directory cannot be made: each raised with a traceback
+    tmp_path, cocycle = schro_setup
+    (tmp_path / "taken").mkdir()
+    (tmp_path / "plain").write_text("")
+    cfg = write_json(tmp_path / "lyap.json",
+                     {"kind": "lyapunov", "cocycle": "schro.json", "seed": 9, **FAST})
+    for out in (tmp_path / "taken", tmp_path / "plain" / "sub" / "lyap.csv"):
+        assert main(["lyapunov", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {tmp_path}")
+        assert "Traceback" not in err
+    assert (tmp_path / "plain").read_text() == ""
+
+
 def test_certify_writes_certificate_json(schro_setup):
     tmp_path, cocycle = schro_setup
     out = tmp_path / "cert.csv"
