@@ -119,11 +119,12 @@ def zeros(modes, threshold):
     circle (``rounding``): how far rounding can move a zero of order m at
     t.  The two nearest groups merge while they are within the larger
     radius of the two, so the roots that rounding splits off one zero of
-    order m become one group of m, and zeros further apart stay distinct.  A group is a zero when
-    |g| at its centre is at most ``threshold``; its centre is within about
-    its radius of the zero, where the (m - 1)-th derivative of g has a
-    simple zero.  Returns centres, orders and radii as arrays, and the
-    circle integral of log |g| from the same roots (``_log_mean``).
+    order m become one group of m, and zeros further apart stay distinct.
+    A group is a zero when |g| at its centre is at most ``threshold``; its
+    centre is within about its radius of the zero, where the (m - 1)-th
+    derivative of g has a simple zero.  Returns centres, orders and radii
+    as arrays, and the circle integral of log |g| from the same roots
+    (``_log_mean``).
     """
     all_roots = np.roots(np.concatenate([modes[::-1], modes[1:].conj()]))
     turns = np.angle(all_roots) / (2.0 * np.pi)

@@ -1261,7 +1261,6 @@ def test_twisting_d_is_covariant_under_power_of_two_scalings(case):
     product = make()
     plain = cl.twisting_d(product)
     plain_minors = plain.diagnostics["minors"]
-    d = product.dim
     # the integrals of the checked minor and the determinant
     entries = [m for m in plain_minors if (tuple(m["rows"]), tuple(m["cols"])) == checked]
     entries.append(plain_minors[-1])
@@ -1289,6 +1288,8 @@ def test_twisting_d_is_covariant_under_power_of_two_scalings(case):
                 # at p = 28, under 3e-9 of it
                 want = abs(power * LOG2 + log_mean)
             else:
+                # only the pipeline tuple, whose A0 is constant, has p
+                # below 28: its minor is a trig polynomial of degree k deg A1
                 index = cl.MinorIndex(entry["rows"], entry["cols"])
                 want = _quad_abs_log_integral(
                     lambda t: cl.minor(cl.closed_form_holonomy(scaled, t), index),
