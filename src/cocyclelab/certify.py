@@ -77,10 +77,8 @@ _MAX_DEGREE = SCAN_GRID_N // 4
 # on each side of its first estimate
 _BRACKET = 4.0
 # bisection stops at |step| < xtol + _BISECT_RTOL |x|, as scipy's does
-_BISECT_RTOL = 4.0 * np.finfo(float).eps
+_BISECT_RTOL = 4.0 * float(np.finfo(float).eps)
 _MAX_REFINE_ITER = 100
-# bisect serves this many halvings of every open bracket per call of f
-_LOOKAHEAD = 4
 _GOLDEN_CUT = (math.sqrt(5.0) - 1.0) / 2.0
 # the log+ integral's Gauss-Legendre rule: its points per panel, the
 # agreement of a panel with its halves that ends its splitting, and the
@@ -388,19 +386,13 @@ def bisect(f, lo, hi, xtol):
     ``xtol + 4 eps |midpoint|``.  A bracket still open after 100 halvings
     returns its low end.
 
-    The first call of ``f`` takes both ends of every bracket.  Each later
-    call serves the next four halvings of every open bracket: it takes the
-    15 midpoints those halvings can reach (fewer once the bracket's step is
-    below ``xtol``), each built by the same addition low end + halved step
-    that one halving at a time makes, and every bracket then walks down its
-    own tree with the sign and stop tests in order.  So the roots are the
-    bits of one halving per call, in about a quarter of the calls.
+    The first call of ``f`` takes both ends of every bracket, each later
+    call the midpoints of the brackets still open: one halving per call.
     """
-    lo = np.array(lo, dtype=float)
+    lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    n = lo.size
     ends = f(np.concatenate([lo, hi]))
-    f_lo, f_hi = ends[:n], ends[n:]
+    f_lo, f_hi = ends[:lo.size], ends[lo.size:]
     if np.any(np.sign(f_lo) * np.sign(f_hi) > 0.0):
         raise ValueError("f must change sign on every bracket")
     roots = np.where(f_lo == 0.0, lo, hi)
@@ -409,45 +401,20 @@ def bisect(f, lo, hi, xtol):
     # f times the sign of f at the low end is >= 0 exactly when scipy's
     # f_mid * f_lo is, but it cannot under/overflow
     signs = np.sign(f_lo).tolist()
-    rtol = float(_BISECT_RTOL)
-    halvings = 0
-    while live and halvings < _MAX_REFINE_ITER:
-        depth = min(_LOOKAHEAD, _MAX_REFINE_ITER - halvings)
-        # level k of a bracket's tree holds the 2^k midpoints that its
-        # (k + 1)-th halving from here can make; node j's children are 2j
-        # (the low end stayed) and 2j + 1 (the low end moved to node j)
-        points, trees = [], []
+    for _ in range(_MAX_REFINE_ITER):
+        if not live:
+            break
         for i in live:
-            starts, h, path = [lows[i]], steps[i], []
-            for _ in range(depth):
-                h *= 0.5
-                mids = [x + h for x in starts]
-                points += mids
-                path.append(h)
-                if abs(h) < xtol:
-                    break  # the bracket stops by this level
-                starts = [x for pair in zip(starts, mids) for x in pair]
-            trees.append(path)
-        vals = f(np.array(points)).tolist()
+            steps[i] *= 0.5
+        mids = [lows[i] + steps[i] for i in live]
         still_open = []
-        base = 0
-        for i, path in zip(live, trees):
-            node = 0
-            for k, h in enumerate(path):
-                at = base + (1 << k) - 1 + node
-                mid, f_mid = points[at], vals[at]
-                node *= 2
-                if f_mid * signs[i] >= 0.0:
-                    lows[i] = mid
-                    node += 1
-                if f_mid == 0.0 or abs(h) < xtol + rtol * abs(mid):
-                    roots[i] = mid
-                    break
+        for i, mid, f_mid in zip(live, mids, f(np.array(mids)).tolist()):
+            if f_mid * signs[i] >= 0.0:
+                lows[i] = mid
+            if f_mid == 0.0 or abs(steps[i]) < xtol + _BISECT_RTOL * abs(mid):
+                roots[i] = mid
             else:
-                steps[i] = h
                 still_open.append(i)
-            base += (1 << len(path)) - 1
-        halvings += depth
         live = still_open
     for i in live:
         roots[i] = lows[i]

@@ -39,6 +39,7 @@ names the field.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import sys
@@ -54,8 +55,7 @@ from .cocycle import (DIAGONAL, SCHRODINGER, SL2, RandomProduct, TrigPolynomial,
                       make_schrodinger, rescale_diagonal, right_rotate,
                       shift_potential)
 from .errors import ConfigError, UnsupportedPipelineError
-from .fileio import (file_digest, load_cocycle, read_int, read_number,
-                     read_numbers, read_rows)
+from .fileio import load_cocycle, read_int, read_number, read_numbers, read_rows
 from .lyapunov import diagonal_spectrum, estimate_spectrum, estimate_top_exponent
 from .tables import ResultTable
 
@@ -132,7 +132,8 @@ def load_experiment_config(path, kind, seed=None, out=None):
         raise ConfigError(f"unknown experiment kind {kind!r}")
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
+        data = path.read_bytes()
+        doc = json.loads(data)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     except json.JSONDecodeError as exc:
@@ -186,7 +187,7 @@ def load_experiment_config(path, kind, seed=None, out=None):
         kind=kind, cocycle=cocycle, seed=seed, knobs=knobs, out=out,
         energies=energies, epsilons=epsilons,
         perturbation=perturbation, perturb_index=perturb_index,
-        digest=file_digest(path),
+        digest=hashlib.sha256(data).hexdigest(),
     )
 
 

@@ -209,15 +209,17 @@ def load_cocycle(path):
     """Read and validate a tuple definition file into a :class:`CocycleFile`."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
+        data = path.read_bytes()
+        doc = json.loads(data)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read cocycle definition {path}: {exc}") from exc
     product, energy = product_from_dict(doc)
-    return CocycleFile(product=product, energy=energy, digest=file_digest(path))
+    return CocycleFile(product=product, energy=energy, digest=hashlib.sha256(data).hexdigest())
 
 
 def save_cocycle(product, path, potentials=None, energy=None):
     """Write a tuple definition file; returns the digest of what was written."""
     doc = product_to_dict(product, potentials=potentials, energy=energy)
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    return file_digest(path)
+    data = (json.dumps(doc, indent=1, sort_keys=True) + "\n").encode()
+    Path(path).write_bytes(data)
+    return hashlib.sha256(data).hexdigest()

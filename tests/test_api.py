@@ -4,11 +4,13 @@ import importlib
 import importlib.util
 import inspect
 import re
+import sys
 from pathlib import Path
 
 import cocyclelab as cl
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_all_names_resolve_once():
@@ -114,3 +116,20 @@ def test_readme_call_signatures_match_the_code():
             assert written == _parameter_names(func), span
             checked.add(match.group(1))
     assert {"eval", "eval_many", "log_integrability"} <= checked
+
+
+def test_benchmark_tracer_finds_every_target():
+    # perfbench/spans.py wraps library names where their callers look them
+    # up and reads 0 for a name that is gone, so a rename or deletion here
+    # would silently zero a benchmark metric
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spans = importlib.import_module("spans")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        assert tracer.absent == []
+    finally:
+        tracer.uninstall()

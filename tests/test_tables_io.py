@@ -1,5 +1,8 @@
+import builtins
 import hashlib
+import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -82,6 +85,35 @@ def test_cocycle_file_round_trip(tmp_path):
     text = path.read_text()
     cl.save_cocycle(product, path, potentials=potentials, energy=3.0)
     assert path.read_text() == text
+
+
+def test_each_file_is_opened_once_per_load_or_save(tmp_path, monkeypatch):
+    # a digest comes from the bytes parsed or written, not from a second read
+    product, potentials = schrodinger_pair(energy=3.0)
+    cocycle, config = tmp_path / "tuple.json", tmp_path / "config.json"
+    config.write_text(json.dumps({"kind": "lyapunov", "cocycle": "tuple.json", "seed": 1}))
+    opened = []
+    real_open = io.open
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            opened.append((os.path.basename(file), mode))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    written = cl.save_cocycle(product, cocycle, potentials=potentials, energy=3.0)
+    assert opened == [("tuple.json", "wb")]
+    opened.clear()
+    loaded = cl.load_cocycle(cocycle)
+    assert opened == [("tuple.json", "rb")]
+    opened.clear()
+    loaded_config = cl.load_experiment_config(config, "lyapunov")
+    assert opened == [("config.json", "rb"), ("tuple.json", "rb")]
+    monkeypatch.undo()
+    assert written == loaded.digest == cl.file_digest(cocycle)
+    assert loaded_config.cocycle.digest == loaded.digest
+    assert loaded_config.digest == cl.file_digest(config)
 
 
 def test_maps_derived_from_potentials(tmp_path):

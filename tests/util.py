@@ -117,10 +117,12 @@ def unstable_holonomy_offset_reference(angles, x_back, y_back):
 
 
 def bisect_reference(f, lo, hi, xtol):
-    """Lockstep bisection, one halving per call of f, as the library once had it.
+    """Lockstep bisection, one halving per call of f, on numpy arrays.
 
     scipy.optimize.bisect's arithmetic for every bracket, including its sign
-    tests by product, which under/overflow for values far from 1.
+    tests by product, which under/overflow for values far from 1; an oracle
+    for ``certify.bisect``, which walks its brackets on Python floats and
+    compares signs instead.
     """
     lo = np.array(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
